@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint chaos failover drain scenario bench bench-pr1 bench-pr3 bench-pr5 bench-pr6 bench-pr8 bench-pr10 bench-all
+.PHONY: test lint chaos failover drain scenario bench bench-all
 
 # Default flow: lint, then tier-1 tests.
 test: lint
@@ -36,44 +36,12 @@ drain:
 scenario:
 	PYTHONPATH=src $(PYTHON) examples/family_switch_fleet.py --fast
 
-# The PR5, PR8, and PR10 suites run via their pytest gates so `make
-# bench` also *asserts* the acceptance floors (document codec >= 1x JSON,
-# blob codec >= 10x, replica spread >= 1.5x, sendfile egress >= 3x the
-# spread baseline, duplicate-heavy batching >= 2x with idle p50
-# regression <= 1 ms) while writing BENCH_PR5.json, BENCH_PR8.json, and
-# BENCH_PR10.json.
+# The one performance trajectory: end-to-end + per-layer numbers for the
+# serving stack on every BENCHMARK.json workload.  The BENCH_PR*.json files
+# at the repo root are frozen history (measured at their own commits).
 bench:
-	$(PYTHON) -m benchmarks.run_bench pr1
-	$(PYTHON) -m benchmarks.run_bench pr3
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_docs.py -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_blob_fastpath.py -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_batching.py -q
+	$(PYTHON) -m benchmarks.gallerybench all
 
-bench-pr1:
-	$(PYTHON) -m benchmarks.run_bench pr1
-
-bench-pr3:
-	$(PYTHON) -m benchmarks.run_bench pr3
-
-bench-pr5:
-	$(PYTHON) -m benchmarks.run_bench pr5
-
-# Full PR6 suite (1M-instance load -> BENCH_PR6.json), then the fast
-# write-scaling gate so the run also *asserts* the sharding floors.
-bench-pr6:
-	$(PYTHON) -m benchmarks.run_bench pr6
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_shards.py -q
-
-# Full PR8 suite (sendfile egress, e2e fetch, range reads ->
-# BENCH_PR8.json) via its gate so the run asserts the fast-path floors.
-bench-pr8:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_blob_fastpath.py -q
-
-# Full PR10 suite (duplicate-heavy batching, idle p50, QoS flood +
-# refusals -> BENCH_PR10.json) via its gate so the run asserts the
-# batching/QoS floors.
-bench-pr10:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_batching.py -q
-
+# The paper's experiments and ablations (test_exp_* / test_abl_*).
 bench-all:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

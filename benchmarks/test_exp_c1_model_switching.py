@@ -28,7 +28,7 @@ from repro.forecasting import (
     HOURS_PER_WEEK,
     ModelCache,
     ModelSpecification,
-    Switchboard,
+    RegistrySwitchboard,
     generate_city_demand,
     simulate_serving,
 )
@@ -61,7 +61,7 @@ def run_experiment():
     gallery = build_gallery(clock=ManualClock(), id_factory=SeededIdFactory(20))
     pipeline = ForecastingPipeline(gallery)
     engine = RuleEngine(gallery, clock=ManualClock())
-    switchboard = Switchboard()
+    switchboard = RegistrySwitchboard(gallery)
     controller = EventSwitchingController(gallery, engine, switchboard)
     cache = ModelCache(gallery)
 

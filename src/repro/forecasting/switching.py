@@ -10,8 +10,7 @@ Mechanics reproduced here:
 * a :class:`RegistrySwitchboard` is the serving system's configuration —
   which instance each city serves right now — backed by the registry's
   durable serving assignments, so every replica over a shared store
-  observes a switch without restart.  The old in-memory
-  :class:`Switchboard` survives as a deprecated shim;
+  observes a switch without restart;
 * :class:`EventSwitchingController` owns the Gallery selection rules that
   pick the event-aware or base champion per city, and the action rules that
   push switches onto the switchboard as events start and end;
@@ -21,8 +20,6 @@ Mechanics reproduced here:
 """
 
 from __future__ import annotations
-
-import warnings
 
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -94,52 +91,9 @@ class RegistrySwitchboard:
             return 0
 
 
-class Switchboard:
-    """Deprecated in-memory switchboard (pre-registry serving state).
-
-    Nothing outside this process can see its assignments — no replica, rule
-    action, or wire client — which is exactly the gap serving assignments
-    closed.  Kept as a shim so old simulation scripts keep running.
-    """
-
-    def __init__(self) -> None:
-        warnings.warn(
-            "Switchboard is deprecated: serving state now lives in the "
-            "registry — use RegistrySwitchboard(gallery) or "
-            "Gallery.assign_serving/serving_for",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._serving: dict[str, str] = {}
-        self.history: list[SwitchRecord] = []
-
-    def assign(self, city: str, instance_id: str, hour: int = 0, reason: str = "") -> None:
-        current = self._serving.get(city)
-        if current == instance_id:
-            return  # no-op switches are not configuration changes
-        self._serving[city] = instance_id
-        self.history.append(
-            SwitchRecord(city=city, instance_id=instance_id, hour=hour, reason=reason)
-        )
-
-    def serving(self, city: str) -> str:
-        try:
-            return self._serving[city]
-        except KeyError:
-            raise NotFoundError(f"no instance is serving city {city!r}") from None
-
-    def switch_count(self, city: str | None = None) -> int:
-        if city is None:
-            return len(self.history)
-        return sum(1 for record in self.history if record.city == city)
-
-
-#: Anything that can record "city -> instance" switches: the registry-backed
-#: board or the deprecated in-memory shim.
-AnySwitchboard = RegistrySwitchboard | Switchboard
-
-
-def register_switch_action(actions: ActionRegistry, switchboard: AnySwitchboard) -> None:
+def register_switch_action(
+    actions: ActionRegistry, switchboard: RegistrySwitchboard
+) -> None:
     """Install the ``switch_model`` callback action onto a registry."""
 
     def _switch(context: ActionContext) -> str:
@@ -171,7 +125,7 @@ class EventSwitchingController:
         self,
         gallery: Gallery,
         engine: RuleEngine,
-        switchboard: AnySwitchboard | None = None,
+        switchboard: RegistrySwitchboard | None = None,
         team: str = "forecasting",
         quality_gate: str = "metrics.mape < 0.5",
     ) -> None:
@@ -188,7 +142,7 @@ class EventSwitchingController:
         register_switch_action(engine.actions, self._switchboard)
 
     @property
-    def switchboard(self) -> AnySwitchboard:
+    def switchboard(self) -> RegistrySwitchboard:
         return self._switchboard
 
     def _rule_for(self, city: str, event_aware: bool) -> Rule:

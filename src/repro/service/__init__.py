@@ -2,8 +2,10 @@
 
 :func:`connect` is the front door — it turns a ``gallery://host:port,...``
 URL into a ready :class:`GalleryClient` over a breaker-aware
-:class:`FailoverTransport`.  The lower-level pieces remain public for
-tests and custom stacks.
+:class:`FailoverTransport`.  There is one serving stack::
+
+    connect -> FailoverTransport -> PipelinedTcpTransport
+            -> GalleryTcpServer -> GalleryService
 """
 
 from repro.service.batching import (
@@ -17,7 +19,6 @@ from repro.service.client import (
     InProcessTransport,
     MethodRetryPolicies,
     PipelineHandle,
-    RetryingTransport,
     connect_in_process,
 )
 from repro.service.endpoints import (
@@ -73,7 +74,6 @@ __all__ = [
     "ReadBatcher",
     "Request",
     "Response",
-    "RetryingTransport",
     "StaticRegistrySource",
     "connect",
     "connect_in_process",

@@ -15,9 +15,10 @@ New in the serving-plane overhaul:
 * :meth:`GalleryClient.pipeline` keeps many independent calls in flight
   at once over a pipelined transport (and degrades to sequential calls on
   a plain one), with batch helpers for the common fan-outs;
-* :class:`MethodRetryPolicies` gives :class:`RetryingTransport` one retry
-  budget per method class (cheap reads / blob transfers / mutations)
-  instead of a single global policy.
+* :class:`MethodRetryPolicies` gives
+  :class:`~repro.service.endpoints.FailoverTransport` one retry budget per
+  method class (cheap reads / blob transfers / mutations) instead of a
+  single global policy.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.ids import random_uuid
-from repro.errors import BlobCorruptionError, CircuitOpenError, ServiceError
-from repro.reliability.breaker import CircuitBreaker
+from repro.errors import BlobCorruptionError
 from repro.reliability.policy import RetryPolicy
 from repro.service import wire
 from repro.service.server import MUTATING_METHODS, GalleryService
@@ -153,125 +153,6 @@ class InProcessTransport:
         return self._service.handle_frame(data)
 
 
-class _TransientWireError(ServiceError):
-    """Internal marker: a decoded response carried a retryable error."""
-
-    def __init__(self, message: str, raw: bytes) -> None:
-        super().__init__(message)
-        self.raw = raw
-
-
-class RetryingTransport:
-    """Fault-tolerant decorator for any transport.
-
-    Wraps a ``bytes -> bytes`` transport with a :class:`RetryPolicy` and an
-    optional :class:`CircuitBreaker`:
-
-    * transport failures (:class:`ServiceError`, ``OSError``) are retried
-      with backoff, and the underlying transport's connection is reset
-      between attempts when it exposes ``close()``;
-    * responses that carry a *transient* server-side error (flaky metadata
-      or blob store) are retried the same way — re-sending the identical
-      frame is safe because error responses are never dedup-cached;
-    * **write safety**: a non-idempotent method is only retried when its
-      request frame carries a ``client_id``, i.e. when the server's
-      request-id dedup guarantees the replay cannot double-apply.  Without
-      a client_id, writes fail fast exactly as before.
-
-    The breaker counts only transport-level failures (is the *server*
-    reachable?); a reachable server relaying a flaky store must not open
-    the circuit to the server itself.
-    """
-
-    def __init__(
-        self,
-        inner: Transport,
-        policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        transient_errors: frozenset[str] = TRANSIENT_ERROR_TYPES,
-        policies: MethodRetryPolicies | None = None,
-    ) -> None:
-        if policy is not None and policies is not None:
-            raise ValueError("pass either a global policy or per-method policies")
-        self._inner = inner
-        self._policy = policy or RetryPolicy()
-        self._policies = policies
-        self._breaker = breaker
-        self._transient_errors = transient_errors
-        self.attempts = 0
-        self.retries = 0
-
-    def _can_retry(self, request: wire.Request | None) -> bool:
-        if request is None:  # opaque frame: be conservative
-            return False
-        if request.method in IDEMPOTENT_METHODS:
-            return True
-        return bool(request.client_id) and request.method in MUTATING_METHODS
-
-    def _policy_for(self, request: wire.Request | None) -> RetryPolicy:
-        if self._policies is not None and request is not None:
-            return self._policies.for_method(request.method)
-        return self._policy
-
-    def _send_once(self, data: bytes) -> bytes:
-        if self._breaker is not None:
-            self._breaker.allow()
-        self.attempts += 1
-        try:
-            raw = self._inner(data)
-        except (ServiceError, OSError):
-            if self._breaker is not None:
-                self._breaker.record_failure()
-            raise
-        if self._breaker is not None:
-            self._breaker.record_success()
-        response = wire.decode_response(raw)
-        if not response.ok and response.error_type in self._transient_errors:
-            raise _TransientWireError(
-                f"transient server error {response.error_type}: "
-                f"{response.error_message}",
-                raw,
-            )
-        return raw
-
-    def __call__(self, data: bytes) -> bytes:
-        try:
-            request = wire.decode_request(data)
-        except Exception:  # noqa: BLE001 - opaque frame
-            request = None
-        if not self._can_retry(request):
-            # Single shot; the breaker still guards and observes the call.
-            try:
-                return self._send_once(data)
-            except _TransientWireError as exc:
-                return exc.raw  # surface the error response unchanged
-
-        def _on_retry(_attempt: int, _exc: BaseException) -> None:
-            self.retries += 1
-            close = getattr(self._inner, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:  # noqa: BLE001 - reset is best-effort
-                    pass
-
-        try:
-            return self._policy_for(request).call(
-                lambda: self._send_once(data),
-                retry_on=(ServiceError, OSError),
-                on_retry=_on_retry,
-            )
-        except CircuitOpenError:
-            raise
-        except _TransientWireError as exc:
-            return exc.raw  # retries exhausted: hand back the real error
-
-    def close(self) -> None:
-        close = getattr(self._inner, "close", None)
-        if close is not None:
-            close()
-
-
 class GalleryClient:
     """Typed wrapper over the wire protocol.
 
@@ -358,11 +239,10 @@ class GalleryClient:
 
         Delegates to the transport's ``close()`` — which a
         :class:`~repro.service.endpoints.FailoverTransport` fans out to all
-        endpoint connections and a
-        :class:`~repro.service.tcp.ConnectionPool` to every pooled socket —
-        so no call path leaks sockets.  In-process transports have nothing
-        to close and are a no-op.  The client remains usable afterwards:
-        the next call simply dials fresh connections.
+        endpoint connections — so no call path leaks sockets.  In-process
+        transports have nothing to close and are a no-op.  The client
+        remains usable afterwards: the next call simply dials fresh
+        connections.
         """
         close = getattr(self._transport, "close", None)
         if close is not None:

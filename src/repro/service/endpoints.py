@@ -7,7 +7,7 @@ half of that deployment:
 
 * :class:`EndpointSet` parses a ``gallery://host:port,host:port`` URL into
   an ordered replica list plus connection options (wire dialect, timeout,
-  transport flavour, routing policy);
+  routing policy);
 * :class:`FailoverTransport` spreads calls across the replicas with
   **load-aware routing**: per-endpoint latency EWMA plus in-flight depth,
   power-of-two-choices pick among breaker-admitted non-draining replicas
@@ -70,7 +70,7 @@ from repro.service.client import (
     Transport,
 )
 from repro.service.server import MUTATING_METHODS
-from repro.service.tcp import PipelinedTcpTransport, TcpTransport
+from repro.service.tcp import PipelinedTcpTransport
 
 if TYPE_CHECKING:
     from repro.service.membership import FleetRegistry
@@ -79,7 +79,6 @@ if TYPE_CHECKING:
 SCHEME = "gallery"
 
 _DIALECTS = {"binary": wire.DIALECT_BINARY, "json": wire.DIALECT_JSON}
-_TRANSPORTS = ("pipelined", "serial")
 _ROUTINGS = ("p2c", "roundrobin", "shard")
 _LANES = (wire.LANE_INTERACTIVE, wire.LANE_BULK)
 
@@ -145,12 +144,6 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
             if timeout <= 0:
                 raise ValidationError("timeout must be positive")
             options["timeout"] = timeout
-        elif key == "transport":
-            if value not in _TRANSPORTS:
-                raise ValidationError(
-                    f"unknown transport {value!r} (pipelined or serial)"
-                )
-            options["transport"] = value
         elif key == "routing":
             if value not in _ROUTINGS:
                 raise ValidationError(
@@ -177,12 +170,11 @@ class EndpointSet:
         gallery://10.0.0.1:9000,10.0.0.2:9000?dialect=binary&timeout=10
 
     Query parameters: ``dialect`` (``binary``, the default, or ``json``),
-    ``timeout`` (per-call seconds, default 10), ``transport``
-    (``pipelined``, the default, or ``serial`` for one-call-at-a-time
-    connections), and ``routing`` (``p2c``, the default — latency-EWMA ×
-    in-flight power-of-two-choices; ``roundrobin`` for the blind
-    rotation; ``shard`` to additionally prefer the replica owning a
-    read's model coordinate — see :class:`FailoverTransport`), and
+    ``timeout`` (per-call seconds, default 10), ``routing`` (``p2c``, the
+    default — latency-EWMA × in-flight power-of-two-choices;
+    ``roundrobin`` for the blind rotation; ``shard`` to additionally
+    prefer the replica owning a read's model coordinate — see
+    :class:`FailoverTransport`), and
     ``lane`` (``interactive``, the default, or ``bulk`` — the QoS lane
     stamped on every request, weighting how the server's read batcher
     schedules this client against others).  Unknown parameters,
@@ -198,7 +190,6 @@ class EndpointSet:
     endpoints: tuple[Endpoint, ...]
     dialect: str = wire.DIALECT_BINARY
     timeout: float = 10.0
-    transport: str = "pipelined"
     routing: str = "p2c"
     lane: str = wire.LANE_INTERACTIVE
 
@@ -257,9 +248,10 @@ class EndpointSet:
 class _ResolvedExchange:
     """A pre-resolved stand-in for a pipelined exchange handle.
 
-    Used when a batch degrades to sequential round-trips (serial endpoint
-    transports): the work happens at submit time, the handle just replays
-    the outcome.
+    Used when a batch shard's outcome is known at submit time (its
+    submission failed everywhere, or an injected endpoint transport has no
+    ``submit_many`` and the shard ran as sequential round-trips): the
+    handle just replays the outcome.
     """
 
     __slots__ = ("_error", "_frame")
@@ -414,7 +406,9 @@ class FailoverTransport:
     * **Transport errors** (connection refused/reset, wire breakage) count
       against that endpoint's breaker, drop its connection, and fail the
       call over to the next endpoint immediately — no backoff, because a
-      different replica is an independent resource.  Mutations are only
+      different replica is an independent resource.  Only when every
+      endpoint has already failed this call does the pick wrap around,
+      and then it backs off per policy first.  Mutations are only
       replayed when the frame carries a ``client_id``; the replicas'
       shared dedup table then answers the replay with the original
       response instead of executing it twice.
@@ -438,9 +432,11 @@ class FailoverTransport:
       degrades silently.  Call :meth:`refresh_topology` after a
       rebalance.
 
-    The retry budget is the same :class:`MethodRetryPolicies` the
-    single-endpoint stack uses, counted across *all* endpoints — a call
-    never takes more than one budget even when every replica is down.
+    The retry budget is one :class:`MethodRetryPolicies` budget per call,
+    counted across *all* endpoints — a call never takes more than one
+    budget even when every replica is down.  A single endpoint is a fleet
+    of one: the same loop then re-dials that address with the policy's
+    backoff between attempts.
     """
 
     def __init__(
@@ -454,7 +450,6 @@ class FailoverTransport:
         transient_errors: frozenset[str] = TRANSIENT_ERROR_TYPES,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        spread_batches: bool = True,
         shard_routing: bool | None = None,
         drain_ttl: float = DEFAULT_DRAIN_TTL,
         rng: random.Random | None = None,
@@ -493,7 +488,6 @@ class FailoverTransport:
         self._swap_lock = threading.Lock()
         self._retiring: list[_EndpointState] = []
         self._registry: "FleetRegistry | None" = None
-        self._spread_batches = spread_batches
         self._shard_map: ShardMap | None = None
         self._topology_lock = threading.Lock()
         self._topology_attempted = False
@@ -518,6 +512,7 @@ class FailoverTransport:
             breaker=CircuitBreaker(
                 failure_threshold=self._failure_threshold,
                 reset_timeout=self._reset_timeout,
+                clock=self._clock,
                 name=endpoint.address,
             ),
         )
@@ -526,10 +521,6 @@ class FailoverTransport:
     def _default_factory(
         endpoint_set: EndpointSet,
     ) -> Callable[[Endpoint], Transport]:
-        if endpoint_set.transport == "serial":
-            return lambda ep: TcpTransport(
-                ep.host, ep.port, timeout=endpoint_set.timeout
-            )
         return lambda ep: PipelinedTcpTransport(
             ep.host, ep.port, timeout=endpoint_set.timeout
         )
@@ -860,6 +851,7 @@ class FailoverTransport:
         attempt = 0
         while attempt < attempts_allowed:
             if attempt and backoff_next:
+                backoff_next = False
                 delay = policy.backoff(retry_number)
                 retry_number += 1
                 if deadline is not None:
@@ -876,8 +868,17 @@ class FailoverTransport:
             if state is None and failed:
                 # Every non-excluded endpoint is out; give already-failed
                 # ones another chance rather than faking a full outage.
+                # The pick is wrapping around to an endpoint that already
+                # failed this call (always, for a fleet of one), so unlike
+                # a move to a different replica it waits out the backoff —
+                # unless every one of them tripped its breaker, in which
+                # case there is nothing to re-dial and the all-open branch
+                # below takes over without a wasted sleep.
+                backoff_next = any(
+                    s.breaker.state is not BreakerState.OPEN for s in failed
+                )
                 failed.clear()
-                state = self._admit(None, drained | limited)
+                continue
             if state is None:
                 if limited and limited_raw is not None and limited_sweeps < 1:
                     # Every pickable replica refused on QoS this call:
@@ -997,28 +998,24 @@ class FailoverTransport:
     def submit_many(self, frames: list[bytes]) -> list[Any]:
         """Ship a pipelined batch across the healthy endpoints.
 
-        With ``spread_batches`` (the default) the batch is sharded
-        round-robin across every breaker-admitted, non-draining replica —
-        each shard goes out through its own connection, responses stream
-        back concurrently, and the returned handles are re-knit into the
-        caller's original frame order.  A shard whose submission fails
-        fails over to the next admitted endpoint before giving up (safe:
-        a batch whose send fails never reaches the server, and the
-        pipelined transport discards its registrations when the
-        connection drops).  Once submitted, individual exchanges resolve
-        or fail on their own — per-item retry is the caller's decision,
-        exactly as with a direct :class:`PipelinedTcpTransport`.
-
-        ``spread_batches=False`` pins the whole batch to one endpoint
-        (PR 4 behaviour), which benchmarks use as the baseline.
+        The batch is sharded round-robin across every breaker-admitted,
+        non-draining replica — each shard goes out through its own
+        connection, responses stream back concurrently, and the returned
+        handles are re-knit into the caller's original frame order.  A
+        shard whose submission fails fails over to the next admitted
+        endpoint before giving up (safe: a batch whose send fails never
+        reaches the server, and the pipelined transport discards its
+        registrations when the connection drops).  Once submitted,
+        individual exchanges resolve or fail on their own — per-item retry
+        is the caller's decision, exactly as with a direct
+        :class:`PipelinedTcpTransport`.
         """
         if not frames:
             return []
-        # Admit at most as many endpoints as there are frames (and just one
-        # when pinning): a half-open breaker's allow() hands out its single
-        # recovery probe, so we must not admit an endpoint we won't use.
-        limit = len(frames) if self._spread_batches else 1
-        admitted = self._admitted_states(limit)
+        # Admit at most as many endpoints as there are frames: a half-open
+        # breaker's allow() hands out its single recovery probe, so we must
+        # not admit an endpoint we won't use.
+        admitted = self._admitted_states(len(frames))
         if not admitted:
             raise CircuitOpenError(
                 "no healthy endpoint: all circuit breakers are open"
@@ -1089,7 +1086,8 @@ class FailoverTransport:
             transport = state.transport()
             submit = getattr(transport, "submit_many", None)
             if submit is None:
-                # Serial endpoints: degrade to sequential failover calls.
+                # A plain bytes -> bytes transport (injected through
+                # transport_factory): sequential failover calls instead.
                 return [self._resolved(frame) for frame in frames]
             try:
                 exchanges = submit(frames)

@@ -309,8 +309,8 @@ def fleet_from_url(url: str) -> tuple[FleetRegistry, EndpointSet]:
         gallery+http://10.0.0.5:8500/v1/gallery/fleet?poll=2
 
     Query parameters are the usual connection options (``dialect``,
-    ``timeout``, ``transport``, ``routing``) plus ``poll`` (seconds
-    between registry polls, default 1).  The registry is resolved once,
+    ``timeout``, ``routing``, ``lane``) plus ``poll`` (seconds between
+    registry polls, default 1).  The registry is resolved once,
     loudly, before this returns — the caller gets a non-empty fleet or a
     typed error, never a silently empty client.
     """

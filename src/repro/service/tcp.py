@@ -1,4 +1,4 @@
-"""TCP transports and servers for the Gallery service (Section 4.1/4).
+"""TCP transport and server for the Gallery service (Section 4.1/4).
 
 Gallery at Uber is "a stateless microservice ... horizontally scalable":
 clients talk to it over the network through Thrift.  This module carries
@@ -10,20 +10,14 @@ the reproduction's wire frames over real sockets:
   per-request dispatch stays cheap.  Responses may complete out of order;
   each one carries its request_id, which is what pipelined clients
   correlate on.
-* :class:`TcpTransport` — the serial client transport: one persistent
-  connection, one request in flight.
 * :class:`PipelinedTcpTransport` — keeps many requests in flight on one
   connection, correlating responses by request_id; ``submit``/
   ``submit_many`` expose the asynchronous path and ``__call__`` keeps the
   plain ``bytes -> bytes`` transport contract.
-* :class:`ConnectionPool` — a thread-safe pool of serial transports so N
-  worker threads stop serializing on a single socket.
-* :class:`ThreadedGalleryTcpServer` — the pre-overhaul thread-per-
-  connection server, kept as the benchmark baseline.
 
 Framing is the same 8-byte big-endian length prefix as
-:mod:`repro.service.wire`; both servers and both transports tolerate
-arbitrary packet fragmentation.
+:mod:`repro.service.wire`; server and transport tolerate arbitrary packet
+fragmentation.
 """
 
 from __future__ import annotations
@@ -31,10 +25,8 @@ from __future__ import annotations
 import logging
 import os
 import queue
-import select
 import selectors
 import socket
-import socketserver
 import struct
 import threading
 from collections import deque
@@ -62,35 +54,6 @@ def sendfile_available() -> bool:
     return _sendfile is not None
 
 
-def _read_exactly(sock: socket.socket, count: int) -> bytes | None:
-    """Read exactly *count* bytes, or None on orderly EOF at a boundary."""
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, _RECV_CHUNK))
-        if not chunk:
-            if remaining == count:
-                return None  # clean close between frames
-            raise WireFormatError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> bytes | None:
-    """Read one full frame (prefix + body) or None on orderly EOF."""
-    prefix = _read_exactly(sock, _LENGTH.size)
-    if prefix is None:
-        return None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise WireFormatError(f"frame of {length} bytes exceeds the limit")
-    body = _read_exactly(sock, length)
-    if body is None:
-        raise WireFormatError("connection closed before frame body")
-    return prefix + body
-
-
 # ---------------------------------------------------------------------------
 # Event-loop server
 # ---------------------------------------------------------------------------
@@ -100,8 +63,7 @@ class _WorkerPool:
     """Bounded pool of daemon threads draining a shared task queue.
 
     Daemon threads on purpose: a handler wedged inside the service must be
-    reportable and abandonable (exactly the old threaded server's
-    contract), never able to pin the process open.
+    reportable and abandonable, never able to pin the process open.
     """
 
     def __init__(self, size: int) -> None:
@@ -675,155 +637,6 @@ class GalleryTcpServer:
 
 
 # ---------------------------------------------------------------------------
-# Legacy thread-per-connection server (benchmark baseline)
-# ---------------------------------------------------------------------------
-
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
-    def setup(self) -> None:  # pragma: no cover - exercised via client calls
-        try:
-            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        self.server.register_connection(self.request)  # type: ignore[attr-defined]
-
-    def finish(self) -> None:  # pragma: no cover - exercised via client calls
-        self.server.unregister_connection(self.request)  # type: ignore[attr-defined]
-        super().finish()
-
-    def handle(self) -> None:  # pragma: no cover - exercised via client calls
-        service: GalleryService = self.server.gallery_service  # type: ignore[attr-defined]
-        while True:
-            try:
-                frame = read_frame(self.request)
-            except WireFormatError as exc:
-                try:
-                    self.request.sendall(
-                        wire.encode_response(wire.error_response(exc))
-                    )
-                except OSError:
-                    pass
-                return
-            except OSError:
-                return
-            if frame is None:
-                return
-            response = service.handle_frame(frame)
-            try:
-                self.request.sendall(response)
-            except OSError:
-                return
-
-
-class _ThreadedServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-
-    def register_connection(self, sock: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.add(sock)
-
-    def unregister_connection(self, sock: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.discard(sock)
-
-    def close_all_connections(self) -> None:
-        with self._connections_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for sock in connections:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-
-class ThreadedGalleryTcpServer:
-    """The pre-overhaul server: one OS thread per connection.
-
-    Kept as the benchmark baseline (PR-1/PR-2 era) so the event-loop
-    server's wins are measured against the stack that actually shipped,
-    and as a fallback should the event loop ever misbehave on an exotic
-    platform.  Public surface is identical to :class:`GalleryTcpServer`.
-
-    Deliberately **unbatched**: each connection thread calls
-    ``service.handle_frame`` directly and never offers frames to the
-    service's :class:`~repro.service.batching.ReadBatcher`, so the
-    threaded baseline cannot block on (or deadlock against) a collector
-    thread that only the event-loop server drives.  Reads served here
-    skip coalescing and QoS — this server is a baseline and escape
-    hatch, not the production path.
-    """
-
-    def __init__(self, service: GalleryService, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = _ThreadedServer((host, port), _ConnectionHandler)
-        self._server.gallery_service = service  # type: ignore[attr-defined]
-        self._service = service
-        self._thread: threading.Thread | None = None
-        self.stopped_cleanly = True
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def draining(self) -> bool:
-        return self._service.draining
-
-    def drain(self, wait_timeout: float | None = None) -> bool:
-        """Same drain semantics as :meth:`GalleryTcpServer.drain`."""
-        self._service.drain()
-        return self._service.wait_drained(wait_timeout)
-
-    def undrain(self) -> None:
-        self._service.undrain()
-
-    def start(self) -> "ThreadedGalleryTcpServer":
-        if self._thread is not None:
-            raise ServiceError("server already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="gallery-tcp-threaded", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, join_timeout: float = 5.0) -> bool:
-        self._server.shutdown()
-        self._server.close_all_connections()
-        self._server.server_close()
-        thread, self._thread = self._thread, None
-        if thread is None:
-            return True
-        thread.join(timeout=join_timeout)
-        if thread.is_alive():
-            logger.warning(
-                "gallery-tcp-threaded serve thread still alive %.1fs after "
-                "shutdown; abandoning it (daemon thread)",
-                join_timeout,
-            )
-            self.stopped_cleanly = False
-            return False
-        self.stopped_cleanly = True
-        return True
-
-    def __enter__(self) -> "ThreadedGalleryTcpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-# ---------------------------------------------------------------------------
 # Client transports
 # ---------------------------------------------------------------------------
 
@@ -914,98 +727,6 @@ class _FrameReceiver:
                 return complete
 
 
-class TcpTransport:
-    """Client-side transport: one persistent connection, frame in/frame out.
-
-    Half-open handling: a persistent socket whose peer died *between* calls
-    (server restart, idle timeout, NAT reap) is detected by a zero-timeout
-    readability probe before reuse, and — if the death only surfaces
-    mid-call — the call is transparently replayed once on a fresh
-    connection.  Only failures on a *reused* socket trigger the replay; a
-    fresh connection that fails is a real outage and surfaces as
-    :class:`ServiceError` immediately.  (With the server's request-id dedup
-    a replayed mutation is answered from cache, so the single retry is safe
-    for writes carrying a client_id too.)
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
-        self._address = (host, port)
-        self._timeout = timeout
-        self._sock: socket.socket | None = None
-        self._receiver: _FrameReceiver | None = None
-        #: half-open sockets detected and transparently replaced
-        self.reconnects = 0
-
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(self._address, timeout=self._timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
-            self._receiver = _FrameReceiver(sock)
-        return self._sock
-
-    @staticmethod
-    def _is_stale(sock: socket.socket) -> bool:
-        """True when the peer already closed (or broke) this idle socket.
-
-        Between request/response cycles the stream must be quiet, so *any*
-        readability — orderly EOF, an error, or stray bytes that would
-        desynchronize framing — disqualifies the socket from reuse.
-        """
-        try:
-            readable, _, _ = select.select([sock], [], [], 0)
-            if not readable:
-                return False
-            return True
-        except (OSError, ValueError):
-            return True
-
-    def _exchange(self, sock: socket.socket, data: bytes) -> bytes:
-        sock.sendall(data)
-        assert self._receiver is not None
-        return self._receiver.next_response()
-
-    def __call__(self, data: bytes) -> bytes:
-        reused = self._sock is not None
-        if reused and self._is_stale(self._sock):
-            self.close()
-            self.reconnects += 1
-            reused = False
-        try:
-            sock = self._connect()
-        except OSError as exc:
-            raise ServiceError(f"transport failure: {exc}") from exc
-        try:
-            return self._exchange(sock, data)
-        except (OSError, WireFormatError) as exc:
-            self.close()
-            if not reused:
-                raise ServiceError(f"transport failure: {exc}") from exc
-        # The persistent socket died under us after passing the probe (the
-        # classic half-open race): replay once on a fresh connection.
-        self.reconnects += 1
-        try:
-            sock = self._connect()
-            return self._exchange(sock, data)
-        except (OSError, WireFormatError) as exc:
-            self.close()
-            raise ServiceError(f"transport failure: {exc}") from exc
-
-    def close(self) -> None:
-        self._receiver = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    def __enter__(self) -> "TcpTransport":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class _PendingExchange:
     """One in-flight pipelined call: an event plus its outcome."""
 
@@ -1046,10 +767,10 @@ class PipelinedTcpTransport:
     * ``submit_many(frames)`` registers a whole batch and ships it with a
       **single** ``sendall`` — one syscall for N requests.
     * ``__call__`` keeps the plain blocking ``bytes -> bytes`` transport
-      contract (submit + wait), including the serial transport's half-open
-      semantics: a failure on a connection that existed before the call is
-      replayed once on a fresh one; a fresh connection failing is a real
-      outage and raises :class:`ServiceError`.
+      contract (submit + wait) with half-open handling: a failure on a
+      connection that existed before the call is replayed once on a fresh
+      one; a fresh connection failing is a real outage and raises
+      :class:`ServiceError`.
 
     Thread-safe: any number of threads may submit concurrently.  Two
     in-flight requests may not share a request_id — a colliding submit
@@ -1250,156 +971,3 @@ class PipelinedTcpTransport:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class _PooledExchange:
-    """A pre-resolved pipeline handle: :meth:`ConnectionPool.submit_many`
-    finishes every call before returning, so ``wait`` never blocks."""
-
-    __slots__ = ("_frame", "_error")
-
-    def __init__(self) -> None:
-        self._frame: bytes | None = None
-        self._error: BaseException | None = None
-
-    def resolve(self, frame: bytes) -> None:
-        self._frame = frame
-
-    def fail(self, exc: BaseException) -> None:
-        self._error = exc
-
-    def wait(self, timeout: float | None = None) -> bytes:
-        if self._error is not None:
-            raise self._error
-        assert self._frame is not None
-        return self._frame
-
-    def done(self) -> bool:
-        return self._frame is not None or self._error is not None
-
-
-class ConnectionPool:
-    """A thread-safe pool of serial transports.
-
-    N worker threads calling through one :class:`TcpTransport` serialize
-    on its single socket; a pool gives each concurrent call its own
-    connection, up to *size*, with LIFO reuse so hot sockets stay hot.
-    Failed transports are closed and their slot recycled (the next call
-    dials a fresh connection).  ``transport_factory`` lets tests wrap each
-    pooled transport (e.g. in a chaos
-    :class:`~repro.reliability.faults.FaultyTransport`).
-
-    ``submit_many`` gives :class:`~repro.service.client.ClientPipeline`
-    something better than one-frame-at-a-time: the batch is sharded
-    round-robin across up to *size* concurrent connections.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        size: int = 8,
-        timeout: float = 10.0,
-        transport_factory: Callable[[], Callable[[bytes], bytes]] | None = None,
-    ) -> None:
-        if size < 1:
-            raise ValueError("pool size must be positive")
-        self._factory = transport_factory or (
-            lambda: TcpTransport(host, port, timeout=timeout)
-        )
-        self.size = size
-        self._slots: queue.LifoQueue = queue.LifoQueue()
-        for _ in range(size):
-            self._slots.put(None)  # lazily dialed on first checkout
-        #: bumped by close(): transports checked out under an older
-        #: generation are closed on return instead of re-pooled, so a
-        #: membership swap that closes the pool mid-call cannot leak the
-        #: in-flight socket back into a pool nobody will close again.
-        self._generation = 0
-        #: calls that had to dial a fresh connection
-        self.dials = 0
-
-    def __call__(self, data: bytes) -> bytes:
-        generation = self._generation
-        transport = self._slots.get()
-        if transport is None:
-            transport = self._factory()
-            self.dials += 1
-        try:
-            result = transport(data)
-        except BaseException:
-            # Never return a possibly-desynchronized transport to the pool.
-            try:
-                close = getattr(transport, "close", None)
-                if close is not None:
-                    close()
-            finally:
-                self._slots.put(None)
-            raise
-        if generation != self._generation:
-            # The pool was closed while this call was on the wire: the
-            # endpoint left the fleet.  Close instead of re-pooling.
-            self._close_transport(transport)
-            self._slots.put(None)
-        else:
-            self._slots.put(transport)
-        return result
-
-    @staticmethod
-    def _close_transport(transport: object) -> None:
-        close = getattr(transport, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
-
-    def submit_many(self, frames: list[bytes]) -> list[_PooledExchange]:
-        """Spread one batch across the pool's connections.
-
-        Frames shard round-robin over up to ``min(size, len(frames))``
-        worker threads, each draining its shard through the pool's normal
-        checkout/recycle path (so a transport that fails mid-shard is
-        closed and replaced, not reused).  Per-frame failures park in
-        their own handle; every handle is resolved on return.
-        """
-        if not frames:
-            return []
-        handles = [_PooledExchange() for _ in frames]
-        workers = min(self.size, len(frames))
-
-        def run(worker: int) -> None:
-            for index in range(worker, len(frames), workers):
-                try:
-                    handles[index].resolve(self(frames[index]))
-                except BaseException as exc:  # noqa: BLE001 - park per frame
-                    handles[index].fail(exc)
-
-        threads = [
-            threading.Thread(
-                target=run, args=(worker,), name="gallery-pool-flush"
-            )
-            for worker in range(1, workers)
-        ]
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-        return handles
-
-    def close(self) -> None:
-        # Bump first: any call already holding a transport sees the new
-        # generation when it returns and closes its socket itself.
-        self._generation += 1
-        drained = 0
-        while drained < self.size:
-            try:
-                transport = self._slots.get_nowait()
-            except queue.Empty:
-                break  # slots checked out by in-flight calls
-            drained += 1
-            if transport is not None:
-                self._close_transport(transport)
-        for _ in range(drained):
-            self._slots.put(None)

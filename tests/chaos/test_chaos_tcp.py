@@ -41,9 +41,10 @@ from repro.reliability import (
     RetryPolicy,
     corrupt_blob_at_rest,
 )
-from repro.service.client import GalleryClient, RetryingTransport
+from repro.service import connect
+from repro.service.client import MethodRetryPolicies
 from repro.service.server import GalleryService
-from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport, TcpTransport
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
@@ -73,28 +74,25 @@ def build_stack(tmp_path, store_injector=None):
     return gallery, service
 
 
-def chaos_client(host, port, client_id, injector, seed, pipelined=False):
-    """A Gallery client whose wire is flaky but whose retries are armed.
+def chaos_client(host, port, client_id, injector, seed):
+    """A ``connect()`` client whose wire is flaky but whose retries are armed.
 
-    ``pipelined=True`` routes every frame through the overhauled
-    :class:`PipelinedTcpTransport` instead of the serial transport, so the
-    chaos suite exercises BOTH client paths against the event-loop server.
+    The production stack end to end — a fleet-of-one
+    :class:`FailoverTransport` over :class:`PipelinedTcpTransport` — with a
+    seeded :class:`FaultyTransport` spliced in through ``transport_factory``.
     """
-    if pipelined:
-        inner = PipelinedTcpTransport(host, port, timeout=5.0)
-    else:
-        inner = TcpTransport(host, port, timeout=5.0)
-    transport = RetryingTransport(
-        FaultyTransport(inner, injector),
-        policy=RetryPolicy(
-            max_attempts=8,
-            base_delay=0.05,
-            max_delay=1.0,
-            jitter=0.1,
-            seed=seed,
+    policy = RetryPolicy(
+        max_attempts=8, base_delay=0.05, max_delay=1.0, jitter=0.1, seed=seed
+    )
+    return connect(
+        f"gallery://{host}:{port}",
+        client_id=client_id,
+        policies=MethodRetryPolicies(read=policy, blob=policy, mutation=policy),
+        transport_factory=lambda endpoint: FaultyTransport(
+            PipelinedTcpTransport(endpoint.host, endpoint.port, timeout=5.0),
+            injector,
         ),
     )
-    return GalleryClient(transport, client_id=client_id), transport
 
 
 def test_harness_smoke_dedup_and_restart(tmp_path):
@@ -103,7 +101,7 @@ def test_harness_smoke_dedup_and_restart(tmp_path):
     server = GalleryTcpServer(service).start()
     host, port = server.address
     injector = FaultInjector(seed=1, rate=0.0)
-    client, transport = chaos_client(host, port, "smoke-client", injector, seed=1)
+    client = chaos_client(host, port, "smoke-client", injector, seed=1)
     try:
         client.create_gallery_model("p", "demand")
         # Lost response on a write: the retry must be answered from the
@@ -119,31 +117,7 @@ def test_harness_smoke_dedup_and_restart(tmp_path):
         client.upload_model("p", "demand", b"v2", metadata={"tag": "two"})
         assert len(gallery.instances_of("demand")) == 2
     finally:
-        transport.close()
-        server.stop()
-
-
-def test_harness_smoke_pipelined_dedup_and_restart(tmp_path):
-    """The pipelined transport under the same lost-response + restart drill."""
-    gallery, service = build_stack(tmp_path)
-    server = GalleryTcpServer(service).start()
-    host, port = server.address
-    injector = FaultInjector(seed=2, rate=0.0)
-    client, transport = chaos_client(
-        host, port, "smoke-pipelined", injector, seed=2, pipelined=True
-    )
-    try:
-        client.create_gallery_model("p", "demand")
-        injector.inject_next("call", FaultKind.LOST_RESPONSE)
-        client.upload_model("p", "demand", b"v1", metadata={"tag": "one"})
-        assert len(gallery.instances_of("demand")) == 1
-        assert service.dedup.hits == 1
-        server.stop()
-        server = GalleryTcpServer(service, host=host, port=port).start()
-        client.upload_model("p", "demand", b"v2", metadata={"tag": "two"})
-        assert len(gallery.instances_of("demand")) == 2
-    finally:
-        transport.close()
+        client.close()
         server.stop()
 
 
@@ -161,10 +135,9 @@ class TestConcurrentChaos:
         server = GalleryTcpServer(service).start()
         host, port = server.address
 
-        setup = GalleryClient(TcpTransport(host, port))
-        for ci in range(CLIENTS):
-            setup.create_gallery_model("p", f"demand-{ci}")
-        setup._transport.close()  # noqa: SLF001 - test fixture teardown
+        with connect(f"gallery://{host}:{port}") as setup:
+            for ci in range(CLIENTS):
+                setup.create_gallery_model("p", f"demand-{ci}")
 
         acked: dict[str, str] = {}  # tag -> instance_id, acknowledged writes
         acked_metrics: set[str] = set()
@@ -173,11 +146,7 @@ class TestConcurrentChaos:
 
         def worker(ci: int) -> None:
             injector = FaultInjector(seed=100 + ci, rate=FAULT_RATE, kinds=WIRE_FAULTS)
-            # Odd-numbered clients ride the pipelined transport so the
-            # chaos invariants are enforced on both client paths at once.
-            client, transport = chaos_client(
-                host, port, f"chaos-{ci}", injector, seed=ci, pipelined=ci % 2 == 1
-            )
+            client = chaos_client(host, port, f"chaos-{ci}", injector, seed=ci)
             if ci == 0:
                 # Guarantee at least one dedup-protected replay regardless
                 # of what the random schedule serves up.
@@ -209,7 +178,7 @@ class TestConcurrentChaos:
                         with lock:
                             acked_metrics.add(instance["instance_id"])
             finally:
-                transport.close()
+                client.close()
 
         threads = [
             threading.Thread(target=worker, args=(ci,), name=f"chaos-{ci}")
@@ -286,7 +255,7 @@ class TestConcurrentChaos:
         server = GalleryTcpServer(service).start()
         host, port = server.address
         injector = FaultInjector(seed=7, rate=0.0)
-        client, transport = chaos_client(host, port, "corrupt-probe", injector, seed=7)
+        client = chaos_client(host, port, "corrupt-probe", injector, seed=7)
         try:
             client.create_gallery_model("p", "demand")
             instances = [
@@ -312,5 +281,5 @@ class TestConcurrentChaos:
                 blob = client.load_model_blob(instance["instance_id"])
                 assert blob == f"payload-{j}".encode() * 100
         finally:
-            transport.close()
+            client.close()
             server.stop()

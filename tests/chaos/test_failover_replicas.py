@@ -40,7 +40,7 @@ from repro.reliability import RetryPolicy
 from repro.service import connect, wire
 from repro.service.client import MethodRetryPolicies
 from repro.service.server import DurableRequestDedupCache, GalleryService
-from repro.service.tcp import GalleryTcpServer, TcpTransport
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
@@ -161,8 +161,8 @@ def test_failover_smoke_replicas_share_state_and_dedup(tmp_path):
         # -- byte-identical mutation replay across DIFFERENT replicas ------
         client.create_gallery_model("p", "demand-replay")
         frame = replay_frame()
-        direct_b = TcpTransport(*replicas[1].server.address)
-        direct_c = TcpTransport(*replicas[2].server.address)
+        direct_b = PipelinedTcpTransport(*replicas[1].server.address)
+        direct_c = PipelinedTcpTransport(*replicas[2].server.address)
         try:
             first = direct_b(frame)
             replayed = direct_c(frame)  # never executed twice
@@ -184,7 +184,7 @@ def test_failover_smoke_replicas_share_state_and_dedup(tmp_path):
             replica.stop()
         revived = start_replicas(tmp_path, count=2)
         try:
-            direct = TcpTransport(*revived[0].server.address)
+            direct = PipelinedTcpTransport(*revived[0].server.address)
             try:
                 after_restart = direct(frame)  # same bytes, third send
             finally:

@@ -10,7 +10,7 @@ from repro.forecasting.pipeline import ForecastingPipeline, ModelSpecification
 from repro.forecasting.switching import (
     EventSwitchingController,
     ModelCache,
-    Switchboard,
+    RegistrySwitchboard,
     register_switch_action,
     simulate_serving,
 )
@@ -25,32 +25,43 @@ from repro.rules.actions import ActionContext, ActionRegistry
 from repro.rules.engine import RuleEngine
 
 
+@pytest.fixture
+def instance_ids(memory_gallery):
+    """Three servable instances the board can point cities at."""
+    memory_gallery.create_model("forecasting", "demand")
+    return [
+        memory_gallery.upload_model("forecasting", "demand", blob).instance_id
+        for blob in (b"one", b"two", b"three")
+    ]
+
+
 class TestSwitchboard:
-    def test_assign_and_query(self):
-        board = Switchboard()
-        board.assign("sf", "inst-1", hour=5)
-        assert board.serving("sf") == "inst-1"
+    def test_assign_and_query(self, memory_gallery, instance_ids):
+        board = RegistrySwitchboard(memory_gallery)
+        board.assign("sf", instance_ids[0], hour=5)
+        assert board.serving("sf") == instance_ids[0]
 
-    def test_noop_switch_not_recorded(self):
-        board = Switchboard()
-        board.assign("sf", "inst-1")
-        board.assign("sf", "inst-1")
+    def test_noop_switch_not_recorded(self, memory_gallery, instance_ids):
+        board = RegistrySwitchboard(memory_gallery)
+        board.assign("sf", instance_ids[0])
+        board.assign("sf", instance_ids[0])
         assert board.switch_count("sf") == 1
+        assert len(board.history) == 1
 
-    def test_unserved_city_raises(self):
+    def test_unserved_city_raises(self, memory_gallery):
         with pytest.raises(NotFoundError):
-            Switchboard().serving("ghost")
+            RegistrySwitchboard(memory_gallery).serving("ghost")
 
-    def test_history_records_reason_and_hour(self):
-        board = Switchboard()
-        board.assign("sf", "inst-1", hour=3, reason="event window")
+    def test_history_records_reason_and_hour(self, memory_gallery, instance_ids):
+        board = RegistrySwitchboard(memory_gallery)
+        board.assign("sf", instance_ids[0], hour=3, reason="event window")
         record = board.history[0]
         assert (record.city, record.hour, record.reason) == ("sf", 3, "event window")
 
 
 class TestSwitchAction:
-    def test_action_updates_switchboard(self):
-        board = Switchboard()
+    def test_action_updates_switchboard(self, memory_gallery, instance_ids):
+        board = RegistrySwitchboard(memory_gallery)
         actions = ActionRegistry()
         register_switch_action(actions, board)
         result = actions.execute(
@@ -58,16 +69,16 @@ class TestSwitchAction:
                 rule_uuid="r1",
                 action="switch_model",
                 params={"city": "sf", "hour": 9},
-                instance_id="inst-2",
+                instance_id=instance_ids[1],
                 document={"city": "sf"},
             )
         )
         assert result.ok
-        assert board.serving("sf") == "inst-2"
+        assert board.serving("sf") == instance_ids[1]
         assert board.history[0].hour == 9
 
-    def test_city_falls_back_to_document(self):
-        board = Switchboard()
+    def test_city_falls_back_to_document(self, memory_gallery, instance_ids):
+        board = RegistrySwitchboard(memory_gallery)
         actions = ActionRegistry()
         register_switch_action(actions, board)
         actions.execute(
@@ -75,11 +86,11 @@ class TestSwitchAction:
                 rule_uuid="r1",
                 action="switch_model",
                 params={},
-                instance_id="inst-3",
+                instance_id=instance_ids[2],
                 document={"city": "nyc"},
             )
         )
-        assert board.serving("nyc") == "inst-3"
+        assert board.serving("nyc") == instance_ids[2]
 
 
 @pytest.fixture
@@ -112,7 +123,7 @@ def switching_world(memory_gallery):
     base = pipeline.train_city(series, base_spec, train_hours=train_hours)
     event = pipeline.train_city(series, event_spec, train_hours=train_hours)
     engine = RuleEngine(memory_gallery, clock=ManualClock())
-    board = Switchboard()
+    board = RegistrySwitchboard(memory_gallery)
     controller = EventSwitchingController(memory_gallery, engine, board)
     return {
         "gallery": memory_gallery,
@@ -156,7 +167,7 @@ class TestController:
             ModelSpecification("only_base", lambda: RidgeRegression(), FeatureSpec()),
         )
         engine = RuleEngine(memory_gallery, clock=ManualClock())
-        controller = EventSwitchingController(memory_gallery, engine, Switchboard())
+        controller = EventSwitchingController(memory_gallery, engine)
         assert controller.champion("solo", event_active=True) == base.instance.instance_id
 
 

@@ -20,7 +20,7 @@ from repro.core import ManualClock
 from repro.errors import MetadataStoreError
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import GalleryTcpServer, TcpTransport
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 
 N_THREADS = 8
 N_OPS = 12
@@ -62,7 +62,7 @@ def run_threads(worker, n_threads=N_THREADS):
 
 def client_for(server) -> GalleryClient:
     host, port = server.address
-    return GalleryClient(TcpTransport(host, port))
+    return GalleryClient(PipelinedTcpTransport(host, port))
 
 
 class TestWalMode:

@@ -4,20 +4,16 @@ Three serving replicas over one sharded store; a checked-in action rule
 fires ``switch_family`` for every city when the event window opens; the
 harness measures switch propagation to every replica over the wire (under
 concurrent ``modelQuery`` load) and the event-hour MAPE improvement of
-registry-driven switching vs. a never-switching baseline, then stamps
-``BENCH_PR9.json`` at the repo root.
+registry-driven switching vs. a never-switching baseline, then stamps a
+``BENCH_PR9.json`` — under ``tmp_path`` here; only ``make scenario`` writes
+the tracked copy at the repo root.
 """
 
 from __future__ import annotations
 
 import json
 
-from pathlib import Path
-
 from repro.forecasting.scenario import ScenarioConfig, run_scenario
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_PATH = REPO_ROOT / "BENCH_PR9.json"
 
 
 class TestFleetScaleFamilySwitch:
@@ -32,7 +28,8 @@ class TestFleetScaleFamilySwitch:
             sample_cities=6,
             load_threads=4,
         )
-        result = run_scenario(config, tmp_path / "gallery", out_path=BENCH_PATH)
+        bench_path = tmp_path / "BENCH_PR9.json"
+        result = run_scenario(config, tmp_path / "gallery", out_path=bench_path)
 
         # The rule switched every city's durable assignment, and every
         # replica resolved the same post-switch instance over the wire.
@@ -62,7 +59,7 @@ class TestFleetScaleFamilySwitch:
         assert result.durable_switch_total >= 3 * config.cities
 
         # The stamped benchmark file is self-consistent with the result.
-        stamped = json.loads(BENCH_PATH.read_text())
+        stamped = json.loads(bench_path.read_text())
         assert stamped["propagation"]["p95_ms"] < 2000.0
         assert stamped["propagation"]["replicas_agree"] is True
         assert stamped["mape"]["event_improvement"] > 0.10

@@ -36,12 +36,7 @@ from repro.service.batching import (
 )
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import (
-    GalleryTcpServer,
-    PipelinedTcpTransport,
-    TcpTransport,
-    ThreadedGalleryTcpServer,
-)
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 
 
 def seeded_gallery(models=3, instances=2):
@@ -295,7 +290,7 @@ class TestLaneScheduling:
             thread.start()
         try:
             interactive = GalleryClient(
-                TcpTransport(host, port), client_id="interactive-tenant"
+                PipelinedTcpTransport(host, port), client_id="interactive-tenant"
             )
             latencies = []
             try:
@@ -420,7 +415,7 @@ class TestRateLimiting:
 
 
 # ---------------------------------------------------------------------------
-# integration: both modes, threaded baseline, serverStats
+# integration: both modes, serverStats
 # ---------------------------------------------------------------------------
 
 
@@ -469,7 +464,7 @@ class TestServerIntegration:
         assert not service.read_batcher.config.enabled
         server = GalleryTcpServer(service).start()
         host, port = server.address
-        client = GalleryClient(TcpTransport(host, port))
+        client = GalleryClient(PipelinedTcpTransport(host, port))
         try:
             got = client.call("getModel", model_id=model_ids[0])
             assert got["model_id"] == model_ids[0]
@@ -481,33 +476,12 @@ class TestServerIntegration:
         stats = service.read_batcher.stats_snapshot()
         assert stats["batched_requests"] == 0  # everything went unbatched
 
-    def test_threaded_server_dispatches_directly_unbatched(self):
-        # Regression: the threaded baseline must not enqueue into (or
-        # block on) the event-loop collector — it has none running.
-        gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery)
-        server = ThreadedGalleryTcpServer(service).start()
-        host, port = server.address
-        client = GalleryClient(TcpTransport(host, port), client_id="th")
-        try:
-            for k in range(10):
-                got = client.call("getModel", model_id=model_ids[0])
-                assert got["model_id"] == model_ids[0]
-            stats = client.server_stats()
-        finally:
-            client.close()
-            server.stop()
-        assert stats["batching"]["batched_requests"] == 0
-        assert stats["batching"]["queue_depth"] == {
-            "interactive": 0, "bulk": 0,
-        }
-
     def test_server_stats_method_and_audit_summary(self):
         gallery, model_ids, _ = seeded_gallery()
         service = GalleryService(gallery, batching=BatchConfig(batch_window_ms=2.0))
         server = GalleryTcpServer(service).start()
         host, port = server.address
-        client = GalleryClient(TcpTransport(host, port), client_id="ops")
+        client = GalleryClient(PipelinedTcpTransport(host, port), client_id="ops")
         try:
             client.call("getModel", model_id=model_ids[0])
             stats = client.server_stats()

@@ -7,13 +7,13 @@ The invariants:
   ``tcp._sendfile`` hook, exactly how a sendfile-less platform presents);
 * ``loadModelBlobRange`` round-trips every edge the clamp admits —
   offset 0, offset == size, length past EOF, zero-length, windows
-  crossing chunk boundaries — on both transports and both dialects;
+  crossing chunk boundaries — on both dialects;
 * range responses are digest-verified client-side, and a wrong digest
   raises :class:`BlobCorruptionError` at the client;
 * bytes tampered on disk surface as a typed server-side
   :class:`BlobCorruptionError`, never as silently wrong bytes;
-* the threaded (JSON-era) server and the JSON dialect keep working —
-  they simply never take the sendfile path.
+* the JSON dialect keeps working — it simply never takes the sendfile
+  path.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from repro.errors import BlobCorruptionError, ValidationError
 from repro.service import tcp
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import (
-    GalleryTcpServer,
-    PipelinedTcpTransport,
-    TcpTransport,
-    ThreadedGalleryTcpServer,
-)
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.service.wire import DIALECT_BINARY, DIALECT_JSON
 from repro.store.blob import FilesystemBlobStore
 from repro.store.dal import DataAccessLayer
@@ -61,8 +56,8 @@ def served_blob(tmp_path):
         yield server, instance.instance_id, store
 
 
-def _client(address, dialect=DIALECT_BINARY, transport_cls=TcpTransport):
-    transport = transport_cls(*address)
+def _client(address, dialect=DIALECT_BINARY):
+    transport = PipelinedTcpTransport(*address)
     return GalleryClient(transport, dialect=dialect), transport
 
 
@@ -84,11 +79,9 @@ class TestSendfileParity:
             via_fallback = client.load_model_blob(instance_id)
         assert via_sendfile == via_fallback == BLOB
 
-    def test_pipelined_transport_and_ranges_interleave(self, served_blob):
+    def test_ranges_and_full_fetches_interleave(self, served_blob):
         server, instance_id, _ = served_blob
-        client, transport = _client(
-            server.address, transport_cls=PipelinedTcpTransport
-        )
+        client, transport = _client(server.address)
         with transport:
             for offset in (0, CHUNK - 1, CHUNK, 5 * CHUNK + 17):
                 window = client.load_blob_range(instance_id, offset, 4096)
@@ -101,25 +94,6 @@ class TestSendfileParity:
         with transport:
             assert client.load_model_blob(instance_id) == BLOB
             assert client.load_blob_range(instance_id, 10, 20) == BLOB[10:30]
-
-    def test_threaded_server_never_needs_sendfile(self, tmp_path):
-        store = FilesystemBlobStore(tmp_path / "blobs")
-        dal = DataAccessLayer(InMemoryMetadataStore(), store, cache=None)
-        gallery = Gallery(
-            dal, clock=ManualClock(), id_factory=SeededIdFactory(7)
-        )
-        gallery.create_model("p", "demand")
-        instance = gallery.upload_model(
-            "p", "demand", BLOB, metadata={"model_name": "rf"}
-        )
-        with ThreadedGalleryTcpServer(GalleryService(gallery)) as server:
-            client, transport = _client(server.address)
-            with transport:
-                assert client.load_model_blob(instance.instance_id) == BLOB
-                window = client.load_blob_range(
-                    instance.instance_id, 1000, 2000
-                )
-                assert window == BLOB[1000:3000]
 
 
 class TestRangeEdges:
@@ -182,7 +156,7 @@ def shared_served_blob(tmp_path_factory):
         "p", "demand", BLOB, metadata={"model_name": "rf"}
     )
     with GalleryTcpServer(GalleryService(gallery), chunk_size=CHUNK) as server:
-        with TcpTransport(*server.address) as transport:
+        with PipelinedTcpTransport(*server.address) as transport:
             client = GalleryClient(transport, dialect=DIALECT_BINARY)
             yield client, instance.instance_id
 

@@ -111,16 +111,19 @@ class TestEndpointParsing:
         assert len(es) == 2
         assert es.dialect == wire.DIALECT_BINARY
         assert es.timeout == 10.0
-        assert es.transport == "pipelined"
 
     def test_query_parameters(self):
-        es = EndpointSet.parse(
-            "gallery://h:1?dialect=json&timeout=2.5&transport=serial"
-        )
+        es = EndpointSet.parse("gallery://h:1?dialect=json&timeout=2.5")
         assert es.dialect == wire.DIALECT_JSON
         assert es.timeout == 2.5
-        assert es.transport == "serial"
         assert es.lane == wire.LANE_INTERACTIVE  # the default
+
+    @pytest.mark.parametrize("flavour", ["serial", "pipelined"])
+    def test_removed_transport_key_is_rejected_loudly(self, flavour):
+        with pytest.raises(
+            ValidationError, match="unknown query parameter 'transport'"
+        ):
+            EndpointSet.parse(f"gallery://h:1?transport={flavour}")
 
     def test_lane_query_parameter(self):
         es = EndpointSet.parse("gallery://h:1?lane=bulk")
@@ -150,7 +153,6 @@ class TestEndpointParsing:
             "gallery://h:1?dialect=msgpack",   # unknown dialect
             "gallery://h:1?timeout=soon",      # non-numeric timeout
             "gallery://h:1?timeout=0",         # non-positive timeout
-            "gallery://h:1?transport=carrier-pigeon",
         ],
     )
     def test_malformed_urls_are_rejected(self, url):
@@ -384,8 +386,63 @@ class TestRouting:
         assert all(t.closed for t in fleet.dialed["a:1"] + fleet.dialed["b:2"])
 
 
+class TestBackoffBetweenRedials:
+    """Re-dialing an endpoint that already failed this call waits out the
+    policy backoff; moving to a different replica never sleeps."""
+
+    def build(self, dead, alive=(), failure_threshold=100):
+        def unreachable(data):
+            raise ConnectionRefusedError("replica down")
+
+        scripts = {address: unreachable for address in dead}
+        scripts.update({a: (lambda d, a=a: ok_frame(a)) for a in alive})
+        policy = RetryPolicy(
+            max_attempts=4, base_delay=0.1, multiplier=2.0, jitter=0.0
+        )
+        sleeps = []
+        transport = FailoverTransport(
+            [Endpoint(*address.split(":")) for address in scripts],
+            policies=MethodRetryPolicies(read=policy, blob=policy, mutation=policy),
+            transport_factory=Fleet(scripts).factory,
+            failure_threshold=failure_threshold,  # 100: breaker stays out
+            sleep=sleeps.append,
+        )
+        return transport, sleeps
+
+    def test_one_endpoint_backs_off_between_redials(self):
+        transport, sleeps = self.build(dead=["a:1"])
+        with pytest.raises(ServiceError):
+            transport(read_frame())
+        assert transport.attempts == 4
+        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
+
+    def test_moving_to_a_different_endpoint_is_sleep_free(self):
+        transport, sleeps = self.build(dead=["a:1", "b:2"], alive=["c:3"])
+        assert wire.decode_response(transport(read_frame())).result == "c:3"
+        assert 1 <= transport.failovers <= 2  # p2c may pick c:3 second
+        assert sleeps == []
+
+    def test_wrapping_around_a_dead_fleet_backs_off_once_per_sweep(self):
+        transport, sleeps = self.build(dead=["a:1", "b:2", "c:3"])
+        with pytest.raises(ServiceError):
+            transport(read_frame())
+        # Three sleep-free dials, then one backoff before the fourth
+        # attempt re-dials an endpoint that already failed this call.
+        assert transport.attempts == 4
+        assert sleeps == pytest.approx([0.1])
+
+    def test_tripped_breaker_ends_the_call_without_a_wasted_sleep(self):
+        # Default threshold: the third failed dial opens the only breaker,
+        # so there is nothing left to re-dial — no third backoff.
+        transport, sleeps = self.build(dead=["a:1"], failure_threshold=3)
+        with pytest.raises(CircuitOpenError):
+            transport(read_frame())
+        assert transport.attempts == 3
+        assert sleeps == pytest.approx([0.1, 0.2])
+
+
 class TestSubmitMany:
-    def test_serial_transports_degrade_to_sequential_calls(self):
+    def test_plain_transports_degrade_to_sequential_calls(self):
         fleet = Fleet({"a:1": lambda d: ok_frame("a"),
                        "b:2": lambda d: ok_frame("b")})
         transport = FailoverTransport(
@@ -495,25 +552,6 @@ class TestSubmitManySpread:
         # ...and each replica really served a share of the batch.
         for endpoint in endpoints:
             assert calls(endpoint.address) == 3
-
-    def test_spread_batches_false_pins_batch_to_one_replica(self):
-        endpoints = self.three_endpoints()
-        factory, calls = self._pipelined_fleet(
-            {e.address: self._echo(e.address) for e in endpoints}
-        )
-        transport = FailoverTransport(
-            endpoints, policies=fast_policies(),
-            transport_factory=factory, sleep=lambda s: None,
-            spread_batches=False,
-        )
-        exchanges = transport.submit_many([read_frame(i) for i in range(1, 7)])
-        served = {
-            wire.decode_response(x.wait()).result.split("#")[0]
-            for x in exchanges
-        }
-        assert len(served) == 1  # whole batch pinned to a single replica
-        used = sum(1 for e in endpoints if calls(e.address) > 0)
-        assert used == 1
 
     def test_dead_replica_shard_fails_over_and_order_survives(self):
         endpoints = self.three_endpoints()

@@ -1,6 +1,6 @@
 """Dynamic fleet membership: registry parsing, sources, the polling
 :class:`FleetRegistry`, live ``update_endpoints`` swaps, and the
-ConnectionPool eviction regression (no fd leak across 100 add/remove
+departed-endpoint eviction regression (no fd leak across 100 add/remove
 cycles against real TCP replicas)."""
 
 import http.server
@@ -26,7 +26,7 @@ from repro.service.membership import (
     parse_registry,
 )
 from repro.service.server import GalleryService
-from repro.service.tcp import ConnectionPool, GalleryTcpServer
+from repro.service.tcp import GalleryTcpServer
 from repro.store.blob import InMemoryBlobStore
 from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import InMemoryMetadataStore
@@ -399,63 +399,6 @@ class TestUpdateEndpoints:
         assert fleet.calls("b:2") == 1  # the new replica serves traffic
 
 
-# ---------------------------------------------------------------------------
-# ConnectionPool eviction (satellite fix)
-# ---------------------------------------------------------------------------
-
-
-class TestConnectionPoolEviction:
-    def test_close_mid_flight_evicts_instead_of_repooling(self):
-        class FakeTransport:
-            def __init__(self):
-                self.closed = 0
-
-            def __call__(self, data):
-                pool.close()  # membership swap lands mid-call
-                return b"ok"
-
-            def close(self):
-                self.closed += 1
-
-        made = []
-
-        def factory():
-            transport = FakeTransport()
-            made.append(transport)
-            return transport
-
-        pool = ConnectionPool("h", 1, size=1, transport_factory=factory)
-        assert pool(b"x") == b"ok"
-        # the in-flight transport was NOT returned to the pool: it is
-        # closed, and the next call dials a fresh connection.
-        assert made[0].closed == 1
-        assert pool(b"x") == b"ok"
-        assert len(made) == 2
-
-    def test_normal_close_still_drains_idle_slots(self):
-        class FakeTransport:
-            def __init__(self):
-                self.closed = 0
-
-            def __call__(self, data):
-                return b"ok"
-
-            def close(self):
-                self.closed += 1
-
-        made = []
-
-        def factory():
-            transport = FakeTransport()
-            made.append(transport)
-            return transport
-
-        pool = ConnectionPool("h", 1, size=2, transport_factory=factory)
-        pool(b"x")
-        pool.close()
-        assert made[0].closed == 1
-
-
 def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
@@ -477,9 +420,7 @@ def test_no_fd_leak_after_100_membership_cycles():
     stable_ep = Endpoint(*stable.address)
     churn_ep = Endpoint(*churn.address)
     transport = FailoverTransport(
-        EndpointSet(
-            endpoints=(stable_ep,), transport="pooled", routing="roundrobin"
-        ),
+        EndpointSet(endpoints=(stable_ep,), routing="roundrobin"),
         policies=fast_policies(),
         sleep=lambda s: None,
     )
@@ -492,7 +433,7 @@ def test_no_fd_leak_after_100_membership_cycles():
             transport(read_frame())
             transport(read_frame())
             transport.update_endpoints((stable_ep,))
-        # allow a tiny slop for pool internals, but 100 leaked sockets
+        # allow a tiny slop for transport internals, but 100 leaked sockets
         # (the pre-fix behaviour) is unmistakable
         assert open_fds() <= baseline + 4, "membership churn leaked fds"
     finally:

