@@ -8,7 +8,9 @@ test: lint
 
 # ruff when available (config in pyproject.toml); otherwise fall back to a
 # compileall syntax sweep so `make lint` still means something in
-# network-isolated environments where ruff cannot be installed.
+# network-isolated environments where ruff cannot be installed.  Without
+# ruff the TID251 import bans in pyproject.toml are advisory: compileall is
+# the only check that runs.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
@@ -32,13 +34,14 @@ drain:
 
 # Fleet-scale family-switching scenario (Section 4.2) in fast seeded
 # small-fleet mode: 3 replicas over one sharded store, rule-driven
-# switch_family, propagation + MAPE measurement -> BENCH_PR9.json.
+# switch_family, propagation + MAPE measurement ->
+# build/family_switch_fleet.json (untracked).
 scenario:
 	PYTHONPATH=src $(PYTHON) examples/family_switch_fleet.py --fast
 
 # The one performance trajectory: end-to-end + per-layer numbers for the
-# serving stack on every BENCHMARK.json workload.  The BENCH_PR*.json files
-# at the repo root are frozen history (measured at their own commits).
+# serving stack on every BENCHMARK.json workload.  PR 1-10's own numbers are
+# the "Historical" appendix of docs/PERFORMANCE.md (not re-run).
 bench:
 	$(PYTHON) -m benchmarks.gallerybench all
 

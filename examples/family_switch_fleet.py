@@ -11,7 +11,7 @@ plus the event-hour MAPE improvement vs. never switching.
 Run:       python examples/family_switch_fleet.py
 Fast mode: python examples/family_switch_fleet.py --fast   (make scenario)
 
-Results are stamped into ``BENCH_PR9.json`` at the repo root.
+Results are stamped into ``build/family_switch_fleet.json`` (untracked).
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ def main() -> None:
         f"{mode} mode: {config.cities} cities x 2 model families, "
         f"{config.replicas} replicas over {config.shard_count} shards"
     )
+    out_path = REPO_ROOT / "build" / "family_switch_fleet.json"
+    out_path.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="gallery-scenario-") as tmp:
         result = run_scenario(
-            config,
-            Path(tmp) / "gallery",
-            out_path=REPO_ROOT / "BENCH_PR9.json",
-            verbose=True,
+            config, Path(tmp) / "gallery", out_path=out_path, verbose=True
         )
 
     print("\n--- scenario summary ---")

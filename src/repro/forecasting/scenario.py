@@ -19,7 +19,7 @@ The harness measures what the paper claims:
 * **replica agreement** — every replica must resolve the same instance for
   every sampled city after the switch.
 
-``run_scenario`` stamps all of it into a ``BENCH_PR9.json``-shaped dict.
+``run_scenario`` stamps all of it into one JSON document (``out_path``).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Everything the scenario measured, ready for BENCH_PR9.json."""
+    """Everything the scenario measured, ready to be written as JSON."""
 
     config: ScenarioConfig
     propagation_ms: list[float] = field(default_factory=list)

@@ -37,8 +37,6 @@ from repro.service.membership import (
 )
 from repro.service.server import GalleryService
 from repro.service.wire import (
-    DIALECT_BINARY,
-    DIALECT_JSON,
     LANE_BULK,
     LANE_INTERACTIVE,
     Request,
@@ -46,7 +44,6 @@ from repro.service.wire import (
     decode_blob,
     decode_request,
     decode_response,
-    encode_blob,
     encode_request,
     encode_response,
     error_response,
@@ -56,8 +53,6 @@ __all__ = [
     "BATCHABLE_METHODS",
     "BatchConfig",
     "ClientPipeline",
-    "DIALECT_BINARY",
-    "DIALECT_JSON",
     "Endpoint",
     "EndpointSet",
     "FailoverTransport",
@@ -82,7 +77,6 @@ __all__ = [
     "decode_blob",
     "decode_request",
     "decode_response",
-    "encode_blob",
     "encode_request",
     "encode_response",
     "error_response",

@@ -10,9 +10,9 @@ them on a small *adaptive* window, identical coordinate lookups inside a
 window are answered by a single execution, and groups of distinct
 single-coordinate lookups collapse into one batched DAL call
 (``get_models`` / ``metrics_for_instances``).  Every waiter still gets its
-own response frame carrying its own ``request_id`` and dialect — results
-are shared *computation*, never shared frames, so coalescing cannot leak
-one tenant's response envelope into another's.
+own response frame carrying its own ``request_id`` — results are shared
+*computation*, never shared frames, so coalescing cannot leak one tenant's
+response envelope into another's.
 
 The same queue is fronted by multi-tenant QoS:
 
@@ -211,10 +211,6 @@ class ReadBatcher:
     means the batcher took ownership: the ``deliver`` callback will be
     invoked exactly once with the encoded response frame, from the
     collector thread (or inline, for QoS refusals).
-
-    The threaded server never calls ``offer`` — it dispatches directly
-    (documented as unbatched), so it cannot deadlock on a collector that
-    only the event-loop server starts.
     """
 
     def __init__(
@@ -308,9 +304,7 @@ class ReadBatcher:
             f" retry_after={retry_after:.3f}s or send it to another replica",
             retry_after=retry_after,
         )
-        return wire.encode_response(
-            wire.error_response(exc, request.request_id), request.dialect
-        )
+        return wire.encode_response(wire.error_response(exc, request.request_id))
 
     # -- collector -----------------------------------------------------------
 
@@ -427,9 +421,9 @@ class ReadBatcher:
 
         The key deliberately ignores ``client_id`` and ``lane``: two
         tenants asking for the same coordinate share one execution.  Each
-        still receives its own frame with its own ``request_id``/dialect,
-        so result *boundaries* never cross tenants.  Params that resist
-        canonical JSON stay unshared.
+        still receives its own frame with its own ``request_id``, so result
+        *boundaries* never cross tenants.  Params that resist canonical
+        JSON stay unshared.
         """
         groups: dict[Any, _Group] = {}
         for waiter in batch:
@@ -451,8 +445,7 @@ class ReadBatcher:
         for waiter in group.waiters:
             try:
                 encoded = wire.encode_response(
-                    replace(response, request_id=waiter.request.request_id),
-                    waiter.request.dialect,
+                    replace(response, request_id=waiter.request.request_id)
                 )
                 waiter.deliver(encoded)
             except Exception:  # noqa: BLE001 - a dead conn can't poison peers

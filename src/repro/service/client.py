@@ -9,9 +9,7 @@ for tests and single-process deployments.
 
 New in the serving-plane overhaul:
 
-* clients speak the **binary wire dialect** by default (blobs cross the
-  wire as raw bytes); pass ``dialect=wire.DIALECT_JSON`` to reproduce a
-  pre-binary client — the server negotiates per frame either way;
+* blobs cross the wire as raw bytes (see :mod:`repro.service.wire`);
 * :meth:`GalleryClient.pipeline` keeps many independent calls in flight
   at once over a pipelined transport (and degrades to sequential calls on
   a plain one), with batch helpers for the common fan-outs;
@@ -161,39 +159,28 @@ class GalleryClient:
     retried mutation and replay the stored response instead of executing
     it twice (exactly-once effect under at-least-once delivery).
 
-    Clients speak the binary dialect by default; the server answers every
-    frame in the dialect it arrived in, so a ``dialect=wire.DIALECT_JSON``
-    client interoperates with the same server byte-for-byte like a
-    pre-binary build.  Request-id allocation is lock-protected so one
-    client instance can be shared by many threads (and by
-    :class:`ClientPipeline`, which allocates ids in bursts).
+    Request-id allocation is lock-protected so one client instance can be
+    shared by many threads (and by :class:`ClientPipeline`, which allocates
+    ids in bursts).
     """
 
     def __init__(
         self,
         transport: Transport,
         client_id: str | None = None,
-        dialect: str = wire.DIALECT_BINARY,
         lane: str = wire.LANE_INTERACTIVE,
     ) -> None:
-        if dialect not in (wire.DIALECT_BINARY, wire.DIALECT_JSON):
-            raise ValueError(f"unknown wire dialect: {dialect!r}")
         if lane not in (wire.LANE_INTERACTIVE, wire.LANE_BULK):
             raise ValueError(f"unknown QoS lane: {lane!r}")
         self._transport = transport
         self._id_lock = threading.Lock()
         self._next_request_id = 1
         self._client_id = client_id if client_id is not None else random_uuid()
-        self._dialect = dialect
         self._lane = lane
 
     @property
     def client_id(self) -> str:
         return self._client_id
-
-    @property
-    def dialect(self) -> str:
-        return self._dialect
 
     @property
     def lane(self) -> str:
@@ -218,15 +205,8 @@ class GalleryClient:
             request_id=self._allocate_request_id(),
             client_id=self._client_id,
             lane=self._lane,
-            dialect=self._dialect,
         )
-        return wire.encode_request(request, self._dialect)
-
-    def _encode_blob_param(self, blob: bytes) -> Any:
-        """Raw bytes on the binary dialect; base64 text on JSON."""
-        if self._dialect == wire.DIALECT_BINARY:
-            return bytes(blob)
-        return wire.encode_blob(blob)
+        return wire.encode_request(request)
 
     def call(self, method: str, **params: Any) -> Any:
         """Low-level escape hatch: invoke any service method by name."""
@@ -345,7 +325,7 @@ class GalleryClient:
             "uploadModel",
             project=project,
             base_version_id=base_version_id,
-            blob=self._encode_blob_param(blob),
+            blob=bytes(blob),
             metadata=metadata,
             parent_instance_id=parent_instance_id,
             family=family,

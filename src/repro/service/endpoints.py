@@ -6,8 +6,8 @@ because all state lives in the storage layer.  This module is the client
 half of that deployment:
 
 * :class:`EndpointSet` parses a ``gallery://host:port,host:port`` URL into
-  an ordered replica list plus connection options (wire dialect, timeout,
-  routing policy);
+  an ordered replica list plus connection options (timeout, routing
+  policy, QoS lane);
 * :class:`FailoverTransport` spreads calls across the replicas with
   **load-aware routing**: per-endpoint latency EWMA plus in-flight depth,
   power-of-two-choices pick among breaker-admitted non-draining replicas
@@ -78,7 +78,6 @@ if TYPE_CHECKING:
 #: URL scheme accepted by :meth:`EndpointSet.parse`.
 SCHEME = "gallery"
 
-_DIALECTS = {"binary": wire.DIALECT_BINARY, "json": wire.DIALECT_JSON}
 _ROUTINGS = ("p2c", "roundrobin", "shard")
 _LANES = (wire.LANE_INTERACTIVE, wire.LANE_BULK)
 
@@ -98,7 +97,7 @@ OVERLOAD_DEPTH = 4
 #: fetch shares the pipelined connection with client calls, and the
 #: pipelined transport forbids two in-flight frames with the same id —
 #: :class:`~repro.service.client.GalleryClient` counts up from 1, so the
-#: internal fetch sits at the top of the binary dialect's u64 range where
+#: internal fetch sits at the top of the wire format's u64 range where
 #: a collision is impossible.
 TOPOLOGY_REQUEST_ID = 2**64 - 1
 
@@ -128,13 +127,7 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
         if not pair:
             continue
         key, _, value = pair.partition("=")
-        if key == "dialect":
-            if value not in _DIALECTS:
-                raise ValidationError(
-                    f"unknown dialect {value!r} (binary or json)"
-                )
-            options["dialect"] = _DIALECTS[value]
-        elif key == "timeout":
+        if key == "timeout":
             try:
                 timeout = float(value)
             except ValueError:
@@ -167,10 +160,10 @@ class EndpointSet:
 
     Built either from a URL or by the membership layer::
 
-        gallery://10.0.0.1:9000,10.0.0.2:9000?dialect=binary&timeout=10
+        gallery://10.0.0.1:9000,10.0.0.2:9000?routing=p2c&timeout=10
 
-    Query parameters: ``dialect`` (``binary``, the default, or ``json``),
-    ``timeout`` (per-call seconds, default 10), ``routing`` (``p2c``, the
+    Query parameters: ``timeout`` (per-call seconds, default 10),
+    ``routing`` (``p2c``, the
     default — latency-EWMA × in-flight power-of-two-choices;
     ``roundrobin`` for the blind rotation; ``shard`` to additionally
     prefer the replica owning a read's model coordinate — see
@@ -188,7 +181,6 @@ class EndpointSet:
     """
 
     endpoints: tuple[Endpoint, ...]
-    dialect: str = wire.DIALECT_BINARY
     timeout: float = 10.0
     routing: str = "p2c"
     lane: str = wire.LANE_INTERACTIVE
@@ -724,7 +716,7 @@ class FailoverTransport:
                     return constraint["value"]
         return None
 
-    def _topology(self, dialect: str) -> ShardMap | None:
+    def _topology(self) -> ShardMap | None:
         """The replicas' shard map, fetched lazily (once) off the rotation.
 
         Any failure — no healthy replica yet, an old server without the
@@ -743,8 +735,7 @@ class FailoverTransport:
                     params={},
                     request_id=TOPOLOGY_REQUEST_ID,
                     client_id="",
-                ),
-                dialect,
+                )
             )
             for state in self._rotation(self._states):
                 try:
@@ -794,9 +785,7 @@ class FailoverTransport:
         key = self._route_key(request)
         if key is None:
             return None
-        shard_map = self._topology(
-            request.dialect if request is not None else wire.DIALECT_BINARY
-        )
+        shard_map = self._topology()
         if shard_map is None:
             return None
         return states[shard_map.shard_for(key) % len(states)]
@@ -1202,6 +1191,5 @@ def connect(
     return GalleryClient(
         transport,
         client_id=client_id,
-        dialect=endpoint_set.dialect,
         lane=lane if lane is not None else endpoint_set.lane,
     )

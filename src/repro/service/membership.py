@@ -308,11 +308,11 @@ def fleet_from_url(url: str) -> tuple[FleetRegistry, EndpointSet]:
         gallery+file:///var/run/gallery/fleet.txt?poll=0.5&routing=p2c
         gallery+http://10.0.0.5:8500/v1/gallery/fleet?poll=2
 
-    Query parameters are the usual connection options (``dialect``,
-    ``timeout``, ``routing``, ``lane``) plus ``poll`` (seconds between
-    registry polls, default 1).  The registry is resolved once,
-    loudly, before this returns — the caller gets a non-empty fleet or a
-    typed error, never a silently empty client.
+    Query parameters are the usual connection options (``timeout``,
+    ``routing``, ``lane``) plus ``poll`` (seconds between registry polls,
+    default 1).  The registry is resolved once, loudly, before this returns
+    — the caller gets a non-empty fleet or a typed error, never a silently
+    empty client.
     """
     if "://" not in url:
         raise FleetRegistryError(

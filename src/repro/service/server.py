@@ -207,10 +207,10 @@ class GalleryService:
     ) -> None:
         self._gallery = gallery
         self._engine = engine
-        # The read-path micro-batcher + QoS front.  Only the event-loop
-        # server feeds it (via ReadBatcher.offer); handle_frame and the
-        # threaded server dispatch directly and stay unbatched.  Pass
-        # BatchConfig(batch_window_ms=0) to disable batching entirely.
+        # The read-path micro-batcher + QoS front.  Only the TCP server
+        # feeds it (via ReadBatcher.offer); handle_frame dispatches directly
+        # and stays unbatched.  Pass BatchConfig(batch_window_ms=0) to
+        # disable batching entirely.
         self.read_batcher = ReadBatcher(self, batching or BatchConfig())
         if durable_dedup is None:
             durable_dedup = bool(
@@ -332,8 +332,7 @@ class GalleryService:
                     " send it to another replica"
                 ),
                 request.request_id,
-            ),
-            request.dialect,
+            )
         )
 
     def _begin_request(self, request: wire.Request) -> bool:
@@ -418,40 +417,32 @@ class GalleryService:
         was lost in transit returns the original instance instead of
         registering a second one.
         """
-        try:
-            request = wire.decode_request(data)
-        except Exception as exc:  # noqa: BLE001
-            # Echo the request_id (and answer in the sender's dialect)
-            # whenever the frame header survives, so a pipelined client can
-            # correlate the failure with the call that caused it.
-            request_id, dialect = wire.recover_request_id(data)
-            return wire.encode_response(
-                wire.error_response(exc, request_id), dialect
-            )
-        return self._handle_request(request)
+        single = self.handle_frame_stream(data, chunk_size=0).single
+        assert single is not None  # chunk_size=0 never chunks
+        return single
 
     def handle_frame_stream(
         self, data: bytes, chunk_size: int = wire.DEFAULT_CHUNK_SIZE
     ) -> wire.ResponseStream:
         """Stream-aware variant of :meth:`handle_frame`.
 
-        Large binary-dialect responses come back as a chunk sequence so the
-        server never materializes more than *chunk_size* of encoded body per
-        in-flight response.  Everything that must stay a single frame does:
-        JSON-dialect requests, undecodable frames, and deduplicated
-        mutations (the dedup cache stores replayable single-frame bytes).
+        Large responses come back as a chunk sequence so the server never
+        materializes more than *chunk_size* of encoded body per in-flight
+        response.  Everything that must stay a single frame does:
+        ``chunk_size <= 0``, undecodable frames, and deduplicated mutations
+        (the dedup cache stores replayable single-frame bytes).
         """
         try:
             request = wire.decode_request(data)
         except Exception as exc:  # noqa: BLE001
-            request_id, dialect = wire.recover_request_id(data)
-            frame = wire.encode_response(
-                wire.error_response(exc, request_id), dialect
-            )
+            # Echo the request_id whenever the frame header survives, so a
+            # pipelined client can correlate the failure with the call that
+            # caused it.
+            request_id = wire.recover_request_id(data)
+            frame = wire.encode_response(wire.error_response(exc, request_id))
             return wire.ResponseStream(single=frame, request_id=request_id)
         if (
-            request.dialect != wire.DIALECT_BINARY
-            or chunk_size <= 0
+            chunk_size <= 0
             or (
                 request.client_id
                 and request.request_id
@@ -473,9 +464,7 @@ class GalleryService:
         finally:
             if counted:
                 self._end_request()
-        return wire.encode_response_stream(
-            response, request.dialect, chunk_size=chunk_size
-        )
+        return wire.encode_response_stream(response, chunk_size=chunk_size)
 
     def _handle_request(self, request: wire.Request) -> bytes:
         refusal = self._refusal_frame(request)
@@ -500,7 +489,7 @@ class GalleryService:
                 outcome, cached = self.dedup.claim(dedup_key)
             except Exception as exc:  # noqa: BLE001 - store down: stay retryable
                 return wire.encode_response(
-                    wire.error_response(exc, request.request_id), request.dialect
+                    wire.error_response(exc, request.request_id)
                 )
             if outcome == "done":
                 return cached  # type: ignore[return-value]
@@ -516,12 +505,11 @@ class GalleryService:
                             " retry shortly"
                         ),
                         request.request_id,
-                    ),
-                    request.dialect,
+                    )
                 )
         try:
             response = self.dispatch(request)
-            encoded = wire.encode_response(response, request.dialect)
+            encoded = wire.encode_response(response)
         except Exception:
             if dedup_key is not None:
                 self._release_quietly(dedup_key)
@@ -572,14 +560,12 @@ class GalleryService:
         self,
         project: str,
         base_version_id: str,
-        blob: str | bytes,
+        blob: bytes,
         metadata: Mapping[str, Any] | None = None,
         parent_instance_id: str | None = None,
         family: str | None = None,
         enabled: bool = True,
     ) -> dict[str, Any]:
-        # ``blob`` arrives as raw bytes from binary-dialect clients and as
-        # base64 text from JSON-dialect ones; decode_blob handles both.
         instance = self._gallery.upload_model(
             project=project,
             base_version_id=base_version_id,
@@ -632,8 +618,7 @@ class GalleryService:
     def _load_blob(self, instance_id: str):
         # Raw bytes (or a zero-copy file region from a file-backed store —
         # the wire layer serves regions via os.sendfile on the event-loop
-        # server and materializes them everywhere else): the binary dialect
-        # ships the payload as-is, the JSON encoder downgrades it to base64.
+        # server and materializes them everywhere else).
         return self._gallery.load_instance_blob_payload(instance_id)
 
     def _load_blob_range(

@@ -413,10 +413,16 @@ class _EventLoopCore:
             )
         except Exception as exc:  # noqa: BLE001 - dispatcher isolation
             logger.exception("handle_frame raised; answering with an error")
-            response = wire.encode_response(wire.error_response(exc))
+            # Echo the id from the fixed-offset header: only the request
+            # that crashed sees the error, not every exchange in flight.
+            response = wire.encode_response(
+                wire.error_response(exc, wire.recover_request_id(frame))
+            )
         self._complete(conn, response)
 
     def _send_stream_error(self, conn: _Connection, exc: Exception) -> None:
+        # request_id 0 on purpose: there is no request to name, so the
+        # client fails every exchange in flight on this connection.
         response = wire.encode_response(wire.error_response(exc))
         conn.out.append(memoryview(response))
         self._flush(conn)
@@ -539,9 +545,9 @@ class GalleryTcpServer:
     Idle connections cost a selector entry, not a thread, and responses
     are written back (coalesced) as workers finish — possibly out of
     request order, which pipelined clients resolve by request_id.  Large
-    binary-dialect responses are streamed as *chunk_size* chunk frames so
-    a multi-MB blob never sits fully encoded in server memory.  Stateless
-    by construction: all state lives behind the dispatched service.
+    responses are streamed as *chunk_size* chunk frames so a multi-MB blob
+    never sits fully encoded in server memory.  Stateless by construction:
+    all state lives behind the dispatched service.
     """
 
     def __init__(
@@ -646,11 +652,11 @@ class _FrameReceiver:
 
     The PR 5 client read path buffered every chunk frame as ``bytes`` and
     then copied it into the reassembly buffer.  This receiver classifies
-    each frame from its first bytes: binary chunk frames get their payload
+    each frame from its first bytes: chunk frames get their payload
     ``recv_into``'d straight into the reassembler's preallocated buffer
     (one kernel→user copy, no intermediate per-chunk ``bytes``), while
-    everything else — JSON frames, single responses, aborts — accumulates
-    and goes through :meth:`wire.ChunkReassembler.feed` unchanged.
+    everything else — single responses, aborts — accumulates and goes
+    through :meth:`wire.ChunkReassembler.feed` unchanged.
 
     EOF at a frame boundary with nothing partial raises
     :class:`ConnectionResetError` (orderly close); EOF anywhere else raises

@@ -1,30 +1,20 @@
-"""Wire formats for the Gallery service (Section 4.1).
+"""Wire format for the Gallery service (Section 4.1).
 
-Uber exposes Gallery through Thrift with language-specific clients.  This
-reproduction keeps the same shape — typed request/response structs, binary
-framing, language-neutral payloads — and speaks **two dialects** behind one
-8-byte big-endian length prefix:
+Uber exposes Gallery through one Thrift IDL with language-specific clients.
+This reproduction keeps the same shape — typed request/response structs,
+binary framing, language-neutral payloads — in **one** encoding behind an
+8-byte big-endian length prefix: a compact self-describing body of one
+version byte (0x01), a message type, a fixed header, then struct-packed
+type-tagged values with length-prefixed strings/bytes.  Blobs travel as
+**raw bytes** — no text inflation, one copy in and one out.
 
-* **JSON dialect** (legacy, ``DIALECT_JSON``) — the body is a UTF-8 JSON
-  object; binary blobs cross the wire base64-encoded.  Every frame body
-  starts with ``{`` (0x7B), which doubles as its dialect marker.
-* **Binary dialect** (``DIALECT_BINARY``) — a compact self-describing
-  encoding: one version byte (0x01, never a valid JSON start), a message
-  type, a fixed header, then struct-packed type-tagged values with
-  length-prefixed strings/bytes.  Blobs travel as **raw bytes** — no
-  base64 inflation, no JSON string escaping, one copy in and one out.
-
-Version negotiation is passive: decoders dispatch on the first body byte,
-and the server answers in the dialect the request arrived in (the request
-records it in :attr:`Request.dialect`).  A pre-binary client therefore
-keeps working unmodified: its JSON requests get JSON responses, and raw
-``bytes`` in a JSON response are transparently downgraded to base64
-strings (:func:`decode_blob` accepts both forms).
+A frame whose body does not start with :data:`BINARY_VERSION` is rejected
+with a typed :class:`~repro.errors.WireFormatError`; there is no second
+encoding to negotiate.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from dataclasses import dataclass, field
@@ -35,13 +25,12 @@ from repro.errors import WireFormatError
 
 _LENGTH = struct.Struct(">Q")
 
-#: Dialect names; also the values carried by :attr:`Request.dialect`.
-DIALECT_JSON = "json"
+#: The only value the second parameter of :func:`encode_request` and
+#: :func:`encode_response` accepts.  Kept because ``benchmarks/gallerybench``
+#: passes it and may not be edited alongside this module.
 DIALECT_BINARY = "binary"
 
-#: First body byte of a binary frame.  JSON object bodies start with ``{``
-#: (0x7B); 0x01 can never be confused for one, so one byte settles the
-#: dialect.  Bump on incompatible layout changes.
+#: First body byte of every frame.  Bump on incompatible layout changes.
 BINARY_VERSION = 0x01
 
 _MSG_REQUEST = 0x00
@@ -64,7 +53,7 @@ _CHUNK_HEADER = struct.Struct(">BBQQQ")
 #: are shipped as a sequence of chunk frames instead of one big frame.
 DEFAULT_CHUNK_SIZE = 256 * 1024
 
-# Value type tags (binary dialect).
+# Value type tags.
 _T_NULL = 0x00
 _T_TRUE = 0x01
 _T_FALSE = 0x02
@@ -111,7 +100,6 @@ _LANE_CODES = {LANE_INTERACTIVE: 0, LANE_BULK: 1}
 _LANE_NAMES = {1: LANE_BULK}
 
 
-
 @dataclass(frozen=True, slots=True)
 class Request:
     """One RPC request: a method name and keyword parameters.
@@ -126,11 +114,6 @@ class Request:
     default, ``bulk`` for throughput work); the server's batch scheduler
     uses it to weight queue draining so bulk tenants cannot starve
     interactive reads.
-
-    ``dialect`` records which encoding the frame used (set by
-    :func:`decode_request`); the server answers in the same dialect.  It
-    is carried alongside the request, not on the wire, and excluded from
-    equality so round-trip comparisons stay dialect-agnostic.
     """
 
     method: str
@@ -138,7 +121,6 @@ class Request:
     request_id: int = 0
     client_id: str = ""
     lane: str = LANE_INTERACTIVE
-    dialect: str = field(default=DIALECT_JSON, compare=False)
 
     def __post_init__(self) -> None:
         if not self.method:
@@ -184,12 +166,12 @@ class Response:
 
 
 # ---------------------------------------------------------------------------
-# Dialect dispatch
+# Frame entry points
 # ---------------------------------------------------------------------------
 
 
 def _split_frame(data: bytes) -> memoryview:
-    """Validate the length prefix and return the body."""
+    """Validate the length prefix and version byte and return the body."""
     if len(data) < _LENGTH.size:
         raise WireFormatError("frame shorter than length prefix")
     (length,) = _LENGTH.unpack_from(data)
@@ -200,85 +182,16 @@ def _split_frame(data: bytes) -> memoryview:
         )
     if length == 0:
         raise WireFormatError("empty frame body")
+    if body[0] != BINARY_VERSION:
+        raise WireFormatError(
+            f"unknown wire format (first body byte 0x{body[0]:02x})"
+        )
     return body
 
 
-def _dialect_of(body: memoryview) -> str:
-    first = body[0]
-    if first == BINARY_VERSION:
-        return DIALECT_BINARY
-    if first == 0x7B:  # "{"
-        return DIALECT_JSON
-    raise WireFormatError(f"unknown wire dialect (first body byte 0x{first:02x})")
-
-
-def encode_request(request: Request, dialect: str = DIALECT_JSON) -> bytes:
-    if dialect == DIALECT_BINARY:
-        return _encode_request_binary(request)
-    body = {
-        "method": request.method,
-        "params": request.params,
-        "request_id": request.request_id,
-    }
-    if request.client_id:
-        body["client_id"] = request.client_id
-    if request.lane != LANE_INTERACTIVE:
-        body["lane"] = request.lane
-    return _frame(body)
-
-
-def decode_request(data: bytes) -> Request:
-    body = _split_frame(data)
-    if _dialect_of(body) == DIALECT_BINARY:
-        return _decode_request_binary(body)
-    parsed = _parse_json(body)
-    lane = parsed.get("lane", LANE_INTERACTIVE)
-    if lane not in _LANE_CODES:
-        lane = LANE_INTERACTIVE  # future lanes degrade to the safe default
-    try:
-        return Request(
-            method=parsed["method"],
-            params=parsed.get("params", {}),
-            request_id=parsed.get("request_id", 0),
-            client_id=parsed.get("client_id", ""),
-            lane=lane,
-            dialect=DIALECT_JSON,
-        )
-    except KeyError as exc:
-        raise WireFormatError(f"request frame missing key: {exc}") from exc
-
-
-def encode_response(response: Response, dialect: str = DIALECT_JSON) -> bytes:
-    if dialect == DIALECT_BINARY:
-        return _encode_response_binary(response)
-    body = {
-        "ok": response.ok,
-        "result": response.result,
-        "error_type": response.error_type,
-        "error_message": response.error_message,
-        "request_id": response.request_id,
-    }
-    # Responses may carry raw blob bytes; for a JSON-dialect (legacy)
-    # client they are downgraded to base64 strings, which is exactly the
-    # pre-binary wire shape (decode_blob accepts both).
-    return _frame(body, downgrade_bytes=True)
-
-
-def decode_response(data: bytes) -> Response:
-    body = _split_frame(data)
-    if _dialect_of(body) == DIALECT_BINARY:
-        return _decode_response_binary(body)
-    parsed = _parse_json(body)
-    try:
-        return Response(
-            ok=parsed["ok"],
-            result=parsed.get("result"),
-            error_type=parsed.get("error_type", ""),
-            error_message=parsed.get("error_message", ""),
-            request_id=parsed.get("request_id", 0),
-        )
-    except KeyError as exc:
-        raise WireFormatError(f"response frame missing key: {exc}") from exc
+def _require_binary(dialect: str) -> None:
+    if dialect != DIALECT_BINARY:
+        raise WireFormatError(f"unknown wire dialect {dialect!r}")
 
 
 def error_response(exc: Exception, request_id: int = 0) -> Response:
@@ -291,106 +204,51 @@ def error_response(exc: Exception, request_id: int = 0) -> Response:
     )
 
 
-def recover_request_id(data: bytes) -> tuple[int, str]:
-    """Best-effort (request_id, dialect) from a frame that failed to decode.
+def recover_request_id(data: bytes) -> int:
+    """Best-effort request_id from a frame that failed to decode.
 
     A malformed request still deserves an error reply the sender can
-    correlate: the binary header is fixed-offset, and a JSON body that
-    parses at all carries its id even when the request itself is invalid.
-    Never raises; falls back to ``(0, DIALECT_JSON)``.
+    correlate: the header is fixed-offset, so the id survives a bad length
+    prefix or a garbled payload.  Never raises; falls back to 0.
     """
-    try:
-        body = _split_frame(data)
-    except WireFormatError:
-        # The prefix itself may be fine even when the body length is off.
-        if len(data) <= _LENGTH.size:
-            return 0, DIALECT_JSON
-        body = memoryview(data)[_LENGTH.size:]
-        if len(body) == 0:
-            return 0, DIALECT_JSON
-    if body[0] == BINARY_VERSION:
-        if len(body) >= _BIN_HEADER.size:
-            _, _, request_id = _BIN_HEADER.unpack_from(body)
-            return request_id, DIALECT_BINARY
-        return 0, DIALECT_BINARY
-    try:
-        parsed = json.loads(bytes(body).decode("utf-8"))
-        request_id = parsed.get("request_id", 0) if isinstance(parsed, dict) else 0
-        if not isinstance(request_id, int) or isinstance(request_id, bool):
-            request_id = 0
-        return request_id, DIALECT_JSON
-    except Exception:  # noqa: BLE001 - recovery is strictly best-effort
-        return 0, DIALECT_JSON
+    body = memoryview(data)[_LENGTH.size:]
+    if len(body) >= _BIN_HEADER.size and body[0] == BINARY_VERSION:
+        return _BIN_HEADER.unpack_from(body)[2]
+    return 0
+
+
+def _peek_header(data: bytes) -> tuple[int, int]:
+    """(msgtype, request_id) from the fixed-offset header, no full decode."""
+    body = _split_frame(data)
+    if len(body) < _BIN_HEADER.size:
+        raise WireFormatError("binary frame shorter than its header")
+    _, msgtype, request_id = _BIN_HEADER.unpack_from(body)
+    return msgtype, request_id
 
 
 def peek_request_id(data: bytes) -> int:
-    """The request_id of an encoded request frame (cheap for binary)."""
-    body = _split_frame(data)
-    if body[0] == BINARY_VERSION:
-        if len(body) < _BIN_HEADER.size:
-            raise WireFormatError("binary frame shorter than its header")
-        _, msgtype, request_id = _BIN_HEADER.unpack_from(body)
-        if msgtype != _MSG_REQUEST:
-            raise WireFormatError("frame is not a request")
-        return request_id
-    return decode_request(data).request_id
+    """The request_id of an encoded request frame, without decoding it."""
+    msgtype, request_id = _peek_header(data)
+    if msgtype != _MSG_REQUEST:
+        raise WireFormatError("frame is not a request")
+    return request_id
 
 
 def peek_response_request_id(data: bytes) -> int:
-    """The request_id an encoded response frame answers (cheap for binary).
+    """The request_id an encoded response frame answers, without decoding.
 
     Accepts anything that carries a response: plain response frames, chunk
     frames, and abort frames — all three put the request id at the same
     fixed header offset.
     """
-    body = _split_frame(data)
-    if body[0] == BINARY_VERSION:
-        if len(body) < _BIN_HEADER.size:
-            raise WireFormatError("binary frame shorter than its header")
-        _, msgtype, request_id = _BIN_HEADER.unpack_from(body)
-        if msgtype not in (_MSG_RESPONSE, _MSG_RESPONSE_CHUNK, _MSG_RESPONSE_ABORT):
-            raise WireFormatError("frame is not a response")
-        return request_id
-    return decode_response(data).request_id
+    msgtype, request_id = _peek_header(data)
+    if msgtype not in (_MSG_RESPONSE, _MSG_RESPONSE_CHUNK, _MSG_RESPONSE_ABORT):
+        raise WireFormatError("frame is not a response")
+    return request_id
 
 
 # ---------------------------------------------------------------------------
-# JSON dialect internals
-# ---------------------------------------------------------------------------
-
-
-def _json_downgrade(value: Any) -> str:
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return base64.b64encode(bytes(value)).decode("ascii")
-    if _is_region(value):
-        return base64.b64encode(_region_bytes(value)).decode("ascii")
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
-
-
-def _frame(body: Mapping[str, Any], downgrade_bytes: bool = False) -> bytes:
-    try:
-        payload = json.dumps(
-            body,
-            separators=(",", ":"),
-            default=_json_downgrade if downgrade_bytes else None,
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise WireFormatError(f"body is not JSON-serializable: {exc}") from exc
-    return _LENGTH.pack(len(payload)) + payload
-
-
-def _parse_json(body: memoryview) -> dict[str, Any]:
-    try:
-        parsed = json.loads(bytes(body).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireFormatError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(parsed, dict):
-        raise WireFormatError("frame body must be a JSON object")
-    return parsed
-
-
-# ---------------------------------------------------------------------------
-# Binary dialect internals
+# Codec internals
 # ---------------------------------------------------------------------------
 
 
@@ -413,7 +271,7 @@ def _region_bytes(region: Any) -> bytes:
 
 
 class _Writer:
-    """Zero-copy-minded frame writer for the binary dialect.
+    """Zero-copy-minded frame writer.
 
     Small values pack straight into one growing ``bytearray`` with
     ``pack_into`` — no per-value ``bytes`` objects, no intermediate
@@ -499,7 +357,7 @@ def _encode_document(value: Any, writer: _Writer) -> bool:
     Python by a wide margin.  Subtrees carrying ``bytes`` (or anything else
     JSON cannot express) report False and fall back to the tagged walk —
     note the fast path inherits JSON's key semantics (int keys coerce to
-    strings), matching what the JSON dialect has always done.
+    strings).
     """
     if type(value) is not dict and type(value) is not list:
         return False
@@ -702,11 +560,12 @@ def _assemble(chunks: list[Any]) -> bytes:
     return b"".join([_LENGTH.pack(payload_len), *chunks])
 
 
-def _encode_request_binary(request: Request) -> bytes:
+def encode_request(request: Request, dialect: str = DIALECT_BINARY) -> bytes:
+    _require_binary(dialect)
     method = request.method.encode("utf-8")
     client_id = request.client_id.encode("utf-8")
     if request.request_id < 0 or request.request_id > 2**64 - 1:
-        raise WireFormatError("request_id out of range for the binary dialect")
+        raise WireFormatError("request_id out of range (must fit a u64)")
     writer = _Writer()
     writer.pack(_BIN_HEADER, BINARY_VERSION, _MSG_REQUEST, request.request_id)
     writer.pack(_U16, len(method))
@@ -719,11 +578,9 @@ def _encode_request_binary(request: Request) -> bytes:
     return _assemble(writer.parts())
 
 
-def _decode_request_binary(body: memoryview) -> Request:
-    cur = _Cursor(body)
-    version, msgtype, request_id = cur.unpack(_BIN_HEADER)
-    if version != BINARY_VERSION:
-        raise WireFormatError(f"unsupported binary wire version {version}")
+def decode_request(data: bytes) -> Request:
+    cur = _Cursor(_split_frame(data))
+    _, msgtype, request_id = cur.unpack(_BIN_HEADER)
     if msgtype != _MSG_REQUEST:
         raise WireFormatError("expected a request frame")
     method = cur.text(_U16)
@@ -740,11 +597,10 @@ def _decode_request_binary(body: memoryview) -> Request:
         request_id=request_id,
         client_id=client_id,
         lane=_LANE_NAMES.get(lane_code, LANE_INTERACTIVE),
-        dialect=DIALECT_BINARY,
     )
 
 
-def _encode_response_binary_parts(response: Response) -> list[Any]:
+def _encode_response_parts(response: Response) -> list[Any]:
     """The encoded response body as an ordered list of buffers.
 
     Splitting body assembly from frame assembly is what chunked streaming
@@ -756,7 +612,7 @@ def _encode_response_binary_parts(response: Response) -> list[Any]:
     error_message = response.error_message.encode("utf-8")
     request_id = response.request_id
     if request_id < 0 or request_id > 2**64 - 1:
-        raise WireFormatError("request_id out of range for the binary dialect")
+        raise WireFormatError("request_id out of range (must fit a u64)")
     result = response.result
     if type(result) is dict or type(result) is list:
         # Document fast path: one C-accelerated JSON encode of the result,
@@ -797,8 +653,9 @@ def _encode_response_binary_parts(response: Response) -> list[Any]:
     return writer.parts()
 
 
-def _encode_response_binary(response: Response) -> bytes:
-    return _assemble(_encode_response_binary_parts(response))
+def encode_response(response: Response, dialect: str = DIALECT_BINARY) -> bytes:
+    _require_binary(dialect)
+    return _assemble(_encode_response_parts(response))
 
 
 #: ok=1 plus empty error_type (u16) and error_message (u32) — the fixed
@@ -807,7 +664,8 @@ _OK_NO_ERROR = b"\x01\x00\x00\x00\x00\x00\x00"
 _FAST_RESULT_AT = _BIN_HEADER.size + len(_OK_NO_ERROR)  # tag byte offset
 
 
-def _decode_response_binary(body: memoryview) -> Response:
+def decode_response(data: bytes) -> Response:
+    body = _split_frame(data)
     # Fast path for the dominant shape — a successful response whose result
     # is one embedded-JSON document: fixed-offset compares, one u32, one
     # slice into the C JSON parser.  Anything else (errors, tagged values,
@@ -831,9 +689,7 @@ def _decode_response_binary(body: memoryview) -> Response:
                 request_id=_BIN_HEADER.unpack_from(body)[2],
             )
     cur = _Cursor(body)
-    version, msgtype, request_id = cur.unpack(_BIN_HEADER)
-    if version != BINARY_VERSION:
-        raise WireFormatError(f"unsupported binary wire version {version}")
+    _, msgtype, request_id = cur.unpack(_BIN_HEADER)
     if msgtype != _MSG_RESPONSE:
         raise WireFormatError("expected a response frame")
     ok_byte = cur.u8()
@@ -1028,25 +884,14 @@ class ResponseStream:
 
 
 def encode_response_stream(
-    response: Response,
-    dialect: str = DIALECT_JSON,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    response: Response, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> ResponseStream:
     """Encode a response for streaming delivery.
 
-    Binary-dialect responses whose encoded body exceeds *chunk_size* come
-    back as a chunk sequence; everything else — small responses, any JSON
-    response, ``chunk_size <= 0`` — is a single frame, which is also the
-    transparent fallback for pre-streaming clients (they only ever see
-    chunk frames if they sent a binary request to a streaming server, and
-    every binary client in this codebase reassembles them).
+    Responses whose encoded body exceeds *chunk_size* come back as a chunk
+    sequence; small responses and ``chunk_size <= 0`` are a single frame.
     """
-    if dialect != DIALECT_BINARY:
-        return ResponseStream(
-            single=encode_response(response, dialect),
-            request_id=response.request_id,
-        )
-    parts = _encode_response_binary_parts(response)
+    parts = _encode_response_parts(response)
     total = sum(map(len, parts))
     if chunk_size <= 0 or total <= chunk_size:
         return ResponseStream(
@@ -1084,12 +929,12 @@ class ChunkReassembler:
     ``feed`` takes one frame off the wire and returns a complete response
     frame when one is available, else ``None``:
 
-    * plain response frames (either dialect) pass straight through;
+    * plain response frames pass straight through;
     * chunk frames accumulate into a buffer preallocated from the first
       chunk's total_len — offsets must arrive in order, the payload lands
       via one slice assignment per chunk;
     * an abort frame discards the partial body and comes back as a
-      synthesized binary error response, so callers surface a typed wire
+      synthesized error response, so callers surface a typed wire
       error through the normal decode path instead of hanging.
 
     Anything malformed — mid-stream start, out-of-order offset, total
@@ -1109,8 +954,6 @@ class ChunkReassembler:
 
     def feed(self, frame: bytes) -> bytes | None:
         body = _split_frame(frame)
-        if body[0] != BINARY_VERSION:
-            return frame  # JSON frames are always complete
         if len(body) < _BIN_HEADER.size:
             raise WireFormatError("binary frame shorter than its header")
         _, msgtype, request_id = _BIN_HEADER.unpack_from(body)
@@ -1133,8 +976,7 @@ class ChunkReassembler:
                 error_type=error_type,
                 error_message=error_message,
                 request_id=request_id,
-            ),
-            DIALECT_BINARY,
+            )
         )
 
     def _feed_chunk(self, request_id: int, body: memoryview) -> bytes | None:
@@ -1205,20 +1047,10 @@ class ChunkReassembler:
 # ---------------------------------------------------------------------------
 
 
-def encode_blob(data: bytes) -> str:
-    """Base64-encode a binary blob for JSON transport."""
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_blob(payload: str | bytes | bytearray | memoryview) -> bytes:
-    """Decode a wire blob: raw bytes (binary dialect) or base64 text (JSON)."""
+def decode_blob(payload: bytes | bytearray | memoryview) -> bytes:
+    """A wire blob as ``bytes``; anything but a bytes-like payload is rejected."""
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return bytes(payload)
-    if not isinstance(payload, str):
-        raise WireFormatError(
-            f"blob payload must be bytes or base64 text, got {type(payload).__name__}"
-        )
-    try:
-        return base64.b64decode(payload.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise WireFormatError(f"invalid base64 blob: {exc}") from exc
+    raise WireFormatError(
+        f"blob payload must be bytes, got {type(payload).__name__}"
+    )

@@ -72,7 +72,7 @@ def test_mid_stream_kill_is_a_typed_error_never_truncation(
                 params={"instance_id": instance_id},
                 request_id=1,
             )
-            sock.sendall(wire.encode_request(request, wire.DIALECT_BINARY))
+            sock.sendall(wire.encode_request(request))
             # Wait until the server has started streaming (its send buffer
             # fills because we are not reading), then kill it mid-chunk.
             deadline = time.monotonic() + 5.0

@@ -131,7 +131,6 @@ def replay_frame(request_id=4242, client_id="replay-probe", tag="replayed"):
             request_id=request_id,
             client_id=client_id,
         ),
-        wire.DIALECT_BINARY,
     )
 
 

@@ -4,9 +4,9 @@ Three serving replicas over one sharded store; a checked-in action rule
 fires ``switch_family`` for every city when the event window opens; the
 harness measures switch propagation to every replica over the wire (under
 concurrent ``modelQuery`` load) and the event-hour MAPE improvement of
-registry-driven switching vs. a never-switching baseline, then stamps a
-``BENCH_PR9.json`` — under ``tmp_path`` here; only ``make scenario`` writes
-the tracked copy at the repo root.
+registry-driven switching vs. a never-switching baseline, then stamps its
+JSON result — under ``tmp_path`` here; ``make scenario`` writes the
+untracked ``build/family_switch_fleet.json``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class TestFleetScaleFamilySwitch:
             sample_cities=6,
             load_threads=4,
         )
-        bench_path = tmp_path / "BENCH_PR9.json"
+        bench_path = tmp_path / "family_switch_fleet.json"
         result = run_scenario(config, tmp_path / "gallery", out_path=bench_path)
 
         # The rule switched every city's durable assignment, and every

@@ -7,7 +7,7 @@ Properties under fuzz:
   an unbatched dispatch of the same frame would have produced;
 * **tenant isolation**: coalescing shares *computation*, never frames —
   two tenants asking for one coordinate each get their own response
-  envelope in their own dialect;
+  envelope;
 * **error isolation**: a failing lookup inside a window poisons only its
   own request(s), not batch-mates;
 * **no starvation**: the weighted lane scheduler keeps serving the
@@ -71,11 +71,10 @@ class Collector:
         return deliver
 
 
-def make_request(method, params, request_id, client_id="c", lane="interactive",
-                 dialect=wire.DIALECT_BINARY):
+def make_request(method, params, request_id, client_id="c", lane="interactive"):
     return wire.Request(
         method=method, params=params, request_id=request_id,
-        client_id=client_id, lane=lane, dialect=dialect,
+        client_id=client_id, lane=lane,
     )
 
 
@@ -111,13 +110,6 @@ class TestDedupFuzz:
             data.draw(st.sampled_from(["interactive", "bulk"]), label=f"lane{k}")
             for k in range(n)
         ]
-        dialects = [
-            data.draw(
-                st.sampled_from([wire.DIALECT_BINARY, wire.DIALECT_JSON]),
-                label=f"dialect{k}",
-            )
-            for k in range(n)
-        ]
         collector = Collector()
         collector.expected = n
         from repro.service.batching import _Waiter
@@ -126,7 +118,7 @@ class TestDedupFuzz:
         for k, (method, params) in enumerate(picks):
             request = make_request(
                 method, params, request_id=k + 1,
-                client_id=f"tenant-{k % 3}", lane=lanes[k], dialect=dialects[k],
+                client_id=f"tenant-{k % 3}", lane=lanes[k],
             )
             requests.append(request)
             waiters.append(
@@ -145,9 +137,7 @@ class TestDedupFuzz:
             response = wire.decode_response(frames[0])
             assert response.request_id == request.request_id
             expected = wire.decode_response(
-                oracle.handle_frame(
-                    wire.encode_request(request, request.dialect)
-                )
+                oracle.handle_frame(wire.encode_request(request))
             )
             assert response.ok == expected.ok
             assert response.result == expected.result
@@ -169,7 +159,6 @@ class TestDedupFuzz:
             request = make_request(
                 "getModel", {"model_id": model_ids[0]}, request_id=1000 + k,
                 client_id=f"tenant-{k}",
-                dialect=wire.DIALECT_JSON if k % 2 else wire.DIALECT_BINARY,
             )
             waiters.append(
                 _Waiter(request=request, deliver=collector.deliver_for(k),
@@ -341,7 +330,6 @@ class TestRateLimiting:
         return wire.encode_request(
             make_request("getModel", {"model_id": model_id},
                          request_id=request_id, client_id=client_id),
-            wire.DIALECT_BINARY,
         )
 
     def test_over_limit_refused_with_typed_retryable_error(self):

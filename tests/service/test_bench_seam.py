@@ -5,8 +5,11 @@ code it measures, so a rename or a changed call shape here would break the
 benchmark silently.  One live round-trip through every seam it uses.
 """
 
+import pytest
+
 from repro import build_gallery
 from repro.core.registry import Gallery
+from repro.errors import WireFormatError
 from repro.service import connect, wire
 from repro.service.server import GalleryService
 from repro.service.tcp import (
@@ -104,3 +107,25 @@ def test_gallerybench_seam(tmp_path):
     assert clean is True
     assert len(transports) == 1 and len(transports[0].request_ids) >= 7
     assert seen["stream"] and seen["dispatch"] and seen["offer"]
+
+
+def test_gallerybench_codec_seam():
+    """The exact calls ``run.py::_replay_codec``, ``spans.py`` and
+    ``server_main.py`` make on captured frames."""
+    request = wire.Request(
+        method="getModel", params={"model_id": "m"}, request_id=7, client_id="b"
+    )
+    response = wire.Response(ok=True, result={"model_id": "m"}, request_id=7)
+    request_frame = wire.encode_request(request, wire.DIALECT_BINARY)
+    response_frame = wire.encode_response(response, wire.DIALECT_BINARY)
+    assert wire.decode_request(request_frame) == request
+    assert wire.decode_response(response_frame) == response
+    assert wire.peek_request_id(request_frame) == 7
+    # DIALECT_BINARY is a vestige kept for those call sites: the parameter
+    # selects nothing, and anything else is refused.
+    assert request_frame == wire.encode_request(request)
+    assert response_frame == wire.encode_response(response)
+    with pytest.raises(WireFormatError, match="unknown wire dialect"):
+        wire.encode_request(request, "json")
+    with pytest.raises(WireFormatError, match="unknown wire dialect"):
+        wire.encode_response(response, "json")

@@ -7,13 +7,13 @@ The invariants:
   ``tcp._sendfile`` hook, exactly how a sendfile-less platform presents);
 * ``loadModelBlobRange`` round-trips every edge the clamp admits —
   offset 0, offset == size, length past EOF, zero-length, windows
-  crossing chunk boundaries — on both dialects;
+  crossing chunk boundaries;
 * range responses are digest-verified client-side, and a wrong digest
   raises :class:`BlobCorruptionError` at the client;
 * bytes tampered on disk surface as a typed server-side
   :class:`BlobCorruptionError`, never as silently wrong bytes;
-* the JSON dialect keeps working — it simply never takes the sendfile
-  path.
+* a transport with no socket keeps working — it simply never takes the
+  sendfile path.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from repro.core.ids import SeededIdFactory
 from repro.core.registry import Gallery
 from repro.errors import BlobCorruptionError, ValidationError
 from repro.service import tcp
-from repro.service.client import GalleryClient
+from repro.service.client import GalleryClient, connect_in_process
 from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
-from repro.service.wire import DIALECT_BINARY, DIALECT_JSON
 from repro.store.blob import FilesystemBlobStore
 from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import InMemoryMetadataStore
@@ -42,9 +41,8 @@ BLOB = bytes(range(256)) * (768 + 1) + b"tail-bytes!"
 CHUNK = 64 * 1024
 
 
-@pytest.fixture
-def served_blob(tmp_path):
-    """An event-loop server over a file-backed gallery with one blob."""
+def file_backed_gallery(tmp_path):
+    """A file-backed gallery holding one blob: (gallery, instance_id, store)."""
     store = FilesystemBlobStore(tmp_path / "blobs")
     dal = DataAccessLayer(InMemoryMetadataStore(), store, cache=None)
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(7))
@@ -52,13 +50,20 @@ def served_blob(tmp_path):
     instance = gallery.upload_model(
         "p", "demand", BLOB, metadata={"model_name": "rf"}
     )
+    return gallery, instance.instance_id, store
+
+
+@pytest.fixture
+def served_blob(tmp_path):
+    """An event-loop server over a file-backed gallery with one blob."""
+    gallery, instance_id, store = file_backed_gallery(tmp_path)
     with GalleryTcpServer(GalleryService(gallery), chunk_size=CHUNK) as server:
-        yield server, instance.instance_id, store
+        yield server, instance_id, store
 
 
-def _client(address, dialect=DIALECT_BINARY):
+def _client(address):
     transport = PipelinedTcpTransport(*address)
-    return GalleryClient(transport, dialect=dialect), transport
+    return GalleryClient(transport), transport
 
 
 class TestSendfileParity:
@@ -88,12 +93,13 @@ class TestSendfileParity:
                 assert window == BLOB[offset : offset + 4096]
             assert client.load_model_blob(instance_id) == BLOB
 
-    def test_json_dialect_still_round_trips(self, served_blob):
-        server, instance_id, _ = served_blob
-        client, transport = _client(server.address, dialect=DIALECT_JSON)
-        with transport:
-            assert client.load_model_blob(instance_id) == BLOB
-            assert client.load_blob_range(instance_id, 10, 20) == BLOB[10:30]
+    def test_in_process_client_round_trips_without_sendfile(self, tmp_path):
+        # No socket to sendfile into: handle_frame materializes the region
+        # into its single response frame.
+        gallery, instance_id, _ = file_backed_gallery(tmp_path)
+        client = connect_in_process(GalleryService(gallery))
+        assert client.load_model_blob(instance_id) == BLOB
+        assert client.load_blob_range(instance_id, 10, 20) == BLOB[10:30]
 
 
 class TestRangeEdges:
@@ -147,18 +153,12 @@ class TestRangeEdges:
 @pytest.fixture(scope="module")
 def shared_served_blob(tmp_path_factory):
     """One live server + client shared across hypothesis examples."""
-    tmp_path = tmp_path_factory.mktemp("fuzz-blobs")
-    store = FilesystemBlobStore(tmp_path / "blobs")
-    dal = DataAccessLayer(InMemoryMetadataStore(), store, cache=None)
-    gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(7))
-    gallery.create_model("p", "demand")
-    instance = gallery.upload_model(
-        "p", "demand", BLOB, metadata={"model_name": "rf"}
+    gallery, instance_id, _ = file_backed_gallery(
+        tmp_path_factory.mktemp("fuzz-blobs")
     )
     with GalleryTcpServer(GalleryService(gallery), chunk_size=CHUNK) as server:
         with PipelinedTcpTransport(*server.address) as transport:
-            client = GalleryClient(transport, dialect=DIALECT_BINARY)
-            yield client, instance.instance_id
+            yield GalleryClient(transport), instance_id
 
 
 class TestIntegrity:

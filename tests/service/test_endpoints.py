@@ -109,12 +109,11 @@ class TestEndpointParsing:
             "10.0.0.1:9000", "10.0.0.2:9001",
         ]
         assert len(es) == 2
-        assert es.dialect == wire.DIALECT_BINARY
         assert es.timeout == 10.0
 
     def test_query_parameters(self):
-        es = EndpointSet.parse("gallery://h:1?dialect=json&timeout=2.5")
-        assert es.dialect == wire.DIALECT_JSON
+        es = EndpointSet.parse("gallery://h:1?routing=roundrobin&timeout=2.5")
+        assert es.routing == "roundrobin"
         assert es.timeout == 2.5
         assert es.lane == wire.LANE_INTERACTIVE  # the default
 
@@ -124,6 +123,13 @@ class TestEndpointParsing:
             ValidationError, match="unknown query parameter 'transport'"
         ):
             EndpointSet.parse(f"gallery://h:1?transport={flavour}")
+
+    @pytest.mark.parametrize("dialect", ["json", "binary"])
+    def test_removed_dialect_key_is_rejected_loudly(self, dialect):
+        with pytest.raises(
+            ValidationError, match="unknown query parameter 'dialect'"
+        ):
+            EndpointSet.parse(f"gallery://h:1?dialect={dialect}")
 
     def test_lane_query_parameter(self):
         es = EndpointSet.parse("gallery://h:1?lane=bulk")
@@ -150,7 +156,6 @@ class TestEndpointParsing:
             "gallery://h:70000",               # port out of range (high)
             "gallery://h:1,h:1",               # duplicate endpoint
             "gallery://h:1?bogus=1",           # unknown query parameter
-            "gallery://h:1?dialect=msgpack",   # unknown dialect
             "gallery://h:1?timeout=soon",      # non-numeric timeout
             "gallery://h:1?timeout=0",         # non-positive timeout
         ],
@@ -631,18 +636,18 @@ class TestConnect:
         assert client.call("getModel", model_id="m") == {"model_id": "m"}
         client.close()
 
-    def test_connect_honours_url_dialect(self):
+    def test_connect_honours_url_lane(self):
         fleet = Fleet({"a:1": lambda d: ok_frame()})
         client = connect(
-            "gallery://a:1?dialect=json",
+            "gallery://a:1?lane=bulk",
             policies=fast_policies(),
             transport_factory=fleet.factory,
         )
-        assert client.dialect == wire.DIALECT_JSON
+        assert client.lane == wire.LANE_BULK
         client.call("getModel", model_id="m")
-        # the frame actually left in the JSON dialect
+        # the frame actually left in the bulk lane
         sent = fleet.dialed["a:1"][0].calls[0]
-        assert wire.decode_request(sent).dialect == wire.DIALECT_JSON
+        assert wire.decode_request(sent).lane == wire.LANE_BULK
 
     def test_connect_rejects_bad_urls(self):
         with pytest.raises(ValidationError):

@@ -172,7 +172,6 @@ class TestMultiplexing:
                 wire.Request(
                     method="auditStorage", request_id=100 + i, client_id="mx"
                 ),
-                wire.DIALECT_BINARY,
             )
             for i in range(32)
         ]
@@ -201,11 +200,9 @@ class TestMultiplexing:
                 request_id=7001,
                 client_id="mx",
             ),
-            wire.DIALECT_BINARY,
         )
         fast = wire.encode_request(
             wire.Request(method="auditStorage", request_id=7002, client_id="mx"),
-            wire.DIALECT_BINARY,
         )
         slow_handle = transport.submit(slow)
         fast_handle = transport.submit(fast)
@@ -213,6 +210,40 @@ class TestMultiplexing:
         slow_response = wire.decode_response(slow_handle.wait(15.0))
         assert fast_response.request_id == 7002 and fast_response.ok
         assert slow_response.request_id == 7001 and slow_response.ok
+
+    def test_crashed_dispatcher_fails_only_its_own_request(self, pipelined_stack):
+        # One poisoned request among eight pipelined ones: the server's
+        # error reply must name that request, not read as a stream-level
+        # failure that takes every in-flight exchange down with it.
+        _, service, _, _, transport = pipelined_stack
+        poisoned = 503
+        crashed = threading.Event()
+        dispatch = service.handle_frame_stream
+
+        def crashing(frame, chunk_size):
+            if wire.peek_request_id(frame) == poisoned:
+                raise RuntimeError("dispatcher crashed")
+            crashed.wait(10.0)  # stay in flight until the crash was answered
+            return dispatch(frame, chunk_size)
+
+        service.handle_frame_stream = crashing
+        ids = range(500, 508)
+        handles = transport.submit_many(
+            [
+                wire.encode_request(
+                    wire.Request(method="auditStorage", request_id=i, client_id="mx")
+                )
+                for i in ids
+            ]
+        )
+        by_id = dict(zip(ids, handles))
+        with pytest.raises(ServiceError, match="dispatcher crashed"):
+            wire.decode_response(by_id.pop(poisoned).wait(15.0)).raise_if_error()
+        crashed.set()
+        for request_id, handle in by_id.items():
+            response = wire.decode_response(handle.wait(15.0))
+            assert response.ok and response.request_id == request_id
+        assert transport.reconnects == 0
 
     def test_many_threads_share_one_pipelined_transport(self, pipelined_stack):
         gallery, _, _, client, _ = pipelined_stack

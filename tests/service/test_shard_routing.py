@@ -83,7 +83,6 @@ def read_frame(method="instancesOf", **params):
             request_id=99,
             client_id="router",
         ),
-        wire.DIALECT_BINARY,
     )
 
 
@@ -188,7 +187,7 @@ def test_topology_probe_settles_a_half_open_breaker(stack):
     for _ in range(3):
         state.breaker.record_failure()
     time.sleep(0.06)  # reset_timeout=0.05: OPEN decays to HALF_OPEN
-    assert failover._topology(wire.DIALECT_BINARY) is not None  # noqa: SLF001
+    assert failover._topology() is not None  # noqa: SLF001
     # The failed probe must be recorded (re-opening the breaker) — a
     # dangling probe would reject this endpoint on every future call.
     assert state.breaker.state is BreakerState.OPEN
@@ -213,7 +212,6 @@ def test_mutations_never_shard_route(stack):
             request_id=1,
             client_id="writer",
         ),
-        wire.DIALECT_BINARY,
     )
     # preferred-state computation must not kick in for mutations
     assert failover._preferred_state(wire.decode_request(frame)) is None  # noqa: SLF001

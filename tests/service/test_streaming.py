@@ -2,10 +2,10 @@
 
 The acceptance bar for PR 5's streaming layer:
 
-* serving a 4 MiB blob on the binary dialect never puts more than
-  ``chunk_size`` of encoded body in any one wire frame (verified by
-  instrumenting frame sizes on a raw socket);
-* JSON-dialect clients see exactly the old single-frame behaviour;
+* serving a 4 MiB blob never puts more than ``chunk_size`` of encoded
+  body in any one wire frame (verified by instrumenting frame sizes on a
+  raw socket);
+* a response that fits one chunk stays a single plain frame;
 * an error raised mid-stream (after the first chunk is already on the
   wire) surfaces to the client as a typed wire error, not a hung
   reassembly;
@@ -26,7 +26,7 @@ from repro.service import wire
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
-from repro.service.wire import DIALECT_BINARY, DIALECT_JSON, Request
+from repro.service.wire import Request
 
 _PREFIX = struct.Struct(">Q")
 _BLOB = bytes(range(256)) * (4 * 4096)  # 4 MiB
@@ -39,7 +39,7 @@ def build_service():
 
 def upload_blob(address, blob=_BLOB):
     with PipelinedTcpTransport(*address) as transport:
-        client = GalleryClient(transport, dialect=DIALECT_BINARY)
+        client = GalleryClient(transport)
         client.create_gallery_model("p", "demand")
         instance = client.upload_model(
             "p", "demand", blob, metadata={"model_name": "rf"}
@@ -84,7 +84,6 @@ class TestServerFrameBounds:
                     params={"instance_id": instance_id},
                     request_id=41,
                 ),
-                DIALECT_BINARY,
             )
             with socket.create_connection(server.address, timeout=10.0) as sock:
                 sock.sendall(request)
@@ -110,7 +109,6 @@ class TestServerFrameBounds:
                     params={"instance_id": instance_id},
                     request_id=42,
                 ),
-                DIALECT_BINARY,
             )
             with socket.create_connection(server.address, timeout=10.0) as sock:
                 sock.sendall(request)
@@ -120,23 +118,23 @@ class TestServerFrameBounds:
         assert max(sizes) <= limit
         assert wire.decode_response(complete).result == b"x" * 200_000
 
-    def test_json_client_gets_one_frame(self):
+    def test_blob_under_one_chunk_gets_one_frame(self):
+        small = _BLOB[: wire.DEFAULT_CHUNK_SIZE // 2]
         with GalleryTcpServer(build_service()) as server:
-            instance_id = upload_blob(server.address)
+            instance_id = upload_blob(server.address, small)
             request = wire.encode_request(
                 Request(
                     method="loadModelBlob",
                     params={"instance_id": instance_id},
                     request_id=43,
                 ),
-                DIALECT_JSON,
             )
             with socket.create_connection(server.address, timeout=10.0) as sock:
                 sock.sendall(request)
                 sizes, complete = read_frames_until_complete(sock)
-        assert len(sizes) == 1  # JSON dialect: single frame, as before
+        assert len(sizes) == 1  # fits one chunk: a plain response frame
         response = wire.decode_response(complete)
-        assert wire.decode_blob(response.result) == _BLOB
+        assert wire.decode_blob(response.result) == small
 
 
 class _AbortAfterFirstChunk(wire.ResponseStream):
@@ -181,7 +179,7 @@ class TestMidStreamErrors:
         with GalleryTcpServer(service) as server:
             instance_id = upload_blob(server.address)
             with PipelinedTcpTransport(*server.address, timeout=10.0) as t:
-                client = GalleryClient(t, dialect=DIALECT_BINARY)
+                client = GalleryClient(t)
                 with pytest.raises(ServiceError) as excinfo:
                     client.load_model_blob(instance_id)
         assert "RuntimeError" in str(excinfo.value)
@@ -192,7 +190,7 @@ class TestMidStreamErrors:
         service = _MidStreamFailingService(build_service())
         with GalleryTcpServer(service) as server:
             with PipelinedTcpTransport(*server.address) as transport:
-                client = GalleryClient(transport, dialect=DIALECT_BINARY)
+                client = GalleryClient(transport)
                 assert client.audit_storage()["consistent"]
 
 
@@ -202,7 +200,7 @@ class TestPipelinedStreaming:
         with GalleryTcpServer(build_service()) as server:
             instance_id = upload_blob(server.address)
             with PipelinedTcpTransport(*server.address) as transport:
-                client = GalleryClient(transport, dialect=DIALECT_BINARY)
+                client = GalleryClient(transport)
                 with client.pipeline() as pipe:
                     handles = [
                         pipe.load_model_blob(instance_id) for _ in range(8)

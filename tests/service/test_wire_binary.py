@@ -1,17 +1,16 @@
-"""Binary wire dialect: fuzz/property coverage plus version negotiation.
+"""The wire format: fuzz/property coverage.
 
 Invariants:
 
 * encode/decode is the identity over arbitrary wire-encodable payloads,
-  including raw ``bytes`` (the whole point of the dialect) and integers
-  beyond i64 (the bigint escape hatch);
+  including raw ``bytes`` and integers beyond i64 (the bigint escape
+  hatch);
 * the decoder is **total**: any byte string either decodes or raises
   :class:`WireFormatError` — truncations, mutations, and random garbage
   never escape as other exceptions;
 * frames survive arbitrary packet fragmentation over a real socket;
-* version negotiation is per-frame: the server answers every frame in the
-  dialect it arrived in, so a pre-binary JSON client interoperates with
-  the new server unmodified;
+* a frame that does not start with the version byte — ``{`` included — is
+  rejected with a typed :class:`WireFormatError`;
 * malformed frames with a recoverable request_id are answered with that
   id (pipelined clients must be able to correlate the failure), and
   unknown error types survive ``raise_if_error`` with their name intact.
@@ -33,14 +32,8 @@ from repro.errors import ServiceError, WireFormatError
 from repro.service import wire
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
-from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
-from repro.service.wire import (
-    BINARY_VERSION,
-    DIALECT_BINARY,
-    DIALECT_JSON,
-    Request,
-    Response,
-)
+from repro.service.tcp import GalleryTcpServer
+from repro.service.wire import BINARY_VERSION, Request, Response
 
 _PREFIX = struct.Struct(">Q")
 
@@ -85,15 +78,14 @@ class TestRoundTrips:
             client_id=client_id,
             lane=lane,
         )
-        restored = wire.decode_request(wire.encode_request(request, DIALECT_BINARY))
+        restored = wire.decode_request(wire.encode_request(request))
         assert restored == request
         assert restored.client_id == client_id  # read-path QoS keys on this
         assert restored.lane == lane
-        assert restored.dialect == DIALECT_BINARY
 
     @given(
         st.text(min_size=1, max_size=20),
-        st.dictionaries(  # JSON-safe subset: parity crosses both dialects
+        st.dictionaries(  # blob-free: params ride the document fast path
             st.text(min_size=1, max_size=8),
             st.one_of(
                 st.none(),
@@ -107,42 +99,33 @@ class TestRoundTrips:
         st.sampled_from([wire.LANE_INTERACTIVE, wire.LANE_BULK]),
     )
     @settings(max_examples=100)
-    def test_request_dialect_parity_on_identity_fields(
+    def test_request_identity_fields_round_trip_beside_document_params(
         self, method, params, client_id, lane
     ):
-        """client_id and lane survive both dialects identically — the
-        token buckets and lane scheduler must see the same tenant no
-        matter which encoding the frame arrived in."""
+        """client_id and lane survive beside params that took the embedded
+        document path — the token buckets and lane scheduler must see the
+        tenant the sender named."""
         request = Request(
             method=method, params=params, request_id=7,
             client_id=client_id, lane=lane,
         )
-        via_json = wire.decode_request(
-            wire.encode_request(request, wire.DIALECT_JSON)
-        )
-        via_binary = wire.decode_request(
-            wire.encode_request(request, DIALECT_BINARY)
-        )
-        assert (via_json.client_id, via_json.lane) == (client_id, lane)
-        assert (via_binary.client_id, via_binary.lane) == (client_id, lane)
+        restored = wire.decode_request(wire.encode_request(request))
+        assert (restored.client_id, restored.lane) == (client_id, lane)
+        assert restored.params == params
 
-    def test_unknown_json_lane_degrades_to_interactive(self):
-        frame = wire.encode_request(Request(method="getModel"))
-        # splice a future lane name into the JSON body
-        body = frame[_PREFIX.size :].decode("utf-8")
-        import json as _json
-
-        parsed = _json.loads(body)
-        parsed["lane"] = "express"
-        rebuilt = _json.dumps(parsed).encode("utf-8")
-        reframed = _PREFIX.pack(len(rebuilt)) + rebuilt
-        assert wire.decode_request(reframed).lane == wire.LANE_INTERACTIVE
+    def test_unknown_lane_code_degrades_to_interactive(self):
+        frame = bytearray(wire.encode_request(Request(method="getModel")))
+        # prefix | header | u16 + method | u16 + empty client_id | lane u8
+        lane_at = _PREFIX.size + wire._BIN_HEADER.size + 2 + len("getModel") + 2
+        assert frame[lane_at] == 0
+        frame[lane_at] = 9  # a future lane
+        assert wire.decode_request(bytes(frame)).lane == wire.LANE_INTERACTIVE
 
     @given(wire_values, st.integers(0, 2**64 - 1))
     @settings(max_examples=200)
     def test_success_response_round_trip(self, result, request_id):
         response = Response(ok=True, result=result, request_id=request_id)
-        restored = wire.decode_response(wire.encode_response(response, DIALECT_BINARY))
+        restored = wire.decode_response(wire.encode_response(response))
         assert restored.ok
         assert restored.result == result
         assert restored.request_id == request_id
@@ -156,7 +139,7 @@ class TestRoundTrips:
             error_message=message,
             request_id=request_id,
         )
-        restored = wire.decode_response(wire.encode_response(response, DIALECT_BINARY))
+        restored = wire.decode_response(wire.encode_response(response))
         assert not restored.ok
         assert restored.error_type == error_type
         assert restored.error_message == message
@@ -165,15 +148,15 @@ class TestRoundTrips:
     def test_blobs_cross_as_raw_bytes_without_inflation(self):
         payload = bytes(range(256)) * 64
         response = Response(ok=True, result=payload, request_id=9)
-        frame = wire.encode_response(response, DIALECT_BINARY)
-        # Raw bytes plus a bounded header — no base64's 4/3 blow-up.
+        frame = wire.encode_response(response)
+        # Raw bytes plus a bounded header — no text-encoding blow-up.
         assert len(frame) < len(payload) + 64
         assert wire.decode_response(frame).result == payload
 
     def test_bigint_beyond_i64_round_trips(self):
         huge = 2**80 + 17
         request = Request(method="m", params={"n": huge, "m": -huge})
-        restored = wire.decode_request(wire.encode_request(request, DIALECT_BINARY))
+        restored = wire.decode_request(wire.encode_request(request))
         assert restored.params == {"n": huge, "m": -huge}
 
 
@@ -198,8 +181,7 @@ class TestDecoderTotality:
     @settings(max_examples=200)
     def test_any_proper_prefix_is_rejected(self, method, params, request_id, data):
         frame = wire.encode_request(
-            Request(method=method, params=params, request_id=request_id),
-            DIALECT_BINARY,
+            Request(method=method, params=params, request_id=request_id)
         )
         body = frame[_PREFIX.size :]
         cut = data.draw(st.integers(min_value=0, max_value=len(body) - 1))
@@ -210,9 +192,7 @@ class TestDecoderTotality:
     @given(st.text(min_size=1, max_size=10), wire_params, st.data())
     @settings(max_examples=200)
     def test_single_byte_mutations_never_escape(self, method, params, data):
-        frame = bytearray(
-            wire.encode_request(Request(method=method, params=params), DIALECT_BINARY)
-        )
+        frame = bytearray(wire.encode_request(Request(method=method, params=params)))
         index = data.draw(st.integers(min_value=_PREFIX.size, max_value=len(frame) - 1))
         frame[index] ^= data.draw(st.integers(min_value=1, max_value=255))
         try:
@@ -220,11 +200,13 @@ class TestDecoderTotality:
         except WireFormatError:
             pass
 
-    def test_unsupported_version_byte_is_rejected(self):
-        body = bytes([0x02]) + b"\x00" * 16
+    @pytest.mark.parametrize("first", [0x02, ord("{")])
+    def test_unsupported_version_byte_is_rejected(self, first):
+        body = bytes([first]) + b"\x00" * 16
         frame = _PREFIX.pack(len(body)) + body
-        with pytest.raises(WireFormatError, match="dialect"):
-            wire.decode_request(frame)
+        for decoder in (wire.decode_request, wire.decode_response):
+            with pytest.raises(WireFormatError, match="unknown wire format"):
+                decoder(frame)
 
 
 class TestRequestIdRecovery:
@@ -235,21 +217,12 @@ class TestRequestIdRecovery:
         frame = _PREFIX.pack(len(body)) + body
         with pytest.raises(WireFormatError):
             wire.decode_request(frame)
-        assert wire.recover_request_id(frame) == (4242, DIALECT_BINARY)
-
-    def test_recover_from_json_missing_method(self):
-        body = b'{"request_id": 77, "params": {}}'
-        frame = _PREFIX.pack(len(body)) + body
-        with pytest.raises(WireFormatError):
-            wire.decode_request(frame)
-        assert wire.recover_request_id(frame) == (77, DIALECT_JSON)
+        assert wire.recover_request_id(frame) == 4242
 
     @given(st.binary(max_size=120))
     @settings(max_examples=300)
     def test_recovery_never_raises(self, data):
-        request_id, dialect = wire.recover_request_id(data)
-        assert request_id >= 0
-        assert dialect in (DIALECT_JSON, DIALECT_BINARY)
+        assert wire.recover_request_id(data) >= 0
 
     def test_server_echoes_recoverable_id_on_wire_error(self):
         service = build_service()
@@ -281,84 +254,6 @@ class TestErrorTypePreservation:
         with pytest.raises(NotFoundError) as excinfo:
             response.raise_if_error()
         assert excinfo.value.error_type == "NotFoundError"
-
-
-class TestVersionNegotiation:
-    """The server answers every frame in the dialect it arrived in."""
-
-    def test_binary_request_gets_binary_response(self):
-        service = build_service()
-        frame = wire.encode_request(
-            Request(method="auditStorage", request_id=3), DIALECT_BINARY
-        )
-        raw = service.handle_frame(frame)
-        assert raw[_PREFIX.size] == BINARY_VERSION
-        assert wire.decode_response(raw).ok
-
-    def test_json_request_gets_json_response(self):
-        service = build_service()
-        frame = wire.encode_request(Request(method="auditStorage", request_id=4))
-        raw = service.handle_frame(frame)
-        assert raw[_PREFIX.size] == 0x7B  # "{"
-        assert wire.decode_response(raw).ok
-
-    def test_dialects_can_interleave_on_one_connection(self):
-        service = build_service()
-        with GalleryTcpServer(service) as server:
-            host, port = server.address
-            with PipelinedTcpTransport(host, port) as transport:
-                for dialect, marker in (
-                    (DIALECT_JSON, 0x7B),
-                    (DIALECT_BINARY, BINARY_VERSION),
-                    (DIALECT_JSON, 0x7B),
-                ):
-                    frame = wire.encode_request(
-                        Request(method="auditStorage", request_id=1), dialect
-                    )
-                    raw = transport(frame)
-                    assert raw[_PREFIX.size] == marker
-                    assert wire.decode_response(raw).ok
-
-
-class TestJsonDialectCompatibility:
-    """A pre-binary (JSON-dialect) client against the new server stack."""
-
-    def test_legacy_client_full_workflow(self):
-        with GalleryTcpServer(build_service()) as server:
-            host, port = server.address
-            with PipelinedTcpTransport(host, port) as transport:
-                client = GalleryClient(transport, dialect=DIALECT_JSON)
-                client.create_gallery_model("p", "demand", owner="legacy")
-                payload = bytes(range(256)) * 512
-                instance = client.upload_model(
-                    "p", "demand", payload, metadata={"model_name": "rf"}
-                )
-                hits = client.model_query(
-                    [{"field": "modelName", "operator": "equal", "value": "rf"}]
-                )
-                assert [h["instance_id"] for h in hits] == [instance["instance_id"]]
-                # Blob bytes are transparently downgraded to base64 in the
-                # JSON response and restored by decode_blob.
-                assert client.load_model_blob(instance["instance_id"]) == payload
-
-    def test_legacy_blob_response_is_base64_text_on_the_wire(self):
-        with GalleryTcpServer(build_service()) as server:
-            host, port = server.address
-            with PipelinedTcpTransport(host, port) as transport:
-                client = GalleryClient(transport, dialect=DIALECT_JSON)
-                client.create_gallery_model("p", "demand")
-                instance = client.upload_model("p", "demand", b"legacy-bytes")
-                frame = wire.encode_request(
-                    Request(
-                        method="loadModelBlob",
-                        params={"instance_id": instance["instance_id"]},
-                        request_id=999,
-                    ),
-                    DIALECT_JSON,
-                )
-                response = wire.decode_response(transport(frame))
-                assert isinstance(response.result, str)  # base64, not bytes
-                assert wire.decode_blob(response.result) == b"legacy-bytes"
 
 
 class TestFragmentationOverSocket:
@@ -395,7 +290,7 @@ class TestFragmentationOverSocket:
         with GalleryTcpServer(build_service()) as server:
             rng = random.Random(1234)
             frame = wire.encode_request(
-                Request(method="auditStorage", request_id=21), DIALECT_BINARY
+                Request(method="auditStorage", request_id=21)
             )
             with socket.create_connection(server.address, timeout=10.0) as sock:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -408,9 +303,7 @@ class TestFragmentationOverSocket:
     def test_two_frames_in_one_segment_both_answered(self):
         with GalleryTcpServer(build_service()) as server:
             frames = b"".join(
-                wire.encode_request(
-                    Request(method="auditStorage", request_id=i), DIALECT_BINARY
-                )
+                wire.encode_request(Request(method="auditStorage", request_id=i))
                 for i in (31, 32)
             )
             with socket.create_connection(server.address, timeout=10.0) as sock:
@@ -428,24 +321,12 @@ class TestChunkedStreaming:
 
     def _stream_frames(self, payload, request_id, chunk_size):
         response = Response(ok=True, result=payload, request_id=request_id)
-        stream = wire.encode_response_stream(
-            response, DIALECT_BINARY, chunk_size=chunk_size
-        )
-        return list(stream)
+        return list(wire.encode_response_stream(response, chunk_size=chunk_size))
 
     def test_small_response_stays_single_frame(self):
         frames = self._stream_frames(b"tiny", 5, 256 * 1024)
         assert len(frames) == 1
         assert wire.decode_response(frames[0]).result == b"tiny"
-
-    def test_json_dialect_never_chunks(self):
-        response = Response(ok=True, result="x" * (1 << 20), request_id=6)
-        stream = wire.encode_response_stream(
-            response, DIALECT_JSON, chunk_size=4096
-        )
-        frames = list(stream)
-        assert len(frames) == 1
-        assert frames[0][_PREFIX.size] == 0x7B  # JSON body
 
     def test_large_blob_chunks_and_reassembles(self):
         payload = bytes(range(256)) * 4096  # 1 MiB
@@ -528,14 +409,8 @@ class TestChunkedStreaming:
 
     def test_plain_frames_pass_through_untouched(self):
         reassembler = wire.ChunkReassembler()
-        binary = wire.encode_response(
-            Response(ok=True, result=[1, 2], request_id=1), DIALECT_BINARY
-        )
-        json_frame = wire.encode_response(
-            Response(ok=True, result=[1, 2], request_id=1), DIALECT_JSON
-        )
-        assert reassembler.feed(binary) == binary
-        assert reassembler.feed(json_frame) == json_frame
+        frame = wire.encode_response(Response(ok=True, result=[1, 2], request_id=1))
+        assert reassembler.feed(frame) == frame
 
     @given(st.data())
     @settings(max_examples=120)
@@ -602,29 +477,27 @@ def build_family_service():
 
 
 class TestFamilyServingWireFuzz:
-    """PR9 wire methods fuzzed across both dialects.
+    """PR9 wire methods fuzzed through the codec.
 
-    familyQuery / servingFor / assignServing must produce identical results
-    (or identical typed errors) whether the request arrives as JSON or
-    binary — dialect parity is what lets mixed-version client fleets share
-    one server.
+    familyQuery / servingFor / assignServing must produce the same result
+    (or the same typed error) through a full encode → handle_frame → decode
+    round trip as the dispatcher produces with no codec in the way.
     """
 
-    def _call(self, service, method, params, dialect, request_id):
+    def _round_trip(self, service, method, params):
+        direct = service.dispatch(Request(method=method, params=params, request_id=1))
         frame = wire.encode_request(
-            Request(method=method, params=params, request_id=request_id), dialect
+            Request(method=method, params=params, request_id=2)
         )
-        return wire.decode_response(service.handle_frame(frame))
-
-    def _parity(self, service, method, params):
-        json_resp = self._call(service, method, params, DIALECT_JSON, 1)
-        bin_resp = self._call(service, method, params, DIALECT_BINARY, 2)
-        assert json_resp.ok == bin_resp.ok, f"{method} dialect disagreement"
-        if json_resp.ok:
-            assert json_resp.result == bin_resp.result
+        wired = wire.decode_response(service.handle_frame(frame))
+        assert wired.request_id == 2
+        assert wired.ok == direct.ok, f"{method}: the codec changed the outcome"
+        if direct.ok:
+            assert wired.result == direct.result
         else:
-            assert json_resp.error_type == bin_resp.error_type
-        return json_resp
+            assert wired.error_type == direct.error_type
+            assert wired.error_message == direct.error_message
+        return wired
 
     @given(
         family=st.one_of(st.sampled_from(["sf:rf", "", "ghost"]), st.text(max_size=12)),
@@ -633,11 +506,11 @@ class TestFamilyServingWireFuzz:
         models=st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_family_query_parity(
+    def test_family_query_round_trip(
         self, family, include_disabled, include_deprecated, models
     ):
         service, enabled, disabled = build_family_service()
-        response = self._parity(
+        response = self._round_trip(
             service,
             "familyQuery",
             {
@@ -656,9 +529,9 @@ class TestFamilyServingWireFuzz:
 
     @given(scope=st.one_of(st.just("sf"), st.text(max_size=8)))
     @settings(max_examples=50, deadline=None)
-    def test_serving_for_parity(self, scope):
+    def test_serving_for_round_trip(self, scope):
         service, enabled, _disabled = build_family_service()
-        response = self._parity(service, "servingFor", {"scope": scope})
+        response = self._round_trip(service, "servingFor", {"scope": scope})
         if scope == "sf":
             assert response.ok
             assert response.result["instance_id"] == enabled.instance_id
@@ -673,14 +546,14 @@ class TestFamilyServingWireFuzz:
         reason=st.text(max_size=16),
     )
     @settings(max_examples=50, deadline=None)
-    def test_assign_serving_parity(self, scope, target, reason):
+    def test_assign_serving_round_trip(self, scope, target, reason):
         service, enabled, disabled = build_family_service()
         instance_id = {
             "enabled": enabled.instance_id,
             "disabled": disabled.instance_id,
             "ghost": "no-such-instance",
         }[target]
-        response = self._parity(
+        response = self._round_trip(
             service,
             "assignServing",
             {"scope": scope, "instance_id": instance_id, "reason": reason},
@@ -712,17 +585,14 @@ class TestUnknownMethodCompat:
             service._methods.pop(method, None)  # noqa: SLF001 - simulate pre-PR9
         return service
 
-    def test_unknown_method_typed_in_both_dialects(self):
-        service = self._old_server()
-        for dialect in (DIALECT_JSON, DIALECT_BINARY):
-            frame = wire.encode_request(
-                Request(method="familyQuery", params={"family": "x"}, request_id=5),
-                dialect,
-            )
-            response = wire.decode_response(service.handle_frame(frame))
-            assert not response.ok
-            assert response.error_type == "UnknownMethodError"
-            assert response.request_id == 5
+    def test_unknown_method_is_typed_on_the_wire(self):
+        frame = wire.encode_request(
+            Request(method="familyQuery", params={"family": "x"}, request_id=5)
+        )
+        response = wire.decode_response(self._old_server().handle_frame(frame))
+        assert not response.ok
+        assert response.error_type == "UnknownMethodError"
+        assert response.request_id == 5
 
     def test_new_client_fails_fast_without_retry_burn(self):
         from repro.errors import UnknownMethodError

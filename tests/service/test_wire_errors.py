@@ -79,8 +79,7 @@ class TestRaiseIfError:
 
     def test_round_trip_through_encode_decode(self):
         encoded = wire.encode_response(
-            wire.error_response(NotFoundError("no such instance"), request_id=9),
-            wire.DIALECT_BINARY,
+            wire.error_response(NotFoundError("no such instance"), request_id=9)
         )
         decoded = wire.decode_response(encoded)
         with pytest.raises(NotFoundError) as excinfo:
@@ -112,3 +111,36 @@ class TestEndToEnd:
         client.create_gallery_model("p", "demand")
         with pytest.raises(ValidationError):
             client.create_gallery_model("p", "demand")  # duplicate
+
+    def test_json_frame_over_a_live_socket_gets_a_typed_wire_error(self):
+        """The removed JSON dialect is refused loudly: a typed reply in the
+        one wire format, not a hang and not a dropped connection."""
+        import socket
+        import struct
+
+        from repro import build_gallery
+        from repro.service.server import GalleryService
+        from repro.service.tcp import GalleryTcpServer
+
+        def read_response(sock):
+            prefix = sock.recv(8, socket.MSG_WAITALL)
+            (length,) = struct.unpack(">Q", prefix)
+            return wire.decode_response(prefix + sock.recv(length, socket.MSG_WAITALL))
+
+        body = b'{"method":"auditStorage","params":{},"request_id":5}'
+        with GalleryTcpServer(GalleryService(build_gallery())) as server:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(struct.pack(">Q", len(body)) + body)
+                # decode_response only accepts the one (binary) format.
+                response = read_response(sock)
+                assert not response.ok
+                assert response.error_type == "WireFormatError"
+                assert "unknown wire format" in response.error_message
+                # The connection survived: a well-formed call still answers.
+                sock.sendall(
+                    wire.encode_request(
+                        wire.Request(method="auditStorage", request_id=6)
+                    )
+                )
+                followup = read_response(sock)
+                assert followup.ok and followup.request_id == 6

@@ -1,7 +1,7 @@
 """Property-based tests for the wire protocol.
 
 Invariants: encode/decode round-trips are the identity for arbitrary
-JSON-shaped params; blobs of any bytes round-trip; decoders are total
+document-shaped params; blobs of any bytes round-trip; decoders are total
 (value or WireFormatError) over arbitrary byte strings.
 """
 
@@ -61,8 +61,9 @@ def test_error_response_round_trip(error_type, message):
 
 @given(st.binary(max_size=4096))
 @settings(max_examples=200)
-def test_blob_encoding_round_trip(payload):
-    assert wire.decode_blob(wire.encode_blob(payload)) == payload
+def test_blob_round_trip(payload):
+    frame = wire.encode_response(Response(ok=True, result=payload))
+    assert wire.decode_blob(wire.decode_response(frame).result) == payload
 
 
 @given(st.binary(max_size=200))

@@ -1,6 +1,6 @@
 """Scatter-gather parity (PR 6 satellite): `model_query` must return
 identical results — content AND order — on a 1-shard and an N-shard store
-built from the same fixture corpus, including over the binary wire dialect.
+built from the same fixture corpus, including over the wire.
 """
 
 import pytest
@@ -98,7 +98,6 @@ def test_model_query_parity_over_binary_wire(tmp_path):
         GalleryClient(
             InProcessTransport(GalleryService(g)),
             client_id=f"parity-{n}",
-            dialect=wire.DIALECT_BINARY,
         )
         for n, g in ((1, single_gallery), (5, multi_gallery))
     ]
