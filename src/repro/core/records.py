@@ -20,6 +20,7 @@ produce those successors without mutating the original.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
@@ -48,10 +49,20 @@ class MetricScope(str, Enum):
     def parse(cls, value: "str | MetricScope") -> "MetricScope":
         if isinstance(value, MetricScope):
             return value
-        for member in cls:
-            if member.value.lower() == str(value).lower():
-                return member
-        raise ValidationError(f"unknown metric scope: {value!r}")
+        member = _SCOPES_BY_LOWER_NAME.get(str(value).lower())
+        if member is None:
+            raise ValidationError(f"unknown metric scope: {value!r}")
+        return member
+
+
+_SCOPES_BY_LOWER_NAME = {member.value.lower(): member for member in MetricScope}
+
+
+@functools.cache
+def _known_fields(cls: type) -> frozenset[str]:
+    """Field names of a record class — once per class, not once per row:
+    ``from_dict`` runs for every row a store read returns."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 def _frozen_metadata(metadata: Metadata | None) -> Mapping[str, Any]:
@@ -163,7 +174,7 @@ class Model:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Model":
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _known_fields(cls)
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
@@ -231,7 +242,7 @@ class ModelInstance:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ModelInstance":
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _known_fields(cls)
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
@@ -273,7 +284,7 @@ class ServingAssignment:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServingAssignment":
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _known_fields(cls)
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
@@ -324,5 +335,5 @@ class MetricRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricRecord":
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _known_fields(cls)
         return cls(**{k: v for k, v in data.items() if k in known})

@@ -4,8 +4,9 @@ One replica, N concurrent readers: without batching every ``modelQuery`` /
 ``getModel`` / metric read costs its own scatter-gather trip into the
 sharded store, even when the coordinates overlap.  This module is the
 TF-Serving-style cross-request batcher (Olston et al.) layered in front of
-:class:`~repro.service.server.GalleryService`: read-class frames from the
-event-loop server enqueue into a per-lane queue, a collector thread drains
+:class:`~repro.service.server.GalleryService`: the server's event loop
+offers read-class frames itself — socket to queue with no worker thread in
+between — into a per-lane queue, a collector thread drains
 them on a small *adaptive* window, identical coordinate lookups inside a
 window are answered by a single execution, and groups of distinct
 single-coordinate lookups collapse into one batched DAL call
@@ -35,9 +36,11 @@ collector holds up to ``batch_window_ms`` (closing early when the batch
 fills or an accumulation slice goes quiet), and execution time itself
 accumulates the next batch while the current one runs.
 
-Mutations, blob streaming, and admin/drain methods never enter the queue;
-:meth:`ReadBatcher.offer` simply declines them and the caller dispatches
-on the normal path.  ``batch_window_ms=0`` disables the batcher entirely.
+Mutations, blob streaming, and admin/drain methods never enter the queue:
+the event loop routes on :func:`~repro.service.wire.peek_method` and sends
+them to its worker pool, and :meth:`ReadBatcher.offer` declines them the
+same way, before decoding any params, when called directly.
+``batch_window_ms=0`` disables the batcher entirely.
 """
 
 from __future__ import annotations
@@ -204,13 +207,14 @@ class _Group:
 class ReadBatcher:
     """Per-replica cross-request micro-batcher over a ``GalleryService``.
 
-    The event-loop server offers every inbound frame via :meth:`offer`
-    *before* normal dispatch.  ``offer`` returns ``False`` to decline
-    (not a read, batching disabled, frame undecodable, replica draining)
-    — the caller then dispatches exactly as it always did.  ``True``
-    means the batcher took ownership: the ``deliver`` callback will be
-    invoked exactly once with the encoded response frame, from the
-    collector thread (or inline, for QoS refusals).
+    The event-loop server offers read-class frames via :meth:`offer` from
+    its loop thread, so ``offer`` must stay cheap: it never touches the
+    store.  ``offer`` returns ``False`` to decline (not a read, batching
+    disabled, frame undecodable, replica draining) — the caller then
+    dispatches on its worker pool.  ``True`` means the batcher took
+    ownership: the ``deliver`` callback will be invoked exactly once with
+    the encoded response frame, from the collector thread (or inline, for
+    QoS refusals).
     """
 
     def __init__(
@@ -253,11 +257,11 @@ class ReadBatcher:
         """Try to take ownership of *frame*; ``False`` means "not mine"."""
         if not self.config.enabled or self._stopped:
             return False
+        if wire.peek_method(frame) not in BATCHABLE_METHODS:
+            return False  # declined before paying for a params decode
         try:
             request = wire.decode_request(frame)
         except Exception:  # noqa: BLE001 - malformed: normal path answers
-            return False
-        if request.method not in BATCHABLE_METHODS:
             return False
         if self._service.draining:
             return False  # normal path issues the typed drain refusal

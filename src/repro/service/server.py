@@ -185,7 +185,8 @@ class DurableRequestDedupCache:
 
     def complete(self, key: tuple[str, int], response: bytes) -> None:
         self._dal.dedup_complete(key[0], key[1], response)
-        self._dal.dedup_trim(self._capacity)
+        # Only the shard that took this row can have outgrown its slice.
+        self._dal.dedup_trim(self._capacity, key[0])
 
     def release(self, key: tuple[str, int]) -> None:
         self._dal.dedup_release(key[0], key[1])

@@ -5,9 +5,10 @@ clients talk to it over the network through Thrift.  This module carries
 the reproduction's wire frames over real sockets:
 
 * :class:`GalleryTcpServer` — a ``selectors``-based **event-loop server**:
-  one non-blocking accept/read/write loop feeds a bounded pool of daemon
-  worker threads, so a thousand idle connections cost zero threads and
-  per-request dispatch stays cheap.  Responses may complete out of order;
+  one non-blocking accept/read/write loop hands read-class frames to the
+  service's micro-batcher itself and everything else to a bounded pool of
+  daemon worker threads, so a thousand idle connections cost zero threads
+  and a read never waits for a worker.  Responses may complete out of order;
   each one carries its request_id, which is what pipelined clients
   correlate on.
 * :class:`PipelinedTcpTransport` — keeps many requests in flight on one
@@ -34,6 +35,7 @@ from typing import Callable
 
 from repro.errors import ServiceError, WireFormatError
 from repro.service import wire
+from repro.service.batching import BATCHABLE_METHODS
 from repro.service.server import GalleryService
 
 logger = logging.getLogger(__name__)
@@ -391,23 +393,40 @@ class _EventLoopCore:
             frame = bytes(buf[:total])
             del buf[:total]
             conn.in_flight += 1
-            self.pool.submit(lambda f=frame, c=conn: self._process(c, f))
+            if not self._offer(conn, frame):
+                self.pool.submit(lambda f=frame, c=conn: self._process(c, f))
+
+    def _offer(self, conn: _Connection, frame: bytes) -> bool:
+        """Loop thread: hand a read-class frame straight to the micro-batcher.
+
+        ``True`` means the batcher took ownership and its collector thread
+        answers via ``_complete`` (safe from any thread) — no worker is
+        woken, so reads never queue behind workers stuck in a publish
+        fsync.  Everything else — mutations, blobs, admin, frames larger
+        than one recv chunk (decoding them here would stall the loop),
+        anything the batcher declines (disabled, draining, stopped,
+        undecodable) — is ``False`` and goes to the worker pool.
+        """
+        if (
+            len(frame) > _RECV_CHUNK
+            or wire.peek_method(frame) not in BATCHABLE_METHODS
+        ):
+            return False
+        try:
+            return self._service.read_batcher.offer(
+                frame, lambda encoded, c=conn: self._complete(c, encoded)
+            )
+        except Exception:  # noqa: BLE001 - the loop must outlive a bad offer
+            logger.exception("read batcher raised; dispatching the frame")
+            return False
 
     def _process(self, conn: _Connection, frame: bytes) -> None:
         """Worker thread: run one frame; a response ALWAYS comes back so
-        the connection's in-flight accounting can never leak."""
+        the connection's in-flight accounting can never leak.  (Reads the
+        batcher took never get here; a traced server sees them as
+        ``service.batching.offer`` spans instead.)"""
         response: bytes | wire.ResponseStream
         try:
-            # Read-class frames go to the micro-batcher first: if it takes
-            # ownership, the collector thread answers via _complete (which
-            # is safe from any thread) and this worker is done.  Everything
-            # else — mutations, blobs, admin, refused/undecodable frames —
-            # falls through to the normal dispatch path.
-            batcher = getattr(self._service, "read_batcher", None)
-            if batcher is not None and batcher.offer(
-                frame, lambda encoded, c=conn: self._complete(c, encoded)
-            ):
-                return
             response = self._service.handle_frame_stream(
                 frame, self._chunk_size
             )
@@ -540,8 +559,9 @@ class _EventLoopCore:
 class GalleryTcpServer:
     """Serves a :class:`GalleryService` on a TCP port via an event loop.
 
-    One daemon thread runs the non-blocking accept/read/write loop; a
-    bounded pool of daemon workers executes ``service.handle_frame_stream``.
+    One daemon thread runs the non-blocking accept/read/write loop and
+    offers read-class frames to ``service.read_batcher``; a bounded pool of
+    daemon workers executes ``service.handle_frame_stream`` for the rest.
     Idle connections cost a selector entry, not a thread, and responses
     are written back (coalesced) as workers finish — possibly out of
     request order, which pipelined clients resolve by request_id.  Large

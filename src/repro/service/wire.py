@@ -234,6 +234,21 @@ def peek_request_id(data: bytes) -> int:
     return request_id
 
 
+def peek_method(data: bytes) -> str | None:
+    """The method name of an encoded request frame, without decoding it.
+
+    The name sits at a fixed position right after the header (``u16``
+    length + bytes), so this is O(1) and touches no params.  Never raises:
+    a frame that is short, malformed or not a request is ``None``.
+    """
+    try:
+        cur = _Cursor(_split_frame(data))
+        _, msgtype, _ = cur.unpack(_BIN_HEADER)
+        return cur.text(_U16) if msgtype == _MSG_REQUEST else None
+    except WireFormatError:
+        return None
+
+
 def peek_response_request_id(data: bytes) -> int:
     """The request_id an encoded response frame answers, without decoding.
 

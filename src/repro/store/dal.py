@@ -112,8 +112,8 @@ class DataAccessLayer:
     def dedup_release(self, client_id: str, request_id: int) -> None:
         self._metadata.dedup_release(client_id, request_id)
 
-    def dedup_trim(self, capacity: int) -> int:
-        return self._metadata.dedup_trim(capacity)
+    def dedup_trim(self, capacity: int, client_id: str | None = None) -> int:
+        return self._metadata.dedup_trim(capacity, client_id)
 
     def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
         return self._metadata.dedup_trim_age(max_age, now)

@@ -1094,8 +1094,12 @@ class SQLiteMetadataStore(MetadataStore):
             (client_id, request_id),
         )
 
-    def dedup_trim(self, capacity: int) -> int:
-        """Evict the oldest completed entries beyond *capacity*; return count."""
+    def dedup_trim(self, capacity: int, client_id: str | None = None) -> int:
+        """Evict the oldest completed entries beyond *capacity*; return count.
+
+        *client_id* names the client whose entry was just completed; one
+        file owns every client, so it selects nothing here (the sharded
+        store trims only that client's shard)."""
         with self._write_lock:
             conn = self._connection()
             try:

@@ -43,12 +43,19 @@ assignments                             atomic re-point) lives on one file, so
                                         by one SQLite database lock
 ===============  =====================  =========================================
 
-Single-coordinate operations route to exactly one shard.  Operations that
-lack a routing key (``get_model``, ``get_instance``, ``iter_*``,
-``find_instances_by_field``) **scatter-gather** across shards on a shared
-worker pool and merge ordered results; hot identifier→shard hits are
-memoised in bounded routing caches so the blob read path
-(``get_instance`` per ``load_blob``) usually costs one shard query.
+Single-coordinate operations route to exactly one shard.  Reads that lack
+a routing key (``get_model``, ``get_instance``, ``iter_*``,
+``find_instances_by_field``) visit every shard **on the calling thread**,
+one after another, and merge ordered results: the caller already owns a
+per-thread WAL connection to each shard, a per-shard statement is tens of
+microseconds, and row parsing holds the GIL, so a thread hand-off costs
+several times the statement it would parallelise (docs/PERFORMANCE.md).
+Hot identifier→shard hits are memoised in bounded routing caches so the
+blob read path (``get_instance`` per ``load_blob``) usually costs one
+shard query.  Only fan-outs that *commit* on more than one shard (bulk
+``insert_instances``, the age/capacity trims) use a lazily started worker
+pool — fsync releases the GIL — so a replica that only reads never starts
+a ``shard-scatter`` thread.
 
 Dead-letter ids are globalised as ``local_id * SHARD_STRIDE + shard`` so
 ``dead_letter_update`` / ``dead_letters_delete`` can decode the owning
@@ -256,9 +263,10 @@ class ShardMap:
 class ShardedMetadataStore(MetadataStore):
     """N metadata stores behind the single-store interface.
 
-    Single-coordinate operations route to the owning shard; keyless lookups
-    scatter-gather on a shared worker pool.  See the module docstring for
-    the routing table and the budget-division semantics of capacity trims.
+    Single-coordinate operations route to the owning shard; keyless reads
+    visit the shards in order on the calling thread; multi-shard commits
+    fan out on a lazy worker pool.  See the module docstring for the
+    routing table and the budget-division semantics of capacity trims.
     """
 
     def __init__(
@@ -267,7 +275,6 @@ class ShardedMetadataStore(MetadataStore):
         shard_map: ShardMap,
         *,
         directory: str | None = None,
-        max_workers: int | None = None,
     ) -> None:
         if len(shards) != shard_map.num_shards:
             raise MetadataStoreError(
@@ -277,7 +284,6 @@ class ShardedMetadataStore(MetadataStore):
         self._shards = list(shards)
         self._map = shard_map
         self._directory = directory
-        self._max_workers = max_workers or min(len(shards), 8)
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._cache_lock = threading.Lock()
@@ -301,7 +307,7 @@ class ShardedMetadataStore(MetadataStore):
 
     def shard_counts(self) -> list[dict[str, int]]:
         """Per-shard row counts, in shard order."""
-        return self._scatter(lambda shard: dict(shard.counts()))
+        return [dict(shard.counts()) for shard in self._shards]
 
     def shard_topology(self) -> dict[str, Any]:
         """The payload served by the ``shardTopology`` wire method."""
@@ -309,7 +315,7 @@ class ShardedMetadataStore(MetadataStore):
         topology["shard_counts"] = self.shard_counts()
         return topology
 
-    # -- scatter machinery ----------------------------------------------------
+    # -- scatter machinery (multi-shard commits only) --------------------------
 
     def _pool(self) -> ThreadPoolExecutor:
         with self._executor_lock:
@@ -317,13 +323,13 @@ class ShardedMetadataStore(MetadataStore):
                 raise MetadataStoreError("sharded metadata store is closed")
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
+                    max_workers=min(len(self._shards), 8),
                     thread_name_prefix="shard-scatter",
                 )
             return self._executor
 
     def _scatter(self, fn: Callable[[MetadataStore], Any]) -> list[Any]:
-        """Run *fn* against every shard; results in shard order."""
+        """Commit *fn* on every shard in parallel; results in shard order."""
         if len(self._shards) == 1:
             return [fn(self._shards[0])]
         return list(self._pool().map(fn, self._shards))
@@ -331,7 +337,7 @@ class ShardedMetadataStore(MetadataStore):
     def _scatter_zip(
         self, fn: Callable[[MetadataStore, Any], Any], args: Sequence[Any]
     ) -> list[Any]:
-        """Run ``fn(shard, arg)`` pairing each shard with its own argument."""
+        """Like :meth:`_scatter`, pairing each shard with its own argument."""
         if len(self._shards) == 1:
             return [fn(self._shards[0], args[0])]
         return list(self._pool().map(fn, self._shards, args))
@@ -380,17 +386,13 @@ class ShardedMetadataStore(MetadataStore):
         cached = self._cached_shard(self._model_shard, model_id)
         if cached is not None:
             return cached.get_model(model_id)
-
-        def probe(shard: MetadataStore) -> Model | None:
+        for index, shard in enumerate(self._shards):
             try:
-                return shard.get_model(model_id)
+                model = shard.get_model(model_id)
             except NotFoundError:
-                return None
-
-        for index, model in enumerate(self._scatter(probe)):
-            if model is not None:
-                self._cache_route(self._model_shard, model_id, index)
-                return model
+                continue
+            self._cache_route(self._model_shard, model_id, index)
+            return model
         raise NotFoundError(f"no model {model_id!r}")
 
     def get_models(self, model_ids: Iterable[str]) -> dict[str, Model]:
@@ -398,10 +400,8 @@ class ShardedMetadataStore(MetadataStore):
         if not requested:
             return {}
         found: dict[str, Model] = {}
-        for index, part in enumerate(
-            self._scatter(lambda shard: shard.get_models(requested))
-        ):
-            for model_id, model in part.items():
+        for index, shard in enumerate(self._shards):
+            for model_id, model in shard.get_models(requested).items():
                 found[model_id] = model
                 self._cache_route(self._model_shard, model_id, index)
         return {mid: found[mid] for mid in requested if mid in found}
@@ -412,8 +412,8 @@ class ShardedMetadataStore(MetadataStore):
         self._shard_for_key(model.base_version_id).replace_model(model)
 
     def iter_models(self) -> Iterator[Model]:
-        for part in self._scatter(lambda shard: list(shard.iter_models())):
-            yield from part
+        for shard in self._shards:
+            yield from shard.iter_models()
 
     # -- instances ------------------------------------------------------------
 
@@ -451,35 +451,29 @@ class ShardedMetadataStore(MetadataStore):
         cached = self._cached_shard(self._instance_shard, instance_id)
         if cached is not None:
             return cached.get_instance(instance_id)
-
-        def probe(shard: MetadataStore) -> ModelInstance | None:
+        for index, shard in enumerate(self._shards):
             try:
-                return shard.get_instance(instance_id)
+                instance = shard.get_instance(instance_id)
             except NotFoundError:
-                return None
-
-        for index, instance in enumerate(self._scatter(probe)):
-            if instance is not None:
-                self._cache_route(self._instance_shard, instance_id, index)
-                return instance
+                continue
+            self._cache_route(self._instance_shard, instance_id, index)
+            return instance
         raise NotFoundError(f"no model instance {instance_id!r}")
 
     def replace_instance(self, instance: ModelInstance) -> None:
         self._shard_for_key(instance.base_version_id).replace_instance(instance)
 
     def iter_instances(self) -> Iterator[ModelInstance]:
-        for part in self._scatter(lambda shard: list(shard.iter_instances())):
-            yield from part
+        for shard in self._shards:
+            yield from shard.iter_instances()
 
     def instances_of_model(self, model_id: str) -> list[ModelInstance]:
         cached = self._cached_shard(self._model_shard, model_id)
         if cached is not None:
             return cached.instances_of_model(model_id)
         merged: list[ModelInstance] = []
-        for part in self._scatter(
-            lambda shard: shard.instances_of_model(model_id)
-        ):
-            merged.extend(part)
+        for shard in self._shards:
+            merged.extend(shard.instances_of_model(model_id))
         merged.sort(key=self._instance_sort_key)
         return merged
 
@@ -490,10 +484,10 @@ class ShardedMetadataStore(MetadataStore):
         out: dict[str, list[ModelInstance]] = {mid: [] for mid in requested}
         if not requested:
             return out
-        for part in self._scatter(
-            lambda shard: shard.instances_for_models(requested)
-        ):
-            for model_id, instances in part.items():
+        for shard in self._shards:
+            for model_id, instances in shard.instances_for_models(
+                requested
+            ).items():
                 if instances:
                     out[model_id].extend(instances)
         for instances in out.values():
@@ -512,10 +506,8 @@ class ShardedMetadataStore(MetadataStore):
         self, field: str, value: Any
     ) -> list[ModelInstance]:
         merged: list[ModelInstance] = []
-        for part in self._scatter(
-            lambda shard: shard.find_instances_by_field(field, value)
-        ):
-            merged.extend(part)
+        for shard in self._shards:
+            merged.extend(shard.find_instances_by_field(field, value))
         merged.sort(key=self._instance_sort_key)
         return merged
 
@@ -549,38 +541,27 @@ class ShardedMetadataStore(MetadataStore):
             groups.setdefault(
                 self._map.shard_for(instance_id), []
             ).append(instance_id)
-        if len(groups) == 1:
-            ((shard, ids),) = groups.items()
+        for shard, ids in groups.items():
             out.update(self._shards[shard].metrics_for_instances(ids, name))
-            return out
-        pool = self._pool()
-        futures = [
-            pool.submit(self._shards[shard].metrics_for_instances, ids, name)
-            for shard, ids in groups.items()
-        ]
-        for future in futures:
-            out.update(future.result())
         return out
 
     def iter_metrics(self) -> Iterator[MetricRecord]:
-        for part in self._scatter(lambda shard: list(shard.iter_metrics())):
-            yield from part
+        for shard in self._shards:
+            yield from shard.iter_metrics()
 
     # -- families --------------------------------------------------------------
 
     def models_in_family(self, family: str) -> list[Model]:
         merged: list[Model] = []
-        for part in self._scatter(lambda shard: shard.models_in_family(family)):
-            merged.extend(part)
+        for shard in self._shards:
+            merged.extend(shard.models_in_family(family))
         merged.sort(key=lambda m: (m.created_time, m.model_id))
         return merged
 
     def instances_in_family(self, family: str) -> list[ModelInstance]:
         merged: list[ModelInstance] = []
-        for part in self._scatter(
-            lambda shard: shard.instances_in_family(family)
-        ):
-            merged.extend(part)
+        for shard in self._shards:
+            merged.extend(shard.instances_in_family(family))
         merged.sort(key=self._instance_sort_key)
         return merged
 
@@ -595,8 +576,8 @@ class ShardedMetadataStore(MetadataStore):
 
     def serving_assignments(self) -> list[ServingAssignment]:
         merged: list[ServingAssignment] = []
-        for part in self._scatter(lambda shard: shard.serving_assignments()):
-            merged.extend(part)
+        for shard in self._shards:
+            merged.extend(shard.serving_assignments())
         merged.sort(key=lambda a: a.scope)
         return merged
 
@@ -615,7 +596,7 @@ class ShardedMetadataStore(MetadataStore):
 
     def serving_assignment_count(self) -> int:
         return sum(
-            self._scatter(lambda shard: shard.serving_assignment_count())
+            shard.serving_assignment_count() for shard in self._shards
         )
 
     # -- misc -----------------------------------------------------------------
@@ -691,13 +672,20 @@ class ShardedMetadataStore(MetadataStore):
     def dedup_release(self, client_id: str, request_id: int) -> None:
         self._shard_for_key(client_id).dedup_release(client_id, request_id)
 
-    def dedup_trim(self, capacity: int) -> int:
+    def dedup_trim(self, capacity: int, client_id: str | None = None) -> int:
         """Trim toward a *global* capacity: the budget is divided across
-        shards, so the total resident count is bounded by *capacity*."""
+        shards, so the total resident count is bounded by *capacity*.
+
+        With *client_id* — the client whose entry was just completed —
+        only its owning shard can have grown past its slice, so only that
+        shard is trimmed, on the calling thread."""
+        budgets = self._split_budget(capacity)
+        if client_id is not None:
+            shard = self._map.shard_for(client_id)
+            return self._shards[shard].dedup_trim(budgets[shard])
         return sum(
             self._scatter_zip(
-                lambda shard, budget: shard.dedup_trim(budget),
-                self._split_budget(capacity),
+                lambda shard, budget: shard.dedup_trim(budget), budgets
             )
         )
 
@@ -707,7 +695,7 @@ class ShardedMetadataStore(MetadataStore):
         )
 
     def dedup_count(self) -> int:
-        return sum(self._scatter(lambda shard: shard.dedup_count()))
+        return sum(shard.dedup_count() for shard in self._shards)
 
     @staticmethod
     def _global_letter_id(local_id: int, shard: int) -> int:
@@ -741,17 +729,12 @@ class ShardedMetadataStore(MetadataStore):
                 )
             }
         else:
-            parts = dict(
-                enumerate(
-                    self._scatter(
-                        lambda s: s.dead_letters_list(
-                            rule_uuid=rule_uuid,
-                            action=action,
-                            error_type=error_type,
-                        )
-                    )
+            parts = {
+                shard: store.dead_letters_list(
+                    action=action, error_type=error_type
                 )
-            )
+                for shard, store in enumerate(self._shards)
+            }
         merged = [
             (self._global_letter_id(local_id, shard), record)
             for shard, rows in parts.items()
@@ -799,7 +782,7 @@ class ShardedMetadataStore(MetadataStore):
         )
 
     def dead_letters_count(self) -> int:
-        return sum(self._scatter(lambda shard: shard.dead_letters_count()))
+        return sum(shard.dead_letters_count() for shard in self._shards)
 
 
 # -- on-disk layout -----------------------------------------------------------
@@ -813,7 +796,6 @@ def open_sharded_store(
     directory: str,
     shard_count: int | None = None,
     *,
-    max_workers: int | None = None,
     create: bool = True,
 ) -> ShardedMetadataStore:
     """Open (creating if needed) the sharded layout rooted at *directory*.
@@ -850,9 +832,7 @@ def open_sharded_store(
         SQLiteMetadataStore(shard_file(directory, i))
         for i in range(shard_map.num_shards)
     ]
-    return ShardedMetadataStore(
-        shards, shard_map, directory=directory, max_workers=max_workers
-    )
+    return ShardedMetadataStore(shards, shard_map, directory=directory)
 
 
 # -- offline rebalance tooling ------------------------------------------------

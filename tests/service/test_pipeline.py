@@ -21,9 +21,14 @@ from repro import build_gallery
 from repro.core import ManualClock, SeededIdFactory
 from repro.errors import NotFoundError, ServiceError
 from repro.service import wire
+from repro.service.batching import BATCHABLE_METHODS
 from repro.service.client import GalleryClient, connect_in_process
 from repro.service.server import GalleryService
-from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
+from repro.service.tcp import (
+    _RECV_CHUNK,
+    GalleryTcpServer,
+    PipelinedTcpTransport,
+)
 
 
 def build_service():
@@ -264,6 +269,104 @@ class TestMultiplexing:
             thread.join(timeout=60)
         assert errors == []
         assert len(gallery.instances_of("demand")) == 48
+
+
+def request_frame(method, request_id, **params):
+    return wire.encode_request(
+        wire.Request(
+            method=method, params=params, request_id=request_id, client_id="mx"
+        )
+    )
+
+
+class TestEventLoopOffersReads:
+    """Read frames go event loop -> batcher; no worker is on their path."""
+
+    def test_reads_resolve_while_the_only_worker_is_parked(self):
+        gallery, service = build_service()
+        gallery.create_model("p", "demand")
+        instance = gallery.upload_model("p", "demand", b"artifact")
+        gallery.assign_serving("sf", instance.instance_id)
+        parked, release = threading.Event(), threading.Event()
+        dispatch = service.handle_frame_stream
+
+        def parking(frame, chunk_size):
+            if wire.peek_method(frame) == "createGalleryModel":
+                parked.set()
+                release.wait(15.0)
+            return dispatch(frame, chunk_size)
+
+        service.handle_frame_stream = parking
+        with GalleryTcpServer(service, workers=1) as server:
+            transport = PipelinedTcpTransport(*server.address, timeout=15.0)
+            try:
+                mutation = transport.submit(
+                    request_frame(
+                        "createGalleryModel", 900, project="p",
+                        base_version_id="supply",
+                    )
+                )
+                assert parked.wait(5.0)
+                reads = transport.submit_many(
+                    [request_frame("servingFor", 901 + i, scope="sf") for i in range(8)]
+                )
+                for i, handle in enumerate(reads):
+                    response = wire.decode_response(handle.wait(5.0))
+                    assert response.ok and response.request_id == 901 + i
+                    assert response.result["instance_id"] == instance.instance_id
+                assert not mutation.done()
+                release.set()
+                assert wire.decode_response(mutation.wait(5.0)).ok
+            finally:
+                release.set()
+                transport.close()
+
+    def test_each_frame_takes_exactly_one_path(self, pipelined_stack):
+        _, service, _, _, transport = pipelined_stack
+        offered: dict[int, list[str]] = {}
+        streamed: dict[int, list[str]] = {}
+
+        def recording(seen, fn):
+            def wrapper(frame, *rest):
+                seen.setdefault(wire.peek_request_id(frame), []).append(
+                    threading.current_thread().name
+                )
+                return fn(frame, *rest)
+
+            return wrapper
+
+        # Instance attributes, looked up per call by the event loop.
+        service.read_batcher.offer = recording(offered, service.read_batcher.offer)
+        service.handle_frame_stream = recording(streamed, service.handle_frame_stream)
+
+        others = sorted(set(service.methods()) - BATCHABLE_METHODS)
+        oversized = 1 + len(others)  # a read too big to decode on the loop
+        frames = [request_frame(method, 1 + i) for i, method in enumerate(others)]
+        frames.append(
+            request_frame("getModel", oversized, model_id="m" * (_RECV_CHUNK + 1))
+        )
+        for handle in transport.submit_many(frames):
+            handle.wait(15.0)  # many are typed errors (no params); all answer
+        for request_id in range(1, oversized + 1):
+            (thread,) = streamed[request_id]  # once ...
+            assert thread.startswith("gallery-worker-")  # ... via the pool
+            assert request_id not in offered
+
+        service.undrain()  # fleetDrain was among the frames above
+        small = oversized + 1
+        transport.submit(request_frame("getModel", small, model_id="ghost")).wait(15.0)
+        assert offered[small] == ["gallery-tcp"]
+        assert small not in streamed
+
+
+    def test_draining_replica_still_refuses_a_read_typed(self, pipelined_stack):
+        _, service, server, _, transport = pipelined_stack
+        assert server.drain(wait_timeout=5.0)
+        handle = transport.submit(request_frame("servingFor", 1, scope="sf"))
+        response = wire.decode_response(handle.wait(15.0))
+        assert response.error_type == "ReplicaDrainingError"
+        assert response.request_id == 1
+        assert service.read_batcher.stats_snapshot()["batched_requests"] == 0
 
 
 class TestClientPipeline:

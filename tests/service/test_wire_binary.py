@@ -78,10 +78,12 @@ class TestRoundTrips:
             client_id=client_id,
             lane=lane,
         )
-        restored = wire.decode_request(wire.encode_request(request))
+        frame = wire.encode_request(request)
+        restored = wire.decode_request(frame)
         assert restored == request
         assert restored.client_id == client_id  # read-path QoS keys on this
         assert restored.lane == lane
+        assert wire.peek_method(frame) == method  # what the event loop routes on
 
     @given(
         st.text(min_size=1, max_size=20),
@@ -232,6 +234,40 @@ class TestRequestIdRecovery:
         assert not response.ok
         assert response.error_type == "WireFormatError"
         assert response.request_id == 911
+
+
+class TestPeekMethod:
+    """The event loop routes on the method name without decoding params."""
+
+    FRAME = wire.encode_request(
+        Request(method="servingFor", params={"scope": "sf"}, request_id=7)
+    )
+
+    def test_every_proper_prefix_is_none(self):
+        for cut in range(len(self.FRAME)):
+            assert wire.peek_method(self.FRAME[:cut]) is None
+
+    def test_wrong_version_and_non_request_frames_are_none(self):
+        wrong_version = bytearray(self.FRAME)
+        wrong_version[_PREFIX.size] = 0x02
+        assert wire.peek_method(bytes(wrong_version)) is None
+        response = wire.encode_response(Response(ok=True, result=1, request_id=7))
+        assert wire.peek_method(response) is None
+        assert wire.peek_method(wire.encode_response_abort(ValueError("x"), 7)) is None
+
+    def test_method_length_past_the_frame_or_bad_utf8_is_none(self):
+        at = _PREFIX.size + wire._BIN_HEADER.size
+        overlong = bytearray(self.FRAME)
+        overlong[at:at + 2] = struct.pack(">H", len(self.FRAME))
+        assert wire.peek_method(bytes(overlong)) is None
+        bad_utf8 = bytearray(self.FRAME)
+        bad_utf8[at + 2] = 0xFF
+        assert wire.peek_method(bytes(bad_utf8)) is None
+
+    @given(st.binary(max_size=120))
+    @settings(max_examples=300)
+    def test_never_raises(self, data):
+        assert isinstance(wire.peek_method(data), str | None)
 
 
 class TestErrorTypePreservation:

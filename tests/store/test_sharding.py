@@ -1,10 +1,15 @@
 """Unit tests for the sharded metadata store and the offline rebalance
 tooling (PR 6 tentpole)."""
 
+import threading
+
 import pytest
 
 from repro.core.records import MetricRecord, Model, ModelInstance
 from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
+from repro.service.server import DurableRequestDedupCache
+from repro.store.blob import InMemoryBlobStore
+from repro.store.dal import DataAccessLayer
 from repro.store.sharding import (
     SHARD_MAP_FILENAME,
     SHARD_STRIDE,
@@ -155,7 +160,87 @@ class TestRoutingAndSurface:
         assert store._executor is None  # noqa: SLF001
 
 
+def scatter_threads():
+    return {
+        t for t in threading.enumerate() if t.name.startswith("shard-scatter")
+    }
+
+
+class TestReadsStayOnTheCallingThread:
+    def test_only_a_multi_shard_commit_starts_the_pool(self, store):
+        leaked = scatter_threads()  # other stores in this process, if any
+        for i in range(8):
+            store.insert_model(model(i))
+            store.insert_instance(instance(i, 0))  # one shard per call
+            store.insert_metric(
+                MetricRecord(
+                    metric_id=f"metric-{i}", instance_id=f"i{i}-0",
+                    name="bias", value=0.1,
+                )
+            )
+            store.assign_serving(f"scope-{i}", f"i{i}-0")
+        store.dead_letter_append("rule-1", "act", "Err", "{}")
+        store._model_shard.clear()  # noqa: SLF001 - cold routing caches:
+        store._instance_shard.clear()  # noqa: SLF001 - every read fans out
+        ids = [f"i{i}-0" for i in range(8)]
+        reads = [
+            lambda: store.get_model("m3"),
+            lambda: store.get_instance("i5-0"),
+            lambda: store.get_models([f"m{i}" for i in range(8)]),
+            lambda: list(store.iter_models()),
+            lambda: list(store.iter_instances()),
+            lambda: list(store.iter_metrics()),
+            lambda: store.instances_of_model("ghost"),
+            lambda: store.instances_for_models(["m1", "m6"]),
+            lambda: store.find_instances_by_field("city", "sf"),
+            lambda: store.metrics_for_instances(ids, name="bias"),
+            lambda: store.models_in_family(""),
+            lambda: store.instances_in_family(""),
+            lambda: store.serving_assignments(),
+            lambda: store.serving_assignment_count(),
+            lambda: store.counts(),
+            lambda: store.shard_topology(),
+            lambda: store.dedup_count(),
+            lambda: store.dead_letters_list(),
+            lambda: store.dead_letters_count(),
+        ]
+        for read in reads:
+            assert read() is not None
+            assert store._executor is None  # noqa: SLF001
+            assert scatter_threads() == leaked
+        store.insert_instances([instance(i, 1) for i in range(8)])
+        assert store._executor is not None  # noqa: SLF001
+        assert scatter_threads() - leaked
+
+
 class TestDurableState:
+    def test_completing_a_request_trims_only_its_own_shard(
+        self, store, monkeypatch
+    ):
+        touched = []
+
+        def spy(index, fn):
+            def wrapper(*args, **kwargs):
+                touched.append(index)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for index, shard in enumerate(store._shards):  # noqa: SLF001
+            for name in ("dedup_complete", "dedup_trim"):
+                monkeypatch.setattr(shard, name, spy(index, getattr(shard, name)))
+        cache = DurableRequestDedupCache(
+            DataAccessLayer(store, InMemoryBlobStore()), capacity=SHARDS
+        )
+        owner = store.shard_map.shard_for("client-a")
+        for request_id in range(1, 4):
+            assert cache.claim(("client-a", request_id)) == ("owner", None)
+            cache.complete(("client-a", request_id), b"resp")
+        assert touched == [owner, owner] * 3  # complete + trim, one shard
+        assert store._executor is None  # noqa: SLF001 - and no pool hop
+        # capacity 4 over 4 shards: the owning shard keeps its slice of one
+        assert len(cache) == 1
+
     def test_dedup_claims_stay_on_one_shard(self, store):
         assert store.supports_durable_state
         assert store.dedup_claim("client-a", 1) == ("owner", None)
