@@ -62,7 +62,6 @@ IDEMPOTENT_METHODS = frozenset(
         "familyQuery",
         "servingFor",
         "selectModel",
-        "shardTopology",
         # fleet control plane: drain/undrain are idempotent flips, status
         # is a pure read — all safe to retry without a client_id.
         "fleetStatus",
@@ -497,10 +496,6 @@ class GalleryClient:
 
     def audit_storage(self) -> dict[str, Any]:
         return self.call("auditStorage")
-
-    def shard_topology(self) -> dict[str, Any]:
-        """The serving replica's metadata shard map (epoch, ranges, counts)."""
-        return self.call("shardTopology")
 
     def fleet_status(self) -> dict[str, Any]:
         """The answering replica's serving/draining state."""

@@ -6,13 +6,11 @@ because all state lives in the storage layer.  This module is the client
 half of that deployment:
 
 * :class:`EndpointSet` parses a ``gallery://host:port,host:port`` URL into
-  an ordered replica list plus connection options (timeout, routing
-  policy, QoS lane);
+  an ordered replica list plus connection options (timeout, QoS lane);
 * :class:`FailoverTransport` spreads calls across the replicas with
   **load-aware routing**: per-endpoint latency EWMA plus in-flight depth,
-  power-of-two-choices pick among breaker-admitted non-draining replicas
-  (``routing=roundrobin`` keeps the blind rotation as a baseline), one
-  :class:`~repro.reliability.breaker.CircuitBreaker` per endpoint so a
+  power-of-two-choices pick among breaker-admitted non-draining replicas,
+  one :class:`~repro.reliability.breaker.CircuitBreaker` per endpoint so a
   dead replica is skipped instead of re-probed on every call, and
   mid-call failover on transport errors.  Replayed mutations stay
   exactly-once because every replica shares the durable
@@ -61,7 +59,6 @@ from repro.errors import (
 )
 from repro.reliability.breaker import BreakerState, CircuitBreaker
 from repro.service import wire
-from repro.store.sharding import ShardMap
 from repro.service.client import (
     IDEMPOTENT_METHODS,
     TRANSIENT_ERROR_TYPES,
@@ -78,7 +75,6 @@ if TYPE_CHECKING:
 #: URL scheme accepted by :meth:`EndpointSet.parse`.
 SCHEME = "gallery"
 
-_ROUTINGS = ("p2c", "roundrobin", "shard")
 _LANES = (wire.LANE_INTERACTIVE, wire.LANE_BULK)
 
 #: EWMA smoothing factor for per-endpoint latency (higher = snappier).
@@ -88,18 +84,6 @@ _EWMA_ALPHA = 0.2
 #: keep short: when the mark expires the next pick re-probes the replica,
 #: and a still-draining server just re-marks it with one wasted frame.
 DEFAULT_DRAIN_TTL = 3.0
-
-#: A shard owner is skipped as "overloaded" when its in-flight depth
-#: exceeds the least-loaded admitted replica's by more than this.
-OVERLOAD_DEPTH = 4
-
-#: request_id for the transport's internal ``shardTopology`` fetch.  The
-#: fetch shares the pipelined connection with client calls, and the
-#: pipelined transport forbids two in-flight frames with the same id —
-#: :class:`~repro.service.client.GalleryClient` counts up from 1, so the
-#: internal fetch sits at the top of the wire format's u64 range where
-#: a collision is impossible.
-TOPOLOGY_REQUEST_ID = 2**64 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +102,8 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
     """Parse a ``gallery://`` URL's query string into EndpointSet options.
 
     Shared by :meth:`EndpointSet.parse` and the fleet-URL parser in
-    :mod:`repro.service.membership`.  Unknown keys are rejected loudly.
+    :mod:`repro.service.membership`.  Unknown and repeated keys are
+    rejected loudly.
     """
     options: dict[str, Any] = {}
     if not query:
@@ -127,6 +112,8 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
         if not pair:
             continue
         key, _, value = pair.partition("=")
+        if key in options:
+            raise ValidationError(f"repeated query parameter {key!r}")
         if key == "timeout":
             try:
                 timeout = float(value)
@@ -137,12 +124,6 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
             if timeout <= 0:
                 raise ValidationError("timeout must be positive")
             options["timeout"] = timeout
-        elif key == "routing":
-            if value not in _ROUTINGS:
-                raise ValidationError(
-                    f"unknown routing {value!r} (p2c, roundrobin, or shard)"
-                )
-            options["routing"] = value
         elif key == "lane":
             if value not in _LANES:
                 raise ValidationError(
@@ -160,19 +141,14 @@ class EndpointSet:
 
     Built either from a URL or by the membership layer::
 
-        gallery://10.0.0.1:9000,10.0.0.2:9000?routing=p2c&timeout=10
+        gallery://10.0.0.1:9000,10.0.0.2:9000?timeout=10&lane=bulk
 
-    Query parameters: ``timeout`` (per-call seconds, default 10),
-    ``routing`` (``p2c``, the
-    default — latency-EWMA × in-flight power-of-two-choices;
-    ``roundrobin`` for the blind rotation; ``shard`` to additionally
-    prefer the replica owning a read's model coordinate — see
-    :class:`FailoverTransport`), and
+    Query parameters: ``timeout`` (per-call seconds, default 10) and
     ``lane`` (``interactive``, the default, or ``bulk`` — the QoS lane
     stamped on every request, weighting how the server's read batcher
-    schedules this client against others).  Unknown parameters,
-    malformed ports, and duplicate hosts are rejected loudly — a
-    silently dropped replica is an outage waiting to be discovered.
+    schedules this client against others).  Unknown or repeated
+    parameters, malformed ports, and duplicate hosts are rejected loudly
+    — a silently dropped replica is an outage waiting to be discovered.
 
     Application code should not construct this directly (ruff TID251
     enforces it): go through :func:`connect` or a
@@ -182,7 +158,6 @@ class EndpointSet:
 
     endpoints: tuple[Endpoint, ...]
     timeout: float = 10.0
-    routing: str = "p2c"
     lane: str = wire.LANE_INTERACTIVE
 
     def __post_init__(self) -> None:
@@ -364,13 +339,15 @@ class _EndpointState:
 class FailoverTransport:
     """Routes frames across replica endpoints with breaker-aware failover.
 
-    * **Load-aware picks** (the ``p2c`` default): every endpoint carries a
-      latency EWMA (updated on each answered call) and an in-flight
+    * **Load-aware picks** (power of two choices): every endpoint carries
+      a latency EWMA (updated on each answered call) and an in-flight
       counter; a pick samples two distinct breaker-admitted, non-draining
       replicas and takes the lower ``ewma × (1 + in_flight)`` score.  A
       measurably slow or busy replica keeps serving — just much less —
       and unmeasured replicas score 0 so new endpoints are probed
-      immediately.  ``routing=roundrobin`` restores the blind rotation.
+      immediately.  Ties break toward rotation order, so a fresh
+      transport's first call over two endpoints goes to the first, and
+      over more never to the last.
     * **Live membership**: :meth:`update_endpoints` atomically swaps the
       replica set under an epoch stamp.  Surviving endpoints keep their
       breakers, EWMA, and warm connections; departed ones are retired —
@@ -412,17 +389,6 @@ class FailoverTransport:
     * A tripped breaker decays to half-open after ``reset_timeout``; the
       pick then admits one probe call, and a single success closes the
       circuit (recovered replicas rejoin without operator action).
-    * With ``routing=shard`` the transport lazily fetches the replicas'
-      shard map once via the ``shardTopology`` method and then *prefers*
-      the replica owning a read's model coordinate — shard ``s`` maps to
-      endpoint ``s % N`` — so repeated queries for one coordinate keep
-      hitting the replica whose page cache and document cache already
-      hold it.  The owner is skipped when it is draining or overloaded
-      (its in-flight depth exceeds the least-loaded replica's by more
-      than :data:`OVERLOAD_DEPTH`); everything unroutable (and every
-      mutation) falls back to the p2c pick, and a failed topology fetch
-      degrades silently.  Call :meth:`refresh_topology` after a
-      rebalance.
 
     The retry budget is one :class:`MethodRetryPolicies` budget per call,
     counted across *all* endpoints — a call never takes more than one
@@ -442,7 +408,6 @@ class FailoverTransport:
         transient_errors: frozenset[str] = TRANSIENT_ERROR_TYPES,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        shard_routing: bool | None = None,
         drain_ttl: float = DEFAULT_DRAIN_TTL,
         rng: random.Random | None = None,
     ) -> None:
@@ -466,12 +431,6 @@ class FailoverTransport:
         # Seeded by default so routing decisions are reproducible run to
         # run (and in tests); inject an rng to vary or pin them.
         self._rng = rng or random.Random(0x9E3779B9)
-        routing = endpoint_set.routing
-        if shard_routing is True:
-            routing = "shard"
-        elif shard_routing is False and routing == "shard":
-            routing = "p2c"
-        self._routing = routing
         self._states = [
             self._new_state(endpoint) for endpoint in endpoint_set.endpoints
         ]
@@ -480,9 +439,6 @@ class FailoverTransport:
         self._swap_lock = threading.Lock()
         self._retiring: list[_EndpointState] = []
         self._registry: "FleetRegistry | None" = None
-        self._shard_map: ShardMap | None = None
-        self._topology_lock = threading.Lock()
-        self._topology_attempted = False
         #: epoch of the membership set currently routing (0 = the initial
         #: set; registry swaps stamp their epoch here)
         self.membership_epoch = 0
@@ -522,10 +478,6 @@ class FailoverTransport:
     @property
     def endpoints(self) -> tuple[Endpoint, ...]:
         return self.endpoint_set.endpoints
-
-    @property
-    def routing(self) -> str:
-        return self._routing
 
     def breaker_states(self) -> dict[str, str]:
         """Endpoint address -> breaker state, for operators and tests."""
@@ -616,11 +568,7 @@ class FailoverTransport:
         count = len(states)
         return [states[(start + i) % count] for i in range(count)]
 
-    def _pick_order(
-        self,
-        preferred: _EndpointState | None,
-        exclude: set[_EndpointState],
-    ) -> list[_EndpointState]:
+    def _pick_order(self, exclude: set[_EndpointState]) -> list[_EndpointState]:
         """Candidate endpoints, best first.
 
         Open breakers are filtered out by *peeking* at their state (the
@@ -635,20 +583,14 @@ class FailoverTransport:
             if state in exclude or state.breaker.state is BreakerState.OPEN:
                 continue
             (draining if state.is_draining(now) else active).append(state)
-        if self._routing == "roundrobin" or len(active) < 2:
-            ordered = active + draining
-        else:
-            winner = self._p2c_pick(active)
-            ordered = (
-                [winner]
-                + [state for state in active if state is not winner]
-                + draining
-            )
-        if preferred is not None and self._prefer(preferred, active):
-            ordered = [preferred] + [
-                state for state in ordered if state is not preferred
-            ]
-        return ordered
+        if len(active) < 2:
+            return active + draining
+        winner = self._p2c_pick(active)
+        return (
+            [winner]
+            + [state for state in active if state is not winner]
+            + draining
+        )
 
     def _p2c_pick(self, active: list[_EndpointState]) -> _EndpointState:
         """Power of two choices over *active* (rotation-ordered, len >= 2).
@@ -663,30 +605,14 @@ class FailoverTransport:
             pair = self._rng.sample(active, 2)
         return min(pair, key=lambda state: (state.score(), active.index(state)))
 
-    @staticmethod
-    def _prefer(
-        preferred: _EndpointState, active: list[_EndpointState]
-    ) -> bool:
-        """Shard owners win only while healthy, non-draining, and not
-        carrying :data:`OVERLOAD_DEPTH` more in-flight calls than the
-        least-loaded admitted replica."""
-        if not any(state is preferred for state in active):
-            return False  # draining, breaker-open, excluded, or departed
-        least_loaded = min(state.in_flight for state in active)
-        return preferred.in_flight <= least_loaded + OVERLOAD_DEPTH
-
-    def _admit(
-        self,
-        preferred: _EndpointState | None = None,
-        exclude: set[_EndpointState] | None = None,
-    ) -> _EndpointState | None:
+    def _admit(self, exclude: set[_EndpointState]) -> _EndpointState | None:
         """Best endpoint whose breaker lets the call through, if any.
 
         ``allow()`` is asked one endpoint at a time so a half-open breaker
         spends its single probe only on a call that actually goes to that
         endpoint.
         """
-        for state in self._pick_order(preferred, exclude or set()):
+        for state in self._pick_order(exclude):
             try:
                 state.breaker.allow()
             except CircuitOpenError:
@@ -694,124 +620,21 @@ class FailoverTransport:
             return state
         return None
 
-    # -- shard-aware read routing ---------------------------------------------
-
     @staticmethod
-    def _route_key(request: wire.Request | None) -> str | None:
-        """The model coordinate a read targets, when it names one."""
-        if request is None or request.method in MUTATING_METHODS:
-            return None
-        key = request.params.get("base_version_id")
-        if isinstance(key, str) and key:
-            return key
-        if request.method == "modelQuery":
-            for constraint in request.params.get("constraints") or ():
-                if (
-                    isinstance(constraint, dict)
-                    and constraint.get("field")
-                    in ("baseVersionId", "base_version_id")
-                    and constraint.get("operator") == "equal"
-                    and isinstance(constraint.get("value"), str)
-                ):
-                    return constraint["value"]
-        return None
-
-    def _topology(self) -> ShardMap | None:
-        """The replicas' shard map, fetched lazily (once) off the rotation.
-
-        Any failure — no healthy replica yet, an old server without the
-        ``shardTopology`` method, a malformed payload — leaves the map
-        unset and routing degrades to the plain load-aware pick.
-        """
-        if self._shard_map is not None:
-            return self._shard_map
-        with self._topology_lock:
-            if self._shard_map is not None or self._topology_attempted:
-                return self._shard_map
-            self._topology_attempted = True
-            frame = wire.encode_request(
-                wire.Request(
-                    method="shardTopology",
-                    params={},
-                    request_id=TOPOLOGY_REQUEST_ID,
-                    client_id="",
-                )
-            )
-            for state in self._rotation(self._states):
-                try:
-                    state.breaker.allow()
-                except CircuitOpenError:
-                    continue
-                # allow() may have handed out a half-open breaker's single
-                # recovery probe — the outcome must be recorded either way
-                # or the breaker stays wedged rejecting this endpoint.
-                try:
-                    raw = state.transport()(frame)
-                except Exception:  # noqa: BLE001 - replica unreachable
-                    state.breaker.record_failure()
-                    state.reset()
-                    continue
-                state.breaker.record_success()
-                try:
-                    response = wire.decode_response(raw)
-                    if not response.ok:
-                        continue  # e.g. an old server without the method
-                    self._shard_map = ShardMap.from_dict(response.result)
-                    return self._shard_map
-                except Exception:  # noqa: BLE001 - degrade to p2c
-                    continue
-            return None
-
-    def refresh_topology(self) -> None:
-        """Forget the cached shard map; the next routable read re-fetches
-        it (use after a ``gallery shard split`` rebalance)."""
-        with self._topology_lock:
-            self._shard_map = None
-            self._topology_attempted = False
-
-    @property
-    def topology_epoch(self) -> int | None:
-        """Epoch of the cached shard map, or None before the first fetch."""
-        shard_map = self._shard_map
-        return None if shard_map is None else shard_map.epoch
-
-    def _preferred_state(
-        self, request: wire.Request | None
-    ) -> _EndpointState | None:
-        """The endpoint owning a routable read's shard, under shard routing."""
-        states = self._states
-        if self._routing != "shard" or len(states) < 2:
-            return None
-        key = self._route_key(request)
-        if key is None:
-            return None
-        shard_map = self._topology()
-        if shard_map is None:
-            return None
-        return states[shard_map.shard_for(key) % len(states)]
-
-    @staticmethod
-    def _can_retry(request: wire.Request | None) -> bool:
-        if request is None:  # opaque frame: be conservative
+    def _can_retry(head: tuple[str, str] | None) -> bool:
+        if head is None:  # opaque frame: be conservative
             return False
-        if request.method in IDEMPOTENT_METHODS:
+        method, client_id = head
+        if method in IDEMPOTENT_METHODS:
             return True
-        return bool(request.client_id) and request.method in MUTATING_METHODS
-
-    def _policy_for(self, request: wire.Request | None):
-        method = request.method if request is not None else ""
-        return self._policies.for_method(method)
+        return bool(client_id) and method in MUTATING_METHODS
 
     # -- transport contract ---------------------------------------------------
 
     def __call__(self, data: bytes) -> bytes:
-        try:
-            request = wire.decode_request(data)
-        except Exception:  # noqa: BLE001 - opaque frame
-            request = None
-        retryable = self._can_retry(request)
-        policy = self._policy_for(request)
-        preferred = self._preferred_state(request)
+        head = wire.peek_request_head(data)
+        retryable = self._can_retry(head)
+        policy = self._policies.for_method(head[0] if head is not None else "")
         attempts_allowed = policy.max_attempts if retryable else 1
         deadline = (
             None if policy.deadline is None else self._clock() + policy.deadline
@@ -849,11 +672,7 @@ class FailoverTransport:
                     self._sleep(delay)
             if deadline is not None and self._clock() >= deadline and attempt:
                 break
-            # Only the first attempt honours shard preference: a failed
-            # owner should not be re-picked over healthy fallbacks.
-            state = self._admit(
-                preferred if attempt == 0 else None, drained | failed | limited
-            )
+            state = self._admit(drained | failed | limited)
             if state is None and failed:
                 # Every non-excluded endpoint is out; give already-failed
                 # ones another chance rather than faking a full outage.

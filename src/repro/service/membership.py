@@ -305,14 +305,14 @@ def fleet_from_url(url: str) -> tuple[FleetRegistry, EndpointSet]:
 
     Formats::
 
-        gallery+file:///var/run/gallery/fleet.txt?poll=0.5&routing=p2c
+        gallery+file:///var/run/gallery/fleet.txt?poll=0.5&lane=bulk
         gallery+http://10.0.0.5:8500/v1/gallery/fleet?poll=2
 
     Query parameters are the usual connection options (``timeout``,
-    ``routing``, ``lane``) plus ``poll`` (seconds between registry polls,
-    default 1).  The registry is resolved once, loudly, before this returns
-    — the caller gets a non-empty fleet or a typed error, never a silently
-    empty client.
+    ``lane``) plus ``poll`` (seconds between registry polls, default 1),
+    each at most once.  The registry is resolved once, loudly, before this
+    returns — the caller gets a non-empty fleet or a typed error, never a
+    silently empty client.
     """
     if "://" not in url:
         raise FleetRegistryError(
@@ -324,13 +324,15 @@ def fleet_from_url(url: str) -> tuple[FleetRegistry, EndpointSet]:
             f"unsupported fleet scheme {scheme!r} (expected one of {FLEET_SCHEMES})"
         )
     location, _, query = rest.partition("?")
-    poll_interval = DEFAULT_POLL_INTERVAL
+    poll_interval: float | None = None
     passthrough: list[str] = []
     for pair in query.split("&") if query else ():
         if not pair:
             continue
         key, _, value = pair.partition("=")
         if key == "poll":
+            if poll_interval is not None:
+                raise FleetRegistryError("repeated query parameter 'poll'")
             try:
                 poll_interval = float(value)
             except ValueError:
@@ -354,7 +356,7 @@ def fleet_from_url(url: str) -> tuple[FleetRegistry, EndpointSet]:
             raise FleetRegistryError(f"no registry host in fleet URL {url!r}")
         source = HttpRegistrySource(f"{http_scheme}://{location}")
 
-    registry = FleetRegistry(source, poll_interval=poll_interval)
+    registry = FleetRegistry(source, poll_interval=poll_interval or DEFAULT_POLL_INTERVAL)
     registry.refresh()  # loud on first resolve
     endpoint_set = EndpointSet(endpoints=registry.endpoints(), **options)
     return registry, endpoint_set

@@ -56,13 +56,10 @@ MUTATING_METHODS = frozenset(
 
 #: Control-plane methods a replica keeps answering even while draining —
 #: operators must be able to observe and reverse a drain over the same
-#: wire that refuses data-plane work, and topology discovery must keep
-#: working so clients can learn *where else* to go.  These are also
-#: excluded from the in-flight count a drain waits on, so a
-#: ``fleet drain --wait`` issued over the wire cannot deadlock on itself.
-ADMIN_METHODS = frozenset(
-    {"fleetStatus", "fleetDrain", "fleetUndrain", "shardTopology", "serverStats"}
-)
+#: wire that refuses data-plane work.  These are also excluded from the
+#: in-flight count a drain waits on, so a ``fleet drain --wait`` issued
+#: over the wire cannot deadlock on itself.
+ADMIN_METHODS = frozenset({"fleetStatus", "fleetDrain", "fleetUndrain", "serverStats"})
 
 
 class _RequestDedupCache:
@@ -261,7 +258,6 @@ class GalleryService:
             # storage operations
             "auditStorage": self._audit_storage,
             "collectOrphans": self._collect_orphans,
-            "shardTopology": self._shard_topology,
             # fleet control plane
             "fleetStatus": self._fleet_status,
             "fleetDrain": self._fleet_drain,
@@ -770,28 +766,6 @@ class GalleryService:
 
     def _collect_orphans(self) -> list[str]:
         return self._gallery.dal.collect_orphan_blobs()
-
-    def _shard_topology(self) -> dict[str, Any]:
-        """Advertise the metadata plane's shard map (epoch, ranges, counts).
-
-        Unsharded replicas answer with the degenerate one-shard topology so
-        shard-aware clients need no capability probe.
-        """
-        topology = getattr(self._gallery.dal.metadata, "shard_topology", None)
-        if topology is not None:
-            payload = dict(topology())
-        else:
-            payload = {
-                "epoch": 0,
-                "num_shards": 1,
-                "ranges": [[0, 1 << 32, 0]],
-                "shard_counts": [dict(self._gallery.dal.metadata.counts())],
-            }
-        # Piggyback the serving state so shard-aware clients learn about a
-        # drain from the topology fetch they already make.  ShardMap reads
-        # only the keys it knows, so old clients ignore this for free.
-        payload["fleet"] = self._fleet_status()
-        return payload
 
     def _require_engine(self) -> RuleEngine:
         if self._engine is None:

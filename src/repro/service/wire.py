@@ -234,19 +234,27 @@ def peek_request_id(data: bytes) -> int:
     return request_id
 
 
-def peek_method(data: bytes) -> str | None:
-    """The method name of an encoded request frame, without decoding it.
+def peek_request_head(data: bytes) -> tuple[str, str] | None:
+    """``(method, client_id)`` of an encoded request frame, without decoding.
 
-    The name sits at a fixed position right after the header (``u16``
-    length + bytes), so this is O(1) and touches no params.  Never raises:
-    a frame that is short, malformed or not a request is ``None``.
+    Both names sit back to back right after the fixed header (``u16``
+    length + bytes each), so this is O(1) and touches no params.  Never
+    raises: a frame that is short, malformed or not a request is ``None``.
     """
     try:
         cur = _Cursor(_split_frame(data))
         _, msgtype, _ = cur.unpack(_BIN_HEADER)
-        return cur.text(_U16) if msgtype == _MSG_REQUEST else None
+        if msgtype != _MSG_REQUEST:
+            return None
+        return cur.text(_U16), cur.text(_U16)
     except WireFormatError:
         return None
+
+
+def peek_method(data: bytes) -> str | None:
+    """The method half of :func:`peek_request_head` (``None`` likewise)."""
+    head = peek_request_head(data)
+    return None if head is None else head[0]
 
 
 def peek_response_request_id(data: bytes) -> int:

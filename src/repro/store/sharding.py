@@ -7,8 +7,8 @@ coordinate** while keeping the rest of the stack oblivious:
 
 * :class:`ShardMap` — a stable, hash-ranged partitioning of the 32-bit key
   space.  Every shard owns exactly one contiguous range; the map carries an
-  **epoch** that is bumped by every topology change and is advertised to
-  clients via the ``shardTopology`` service method.  Keys are hashed with
+  **epoch** that is bumped by every topology change and is reported by
+  ``auditStorage`` and ``gallery shard status``.  Keys are hashed with
   BLAKE2b (seedless), so placement is identical across processes and
   restarts — Python's builtin ``hash`` is per-process salted and would
   scatter a key differently on every boot.
@@ -134,7 +134,7 @@ class ShardMap:
 
     Every shard owns exactly one contiguous range; the ranges are sorted,
     disjoint, and cover the whole space.  ``epoch`` increases with every
-    topology change so replicas and clients can detect staleness.
+    topology change so replicas and operators can detect staleness.
     """
 
     def __init__(self, ranges: Sequence[ShardRange], epoch: int = 0) -> None:
@@ -310,7 +310,7 @@ class ShardedMetadataStore(MetadataStore):
         return [dict(shard.counts()) for shard in self._shards]
 
     def shard_topology(self) -> dict[str, Any]:
-        """The payload served by the ``shardTopology`` wire method."""
+        """The shard map plus per-shard row counts (``summary.shards``)."""
         topology = self._map.to_dict()
         topology["shard_counts"] = self.shard_counts()
         return topology

@@ -137,13 +137,8 @@ def test_failover_hides_a_replica_killed_mid_stream(tmp_path):
     the kill shows up only in the transport's failover counter.
     """
     replicas = [_Replica(tmp_path), _Replica(tmp_path)]
-    client = connect(
-        "gallery://"
-        + ",".join(r.address for r in replicas)
-        + "?routing=roundrobin",
-        client_id="stream-chaos",
-        reset_timeout=0.2,
-    )
+    url = "gallery://" + ",".join(r.address for r in replicas)
+    client = connect(url, client_id="stream-chaos", reset_timeout=0.2)
     try:
         client.create_gallery_model("p", "demand")
         instance = client.upload_model(
@@ -152,16 +147,24 @@ def test_failover_hides_a_replica_killed_mid_stream(tmp_path):
         instance_id = instance["instance_id"]
         assert client.load_model_blob(instance_id) == BLOB  # warm both paths
 
+        failovers = 0
         killer = threading.Timer(0.02, replicas[0].server.stop)
         killer.start()
         try:
             for _ in range(8):
-                assert client.load_model_blob(instance_id) == BLOB
+                # A fresh client's first pick over two replicas is the
+                # first one, so every fetch starts on the replica being
+                # killed: the kill cuts one mid-stream or a later one
+                # dials the corpse — and the fetch still recovers.
+                fetcher = connect(url, client_id="stream-chaos")
+                try:
+                    assert fetcher.load_model_blob(instance_id) == BLOB
+                    failovers += fetcher._transport.failovers  # noqa: SLF001
+                finally:
+                    fetcher.close()
         finally:
             killer.join()
-        # The dead replica was dialed at least once after (or during) the
-        # kill — round-robin guarantees it — and the client recovered.
-        assert client._transport.failovers >= 1  # noqa: SLF001 - test probe
+        assert failovers >= 1
     finally:
         client.close()
         for replica in replicas:

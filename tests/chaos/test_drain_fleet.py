@@ -9,12 +9,15 @@ Timeline of the chaos scenario:
 
 1. 3 replicas over one shared sharded store; a registry file lists them;
    every client connects via ``gallery+file://`` and polls the file.
-2. Mid-workload, replica 0 is **drained**: it finishes in-flight
-   requests, refuses new work with the typed retryable
+2. Mid-workload, replicas 0 and 1 — every replica but the last in
+   registry order — are **drained**: they finish in-flight requests,
+   refuse new work with the typed retryable
    :class:`~repro.errors.ReplicaDrainingError`, and clients re-route
-   without surfacing a single error.
-3. The drained replica is **killed** and removed from the registry —
-   safe, because the drain already emptied it.
+   without surfacing a single error.  Half the clients connect only
+   now: a fresh client's first pick is never the last replica, so each
+   of them provably meets the drain.
+3. Replica 0 is **killed** and removed from the registry — safe, because
+   the drain already emptied it.
 4. A **rebuilt** replica starts in the draining state, is added to the
    registry (clients pick it up live), and is then **undrained** — from
    that poll on it serves traffic.
@@ -86,24 +89,22 @@ def test_drain_smoke_registry_feeds_clients_live(tmp_path):
     replicas = [Replica(tmp_path) for _ in range(3)]
     registry = tmp_path / "fleet.txt"
     write_registry(registry, replicas)
-    # roundrobin makes the drain deterministic to exercise: rotation is
-    # guaranteed to dial the draining replica, while the default p2c
-    # router may simply route around it (covered by unit tests).
     client = connect(
-        registry_url(registry, poll="0.05", routing="roundrobin"),
+        registry_url(registry, poll="0.05"),
         client_id="drain-smoke",
         reset_timeout=0.2,
     )
     new = None
     try:
+        # -- drain every replica but the last: zero client-visible errors --
+        # The client has made no call yet, so every replica scores 0 and
+        # ties break toward endpoint order: its first pick is never the
+        # last replica, so it provably meets a drain and re-routes.
+        for replica in replicas[:-1]:
+            assert replica.server.drain(wait_timeout=5.0) is True
+            assert replica.server.draining
         client.create_gallery_model("p", "m")
-        for n in range(3):
-            client.upload_model("p", "m", b"w%d" % n, metadata={"n": n})
-
-        # -- drain one replica: zero client-visible errors ----------------
-        assert replicas[0].server.drain(wait_timeout=5.0) is True
-        assert replicas[0].server.draining
-        for n in range(3, 6):
+        for n in range(6):
             client.upload_model("p", "m", b"w%d" % n, metadata={"n": n})
         assert len(client.call("instancesOf", base_version_id="m")) == 6
 
@@ -139,9 +140,7 @@ class TestDrainFleetChaos:
         replicas = [Replica(tmp_path) for _ in range(3)]
         registry = tmp_path / "fleet.txt"
         write_registry(registry, replicas)
-        # roundrobin => every client is guaranteed to dial the draining
-        # replica at least once, making `drain_reroutes >= 1` deterministic
-        url = registry_url(registry, poll="0.1", routing="roundrobin")
+        url = registry_url(registry, poll="0.1")
 
         setup = connect(
             url, client_id="setup", policies=robust_policies(seed=99)
@@ -191,15 +190,22 @@ class TestDrainFleetChaos:
             threading.Thread(target=worker, args=(ci,), name=f"drain-{ci}")
             for ci in range(CLIENTS)
         ]
+        early, late = threads[: CLIENTS // 2], threads[CLIENTS // 2 :]
         started = time.monotonic()
-        for thread in threads:
+        for thread in early:
             thread.start()
 
         rebuilt = None
         try:
-            # -- mid-workload: drain replica 0, then kill it --------------
+            # -- mid-workload: drain all but the last, kill replica 0 -----
             assert midway.wait(timeout=30.0), "workload never reached midway"
-            assert replicas[0].server.drain(wait_timeout=10.0) is True
+            for replica in replicas[:-1]:
+                assert replica.server.drain(wait_timeout=10.0) is True
+            # Late clients start fresh: every replica scores 0 and ties
+            # break toward registry order, so each first pick is a
+            # draining (or, once replica 0 is gone, dead) replica.
+            for thread in late:
+                thread.start()
             # the drain emptied it, so the kill loses nothing
             write_registry(registry, replicas[1:])
             time.sleep(0.3)  # let pollers drop it before the port dies

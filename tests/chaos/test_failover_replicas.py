@@ -11,7 +11,7 @@ driven through :func:`repro.service.connect`:
   — plus DAL, :class:`Gallery`, :class:`GalleryService`, TCP server) over
   one shard directory + one blob tree;
 * clients hold a single ``gallery://`` URL naming every replica; the
-  :class:`FailoverTransport` rotates reads, skips tripped breakers, and
+  :class:`FailoverTransport` spreads reads, skips tripped breakers, and
   replays interrupted mutations against a different replica;
 * the replay is safe because all replicas share the durable
   ``dedup_entries`` claim table — the second replica answers from the
@@ -137,14 +137,7 @@ def replay_frame(request_id=4242, client_id="replay-probe", tag="replayed"):
 def test_failover_smoke_replicas_share_state_and_dedup(tmp_path):
     """Tier-1 coverage of the replica harness (fast, deterministic)."""
     replicas = start_replicas(tmp_path, count=3)
-    # roundrobin keeps this test's failover assertions deterministic (the
-    # default p2c router may route *around* a corpse without ever dialing
-    # it) and covers the ?routing= baseline escape hatch.
-    client = connect(
-        url_for(replicas, routing="roundrobin"),
-        client_id="smoke",
-        reset_timeout=0.2,
-    )
+    client = connect(url_for(replicas), client_id="smoke", reset_timeout=0.2)
     try:
         # file-backed store => every replica auto-selected durable dedup
         for replica in replicas:
@@ -153,7 +146,7 @@ def test_failover_smoke_replicas_share_state_and_dedup(tmp_path):
         client.create_gallery_model("p", "demand")
         for n in range(3):
             client.upload_model("p", "demand", b"w%d" % n, metadata={"n": n})
-        # reads rotate across replicas yet all see the shared store
+        # reads spread across replicas yet all see the shared store
         for _ in range(3):
             assert len(client.call("instancesOf", base_version_id="demand")) == 3
 
@@ -171,12 +164,23 @@ def test_failover_smoke_replicas_share_state_and_dedup(tmp_path):
         assert replayed == first
         assert len(replicas[0].gallery.instances_of("demand-replay")) == 1
 
-        # -- kill one replica: calls reroute without surfacing an error ----
-        replicas[0].server.stop()
-        for n in range(4):
-            client.upload_model("p", "demand", b"x%d" % n, metadata={"kill": n})
-        assert len(client.call("instancesOf", base_version_id="demand")) == 7
-        assert client._transport.failovers >= 1  # noqa: SLF001 - test probe
+        # -- kill every replica but the last: calls reroute, no error -----
+        # A fresh client scores every replica 0 and breaks ties toward
+        # endpoint order, so its first pick is never the last replica: it
+        # provably dials a corpse and fails over (the measured client above
+        # may legitimately route around one).
+        for replica in replicas[:-1]:
+            replica.server.stop()
+        survivor = connect(url_for(replicas), client_id="smoke-kill")
+        try:
+            for n in range(4):
+                survivor.upload_model(
+                    "p", "demand", b"x%d" % n, metadata={"kill": n}
+                )
+            assert len(survivor.call("instancesOf", base_version_id="demand")) == 7
+            assert survivor._transport.failovers >= 1  # noqa: SLF001 - test probe
+        finally:
+            survivor.close()
 
         # -- full restart of every replica over the same file --------------
         for replica in replicas:

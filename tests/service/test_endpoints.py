@@ -8,6 +8,7 @@ socket the failover stack opened (satellite: the close() leak fix).
 """
 
 import os
+import random
 import time
 
 import pytest
@@ -112,24 +113,23 @@ class TestEndpointParsing:
         assert es.timeout == 10.0
 
     def test_query_parameters(self):
-        es = EndpointSet.parse("gallery://h:1?routing=roundrobin&timeout=2.5")
-        assert es.routing == "roundrobin"
+        es = EndpointSet.parse("gallery://h:1?timeout=2.5")
         assert es.timeout == 2.5
         assert es.lane == wire.LANE_INTERACTIVE  # the default
 
-    @pytest.mark.parametrize("flavour", ["serial", "pipelined"])
-    def test_removed_transport_key_is_rejected_loudly(self, flavour):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("transport", "serial"), ("transport", "pipelined"),
+            ("dialect", "json"), ("dialect", "binary"),
+            ("routing", "p2c"), ("routing", "roundrobin"), ("routing", "shard"),
+        ],
+    )
+    def test_removed_keys_are_rejected_loudly(self, key, value):
         with pytest.raises(
-            ValidationError, match="unknown query parameter 'transport'"
+            ValidationError, match=f"unknown query parameter '{key}'"
         ):
-            EndpointSet.parse(f"gallery://h:1?transport={flavour}")
-
-    @pytest.mark.parametrize("dialect", ["json", "binary"])
-    def test_removed_dialect_key_is_rejected_loudly(self, dialect):
-        with pytest.raises(
-            ValidationError, match="unknown query parameter 'dialect'"
-        ):
-            EndpointSet.parse(f"gallery://h:1?dialect={dialect}")
+            EndpointSet.parse(f"gallery://h:1?{key}={value}")
 
     def test_lane_query_parameter(self):
         es = EndpointSet.parse("gallery://h:1?lane=bulk")
@@ -158,6 +158,7 @@ class TestEndpointParsing:
             "gallery://h:1?bogus=1",           # unknown query parameter
             "gallery://h:1?timeout=soon",      # non-numeric timeout
             "gallery://h:1?timeout=0",         # non-positive timeout
+            "gallery://h:1?lane=bulk&lane=interactive",  # repeated key
         ],
     )
     def test_malformed_urls_are_rejected(self, url):
@@ -169,14 +170,20 @@ class TestEndpointParsing:
             EndpointSet(endpoints=())
 
 
+def frozen_clock():
+    """A clock that never advances: every answered call measures 0 s, so
+    all scores tie and the p2c pick follows rotation order exactly."""
+    return 0.0
+
+
 class TestRouting:
-    def test_round_robin_spreads_reads(self):
+    def test_idle_homogeneous_fleet_spreads_under_p2c(self):
         fleet = Fleet({"a:1": lambda d: ok_frame("from-a"),
                        "b:2": lambda d: ok_frame("from-b")})
         transport = FailoverTransport(
-            EndpointSet(endpoints=two_endpoints(), routing="roundrobin"),
-            policies=fast_policies(),
+            two_endpoints(), policies=fast_policies(),
             transport_factory=fleet.factory, sleep=lambda s: None,
+            clock=frozen_clock,
         )
         for _ in range(4):
             transport(read_frame())
@@ -737,25 +744,35 @@ def three_endpoints():
 
 
 class TestLoadAwareRouting:
-    def build(self, clock, fleet, routing=None):
-        endpoint_set = (
-            EndpointSet(endpoints=three_endpoints())
-            if routing is None
-            else EndpointSet(endpoints=three_endpoints(), routing=routing)
-        )
+    def build(self, clock, fleet):
         return FailoverTransport(
-            endpoint_set,
+            three_endpoints(),
             policies=fast_policies(),
             transport_factory=fleet.factory,
             sleep=lambda s: None,
             clock=clock,
         )
 
-    def test_default_routing_is_p2c(self):
-        clock = TickingClock()
-        fleet = Fleet({a: latency_script(clock, 0.001)
-                       for a in ("a:1", "b:2", "c:3")})
-        assert self.build(clock, fleet).routing == "p2c"
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [None, *range(4)])
+    def test_fresh_transport_first_pick_is_reproducible(self, count, seed):
+        """Unmeasured endpoints all score 0 and ties break toward rotation
+        order: a fresh transport's first call over two endpoints goes to
+        the first, and over more it never goes to the last."""
+        addresses = [f"r{n}:{n + 1}" for n in range(count)]
+        fleet = Fleet({a: (lambda d: ok_frame()) for a in addresses})
+        transport = FailoverTransport(
+            [Endpoint(f"r{n}", n + 1) for n in range(count)],
+            policies=fast_policies(),
+            transport_factory=fleet.factory,
+            sleep=lambda s: None,
+            rng=None if seed is None else random.Random(seed),
+        )
+        transport(read_frame())
+        first = next(a for a in addresses if fleet.calls(a))
+        if count == 2:
+            assert first == addresses[0]
+        assert first != addresses[-1]
 
     def test_p2c_sends_slow_replica_under_quarter_of_reads(self):
         """Acceptance criterion: a +10ms replica in a 3-replica fleet gets
@@ -776,19 +793,6 @@ class TestLoadAwareRouting:
         )
         # the fast replicas carry the traffic (and both participate)
         assert fleet.calls("b:2") > 50 and fleet.calls("c:3") > 50
-
-    def test_roundrobin_baseline_stays_selectable_and_blind(self):
-        clock = TickingClock()
-        fleet = Fleet({
-            "a:1": latency_script(clock, 0.012),
-            "b:2": latency_script(clock, 0.002),
-            "c:3": latency_script(clock, 0.002),
-        })
-        transport = self.build(clock, fleet, routing="roundrobin")
-        for n in range(300):
-            transport(read_frame(request_id=n + 1))
-        # blind rotation: the slow replica gets its full third
-        assert fleet.calls("a:1") == 100
 
     def test_fresh_replica_is_probed_not_starved(self):
         clock = TickingClock()
@@ -830,9 +834,9 @@ class TestLoadAwareRouting:
 
 
 class TestDrainRouting:
-    def build(self, fleet, attempts=4, drain_ttl=3.0, clock=time.monotonic):
+    def build(self, fleet, attempts=4, drain_ttl=3.0, clock=frozen_clock):
         return FailoverTransport(
-            EndpointSet(endpoints=two_endpoints(), routing="roundrobin"),
+            two_endpoints(),
             policies=fast_policies(attempts),
             transport_factory=fleet.factory,
             sleep=lambda s: None,
@@ -966,10 +970,11 @@ class TestRateLimitRouting:
 
     def build(self, fleet, attempts=4, sleeps=None):
         return FailoverTransport(
-            EndpointSet(endpoints=two_endpoints(), routing="roundrobin"),
+            two_endpoints(),
             policies=fast_policies(attempts),
             transport_factory=fleet.factory,
             sleep=(sleeps.append if sleeps is not None else lambda s: None),
+            clock=frozen_clock,
         )
 
     def test_rate_limited_replica_rerouted_without_breaker_penalty(self):

@@ -12,9 +12,7 @@ import pytest
 
 from repro.core.registry import Gallery
 from repro.errors import FleetRegistryError, ValidationError
-from repro.service import wire
-from repro.service.client import MethodRetryPolicies
-from repro.service.endpoints import Endpoint, EndpointSet, FailoverTransport
+from repro.service.endpoints import Endpoint, FailoverTransport
 from repro.service.membership import (
     DEFAULT_POLL_INTERVAL,
     FileRegistrySource,
@@ -34,6 +32,7 @@ from repro.store.metadata_store import InMemoryMetadataStore
 from tests.service.test_endpoints import (
     Fleet,
     fast_policies,
+    frozen_clock,
     ok_frame,
     read_frame,
 )
@@ -250,10 +249,10 @@ class TestFleetUrls:
         path = tmp_path / "fleet.txt"
         path.write_text("a:1\nb:2\n")
         registry, endpoint_set = fleet_from_url(
-            f"gallery+file://{path}?poll=0.25&routing=roundrobin&timeout=3"
+            f"gallery+file://{path}?poll=0.25&lane=bulk&timeout=3"
         )
         assert [e.address for e in endpoint_set.endpoints] == ["a:1", "b:2"]
-        assert endpoint_set.routing == "roundrobin"
+        assert endpoint_set.lane == "bulk"
         assert endpoint_set.timeout == 3.0
         assert registry._poll_interval == 0.25  # noqa: SLF001 - test probe
         assert DEFAULT_POLL_INTERVAL != 0.25
@@ -271,6 +270,8 @@ class TestFleetUrls:
             fleet_from_url(f"gallery+file://{path}?poll=soon")
         with pytest.raises(FleetRegistryError, match="positive"):
             fleet_from_url(f"gallery+file://{path}?poll=0")
+        with pytest.raises(FleetRegistryError, match="repeated .*'poll'"):
+            fleet_from_url(f"gallery+file://{path}?poll=1&poll=30")
 
     def test_missing_registry_path(self):
         with pytest.raises(FleetRegistryError, match="no registry path"):
@@ -298,10 +299,11 @@ def scripted_transport(addresses):
     fleet = Fleet({a: (lambda d: ok_frame("ok")) for a in addresses})
     endpoints = tuple(ep(a) for a in addresses)
     transport = FailoverTransport(
-        EndpointSet(endpoints=endpoints, routing="roundrobin"),
+        endpoints,
         policies=fast_policies(),
         transport_factory=fleet.factory,
         sleep=lambda s: None,
+        clock=frozen_clock,
     )
     return fleet, transport
 
@@ -314,13 +316,11 @@ class TestUpdateEndpoints:
             "c:3": lambda d: ok_frame("c"),
         })
         transport = FailoverTransport(
-            EndpointSet(
-                endpoints=(Endpoint("a", 1), Endpoint("b", 2)),
-                routing="roundrobin",
-            ),
+            (Endpoint("a", 1), Endpoint("b", 2)),
             policies=fast_policies(),
             transport_factory=fleet.factory,
             sleep=lambda s: None,
+            clock=frozen_clock,
         )
         for _ in range(4):
             transport(read_frame())
@@ -384,10 +384,11 @@ class TestUpdateEndpoints:
         registry = FleetRegistry(FileRegistrySource(str(path)))
         registry.refresh()
         transport = FailoverTransport(
-            EndpointSet(endpoints=registry.endpoints(), routing="roundrobin"),
+            registry.endpoints(),
             policies=fast_policies(),
             transport_factory=fleet.factory,
             sleep=lambda s: None,
+            clock=frozen_clock,
         )
         registry.subscribe(transport.update_endpoints, replay=False)
         path.write_text("a:1\nb:2\n")
@@ -420,9 +421,10 @@ def test_no_fd_leak_after_100_membership_cycles():
     stable_ep = Endpoint(*stable.address)
     churn_ep = Endpoint(*churn.address)
     transport = FailoverTransport(
-        EndpointSet(endpoints=(stable_ep,), routing="roundrobin"),
+        (stable_ep,),
         policies=fast_policies(),
         sleep=lambda s: None,
+        clock=frozen_clock,
     )
     try:
         transport(read_frame())  # warm the stable endpoint

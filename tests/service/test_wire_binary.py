@@ -84,6 +84,8 @@ class TestRoundTrips:
         assert restored.client_id == client_id  # read-path QoS keys on this
         assert restored.lane == lane
         assert wire.peek_method(frame) == method  # what the event loop routes on
+        # what the failover transport retries on
+        assert wire.peek_request_head(frame) == (method, client_id)
 
     @given(
         st.text(min_size=1, max_size=20),

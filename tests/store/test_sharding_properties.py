@@ -69,7 +69,7 @@ def test_routing_survives_persistence_round_trip(shard_map, sample):
     assert revived.to_dict() == shard_map.to_dict()
     for key in sample:
         assert revived.shard_for(key) == shard_map.shard_for(key)
-    # and via the wire-shaped dict (what shardTopology serves)
+    # and via the wire-shaped dict (what auditStorage's summary.shards carries)
     rewired = ShardMap.from_dict(json.loads(json.dumps(shard_map.to_dict())))
     for key in sample:
         assert rewired.shard_for(key) == shard_map.shard_for(key)
