@@ -1,19 +1,25 @@
-"""Server-side adaptive micro-batching + multi-tenant QoS for the read path.
+"""Server-side micro-batching + multi-tenant QoS for the read path.
 
 One replica, N concurrent readers: without batching every ``modelQuery`` /
-``getModel`` / metric read costs its own scatter-gather trip into the
-sharded store, even when the coordinates overlap.  This module is the
-TF-Serving-style cross-request batcher (Olston et al.) layered in front of
-:class:`~repro.service.server.GalleryService`: the server's event loop
-offers read-class frames itself — socket to queue with no worker thread in
-between — into a per-lane queue, a collector thread drains
-them on a small *adaptive* window, identical coordinate lookups inside a
-window are answered by a single execution, and groups of distinct
-single-coordinate lookups collapse into one batched DAL call
+``getModel`` / metric read costs its own trip into the sharded store, even
+when the coordinates overlap.  This module is the cross-request batcher
+layered in front of :class:`~repro.service.server.GalleryService`: the
+server's event loop offers read-class frames itself — socket to queue
+with no worker thread in between — into a per-lane queue, a collector
+thread takes whatever is queued as one batch, identical coordinate
+lookups inside a batch are answered by a single execution, and groups of
+distinct single-coordinate lookups collapse into one batched DAL call
 (``get_models`` / ``metrics_for_instances``).  Every waiter still gets its
 own response frame carrying its own ``request_id`` — results are shared
 *computation*, never shared frames, so coalescing cannot leak one tenant's
 response envelope into another's.
+
+The collector never holds a batch open to wait for more arrivals.
+TF-Serving (Olston et al.) does, because its kernels run a batch at
+near-flat cost; here most of a batch runs one ``dispatch`` per unique key,
+and the batched executors amortise over whatever is already queued.
+Requests that arrive while a batch executes form the next batch, so batch
+size follows load with no timer to tune.
 
 The same queue is fronted by multi-tenant QoS:
 
@@ -24,28 +30,20 @@ The same queue is fronted by multi-tenant QoS:
   :class:`~repro.service.endpoints.FailoverTransport` obeys by re-sending
   elsewhere without penalizing this replica's breaker.
 * **Two weighted lanes** (``interactive`` vs ``bulk``, chosen by the
-  request's wire-level ``lane`` field).  The collector drains
-  ``interactive_weight`` interactive waiters for every ``bulk_weight``
-  bulk ones, so a bulk tenant at 10x offered load cannot starve
-  interactive reads of the batch budget.
-
-The window is adaptive in the TF-Serving sense: when the replica is idle
-(batch-size EWMA near 1) a lone request dispatches immediately — the
-window adds ~zero latency to a single client.  Under concurrency the
-collector holds up to ``batch_window_ms`` (closing early when the batch
-fills or an accumulation slice goes quiet), and execution time itself
-accumulates the next batch while the current one runs.
+  request's wire-level ``lane`` field).  The collector drains four
+  interactive waiters for every bulk one, so a bulk tenant at 10x offered
+  load cannot starve interactive reads of the batch budget.
 
 Mutations, blob streaming, and admin/drain methods never enter the queue:
 the event loop routes on :func:`~repro.service.wire.peek_method` and sends
 them to its worker pool, and :meth:`ReadBatcher.offer` declines them the
 same way, before decoding any params, when called directly.
-``batch_window_ms=0`` disables the batcher entirely.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -86,12 +84,11 @@ BATCHABLE_METHODS = frozenset(
 #: Bucket shared by every request that carries no ``client_id``.
 ANONYMOUS_TENANT = "<anonymous>"
 
-#: Batch-size EWMA below which the collector treats the replica as idle
-#: and dispatches without holding the window open.
-_IDLE_EWMA = 1.5
+#: Most waiters the collector takes off the lanes as one batch.
+_MAX_BATCH = 64
 
-#: EWMA smoothing factor for the load estimate.
-_EWMA_ALPHA = 0.2
+#: Weighted round-robin drain order: four interactive waiters per bulk one.
+_LANE_WEIGHTS = ((wire.LANE_INTERACTIVE, 4), (wire.LANE_BULK, 1))
 
 #: Batch-size histogram bucket labels (upper bounds; last is open-ended).
 _HISTOGRAM_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
@@ -99,58 +96,38 @@ _HISTOGRAM_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 @dataclass(frozen=True, slots=True)
 class BatchConfig:
-    """Tuning knobs for the read-path batcher and its QoS front.
-
-    ``batch_window_ms`` is the *maximum* hold time under load — the
-    adaptive window closes early whenever the batch fills or arrivals go
-    quiet, and skips the hold entirely when the replica is idle.  Zero
-    disables batching (every frame takes the unbatched path).
+    """Per-tenant rate limiting in front of the read-path batcher.
 
     ``rate_limit`` is tokens (requests) per second per tenant;
-    ``burst`` is the bucket capacity (defaults to one second of refill).
-    ``None`` disables rate limiting — lanes and coalescing still apply.
+    ``burst`` is the bucket capacity (defaults to one second of refill,
+    and never less than one token).  ``None`` disables rate limiting —
+    lanes and coalescing still apply.  A limit the buckets could not
+    apply as given is refused with ``ValueError``.
     """
 
-    batch_window_ms: float = 2.0
-    max_batch: int = 64
-    interactive_weight: int = 4
-    bulk_weight: int = 1
     rate_limit: float | None = None
     burst: float | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.interactive_weight < 1 or self.bulk_weight < 1:
-            raise ValueError("lane weights must be >= 1")
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise ValueError("rate_limit must be positive (or None)")
-
-    @property
-    def enabled(self) -> bool:
-        return self.batch_window_ms > 0
-
-    @property
-    def bucket_capacity(self) -> float:
         if self.rate_limit is None:
-            return 0.0
-        return self.burst if self.burst is not None else self.rate_limit
+            if self.burst is not None:
+                raise ValueError("burst needs a rate_limit")
+            return
+        if not 0 < self.rate_limit < math.inf:
+            raise ValueError("rate_limit must be positive and finite (or None)")
+        if self.burst is not None and not 1 <= self.burst < math.inf:
+            raise ValueError("burst must be >= 1 and finite")
+
+    @property
+    def bucket_capacity(self) -> float | None:
+        """The capacity every tenant bucket gets; ``None`` when unlimited."""
+        if self.rate_limit is None:
+            return None
+        return self.burst if self.burst is not None else max(self.rate_limit, 1.0)
 
     def to_dict(self) -> dict[str, Any]:
-        """Config as stamped into ``serverStats`` and BENCH env blocks."""
-        return {
-            "batch_window_ms": self.batch_window_ms,
-            "max_batch": self.max_batch,
-            "lane_weights": {
-                wire.LANE_INTERACTIVE: self.interactive_weight,
-                wire.LANE_BULK: self.bulk_weight,
-            },
-            "rate_limit": self.rate_limit,
-            "burst": self.bucket_capacity if self.rate_limit else None,
-            "enabled": self.enabled,
-        }
+        """Config as stamped into ``serverStats``."""
+        return {"rate_limit": self.rate_limit, "burst": self.bucket_capacity}
 
 
 class TokenBucket:
@@ -198,7 +175,7 @@ class _Waiter:
 
 @dataclass(slots=True)
 class _Group:
-    """All waiters in one window that asked the same (method, params)."""
+    """All waiters in one batch that asked the same (method, params)."""
 
     request: wire.Request  # representative
     waiters: list[_Waiter] = field(default_factory=list)
@@ -209,8 +186,8 @@ class ReadBatcher:
 
     The event-loop server offers read-class frames via :meth:`offer` from
     its loop thread, so ``offer`` must stay cheap: it never touches the
-    store.  ``offer`` returns ``False`` to decline (not a read, batching
-    disabled, frame undecodable, replica draining) — the caller then
+    store.  ``offer`` returns ``False`` to decline (not a read, frame
+    undecodable, replica draining, batcher closed) — the caller then
     dispatches on its worker pool.  ``True`` means the batcher took
     ownership: the ``deliver`` callback will be invoked exactly once with
     the encoded response frame, from the collector thread (or inline, for
@@ -249,13 +226,12 @@ class ReadBatcher:
             "metricsOf": 0,
             "metricsForInstances": 0,
         }
-        self._load_ewma = 0.0
 
     # -- admission -----------------------------------------------------------
 
     def offer(self, frame: bytes, deliver: Callable[[bytes], None]) -> bool:
         """Try to take ownership of *frame*; ``False`` means "not mine"."""
-        if not self.config.enabled or self._stopped:
+        if self._stopped:
             return False
         if wire.peek_method(frame) not in BATCHABLE_METHODS:
             return False  # declined before paying for a params decode
@@ -330,47 +306,16 @@ class ReadBatcher:
                     self._cond.wait()
                 if self._stopped and self._queued() == 0:
                     return
-            batch = self._collect()
+            batch = self._drain_weighted(_MAX_BATCH)
             if batch:
                 self._execute_batch(batch)
 
-    def _collect(self) -> list[_Waiter]:
-        """Drain one adaptive-window batch off the lane queues."""
-        max_batch = self.config.max_batch
-        batch = self._drain_weighted(max_batch)
-        window = self.config.batch_window_ms / 1000.0
-        with self._cond:
-            loaded = self._load_ewma >= _IDLE_EWMA
-        if batch and loaded and len(batch) < max_batch and not self._stopped:
-            # Under load: hold the window open in quarter slices, closing
-            # early when the batch fills or a slice sees no arrivals.
-            deadline = self._clock() + window
-            slice_s = window / 4.0
-            while len(batch) < max_batch:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    break
-                time.sleep(min(slice_s, remaining))
-                more = self._drain_weighted(max_batch - len(batch))
-                if not more:
-                    break
-                batch.extend(more)
-        with self._cond:
-            self._load_ewma = (
-                (1 - _EWMA_ALPHA) * self._load_ewma + _EWMA_ALPHA * len(batch)
-            )
-        return batch
-
     def _drain_weighted(self, budget: int) -> list[_Waiter]:
-        """Weighted round-robin drain: interactive_weight : bulk_weight."""
+        """Weighted round-robin drain of what is queued, up to *budget*."""
         out: list[_Waiter] = []
-        weights = (
-            (wire.LANE_INTERACTIVE, self.config.interactive_weight),
-            (wire.LANE_BULK, self.config.bulk_weight),
-        )
         with self._cond:
             while len(out) < budget and self._queued():
-                for lane, weight in weights:
+                for lane, weight in _LANE_WEIGHTS:
                     queue = self._lanes[lane]
                     for _ in range(min(weight, budget - len(out))):
                         if not queue:
@@ -421,7 +366,7 @@ class ReadBatcher:
             self._fan_out(group, response)
 
     def _group(self, batch: list[_Waiter]) -> list[_Group]:
-        """Coalesce identical (method, params) lookups within the window.
+        """Coalesce identical (method, params) lookups within the batch.
 
         The key deliberately ignores ``client_id`` and ``lane``: two
         tenants asking for the same coordinate share one execution.  Each
@@ -461,7 +406,7 @@ class ReadBatcher:
     # -- batched DAL executors ------------------------------------------------
     # Each mirrors its single-coordinate handler exactly (same result shape,
     # same NotFoundError message) but pays one store round-trip for the
-    # whole window.  Groups whose params don't match the canonical shape
+    # whole batch.  Groups whose params don't match the canonical shape
     # are left out of `responses`, falling back to per-group dispatch.
 
     def _run_get_models(
@@ -594,7 +539,6 @@ class ReadBatcher:
                 "admitted": dict(self._admitted),
                 "refusals": self._refusals,
                 "tenants": tenants,
-                "load_ewma": round(self._load_ewma, 3),
             }
 
     def close(self) -> None:

@@ -78,7 +78,7 @@ SCHEME = "gallery"
 _LANES = (wire.LANE_INTERACTIVE, wire.LANE_BULK)
 
 #: EWMA smoothing factor for per-endpoint latency (higher = snappier).
-_EWMA_ALPHA = 0.2
+_LATENCY_ALPHA = 0.2
 
 #: Seconds a drain rejection keeps an endpoint out of the pick.  Cheap to
 #: keep short: when the mark expires the next pick re-probes the replica,
@@ -290,7 +290,7 @@ class _EndpointState:
             if self.ewma is None:
                 self.ewma = latency
             else:
-                self.ewma += _EWMA_ALPHA * (latency - self.ewma)
+                self.ewma += _LATENCY_ALPHA * (latency - self.ewma)
 
     def score(self) -> float:
         """Load score: latency estimate scaled by queue depth.

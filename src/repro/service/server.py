@@ -207,8 +207,7 @@ class GalleryService:
         self._engine = engine
         # The read-path micro-batcher + QoS front.  Only the TCP server
         # feeds it (via ReadBatcher.offer); handle_frame dispatches directly
-        # and stays unbatched.  Pass BatchConfig(batch_window_ms=0) to
-        # disable batching entirely.
+        # and stays unbatched.  BatchConfig only sets per-tenant rate limits.
         self.read_batcher = ReadBatcher(self, batching or BatchConfig())
         if durable_dedup is None:
             durable_dedup = bool(

@@ -16,8 +16,10 @@ Properties under fuzz:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
+import types
 
 import hypothesis.strategies as st
 import pytest
@@ -252,7 +254,7 @@ class TestLaneScheduling:
         stays inside the configured bound end-to-end over the event-loop
         server."""
         gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery, batching=BatchConfig(batch_window_ms=2.0))
+        service = GalleryService(gallery, batching=BatchConfig())
         server = GalleryTcpServer(service).start()
         host, port = server.address
         p95_bound_s = 0.25  # generous CI bound; unloaded p50 is ~sub-ms
@@ -315,10 +317,7 @@ class TestRateLimiting:
     def build(self, rate=2.0, burst=2.0):
         gallery, model_ids, _ = seeded_gallery()
         service = GalleryService(
-            gallery,
-            batching=BatchConfig(
-                batch_window_ms=2.0, rate_limit=rate, burst=burst
-            ),
+            gallery, batching=BatchConfig(rate_limit=rate, burst=burst)
         )
         clock = {"now": 0.0}
         batcher = ReadBatcher(service, service.read_batcher.config,
@@ -401,16 +400,94 @@ class TestRateLimiting:
         assert ANONYMOUS_TENANT in batcher.stats_snapshot()["tenants"]
         batcher.close()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rate_limit": 10.0, "burst": -5.0},  # bucket would clamp to 1
+            {"rate_limit": 10.0, "burst": 0.5},
+            {"rate_limit": 10.0, "burst": float("nan")},
+            {"burst": 5.0},  # no bucket exists to size
+            {"rate_limit": float("nan")},
+            {"rate_limit": float("inf")},
+        ],
+    )
+    def test_config_refuses_limits_the_buckets_would_not_apply(self, kwargs):
+        with pytest.raises(ValueError):
+            BatchConfig(**kwargs)
+
+    @pytest.mark.parametrize("rate, burst", [(10.0, None), (10.0, 3.0), (0.5, None)])
+    def test_reported_burst_is_the_bucket_capacity(self, rate, burst):
+        config = BatchConfig(rate_limit=rate, burst=burst)
+        bucket = TokenBucket(rate, config.bucket_capacity, now=0.0)
+        assert config.to_dict() == {"rate_limit": rate, "burst": bucket.capacity}
+
+    def test_rate_limit_and_burst_are_the_only_settings(self):
+        # batch size, lane weights and the batching schedule are fixed
+        assert [f.name for f in dataclasses.fields(BatchConfig)] == [
+            "rate_limit", "burst",
+        ]
+
 
 # ---------------------------------------------------------------------------
-# integration: both modes, serverStats
+# collector: drain what is queued, never hold
+# ---------------------------------------------------------------------------
+
+
+class TestCollector:
+    def test_loaded_batcher_never_holds(self, monkeypatch):
+        """After a burst big enough to count as load, the next burst is
+        still answered at once: the collector never sleeps to let a batch
+        grow."""
+        from repro.service import batching
+        from repro.service.batching import _Waiter
+
+        def no_sleep(seconds):
+            raise AssertionError(f"collector held a batch open for {seconds}s")
+
+        monkeypatch.setattr(
+            batching, "time",
+            types.SimpleNamespace(monotonic=time.monotonic, sleep=no_sleep),
+        )
+        gallery, model_ids, _ = seeded_gallery()
+        service = GalleryService(gallery)
+        batcher = service.read_batcher
+
+        def request(request_id):
+            return make_request("getModel", {"model_id": model_ids[0]}, request_id)
+
+        def frame(request_id):
+            return wire.encode_request(request(request_id))
+
+        first = Collector()
+        first.expected = 12
+        for k in range(11):  # queued before the collector thread exists
+            batcher._lanes["interactive"].append(
+                _Waiter(request=request(k + 1), deliver=first.deliver_for(k),
+                        counted=False)
+            )
+        assert batcher.offer(frame(12), first.deliver_for(11))  # starts it
+        assert first.done.wait(timeout=5.0)
+
+        second = Collector()
+        second.expected = 3
+        for k in range(3):
+            assert batcher.offer(frame(100 + k), second.deliver_for(k))
+        assert second.done.wait(timeout=5.0), "second burst never answered"
+        batcher.close()
+        for collected in (first, second):
+            assert all(len(f) == 1 for f in collected.frames.values())
+            assert len(collected.frames) == collected.expected
+
+
+# ---------------------------------------------------------------------------
+# integration: TCP, serverStats, drain, close
 # ---------------------------------------------------------------------------
 
 
 class TestServerIntegration:
     def test_concurrent_duplicate_reads_coalesce_over_tcp(self):
         gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery, batching=BatchConfig(batch_window_ms=2.0))
+        service = GalleryService(gallery, batching=BatchConfig())
         server = GalleryTcpServer(service).start()
         host, port = server.address
         results, errors = [], []
@@ -444,29 +521,9 @@ class TestServerIntegration:
         assert stats["batched_requests"] == 160
         assert stats["batches"] >= 1
 
-    def test_batching_disabled_via_window_zero(self):
-        gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(
-            gallery, batching=BatchConfig(batch_window_ms=0)
-        )
-        assert not service.read_batcher.config.enabled
-        server = GalleryTcpServer(service).start()
-        host, port = server.address
-        client = GalleryClient(PipelinedTcpTransport(host, port))
-        try:
-            got = client.call("getModel", model_id=model_ids[0])
-            assert got["model_id"] == model_ids[0]
-            with pytest.raises(NotFoundError):
-                client.call("getModel", model_id="ghost")
-        finally:
-            client.close()
-            server.stop()
-        stats = service.read_batcher.stats_snapshot()
-        assert stats["batched_requests"] == 0  # everything went unbatched
-
     def test_server_stats_method_and_audit_summary(self):
         gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery, batching=BatchConfig(batch_window_ms=2.0))
+        service = GalleryService(gallery, batching=BatchConfig())
         server = GalleryTcpServer(service).start()
         host, port = server.address
         client = GalleryClient(PipelinedTcpTransport(host, port), client_id="ops")
@@ -478,7 +535,7 @@ class TestServerIntegration:
             client.close()
             server.stop()
         assert stats["batching"]["batched_requests"] >= 1
-        assert stats["batching"]["config"]["enabled"]
+        assert stats["batching"]["config"] == {"rate_limit": None, "burst": None}
         assert stats["fleet"]["status"] == "serving"
         assert "request_dedup" in stats
         assert "batching" in audit["summary"]

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.registry import Gallery
 from repro.cli import main
-from repro.service.batching import BatchConfig
 from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer
 from repro.store.blob import InMemoryBlobStore
@@ -97,8 +96,8 @@ def test_server_stats_reports_batching_counters(capsys, replicas):
     assert code == 0
     assert stats["fleet"]["status"] == "serving"
     batching = stats["batching"]
-    # the replica runs the session-default BatchConfig, whatever that is
-    assert batching["config"]["enabled"] == BatchConfig().enabled
+    # the replica runs the default BatchConfig: no rate limit
+    assert batching["config"] == {"rate_limit": None, "burst": None}
     assert set(batching["queue_depth"]) == {"interactive", "bulk"}
     assert "coalesce_ratio" in batching
     assert "batch_size_histogram" in batching
@@ -114,6 +113,6 @@ def test_gc_with_replica_surfaces_live_counters(capsys, tmp_path, replicas):
     )
     assert code == 0
     assert report["replica"]["address"] == target
-    assert report["replica"]["batching"]["config"]["enabled"] == BatchConfig().enabled
+    assert report["replica"]["batching"]["config"] == {"rate_limit": None, "burst": None}
     assert "refusals" in report["replica"]["batching"]
     assert "request_dedup" in report["replica"]
