@@ -3,8 +3,9 @@
 The paper's read path updates an LRU cache with every requested blob.
 This ablation serves a Zipf-distributed blob workload (serving traffic
 concentrates on champion instances) with and without the cache and
-reports hit rate, physical blob-store reads, and simulated backing-store
-latency saved.  The benchmark times a cached hot read.
+reports hit rate, physical blob-store reads, and the backing-store latency
+those reads would cost at a modeled round trip per physical get.  The
+benchmark times a cached hot read.
 """
 
 from __future__ import annotations
@@ -13,23 +14,21 @@ import numpy as np
 from conftest import report
 
 from repro.core.records import ModelInstance
-from repro.store.blob import FaultInjectingBlobStore, FaultPlan, InMemoryBlobStore
+from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 N_INSTANCES = 200
 N_READS = 5_000
 BLOB_SIZE = 4_096
-GET_LATENCY_S = 0.004  # simulated S3/HDFS round trip
+GET_LATENCY_S = 0.004  # modeled S3/HDFS round trip per physical get
 
 
 def build_dal(cache_bytes: int | None):
-    blobs = FaultInjectingBlobStore(
-        InMemoryBlobStore(), FaultPlan(get_latency_s=GET_LATENCY_S)
-    )
+    blobs = InMemoryBlobStore()
     cache = LRUBlobCache(cache_bytes) if cache_bytes else None
-    dal = DataAccessLayer(InMemoryMetadataStore(), blobs, cache)
+    dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), blobs, cache)
     for index in range(N_INSTANCES):
         dal.save_instance(
             ModelInstance(
@@ -52,11 +51,10 @@ def zipf_reads(seed: int = 3):
 def run_workload(cache_bytes: int | None):
     dal, blobs = build_dal(cache_bytes)
     reads_before = blobs.stats.gets
-    latency_before = blobs.stats.simulated_latency_s
     for instance_id in zipf_reads():
         dal.load_blob(instance_id)
     physical = blobs.stats.gets - reads_before
-    latency = blobs.stats.simulated_latency_s - latency_before
+    latency = physical * GET_LATENCY_S
     hit_rate = dal.cache.stats.hit_rate if dal.cache else 0.0
     return dal, physical, latency, hit_rate
 
@@ -78,7 +76,7 @@ def test_cache_ablation(benchmark):
         "ABL-CACHE_blob_read_cache",
         [
             f"workload: {N_READS} Zipf(1.3) reads over {N_INSTANCES} instances, "
-            f"{BLOB_SIZE}B blobs, {GET_LATENCY_S * 1e3:.0f}ms simulated store RTT",
+            f"{BLOB_SIZE}B blobs, {GET_LATENCY_S * 1e3:.0f}ms modeled store RTT",
             "",
             f"{'config':<12}{'physical reads':>16}{'hit rate':>10}{'store latency s':>17}",
             f"{'no cache':<12}{uncached_physical:>16}{0.0:>10.2f}{uncached_latency:>17.1f}",

@@ -14,49 +14,28 @@ blob.  The benchmark times a clean save through the full DAL path.
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 from conftest import report
 
 from repro.core.records import ModelInstance
-from repro.errors import GalleryError, MetadataStoreError
-from repro.store.blob import FaultInjectingBlobStore, FaultPlan, InMemoryBlobStore
+from repro.errors import GalleryError
+from repro.reliability import FaultInjector, FaultyBlobStore, FaultyMetadataStore
+from repro.store.blob import FilesystemBlobStore, InMemoryBlobStore, content_address
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 N_INSTANCES = 500
 
 
-class FlakyMetadataStore(InMemoryMetadataStore):
-    """Metadata store that fails a scheduled set of instance inserts."""
-
-    def __init__(self, failing_ordinals: set[int]) -> None:
-        super().__init__()
-        self._failing = failing_ordinals
-        self._ordinal = 0
-
-    def insert_instance(self, instance: ModelInstance) -> None:
-        self._ordinal += 1
-        if self._ordinal in self._failing:
-            raise MetadataStoreError(
-                f"injected metadata failure (ordinal {self._ordinal})"
-            )
-        super().insert_instance(instance)
-
-
 def ingest_with_faults(blob_fail_rate: float, metadata_fail_rate: float, seed: int):
-    rng = random.Random(seed)
-    blob_failures = {
-        i for i in range(1, N_INSTANCES + 1) if rng.random() < blob_fail_rate
-    }
-    metadata_failures = {
-        i for i in range(1, N_INSTANCES + 1) if rng.random() < metadata_fail_rate
-    }
-    metadata = FlakyMetadataStore(metadata_failures)
-    blobs = FaultInjectingBlobStore(
-        InMemoryBlobStore(), FaultPlan(fail_puts=blob_failures)
+    metadata = FaultyMetadataStore(
+        SQLiteMetadataStore(":memory:"),
+        FaultInjector(seed, metadata_fail_rate, ops={"insert_instance"}),
+    )
+    blobs = FaultyBlobStore(
+        InMemoryBlobStore(), FaultInjector(seed + 1, blob_fail_rate, ops={"put"})
     )
     dal = DataAccessLayer(metadata, blobs, LRUBlobCache(1 << 20))
     saved = failed = 0
@@ -84,30 +63,22 @@ class MetadataFirstDAL(DataAccessLayer):
 
     Writes metadata before the blob, so a blob-write failure strands
     metadata that points at nothing — exactly the corruption class the
-    paper's write-blob-first rule exists to rule out.
+    paper's write-blob-first rule exists to rule out.  The row records the
+    location the content-addressed store will give the blob.
     """
 
     def save_instance(self, instance, blob):
-        stored = replace(instance, blob_location=f"pending://{instance.instance_id}")
+        stored = replace(instance, blob_location=f"fs://{content_address(blob)}")
         self.metadata.insert_instance(stored)
-        location = self.blobs.put(blob, hint=instance.instance_id)
-        # a crash here leaves the 'pending://' pointer behind; emulate the
-        # repair step succeeding only when the blob write succeeded
-        final = replace(stored, blob_location=location)
-        self.metadata._instances[instance.instance_id] = final  # type: ignore[attr-defined]
-        return final
+        self.blobs.put(blob, hint=instance.instance_id)
+        return stored
 
 
-def ingest_metadata_first(blob_fail_rate: float, seed: int):
-    rng = random.Random(seed)
-    blob_failures = {
-        i for i in range(1, N_INSTANCES + 1) if rng.random() < blob_fail_rate
-    }
-    metadata = InMemoryMetadataStore()
-    blobs = FaultInjectingBlobStore(
-        InMemoryBlobStore(), FaultPlan(fail_puts=blob_failures)
+def ingest_metadata_first(blob_fail_rate: float, seed: int, blob_dir):
+    blobs = FaultyBlobStore(
+        FilesystemBlobStore(blob_dir), FaultInjector(seed, blob_fail_rate, ops={"put"})
     )
-    dal = MetadataFirstDAL(metadata, blobs, None)
+    dal = MetadataFirstDAL(SQLiteMetadataStore(":memory:"), blobs, None)
     for index in range(N_INSTANCES):
         instance = ModelInstance(
             instance_id=f"i{index:05d}",
@@ -119,16 +90,10 @@ def ingest_metadata_first(blob_fail_rate: float, seed: int):
             dal.save_instance(instance, f"blob-{index}".encode())
         except GalleryError:
             pass
-    # 'pending://' pointers reference nothing in the blob store
-    dangling = sum(
-        1
-        for record in metadata.iter_instances()
-        if record.blob_location.startswith("pending://")
-    )
-    return dangling
+    return len(dal.audit_consistency().dangling_instances)
 
 
-def test_write_blob_first_consistency(benchmark):
+def test_write_blob_first_consistency(benchmark, tmp_path):
     lines = [
         f"{'blob-fail':>10}{'meta-fail':>10}{'saved':>8}{'failed':>8}"
         f"{'orphan blobs':>14}{'dangling meta':>15}"
@@ -155,7 +120,7 @@ def test_write_blob_first_consistency(benchmark):
     lines.append("metadata-write failures leave only invisible, GC-able orphan blobs")
 
     # counterfactual: metadata-first ordering under the same blob failures
-    counterfactual_dangling = ingest_metadata_first(0.1, seed=79)
+    counterfactual_dangling = ingest_metadata_first(0.1, seed=79, blob_dir=tmp_path)
     assert counterfactual_dangling > 0, (
         "metadata-first must exhibit the hazard blob-first prevents"
     )
@@ -166,7 +131,9 @@ def test_write_blob_first_consistency(benchmark):
     )
 
     # benchmark the clean write path
-    dal = DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore(), LRUBlobCache(1 << 20))
+    dal = DataAccessLayer(
+        SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), LRUBlobCache(1 << 20)
+    )
     counter = iter(range(10_000_000))
 
     def save_one():

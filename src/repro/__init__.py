@@ -30,11 +30,7 @@ from repro.rules.events import EventBus
 from repro.store.blob import BlobStore, FilesystemBlobStore, InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import (
-    InMemoryMetadataStore,
-    MetadataStore,
-    SQLiteMetadataStore,
-)
+from repro.store.metadata_store import MetadataStore, SQLiteMetadataStore
 from repro.store.sharding import open_sharded_store
 
 __version__ = "1.0.0"
@@ -54,32 +50,31 @@ def build_gallery(
 ) -> Gallery:
     """Assemble a Gallery with the requested storage backends.
 
-    ``metadata_backend`` is ``"memory"`` or ``"sqlite"``; ``blob_backend`` is
-    ``"memory"`` or ``"fs"``.  Durable backends need *data_dir*.  Pass
+    Metadata always lives in SQLite: ``metadata_backend="memory"`` is a
+    private ``:memory:`` database, ``"sqlite"`` a file under *data_dir*
+    (``:memory:`` too when no *data_dir* is given).  ``blob_backend`` is
+    ``"memory"`` or ``"fs"``; durable backends need *data_dir*.  Pass
     ``cache_bytes=None`` to disable the blob read cache.  With the sqlite
     backend, ``shard_count`` > 1 (or an existing ``shards/`` layout under
     *data_dir*) selects the hash-partitioned sharded metadata plane.
     """
     metadata: MetadataStore
-    if metadata_backend == "memory":
-        if shard_count is not None and shard_count > 1:
-            raise ValueError("shard_count requires metadata_backend='sqlite'")
-        metadata = InMemoryMetadataStore()
-    elif metadata_backend == "sqlite":
-        if data_dir is None:
-            if shard_count is not None and shard_count > 1:
-                raise ValueError("sharded sqlite backend requires data_dir")
-            metadata = SQLiteMetadataStore(":memory:")
-        else:
-            shards_dir = os.path.join(os.fspath(data_dir), "shards")
-            if shard_count is not None or os.path.isdir(shards_dir):
-                metadata = open_sharded_store(shards_dir, shard_count)
-            else:
-                metadata = SQLiteMetadataStore(
-                    os.path.join(os.fspath(data_dir), "gallery.sqlite")
-                )
-    else:
+    if metadata_backend not in ("memory", "sqlite"):
         raise ValueError(f"unknown metadata backend {metadata_backend!r}")
+    if metadata_backend == "memory" or data_dir is None:
+        if shard_count is not None and shard_count > 1:
+            raise ValueError(
+                "shard_count requires metadata_backend='sqlite' and a data_dir"
+            )
+        metadata = SQLiteMetadataStore(":memory:")
+    else:
+        shards_dir = os.path.join(os.fspath(data_dir), "shards")
+        if shard_count is not None or os.path.isdir(shards_dir):
+            metadata = open_sharded_store(shards_dir, shard_count)
+        else:
+            metadata = SQLiteMetadataStore(
+                os.path.join(os.fspath(data_dir), "gallery.sqlite")
+            )
 
     blobs: BlobStore
     if blob_backend == "memory":

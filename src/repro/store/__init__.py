@@ -2,8 +2,6 @@
 
 from repro.store.blob import (
     BlobStore,
-    FaultInjectingBlobStore,
-    FaultPlan,
     FilesystemBlobStore,
     InMemoryBlobStore,
     content_address,
@@ -11,7 +9,6 @@ from repro.store.blob import (
 from repro.store.cache import CacheStats, LRUBlobCache
 from repro.store.dal import ConsistencyReport, DataAccessLayer
 from repro.store.metadata_store import (
-    InMemoryMetadataStore,
     MetadataStore,
     SQLiteMetadataStore,
 )
@@ -31,11 +28,8 @@ __all__ = [
     "CacheStats",
     "ConsistencyReport",
     "DataAccessLayer",
-    "FaultInjectingBlobStore",
-    "FaultPlan",
     "FilesystemBlobStore",
     "InMemoryBlobStore",
-    "InMemoryMetadataStore",
     "LRUBlobCache",
     "MetadataStore",
     "SQLiteMetadataStore",

@@ -17,10 +17,9 @@ contract:
   on first serve and the (mtime_ns, size) signature is remembered, so the
   fast path skips the per-read hash without ever serving a file that
   changed since verification.
-* :class:`FaultInjectingBlobStore` — a wrapper that injects deterministic
-  write/read failures and accounts simulated latency, used by the
-  write-blob-first consistency experiment (EXP-STORE) and the cache ablation
-  (ABL-CACHE).
+
+Failure injection (errors, torn writes, rotten reads) wraps any of these in
+:class:`repro.reliability.faults.FaultyBlobStore`.
 
 All stores guard their counters with a lock: the concurrent benchmarks and
 the multi-worker servers call ``put``/``get`` from many threads at once.
@@ -33,7 +32,7 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import (
@@ -55,14 +54,13 @@ _RANGE_DIGEST_CACHE_SIZE = 8192
 
 @dataclass
 class BlobStoreStats:
-    """Operation counters and simulated-latency accounting."""
+    """Operation counters (physical puts/gets, bytes, digest checks)."""
 
     puts: int = 0
     gets: int = 0
     deletes: int = 0
     bytes_written: int = 0
     bytes_read: int = 0
-    simulated_latency_s: float = 0.0
     digest_verifications: int = 0
 
 
@@ -531,71 +529,3 @@ class FilesystemBlobStore(BlobStore):
             if path.is_file() and not path.suffix:
                 out.append(f"{self.SCHEME}{path.name}")
         return sorted(out)
-
-
-@dataclass
-class FaultPlan:
-    """Deterministic failure schedule for a wrapped blob store.
-
-    ``fail_puts`` / ``fail_gets`` hold 1-based operation ordinals that must
-    raise; e.g. ``fail_puts={2}`` makes the second put fail.  Latencies are
-    accounted (not slept) so experiments stay fast and reproducible.
-    """
-
-    fail_puts: set[int] = field(default_factory=set)
-    fail_gets: set[int] = field(default_factory=set)
-    put_latency_s: float = 0.0
-    get_latency_s: float = 0.0
-
-
-class FaultInjectingBlobStore(BlobStore):
-    """Wraps another store with a deterministic fault/latency model.
-
-    Inherits the base ``open_region`` (always ``None``): faults and latency
-    must flow through :meth:`get`, so the zero-copy path is deliberately
-    not exposed from behind the injector.
-    """
-
-    def __init__(self, inner: BlobStore, plan: FaultPlan | None = None) -> None:
-        super().__init__()
-        self._inner = inner
-        self.plan = plan or FaultPlan()
-        self._put_ordinal = 0
-        self._get_ordinal = 0
-
-    def put(self, data: bytes, hint: str = "") -> str:
-        with self._stats_lock:
-            self._put_ordinal += 1
-            ordinal = self._put_ordinal
-            self.stats.simulated_latency_s += self.plan.put_latency_s
-        if ordinal in self.plan.fail_puts:
-            raise BlobStoreError(f"injected put failure (ordinal {ordinal})")
-        location = self._inner.put(data, hint)
-        with self._stats_lock:
-            self.stats.puts += 1
-            self.stats.bytes_written += len(data)
-        return location
-
-    def get(self, location: str) -> bytes:
-        with self._stats_lock:
-            self._get_ordinal += 1
-            ordinal = self._get_ordinal
-            self.stats.simulated_latency_s += self.plan.get_latency_s
-        if ordinal in self.plan.fail_gets:
-            raise BlobStoreError(f"injected get failure (ordinal {ordinal})")
-        data = self._inner.get(location)
-        with self._stats_lock:
-            self.stats.gets += 1
-            self.stats.bytes_read += len(data)
-        return data
-
-    def exists(self, location: str) -> bool:
-        return self._inner.exists(location)
-
-    def delete(self, location: str) -> None:
-        self._inner.delete(location)
-        with self._stats_lock:
-            self.stats.deletes += 1
-
-    def locations(self) -> list[str]:
-        return self._inner.locations()

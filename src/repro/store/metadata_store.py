@@ -2,15 +2,18 @@
 
 The paper stores model metadata and metrics in MySQL "to guarantee high
 availability and [support] flexible queries".  This module provides the same
-query surface behind a backend-neutral interface:
+query surface:
 
-* :class:`InMemoryMetadataStore` — dict-backed; the default for tests.
-* :class:`SQLiteMetadataStore` — a real relational backend (stdlib
-  ``sqlite3``) with indexed columns for the standard search fields, standing
-  in for the Uber-managed MySQL service.
+* :class:`MetadataStore` — the interface the DAL and the sharded store
+  (:mod:`repro.store.sharding`) program against.
+* :class:`SQLiteMetadataStore` — the one engine behind it (stdlib
+  ``sqlite3``), with indexed columns for the standard search fields,
+  standing in for the Uber-managed MySQL service.  A database file is what
+  servers and the CLI run; ``:memory:`` is what ``build_gallery()`` builds
+  by default, so tests execute the same statements production does.
 
-Both enforce **insert-only** semantics for models, instances, and metrics —
-records are immutable (Section 3.1).  The only sanctioned in-place change is
+Records are **insert-only** for models, instances, and metrics —
+they are immutable (Section 3.1).  The only sanctioned in-place change is
 :meth:`MetadataStore.replace_model` / :meth:`replace_instance`, which the
 registry uses exclusively for bookkeeping fields that the paper itself
 mutates: evolution pointers, dependency pointers, and the deprecation flag.
@@ -38,7 +41,8 @@ import sqlite3
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.metadata import INDEXED_FIELDS
 from repro.core.records import MetricRecord, Model, ModelInstance, ServingAssignment
@@ -117,12 +121,10 @@ class MetadataStore(ABC):
     @abstractmethod
     def insert_instance(self, instance: ModelInstance) -> None: ...
 
+    @abstractmethod
     def insert_instances(self, instances: Sequence[ModelInstance]) -> None:
-        """Insert a batch of instances in one transaction where the backend
-        supports it; the default simply loops.  Bulk-load surface for the
-        scale benchmarks and the sharded store's parallel loader."""
-        for instance in instances:
-            self.insert_instance(instance)
+        """Bulk insert, atomic per database file: a file's rows all land or
+        none do (the sharded store's per-shard groups commit independently)."""
 
     @abstractmethod
     def get_instance(self, instance_id: str) -> ModelInstance: ...
@@ -179,21 +181,13 @@ class MetadataStore(ABC):
 
     # -- families -------------------------------------------------------------
 
+    @abstractmethod
     def models_in_family(self, family: str) -> list[Model]:
-        """Models grouped under *family*, ordered by creation time.
+        """Models grouped under *family*, ordered by creation time."""
 
-        The default scans :meth:`iter_models` — model corpora are small
-        next to instances; backends with an indexed column override.
-        """
-        hits = [m for m in self.iter_models() if m.family == family]
-        hits.sort(key=lambda m: m.created_time)
-        return hits
-
+    @abstractmethod
     def instances_in_family(self, family: str) -> list[ModelInstance]:
         """Instances grouped under *family*, ordered by creation time."""
-        hits = [i for i in self.iter_instances() if i.family == family]
-        hits.sort(key=lambda i: i.created_time)
-        return hits
 
     # -- serving assignments ---------------------------------------------------
     #
@@ -236,221 +230,6 @@ class MetadataStore(ABC):
     @abstractmethod
     def counts(self) -> dict[str, int]:
         """Row counts per table, for scale experiments."""
-
-
-class InMemoryMetadataStore(MetadataStore):
-    """Dictionary-backed metadata store with hand-maintained indexes.
-
-    Lookup results are ordered by ``(created_time, insertion order)`` to
-    match the SQLite backend's ``ORDER BY created_time``, so the two
-    backends return identical candidate sequences (the ABL-BACKEND parity
-    requirement).
-    """
-
-    def __init__(self) -> None:
-        self._models: dict[str, Model] = {}
-        self._instances: dict[str, ModelInstance] = {}
-        self._metrics: dict[str, MetricRecord] = {}
-        self._instances_by_model: dict[str, list[str]] = {}
-        self._instances_by_base: dict[str, list[str]] = {}
-        self._metrics_by_instance: dict[str, list[str]] = {}
-        self._field_index: dict[tuple[str, Any], list[str]] = {}
-        self._serving: dict[str, ServingAssignment] = {}
-        self._serving_lock = threading.Lock()
-
-    def _ordered(self, instance_ids: list[str]) -> list[ModelInstance]:
-        instances = [self._instances[i] for i in instance_ids]
-        instances.sort(key=lambda inst: inst.created_time)  # stable: ties keep insert order
-        return instances
-
-    # -- models -------------------------------------------------------------
-
-    def insert_model(self, model: Model) -> None:
-        if model.model_id in self._models:
-            raise DuplicateError(f"model {model.model_id!r} already exists")
-        self._models[model.model_id] = model
-
-    def get_model(self, model_id: str) -> Model:
-        try:
-            return self._models[model_id]
-        except KeyError:
-            raise NotFoundError(f"no model {model_id!r}") from None
-
-    def get_models(self, model_ids: Iterable[str]) -> dict[str, Model]:
-        return {
-            model_id: self._models[model_id]
-            for model_id in _unique(model_ids)
-            if model_id in self._models
-        }
-
-    def replace_model(self, model: Model) -> None:
-        old = self.get_model(model.model_id)
-        _assert_only_mutable_changed(
-            old.to_dict(), model.to_dict(), _MUTABLE_MODEL_FIELDS, "model"
-        )
-        self._models[model.model_id] = model
-
-    def iter_models(self) -> Iterator[Model]:
-        return iter(list(self._models.values()))
-
-    # -- instances ----------------------------------------------------------
-
-    def insert_instance(self, instance: ModelInstance) -> None:
-        if instance.instance_id in self._instances:
-            raise DuplicateError(
-                f"model instance {instance.instance_id!r} already exists"
-            )
-        self._instances[instance.instance_id] = instance
-        self._instances_by_model.setdefault(instance.model_id, []).append(
-            instance.instance_id
-        )
-        self._instances_by_base.setdefault(instance.base_version_id, []).append(
-            instance.instance_id
-        )
-        for field_name in INDEXED_FIELDS:
-            value = instance.metadata.get(field_name)
-            if value is not None:
-                self._field_index.setdefault((field_name, value), []).append(
-                    instance.instance_id
-                )
-
-    def insert_instances(self, instances: Sequence[ModelInstance]) -> None:
-        # Validate first so a duplicate anywhere leaves the store untouched
-        # (matches the SQLite backend's transactional rollback).
-        seen: set[str] = set()
-        for instance in instances:
-            if instance.instance_id in self._instances or instance.instance_id in seen:
-                raise DuplicateError(
-                    f"model instance {instance.instance_id!r} already exists"
-                )
-            seen.add(instance.instance_id)
-        for instance in instances:
-            self.insert_instance(instance)
-
-    def get_instance(self, instance_id: str) -> ModelInstance:
-        try:
-            return self._instances[instance_id]
-        except KeyError:
-            raise NotFoundError(f"no model instance {instance_id!r}") from None
-
-    def replace_instance(self, instance: ModelInstance) -> None:
-        old = self.get_instance(instance.instance_id)
-        _assert_only_mutable_changed(
-            old.to_dict(), instance.to_dict(), _MUTABLE_INSTANCE_FIELDS, "instance"
-        )
-        self._instances[instance.instance_id] = instance
-
-    def iter_instances(self) -> Iterator[ModelInstance]:
-        return iter(list(self._instances.values()))
-
-    def instances_of_model(self, model_id: str) -> list[ModelInstance]:
-        return self._ordered(self._instances_by_model.get(model_id, []))
-
-    def instances_for_models(
-        self, model_ids: Iterable[str]
-    ) -> dict[str, list[ModelInstance]]:
-        return {
-            model_id: self.instances_of_model(model_id)
-            for model_id in _unique(model_ids)
-        }
-
-    def instances_of_base_version(self, base_version_id: str) -> list[ModelInstance]:
-        return self._ordered(self._instances_by_base.get(base_version_id, []))
-
-    def find_instances_by_field(self, field: str, value: Any) -> list[ModelInstance]:
-        if field in INDEXED_FIELDS:
-            return self._ordered(self._field_index.get((field, value), []))
-        hits = [
-            inst.instance_id
-            for inst in self._instances.values()
-            if inst.metadata.get(field) == value
-        ]
-        return self._ordered(hits)
-
-    # -- metrics --------------------------------------------------------------
-
-    def insert_metric(self, metric: MetricRecord) -> None:
-        if metric.metric_id in self._metrics:
-            raise DuplicateError(f"metric {metric.metric_id!r} already exists")
-        self._metrics[metric.metric_id] = metric
-        self._metrics_by_instance.setdefault(metric.instance_id, []).append(
-            metric.metric_id
-        )
-
-    def insert_metrics(self, metrics: Sequence[MetricRecord]) -> None:
-        # Validate the whole batch before touching any index so a duplicate
-        # anywhere leaves the store untouched (matches SQLite's rollback).
-        seen: set[str] = set()
-        for metric in metrics:
-            if metric.metric_id in self._metrics or metric.metric_id in seen:
-                raise DuplicateError(f"metric {metric.metric_id!r} already exists")
-            seen.add(metric.metric_id)
-        for metric in metrics:
-            self.insert_metric(metric)
-
-    def metrics_of_instance(self, instance_id: str) -> list[MetricRecord]:
-        ids = self._metrics_by_instance.get(instance_id, [])
-        return [self._metrics[i] for i in ids]
-
-    def metrics_for_instances(
-        self, instance_ids: Iterable[str], name: str | None = None
-    ) -> dict[str, list[MetricRecord]]:
-        out: dict[str, list[MetricRecord]] = {}
-        for instance_id in _unique(instance_ids):
-            records = self.metrics_of_instance(instance_id)
-            if name is not None:
-                records = [m for m in records if m.name == name]
-            out[instance_id] = records
-        return out
-
-    def iter_metrics(self) -> Iterator[MetricRecord]:
-        return iter(list(self._metrics.values()))
-
-    # -- serving assignments ---------------------------------------------------
-
-    def serving_assignment(self, scope: str) -> ServingAssignment:
-        try:
-            return self._serving[scope]
-        except KeyError:
-            raise NotFoundError(f"no serving assignment for scope {scope!r}") from None
-
-    def serving_assignments(self) -> list[ServingAssignment]:
-        return sorted(self._serving.values(), key=lambda a: a.scope)
-
-    def assign_serving(
-        self,
-        scope: str,
-        instance_id: str,
-        *,
-        family: str = "",
-        now: float = 0.0,
-        reason: str = "",
-    ) -> ServingAssignment:
-        with self._serving_lock:
-            current = self._serving.get(scope)
-            if current is not None and current.instance_id == instance_id:
-                return current
-            assignment = ServingAssignment(
-                scope=scope,
-                instance_id=instance_id,
-                family=family,
-                assigned_time=now,
-                previous_instance_id=current.instance_id if current else None,
-                reason=reason,
-                switch_count=(current.switch_count + 1) if current else 1,
-            )
-            self._serving[scope] = assignment
-            return assignment
-
-    def serving_assignment_count(self) -> int:
-        return len(self._serving)
-
-    def counts(self) -> dict[str, int]:
-        return {
-            "models": len(self._models),
-            "instances": len(self._instances),
-            "metrics": len(self._metrics),
-        }
 
 
 _SCHEMA = """
@@ -655,34 +434,37 @@ class SQLiteMetadataStore(MetadataStore):
         except sqlite3.Error as exc:
             raise MetadataStoreError(str(exc)) from exc
 
-    def _write(self, sql: str, params: tuple[Any, ...] = ()) -> None:
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """Hold the write lock around one transaction; commit on success.
+
+        *Any* exception rolls back, so no path leaves an open transaction
+        (and, on a shared file, SQLite's database write lock) behind.  A
+        constraint violation surfaces as DuplicateError, any other sqlite3
+        error as MetadataStoreError.
+        """
         with self._write_lock:
             conn = self._connection()
             try:
-                conn.execute(sql, params)
+                yield conn
                 conn.commit()
-            except sqlite3.IntegrityError as exc:
+            except BaseException as exc:
                 conn.rollback()
-                raise DuplicateError(str(exc)) from exc
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+                if isinstance(exc, sqlite3.IntegrityError):
+                    raise DuplicateError(str(exc)) from exc
+                if isinstance(exc, sqlite3.Error):
+                    raise MetadataStoreError(str(exc)) from exc
+                raise
+
+    def _write(self, sql: str, params: tuple[Any, ...] = ()) -> None:
+        with self._transaction() as conn:
+            conn.execute(sql, params)
 
     def _write_many(self, sql: str, rows: Sequence[tuple[Any, ...]]) -> None:
         """Execute one statement for many rows in a single transaction."""
-        if not rows:
-            return
-        with self._write_lock:
-            conn = self._connection()
-            try:
+        if rows:
+            with self._transaction() as conn:
                 conn.executemany(sql, rows)
-                conn.commit()
-            except sqlite3.IntegrityError as exc:
-                conn.rollback()
-                raise DuplicateError(str(exc)) from exc
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
 
     # -- models -------------------------------------------------------------
 
@@ -896,6 +678,13 @@ class SQLiteMetadataStore(MetadataStore):
 
     # -- families --------------------------------------------------------------
 
+    def models_in_family(self, family: str) -> list[Model]:
+        # The models table has no ``family`` column: model corpora are small
+        # next to instances, so this scans the JSON documents instead.
+        hits = [m for m in self.iter_models() if m.family == family]
+        hits.sort(key=lambda m: m.created_time)
+        return hits
+
     def instances_in_family(self, family: str) -> list[ModelInstance]:
         rows = self._read(
             "SELECT record FROM instances WHERE family = ? ORDER BY created_time",
@@ -931,53 +720,43 @@ class SQLiteMetadataStore(MetadataStore):
         # BEGIN IMMEDIATE takes the database write lock before the read, so
         # the read-modify-write is atomic across *replicas* sharing this
         # file, not just across this process's threads.
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                rows = conn.execute(
-                    "SELECT record FROM serving_assignments WHERE scope = ?",
-                    (scope,),
-                ).fetchall()
-                current = (
-                    ServingAssignment.from_dict(json.loads(rows[0][0]))
-                    if rows
-                    else None
-                )
-                if current is not None and current.instance_id == instance_id:
-                    conn.commit()
-                    return current
-                assignment = ServingAssignment(
-                    scope=scope,
-                    instance_id=instance_id,
-                    family=family,
-                    assigned_time=now,
-                    previous_instance_id=current.instance_id if current else None,
-                    reason=reason,
-                    switch_count=(current.switch_count + 1) if current else 1,
-                )
-                conn.execute(
-                    "INSERT INTO serving_assignments"
-                    " (scope, instance_id, family, assigned_time, record)"
-                    " VALUES (?, ?, ?, ?, ?)"
-                    " ON CONFLICT(scope) DO UPDATE SET"
-                    " instance_id = excluded.instance_id,"
-                    " family = excluded.family,"
-                    " assigned_time = excluded.assigned_time,"
-                    " record = excluded.record",
-                    (
-                        scope,
-                        instance_id,
-                        family,
-                        now,
-                        json.dumps(assignment.to_dict()),
-                    ),
-                )
-                conn.commit()
-                return assignment
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+        # BEGIN IMMEDIATE takes the database write lock before the read, so
+        # the read-modify-write is atomic across *replicas* sharing this
+        # file, not just across this process's threads.  ServingAssignment
+        # validates after it (an empty scope raises ValidationError), which
+        # _transaction rolls back like any other error.
+        with self._transaction() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            rows = conn.execute(
+                "SELECT record FROM serving_assignments WHERE scope = ?",
+                (scope,),
+            ).fetchall()
+            current = (
+                ServingAssignment.from_dict(json.loads(rows[0][0])) if rows else None
+            )
+            if current is not None and current.instance_id == instance_id:
+                return current
+            assignment = ServingAssignment(
+                scope=scope,
+                instance_id=instance_id,
+                family=family,
+                assigned_time=now,
+                previous_instance_id=current.instance_id if current else None,
+                reason=reason,
+                switch_count=(current.switch_count + 1) if current else 1,
+            )
+            conn.execute(
+                "INSERT INTO serving_assignments"
+                " (scope, instance_id, family, assigned_time, record)"
+                " VALUES (?, ?, ?, ?, ?)"
+                " ON CONFLICT(scope) DO UPDATE SET"
+                " instance_id = excluded.instance_id,"
+                " family = excluded.family,"
+                " assigned_time = excluded.assigned_time,"
+                " record = excluded.record",
+                (scope, instance_id, family, now, json.dumps(assignment.to_dict())),
+            )
+            return assignment
 
     def serving_assignment_count(self) -> int:
         rows = self._read("SELECT COUNT(*) FROM serving_assignments")
@@ -1028,22 +807,18 @@ class SQLiteMetadataStore(MetadataStore):
         """
         now = time.time() if now is None else now
         with self._write_lock:
-            conn = self._connection()
             try:
-                conn.execute(
-                    "INSERT INTO dedup_entries"
-                    " (client_id, request_id, status, response, updated)"
-                    " VALUES (?, ?, 'pending', NULL, ?)",
-                    (client_id, request_id, now),
-                )
-                conn.commit()
+                with self._transaction() as conn:
+                    conn.execute(
+                        "INSERT INTO dedup_entries"
+                        " (client_id, request_id, status, response, updated)"
+                        " VALUES (?, ?, 'pending', NULL, ?)",
+                        (client_id, request_id, now),
+                    )
                 return "owner", None
-            except sqlite3.IntegrityError:
-                conn.rollback()
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
-            try:
+            except DuplicateError:
+                pass  # someone claimed it first; read what they left
+            with self._transaction() as conn:
                 rows = conn.execute(
                     "SELECT status, response FROM dedup_entries"
                     " WHERE client_id = ? AND request_id = ?",
@@ -1060,7 +835,6 @@ class SQLiteMetadataStore(MetadataStore):
                         " WHERE client_id = ? AND request_id = ?",
                         (now, client_id, request_id),
                     )
-                    conn.commit()
                     return "done", bytes(response)
                 cursor = conn.execute(
                     "UPDATE dedup_entries SET updated = ?"
@@ -1068,13 +842,7 @@ class SQLiteMetadataStore(MetadataStore):
                     " AND status = 'pending' AND updated <= ?",
                     (now, client_id, request_id, now - takeover_after),
                 )
-                conn.commit()
-                if cursor.rowcount == 1:
-                    return "owner", None
-                return "pending", None
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+                return ("owner" if cursor.rowcount == 1 else "pending"), None
 
     def dedup_complete(
         self, client_id: str, request_id: int, response: bytes
@@ -1100,26 +868,19 @@ class SQLiteMetadataStore(MetadataStore):
         *client_id* names the client whose entry was just completed; one
         file owns every client, so it selects nothing here (the sharded
         store trims only that client's shard)."""
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                (total,) = conn.execute(
-                    "SELECT COUNT(*) FROM dedup_entries WHERE status = 'done'"
-                ).fetchone()
-                excess = int(total) - capacity
-                if excess <= 0:
-                    return 0
-                cursor = conn.execute(
-                    "DELETE FROM dedup_entries WHERE rowid IN ("
-                    " SELECT rowid FROM dedup_entries WHERE status = 'done'"
-                    " ORDER BY updated ASC LIMIT ?)",
-                    (excess,),
-                )
-                conn.commit()
-                return cursor.rowcount
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+        with self._transaction() as conn:
+            (total,) = conn.execute(
+                "SELECT COUNT(*) FROM dedup_entries WHERE status = 'done'"
+            ).fetchone()
+            excess = int(total) - capacity
+            if excess <= 0:
+                return 0
+            return conn.execute(
+                "DELETE FROM dedup_entries WHERE rowid IN ("
+                " SELECT rowid FROM dedup_entries WHERE status = 'done'"
+                " ORDER BY updated ASC LIMIT ?)",
+                (excess,),
+            ).rowcount
 
     def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
         """Evict completed entries older than *max_age* seconds.
@@ -1128,19 +889,12 @@ class SQLiteMetadataStore(MetadataStore):
         live (or about-to-be-taken-over) request and must not vanish.
         """
         now = time.time() if now is None else now
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                cursor = conn.execute(
-                    "DELETE FROM dedup_entries WHERE status = 'done'"
-                    " AND updated <= ?",
-                    (now - max_age,),
-                )
-                conn.commit()
-                return cursor.rowcount
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+        with self._transaction() as conn:
+            return conn.execute(
+                "DELETE FROM dedup_entries WHERE status = 'done'"
+                " AND updated <= ?",
+                (now - max_age,),
+            ).rowcount
 
     def dedup_count(self) -> int:
         rows = self._read(
@@ -1152,19 +906,14 @@ class SQLiteMetadataStore(MetadataStore):
         self, rule_uuid: str, action: str, error_type: str, record: str
     ) -> int:
         """Insert a serialized dead letter; return its assigned id."""
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                cursor = conn.execute(
+        with self._transaction() as conn:
+            return int(
+                conn.execute(
                     "INSERT INTO dead_letters (rule_uuid, action, error_type,"
                     " record, created_at) VALUES (?, ?, ?, ?, ?)",
                     (rule_uuid, action, error_type, record, time.time()),
-                )
-                conn.commit()
-                return int(cursor.lastrowid)
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+                ).lastrowid
+            )
 
     def dead_letters_list(
         self,
@@ -1206,45 +955,29 @@ class SQLiteMetadataStore(MetadataStore):
         if not ids:
             return 0
         removed = 0
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                for chunk in _chunked(ids):
-                    placeholders = ",".join("?" * len(chunk))
-                    cursor = conn.execute(
-                        "DELETE FROM dead_letters WHERE letter_id IN"  # noqa: S608
-                        f" ({placeholders})",
-                        tuple(chunk),
-                    )
-                    removed += cursor.rowcount
-                conn.commit()
-                return removed
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+        with self._transaction() as conn:
+            for chunk in _chunked(ids):
+                placeholders = ",".join("?" * len(chunk))
+                removed += conn.execute(
+                    "DELETE FROM dead_letters WHERE letter_id IN"  # noqa: S608
+                    f" ({placeholders})",
+                    tuple(chunk),
+                ).rowcount
+        return removed
 
     def dead_letters_trim(self, max_entries: int) -> int:
         """Evict the oldest letters beyond *max_entries*; return count."""
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                (total,) = conn.execute(
-                    "SELECT COUNT(*) FROM dead_letters"
-                ).fetchone()
-                excess = int(total) - max_entries
-                if excess <= 0:
-                    return 0
-                cursor = conn.execute(
-                    "DELETE FROM dead_letters WHERE letter_id IN ("
-                    " SELECT letter_id FROM dead_letters"
-                    " ORDER BY letter_id ASC LIMIT ?)",
-                    (excess,),
-                )
-                conn.commit()
-                return cursor.rowcount
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+        with self._transaction() as conn:
+            (total,) = conn.execute("SELECT COUNT(*) FROM dead_letters").fetchone()
+            excess = int(total) - max_entries
+            if excess <= 0:
+                return 0
+            return conn.execute(
+                "DELETE FROM dead_letters WHERE letter_id IN ("
+                " SELECT letter_id FROM dead_letters"
+                " ORDER BY letter_id ASC LIMIT ?)",
+                (excess,),
+            ).rowcount
 
     def dead_letters_trim_age(
         self, max_age: float, now: float | None = None
@@ -1256,23 +989,13 @@ class SQLiteMetadataStore(MetadataStore):
         is not an old age.
         """
         now = time.time() if now is None else now
-        with self._write_lock:
-            conn = self._connection()
-            try:
-                cursor = conn.execute(
-                    "DELETE FROM dead_letters WHERE created_at > 0"
-                    " AND created_at <= ?",
-                    (now - max_age,),
-                )
-                conn.commit()
-                return cursor.rowcount
-            except sqlite3.Error as exc:
-                conn.rollback()
-                raise MetadataStoreError(str(exc)) from exc
+        with self._transaction() as conn:
+            return conn.execute(
+                "DELETE FROM dead_letters WHERE created_at > 0"
+                " AND created_at <= ?",
+                (now - max_age,),
+            ).rowcount
 
     def dead_letters_count(self) -> int:
         rows = self._read("SELECT COUNT(*) FROM dead_letters")
         return int(rows[0][0])
-
-
-StoreFactory = Callable[[], MetadataStore]

@@ -14,7 +14,7 @@ from repro.core.registry import Gallery
 from repro.rules.engine import RuleEngine
 from repro.store.blob import InMemoryBlobStore
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 #: The paper's Table 1 rows (baseline systems only — Gallery is probed live).
 PAPER_ROWS = {
@@ -32,7 +32,7 @@ PAPER_ROWS = {
 
 @pytest.fixture
 def stack():
-    dal = DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore(), None)
+    dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), None)
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
     engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
     return gallery, engine

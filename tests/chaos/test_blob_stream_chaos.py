@@ -29,7 +29,7 @@ from repro.service.tcp import GalleryTcpServer
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 from repro.store.sharding import open_sharded_store
 
 BLOB = bytes(range(256)) * (64 * 1024)  # 16 MiB — far beyond socket buffers
@@ -37,7 +37,7 @@ BLOB = bytes(range(256)) * (64 * 1024)  # 16 MiB — far beyond socket buffers
 
 def _file_backed_service(tmp_path):
     store = FilesystemBlobStore(tmp_path / "blobs")
-    dal = DataAccessLayer(InMemoryMetadataStore(), store, cache=None)
+    dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), store, cache=None)
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(7))
     gallery.create_model("p", "demand")
     instance = gallery.upload_model(

@@ -48,7 +48,7 @@ from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 CLIENTS = 8
 ITEMS_PER_CLIENT = 12
@@ -63,7 +63,7 @@ WIRE_FAULTS = (
 
 def build_stack(tmp_path, store_injector=None):
     """Service over a filesystem blob store + (optionally flaky) metadata."""
-    metadata = InMemoryMetadataStore()
+    metadata = SQLiteMetadataStore(":memory:")
     if store_injector is not None:
         metadata = FaultyMetadataStore(metadata, store_injector)
     # A 1-byte cache never holds a blob, so every read hits the disk and

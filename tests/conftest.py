@@ -1,8 +1,14 @@
 """Shared fixtures: deterministic clocks/ids and Gallery assemblies.
 
-Storage-backend parametrization: any test taking the ``gallery`` fixture
-runs against both the in-memory and the SQLite metadata store, so every
-registry behaviour is exercised on the MySQL stand-in too.
+There is one metadata engine, SQLite, in the two configurations
+``build_gallery`` builds: ``"memory"`` (``:memory:`` on one shared
+connection; the default) and ``"sqlite"`` (a database file in WAL mode with
+one connection per thread).  ``gallery`` runs on the default; a module that
+checks storage behaviour runs its tests on both with::
+
+    pytestmark = pytest.mark.parametrize(
+        "metadata_store", ["memory", "sqlite"], indirect=True
+    )
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from repro.core.registry import Gallery
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore, SQLiteMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 @pytest.fixture
@@ -28,14 +34,14 @@ def id_factory() -> SeededIdFactory:
     return SeededIdFactory(seed=42)
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def metadata_store(request):
-    if request.param == "memory":
-        yield InMemoryMetadataStore()
-    else:
+@pytest.fixture
+def metadata_store(request, tmp_path):
+    if getattr(request, "param", "memory") == "memory":
         store = SQLiteMetadataStore(":memory:")
-        yield store
-        store.close()
+    else:
+        store = SQLiteMetadataStore(str(tmp_path / "gallery.sqlite"))
+    yield store
+    store.close()
 
 
 @pytest.fixture
@@ -47,13 +53,4 @@ def dal(metadata_store) -> DataAccessLayer:
 
 @pytest.fixture
 def gallery(dal, clock, id_factory) -> Gallery:
-    return Gallery(dal, clock=clock, id_factory=id_factory)
-
-
-@pytest.fixture
-def memory_gallery(clock, id_factory) -> Gallery:
-    """A fast single-backend Gallery for tests that don't probe storage."""
-    dal = DataAccessLayer(
-        InMemoryMetadataStore(), InMemoryBlobStore(), LRUBlobCache(1024 * 1024)
-    )
     return Gallery(dal, clock=clock, id_factory=id_factory)

@@ -10,7 +10,7 @@ from repro.reliability import FaultInjector, FaultKind, FaultyMetadataStore
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 NAME_CONSTRAINT = [{"field": "modelName", "operator": "equal", "value": "rf"}]
 METRIC_CONSTRAINTS = [
@@ -23,7 +23,7 @@ METRIC_CONSTRAINTS = [
 def degradable():
     """Gallery whose metadata store can be taken down on command."""
     injector = FaultInjector(seed=5, rate=0.0, armed=False, kinds=(FaultKind.ERROR,))
-    metadata = FaultyMetadataStore(InMemoryMetadataStore(), injector)
+    metadata = FaultyMetadataStore(SQLiteMetadataStore(":memory:"), injector)
     dal = DataAccessLayer(metadata, InMemoryBlobStore(), LRUBlobCache(1 << 20))
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(9))
     gallery.create_model("p", "demand")

@@ -3,13 +3,17 @@
 The PR9 API surface: ``create_model(..., family=)``, the enablement review
 gate, family membership queries, durable serving assignments, and
 ``switch_family`` routing — all enablement-gated and event-publishing.
-Runs against both metadata backends via the ``gallery`` fixture.
+Runs on both metadata configurations (``:memory:`` and a WAL file).
 """
 
 import pytest
 
 from repro.errors import NotFoundError, ValidationError
 from repro.rules.events import EventKind
+
+pytestmark = pytest.mark.parametrize(
+    "metadata_store", ["memory", "sqlite"], indirect=True
+)
 
 
 def seed_family(gallery, family="sf:rf", n=3, metric_values=None):

@@ -19,6 +19,10 @@ from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import MetadataStore
 
+pytestmark = pytest.mark.parametrize(
+    "metadata_store", ["memory", "sqlite"], indirect=True
+)
+
 
 class CountingStore(MetadataStore):
     """Transparent proxy that counts calls per MetadataStore method."""

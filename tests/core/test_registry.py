@@ -1,4 +1,4 @@
-"""Tests for the Gallery registry facade (runs on memory AND sqlite)."""
+"""Tests for the Gallery registry facade, on both metadata configurations."""
 
 import pytest
 
@@ -10,6 +10,10 @@ from repro.errors import (
     ValidationError,
 )
 from repro.rules.events import EventKind
+
+pytestmark = pytest.mark.parametrize(
+    "metadata_store", ["memory", "sqlite"], indirect=True
+)
 
 
 def register_example(gallery, base="supply_rejection", project="example-project"):

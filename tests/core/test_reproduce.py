@@ -23,12 +23,12 @@ SPEC = ModelSpecification(
 
 
 @pytest.fixture
-def trained_world(memory_gallery):
+def trained_world(gallery):
     """A trained instance plus the resolver that can replay its data."""
     series = generate_city_demand(
         CityProfile(name="sf", base_demand=120.0), hours=24 * 7 * 3, seed=9
     )
-    pipeline = ForecastingPipeline(memory_gallery)
+    pipeline = ForecastingPipeline(gallery)
     trained = pipeline.train_city(series, SPEC)
 
     def resolver(path, version):
@@ -38,7 +38,7 @@ def trained_world(memory_gallery):
 
     trainers = TrainerRegistry()
     trainers.register("repro.forecasting.pipeline:ridge", make_trainer(SPEC, resolver))
-    return memory_gallery, trained, trainers
+    return gallery, trained, trainers
 
 
 class TestTrainerRegistry:
@@ -94,11 +94,11 @@ class TestReplay:
         assert report.reproduced
         assert gallery.dal.metadata.counts()["instances"] == before
 
-    def test_incomplete_metadata_refuses_replay(self, memory_gallery):
-        memory_gallery.create_model("p", "demand")
-        instance = memory_gallery.upload_model("p", "demand", blob=b"m", metadata={})
+    def test_incomplete_metadata_refuses_replay(self, gallery):
+        gallery.create_model("p", "demand")
+        instance = gallery.upload_model("p", "demand", blob=b"m", metadata={})
         with pytest.raises(ValidationError, match="not reproducible"):
-            reproduce_instance(memory_gallery, instance.instance_id, TrainerRegistry())
+            reproduce_instance(gallery, instance.instance_id, TrainerRegistry())
 
     def test_divergent_trainer_reported(self, trained_world):
         gallery, trained, trainers = trained_world

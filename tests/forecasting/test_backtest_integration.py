@@ -59,7 +59,7 @@ class TestBacktestWithRealModels:
         assert len(result.predictions) == len(dataset.targets) - 200
         assert np.all(np.isfinite(result.predictions))
 
-    def test_backtest_gates_deployment_in_gallery(self, memory_gallery, dataset):
+    def test_backtest_gates_deployment_in_gallery(self, gallery, dataset):
         """The full gate: backtest metrics -> Gallery -> action rule."""
         from repro.core.clock import ManualClock
         from repro.forecasting.models import serialize
@@ -69,7 +69,7 @@ class TestBacktestWithRealModels:
             fit_predict_with(lambda: RidgeRegression()),
             dataset.features, dataset.targets, n_folds=3,
         )
-        engine = RuleEngine(memory_gallery, clock=ManualClock(), bus=memory_gallery.bus)
+        engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
         engine.register(
             action_rule(
                 "bt-gate", "t", "true",
@@ -77,9 +77,9 @@ class TestBacktestWithRealModels:
                 ["deploy"],
             )
         )
-        memory_gallery.create_model("p", "demand")
+        gallery.create_model("p", "demand")
         model = RidgeRegression().fit(dataset.features, dataset.targets)
-        instance = memory_gallery.upload_model("p", "demand", blob=serialize(model))
-        memory_gallery.insert_metrics(instance.instance_id, dict(result.metrics))
+        instance = gallery.upload_model("p", "demand", blob=serialize(model))
+        gallery.insert_metrics(instance.instance_id, dict(result.metrics))
         fired = engine.drain()
         assert [f.context.action for f in fired] == ["deploy"]

@@ -25,8 +25,8 @@ def series():
 
 
 @pytest.fixture
-def pipeline(memory_gallery):
-    return ForecastingPipeline(memory_gallery)
+def pipeline(gallery):
+    return ForecastingPipeline(gallery)
 
 
 class TestTrainCity:

@@ -36,10 +36,10 @@ COMPLEX_SPEC = FeatureSpec(
 
 
 @pytest.fixture
-def realtime_world(memory_gallery):
+def realtime_world(gallery):
     values = make_series(days=5, anomaly_start=4 * SLOTS_PER_DAY + 60, seed=3)
     train_slots = 3 * SLOTS_PER_DAY
-    memory_gallery.create_model("rt", "demand_rt")
+    gallery.create_model("rt", "demand_rt")
 
     from repro.forecasting.features import build_dataset
     from repro.forecasting.models import serialize
@@ -51,7 +51,7 @@ def realtime_world(memory_gallery):
     ]:
         dataset = build_dataset(values[:train_slots], spec)
         model = factory().fit(dataset.features, dataset.targets)
-        instance = memory_gallery.upload_model(
+        instance = gallery.upload_model(
             "rt", "demand_rt", blob=serialize(model),
             metadata={"model_name": label},
         )
@@ -63,33 +63,33 @@ def realtime_world(memory_gallery):
                 label=label,
             )
         )
-    engine = RuleEngine(memory_gallery, clock=ManualClock())
-    return memory_gallery, engine, values, candidates, train_slots
+    engine = RuleEngine(gallery, clock=ManualClock())
+    return gallery, engine, values, candidates, train_slots
 
 
 class TestRollingErrorTracker:
-    def test_publishes_rolling_ape(self, memory_gallery):
-        memory_gallery.create_model("rt", "demand_rt")
-        instance = memory_gallery.upload_model("rt", "demand_rt", blob=b"m")
-        tracker = RollingErrorTracker(memory_gallery, window=2)
+    def test_publishes_rolling_ape(self, gallery):
+        gallery.create_model("rt", "demand_rt")
+        instance = gallery.upload_model("rt", "demand_rt", blob=b"m")
+        tracker = RollingErrorTracker(gallery, window=2)
         tracker.record(instance.instance_id, actual=100.0, predicted=110.0)
         rolling = tracker.record(instance.instance_id, actual=100.0, predicted=90.0)
         assert rolling == pytest.approx(0.1)
-        assert memory_gallery.latest_metric(
+        assert gallery.latest_metric(
             instance.instance_id, "rolling_ape"
         ) == pytest.approx(0.1)
 
-    def test_window_bounds_memory(self, memory_gallery):
-        memory_gallery.create_model("rt", "demand_rt")
-        instance = memory_gallery.upload_model("rt", "demand_rt", blob=b"m")
-        tracker = RollingErrorTracker(memory_gallery, window=3)
+    def test_window_bounds_memory(self, gallery):
+        gallery.create_model("rt", "demand_rt")
+        instance = gallery.upload_model("rt", "demand_rt", blob=b"m")
+        tracker = RollingErrorTracker(gallery, window=3)
         for predicted in (200.0, 200.0, 200.0, 100.0, 100.0, 100.0):
             tracker.record(instance.instance_id, 100.0, predicted)
         assert tracker.rolling(instance.instance_id) == pytest.approx(0.0)
 
-    def test_bad_window_rejected(self, memory_gallery):
+    def test_bad_window_rejected(self, gallery):
         with pytest.raises(ValidationError):
-            RollingErrorTracker(memory_gallery, window=0)
+            RollingErrorTracker(gallery, window=0)
 
 
 class TestChampionRule:

@@ -26,42 +26,42 @@ from repro.rules.engine import RuleEngine
 
 
 @pytest.fixture
-def instance_ids(memory_gallery):
+def instance_ids(gallery):
     """Three servable instances the board can point cities at."""
-    memory_gallery.create_model("forecasting", "demand")
+    gallery.create_model("forecasting", "demand")
     return [
-        memory_gallery.upload_model("forecasting", "demand", blob).instance_id
+        gallery.upload_model("forecasting", "demand", blob).instance_id
         for blob in (b"one", b"two", b"three")
     ]
 
 
 class TestSwitchboard:
-    def test_assign_and_query(self, memory_gallery, instance_ids):
-        board = RegistrySwitchboard(memory_gallery)
+    def test_assign_and_query(self, gallery, instance_ids):
+        board = RegistrySwitchboard(gallery)
         board.assign("sf", instance_ids[0], hour=5)
         assert board.serving("sf") == instance_ids[0]
 
-    def test_noop_switch_not_recorded(self, memory_gallery, instance_ids):
-        board = RegistrySwitchboard(memory_gallery)
+    def test_noop_switch_not_recorded(self, gallery, instance_ids):
+        board = RegistrySwitchboard(gallery)
         board.assign("sf", instance_ids[0])
         board.assign("sf", instance_ids[0])
         assert board.switch_count("sf") == 1
         assert len(board.history) == 1
 
-    def test_unserved_city_raises(self, memory_gallery):
+    def test_unserved_city_raises(self, gallery):
         with pytest.raises(NotFoundError):
-            RegistrySwitchboard(memory_gallery).serving("ghost")
+            RegistrySwitchboard(gallery).serving("ghost")
 
-    def test_history_records_reason_and_hour(self, memory_gallery, instance_ids):
-        board = RegistrySwitchboard(memory_gallery)
+    def test_history_records_reason_and_hour(self, gallery, instance_ids):
+        board = RegistrySwitchboard(gallery)
         board.assign("sf", instance_ids[0], hour=3, reason="event window")
         record = board.history[0]
         assert (record.city, record.hour, record.reason) == ("sf", 3, "event window")
 
 
 class TestSwitchAction:
-    def test_action_updates_switchboard(self, memory_gallery, instance_ids):
-        board = RegistrySwitchboard(memory_gallery)
+    def test_action_updates_switchboard(self, gallery, instance_ids):
+        board = RegistrySwitchboard(gallery)
         actions = ActionRegistry()
         register_switch_action(actions, board)
         result = actions.execute(
@@ -77,8 +77,8 @@ class TestSwitchAction:
         assert board.serving("sf") == instance_ids[1]
         assert board.history[0].hour == 9
 
-    def test_city_falls_back_to_document(self, memory_gallery, instance_ids):
-        board = RegistrySwitchboard(memory_gallery)
+    def test_city_falls_back_to_document(self, gallery, instance_ids):
+        board = RegistrySwitchboard(gallery)
         actions = ActionRegistry()
         register_switch_action(actions, board)
         actions.execute(
@@ -94,7 +94,7 @@ class TestSwitchAction:
 
 
 @pytest.fixture
-def switching_world(memory_gallery):
+def switching_world(gallery):
     """One city with a holiday in the serving window; base + event models."""
     # Holidays recur during training (weeks 1-2) so the event-aware model
     # learns the flag, plus one in the serving window (week 4).
@@ -112,7 +112,7 @@ def switching_world(memory_gallery):
         hours=4 * HOURS_PER_WEEK,
         seed=2,
     )
-    pipeline = ForecastingPipeline(memory_gallery)
+    pipeline = ForecastingPipeline(gallery)
     base_spec = ModelSpecification(
         "ridge_base", lambda: RidgeRegression(), FeatureSpec(event_flag=False)
     )
@@ -122,11 +122,11 @@ def switching_world(memory_gallery):
     train_hours = 3 * HOURS_PER_WEEK
     base = pipeline.train_city(series, base_spec, train_hours=train_hours)
     event = pipeline.train_city(series, event_spec, train_hours=train_hours)
-    engine = RuleEngine(memory_gallery, clock=ManualClock())
-    board = RegistrySwitchboard(memory_gallery)
-    controller = EventSwitchingController(memory_gallery, engine, board)
+    engine = RuleEngine(gallery, clock=ManualClock())
+    board = RegistrySwitchboard(gallery)
+    controller = EventSwitchingController(gallery, engine, board)
     return {
-        "gallery": memory_gallery,
+        "gallery": gallery,
         "series": series,
         "base": base,
         "event": event,
@@ -157,8 +157,8 @@ class TestController:
     def test_unknown_city_selects_nothing(self, switching_world):
         assert switching_world["controller"].champion("atlantis", False) is None
 
-    def test_event_fallback_to_base_when_no_event_model(self, memory_gallery):
-        pipeline = ForecastingPipeline(memory_gallery)
+    def test_event_fallback_to_base_when_no_event_model(self, gallery):
+        pipeline = ForecastingPipeline(gallery)
         series = generate_city_demand(
             CityProfile(name="solo", base_demand=100), 3 * HOURS_PER_WEEK, seed=3
         )
@@ -166,8 +166,8 @@ class TestController:
             series,
             ModelSpecification("only_base", lambda: RidgeRegression(), FeatureSpec()),
         )
-        engine = RuleEngine(memory_gallery, clock=ManualClock())
-        controller = EventSwitchingController(memory_gallery, engine)
+        engine = RuleEngine(gallery, clock=ManualClock())
+        controller = EventSwitchingController(gallery, engine)
         assert controller.champion("solo", event_active=True) == base.instance.instance_id
 
 

@@ -34,71 +34,71 @@ class TestPolicy:
 
 
 class TestSweeping:
-    def test_consistent_loser_deprecated_after_patience(self, memory_gallery):
-        bad, good, newest = setup_lineage(memory_gallery, [0.5, 0.1, 0.12])
-        sweeper = make_sweeper(memory_gallery, patience=2)
+    def test_consistent_loser_deprecated_after_patience(self, gallery):
+        bad, good, newest = setup_lineage(gallery, [0.5, 0.1, 0.12])
+        sweeper = make_sweeper(gallery, patience=2)
         first = sweeper.sweep()
         assert bad.instance_id in first.losing
         assert first.deprecated == ()
         assert sweeper.strikes(bad.instance_id) == 1
         second = sweeper.sweep()
         assert bad.instance_id in second.deprecated
-        assert memory_gallery.get_instance(bad.instance_id).deprecated
+        assert gallery.get_instance(bad.instance_id).deprecated
 
-    def test_recovery_resets_strikes(self, memory_gallery):
-        bad, good, newest = setup_lineage(memory_gallery, [0.5, 0.1, 0.12])
-        sweeper = make_sweeper(memory_gallery, patience=3)
+    def test_recovery_resets_strikes(self, gallery):
+        bad, good, newest = setup_lineage(gallery, [0.5, 0.1, 0.12])
+        sweeper = make_sweeper(gallery, patience=3)
         sweeper.sweep()
         assert sweeper.strikes(bad.instance_id) == 1
         # the instance improves: fresh production metric within the margin
-        memory_gallery.insert_metric(
+        gallery.insert_metric(
             bad.instance_id, "mape", 0.1, scope=MetricScope.PRODUCTION
         )
         sweeper.sweep()
         assert sweeper.strikes(bad.instance_id) == 0
 
-    def test_newest_instance_protected(self, memory_gallery):
+    def test_newest_instance_protected(self, gallery):
         # the newest instance is the worst, but never deprecated
-        old, mid, newest = setup_lineage(memory_gallery, [0.1, 0.12, 0.9])
-        sweeper = make_sweeper(memory_gallery, patience=1)
+        old, mid, newest = setup_lineage(gallery, [0.1, 0.12, 0.9])
+        sweeper = make_sweeper(gallery, patience=1)
         outcome = sweeper.sweep()
         assert newest.instance_id not in outcome.deprecated
-        assert not memory_gallery.get_instance(newest.instance_id).deprecated
+        assert not gallery.get_instance(newest.instance_id).deprecated
 
-    def test_single_instance_lineage_untouched(self, memory_gallery):
-        (only,) = setup_lineage(memory_gallery, [0.9])
-        sweeper = make_sweeper(memory_gallery, patience=1)
+    def test_single_instance_lineage_untouched(self, gallery):
+        (only,) = setup_lineage(gallery, [0.9])
+        sweeper = make_sweeper(gallery, patience=1)
         outcome = sweeper.sweep()
         assert outcome.evaluated == 0
-        assert not memory_gallery.get_instance(only.instance_id).deprecated
+        assert not gallery.get_instance(only.instance_id).deprecated
 
-    def test_margin_tolerates_near_ties(self, memory_gallery):
-        a, b, newest = setup_lineage(memory_gallery, [0.105, 0.1, 0.1])
-        sweeper = make_sweeper(memory_gallery, patience=1, margin=0.10)
+    def test_margin_tolerates_near_ties(self, gallery):
+        a, b, newest = setup_lineage(gallery, [0.105, 0.1, 0.1])
+        sweeper = make_sweeper(gallery, patience=1, margin=0.10)
         outcome = sweeper.sweep()
         assert outcome.deprecated == ()  # 5% worse is inside the 10% margin
 
-    def test_instances_without_metrics_ignored(self, memory_gallery):
-        memory_gallery.create_model("p", "demand")
-        silent = memory_gallery.upload_model("p", "demand", blob=b"a")
-        scored = memory_gallery.upload_model("p", "demand", blob=b"b")
-        memory_gallery.insert_metric(
+    def test_instances_without_metrics_ignored(self, gallery):
+        gallery.create_model("p", "demand")
+        silent = gallery.upload_model("p", "demand", blob=b"a")
+        scored = gallery.upload_model("p", "demand", blob=b"b")
+        gallery.insert_metric(
             scored.instance_id, "mape", 0.1, scope=MetricScope.PRODUCTION
         )
-        outcome = make_sweeper(memory_gallery).sweep()
+        outcome = make_sweeper(gallery).sweep()
         assert outcome.evaluated == 0  # fewer than two scored instances
 
-    def test_deprecated_are_flagged_not_deleted(self, memory_gallery):
-        bad, good, newest = setup_lineage(memory_gallery, [0.9, 0.1, 0.11])
-        sweeper = make_sweeper(memory_gallery, patience=1)
+    def test_deprecated_are_flagged_not_deleted(self, gallery):
+        bad, good, newest = setup_lineage(gallery, [0.9, 0.1, 0.11])
+        sweeper = make_sweeper(gallery, patience=1)
         outcome = sweeper.sweep()
         assert bad.instance_id in outcome.deprecated
         # still fetchable by id for consumers mid-migration
-        assert memory_gallery.load_instance_blob(bad.instance_id) == b"v0"
+        assert gallery.load_instance_blob(bad.instance_id) == b"v0"
 
-    def test_deprecated_losers_leave_the_pool(self, memory_gallery):
-        bad, good, newest = setup_lineage(memory_gallery, [0.9, 0.1, 0.11])
-        sweeper = make_sweeper(memory_gallery, patience=1)
+    def test_deprecated_losers_leave_the_pool(self, gallery):
+        bad, good, newest = setup_lineage(gallery, [0.9, 0.1, 0.11])
+        sweeper = make_sweeper(gallery, patience=1)
         sweeper.sweep()
         second = sweeper.sweep()
         assert bad.instance_id not in second.losing

@@ -36,23 +36,23 @@ def deploy_instance(gallery, metadata=None):
 
 
 class TestCompleteness:
-    def test_incomplete_metadata_alerts_once(self, memory_gallery):
-        instance = deploy_instance(memory_gallery, metadata={"model_name": "rf"})
-        monitor = make_monitor(memory_gallery)
+    def test_incomplete_metadata_alerts_once(self, gallery):
+        instance = deploy_instance(gallery, metadata={"model_name": "rf"})
+        monitor = make_monitor(gallery)
         monitor.sweep()
         monitor.sweep()
         assert len(monitor.alerts.of_kind("completeness")) == 1
 
-    def test_complete_metadata_silent(self, memory_gallery):
-        deploy_instance(memory_gallery)
-        monitor = make_monitor(memory_gallery)
+    def test_complete_metadata_silent(self, gallery):
+        deploy_instance(gallery)
+        monitor = make_monitor(gallery)
         snapshot = monitor.sweep()[0]
         assert snapshot.reproducible
         assert monitor.alerts.of_kind("completeness") == []
 
-    def test_completeness_alerts_can_be_disabled(self, memory_gallery):
-        deploy_instance(memory_gallery, metadata={})
-        monitor = make_monitor(memory_gallery, completeness_alerts=False)
+    def test_completeness_alerts_can_be_disabled(self, gallery):
+        deploy_instance(gallery, metadata={})
+        monitor = make_monitor(gallery, completeness_alerts=False)
         monitor.sweep()
         assert monitor.alerts.of_kind("completeness") == []
 
@@ -62,55 +62,55 @@ class TestDrift:
         for value in values:
             gallery.insert_metric(instance_id, "mape", value, scope="Production")
 
-    def test_degradation_detected_and_alerted(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        monitor = make_monitor(memory_gallery)
-        self.feed(memory_gallery, instance.instance_id, [0.1] * 5)
+    def test_degradation_detected_and_alerted(self, gallery):
+        instance = deploy_instance(gallery)
+        monitor = make_monitor(gallery)
+        self.feed(gallery, instance.instance_id, [0.1] * 5)
         snapshot = monitor.sweep()[0]
         assert snapshot.drifting_metrics == ()
-        self.feed(memory_gallery, instance.instance_id, [0.4] * 3)
+        self.feed(gallery, instance.instance_id, [0.4] * 3)
         snapshot = monitor.sweep()[0]
         assert "mape" in snapshot.drifting_metrics
         assert len(monitor.alerts.of_kind("drift")) == 1
 
-    def test_detector_state_persists_across_sweeps(self, memory_gallery):
+    def test_detector_state_persists_across_sweeps(self, gallery):
         """History consumed incrementally: split feeds detect the same."""
-        instance = deploy_instance(memory_gallery)
-        monitor = make_monitor(memory_gallery)
+        instance = deploy_instance(gallery)
+        monitor = make_monitor(gallery)
         for value in [0.1] * 4 + [0.4] * 2:
-            self.feed(memory_gallery, instance.instance_id, [value])
+            self.feed(gallery, instance.instance_id, [value])
             monitor.sweep()
         assert len(monitor.alerts.of_kind("drift")) == 1
 
-    def test_derived_drift_metric_written(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        monitor = make_monitor(memory_gallery)
-        self.feed(memory_gallery, instance.instance_id, [0.1] * 6)
+    def test_derived_drift_metric_written(self, gallery):
+        instance = deploy_instance(gallery)
+        monitor = make_monitor(gallery)
+        self.feed(gallery, instance.instance_id, [0.1] * 6)
         monitor.sweep()
-        history = memory_gallery.metric_history(
+        history = gallery.metric_history(
             instance.instance_id, "drift_ratio:mape"
         )
         assert history, "monitor publishes the derived signal to Gallery"
 
-    def test_reset_after_retrain(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        monitor = make_monitor(memory_gallery)
-        self.feed(memory_gallery, instance.instance_id, [0.1] * 4 + [0.5] * 3)
+    def test_reset_after_retrain(self, gallery):
+        instance = deploy_instance(gallery)
+        monitor = make_monitor(gallery)
+        self.feed(gallery, instance.instance_id, [0.1] * 4 + [0.5] * 3)
         monitor.sweep()
         assert len(monitor.alerts.of_kind("drift")) == 1
         monitor.reset_instance(instance.instance_id)
-        self.feed(memory_gallery, instance.instance_id, [0.1] * 7)
+        self.feed(gallery, instance.instance_id, [0.1] * 7)
         monitor.sweep()
         # fresh detector over stable tail: may re-baseline on old history,
         # but no new alert fires for stable behaviour
         assert len(monitor.alerts.of_kind("drift")) <= 2
 
-    def test_drift_signal_feeds_rule_engine(self, memory_gallery):
+    def test_drift_signal_feeds_rule_engine(self, gallery):
         from repro.core.clock import ManualClock
         from repro.rules import RuleEngine, action_rule
 
-        instance = deploy_instance(memory_gallery)
-        engine = RuleEngine(memory_gallery, clock=ManualClock(), bus=memory_gallery.bus)
+        instance = deploy_instance(gallery)
+        engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
         engine.register(
             action_rule(
                 uuid="retrain-on-drift",
@@ -120,47 +120,47 @@ class TestDrift:
                 actions=["retrain"],
             )
         )
-        monitor = make_monitor(memory_gallery)
-        self.feed(memory_gallery, instance.instance_id, [0.1] * 5 + [0.5] * 3)
+        monitor = make_monitor(gallery)
+        self.feed(gallery, instance.instance_id, [0.1] * 5 + [0.5] * 3)
         monitor.sweep()
         engine.drain()
         assert len(engine.actions.sent("retrain")) == 1
 
 
 class TestSkew:
-    def test_offline_online_gap_alerts(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        memory_gallery.insert_metric(instance.instance_id, "mape", 0.10, scope="Validation")
-        memory_gallery.insert_metric(instance.instance_id, "mape", 0.20, scope="Production")
-        monitor = make_monitor(memory_gallery)
+    def test_offline_online_gap_alerts(self, gallery):
+        instance = deploy_instance(gallery)
+        gallery.insert_metric(instance.instance_id, "mape", 0.10, scope="Validation")
+        gallery.insert_metric(instance.instance_id, "mape", 0.20, scope="Production")
+        monitor = make_monitor(gallery)
         snapshot = monitor.sweep()[0]
         assert "mape" in snapshot.skewed_metrics
         assert len(monitor.alerts.of_kind("skew")) == 1
 
-    def test_small_gap_silent(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        memory_gallery.insert_metric(instance.instance_id, "mape", 0.10, scope="Validation")
-        memory_gallery.insert_metric(instance.instance_id, "mape", 0.11, scope="Production")
-        monitor = make_monitor(memory_gallery)
+    def test_small_gap_silent(self, gallery):
+        instance = deploy_instance(gallery)
+        gallery.insert_metric(instance.instance_id, "mape", 0.10, scope="Validation")
+        gallery.insert_metric(instance.instance_id, "mape", 0.11, scope="Production")
+        monitor = make_monitor(gallery)
         snapshot = monitor.sweep()[0]
         assert snapshot.skewed_metrics == ()
 
-    def test_missing_scope_no_skew_check(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        memory_gallery.insert_metric(instance.instance_id, "mape", 0.10, scope="Validation")
-        monitor = make_monitor(memory_gallery)
+    def test_missing_scope_no_skew_check(self, gallery):
+        instance = deploy_instance(gallery)
+        gallery.insert_metric(instance.instance_id, "mape", 0.10, scope="Validation")
+        monitor = make_monitor(gallery)
         assert monitor.sweep()[0].skewed_metrics == ()
 
 
 class TestSweepScope:
-    def test_deprecated_instances_skipped(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        memory_gallery.deprecate_instance(instance.instance_id)
-        monitor = make_monitor(memory_gallery)
+    def test_deprecated_instances_skipped(self, gallery):
+        instance = deploy_instance(gallery)
+        gallery.deprecate_instance(instance.instance_id)
+        monitor = make_monitor(gallery)
         assert monitor.sweep() == []
 
-    def test_explicit_instance_list(self, memory_gallery):
-        instance = deploy_instance(memory_gallery)
-        monitor = make_monitor(memory_gallery)
+    def test_explicit_instance_list(self, gallery):
+        instance = deploy_instance(gallery)
+        monitor = make_monitor(gallery)
         snapshots = monitor.sweep([instance.instance_id])
         assert [s.instance_id for s in snapshots] == [instance.instance_id]

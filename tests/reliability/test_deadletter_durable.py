@@ -18,7 +18,7 @@ from repro.rules.engine import RuleEngine
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore, SQLiteMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 def make_context(action="deploy", rule="rule-1", instance="i-1", ts=100.0):
@@ -184,9 +184,9 @@ class TestEngineAutoSelection:
         engine = RuleEngine(gallery)
         assert isinstance(engine.dead_letters, DurableDeadLetterQueue)
 
-    def test_engine_over_memory_gallery_keeps_the_in_memory_queue(self, tmp_path):
+    def test_engine_over_memory_sqlite_keeps_the_in_memory_queue(self, tmp_path):
         dal = DataAccessLayer(
-            InMemoryMetadataStore(),
+            SQLiteMetadataStore(":memory:"),
             FilesystemBlobStore(tmp_path / "blobs"),
             LRUBlobCache(4),
         )

@@ -18,7 +18,7 @@ from repro.reliability import (
     corrupt_blob_at_rest,
 )
 from repro.store.blob import FilesystemBlobStore, InMemoryBlobStore
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 class TestFaultInjector:
@@ -66,20 +66,20 @@ class TestFaultInjector:
 class TestFaultyMetadataStore:
     def test_transparent_when_quiet(self):
         store = FaultyMetadataStore(
-            InMemoryMetadataStore(), FaultInjector(seed=1, rate=0.0)
+            SQLiteMetadataStore(":memory:"), FaultInjector(seed=1, rate=0.0)
         )
         assert store.counts()["models"] == 0
 
     def test_injected_errors_are_metadata_store_errors(self):
         injector = FaultInjector(seed=1, rate=0.0)
-        store = FaultyMetadataStore(InMemoryMetadataStore(), injector)
+        store = FaultyMetadataStore(SQLiteMetadataStore(":memory:"), injector)
         injector.inject_next("counts", FaultKind.TIMEOUT)
         with pytest.raises(MetadataStoreError, match="injected timeout"):
             store.counts()
         assert store.counts()["models"] == 0  # next call goes through
 
     def test_non_callable_attributes_pass_through(self):
-        inner = InMemoryMetadataStore()
+        inner = SQLiteMetadataStore(":memory:")
         store = FaultyMetadataStore(inner, FaultInjector(rate=0.0))
         assert store.inner is inner
 

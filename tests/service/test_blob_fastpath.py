@@ -34,7 +34,7 @@ from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.store.blob import FilesystemBlobStore
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 # Deliberately NOT chunk-aligned: 3 full 64 KiB chunks plus a ragged tail.
 BLOB = bytes(range(256)) * (768 + 1) + b"tail-bytes!"
@@ -44,7 +44,7 @@ CHUNK = 64 * 1024
 def file_backed_gallery(tmp_path):
     """A file-backed gallery holding one blob: (gallery, instance_id, store)."""
     store = FilesystemBlobStore(tmp_path / "blobs")
-    dal = DataAccessLayer(InMemoryMetadataStore(), store, cache=None)
+    dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), store, cache=None)
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(7))
     gallery.create_model("p", "demand")
     instance = gallery.upload_model(
@@ -194,7 +194,7 @@ class TestIntegrity:
 
     def test_client_rejects_response_with_wrong_digest(self, tmp_path):
         store = FilesystemBlobStore(tmp_path / "blobs")
-        dal = DataAccessLayer(InMemoryMetadataStore(), store, cache=None)
+        dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), store, cache=None)
         gallery = Gallery(
             dal, clock=ManualClock(), id_factory=SeededIdFactory(7)
         )

@@ -683,10 +683,10 @@ def test_client_close_releases_every_socket(tmp_path):
     from repro.store.blob import FilesystemBlobStore
     from repro.store.cache import LRUBlobCache
     from repro.store.dal import DataAccessLayer
-    from repro.store.metadata_store import InMemoryMetadataStore
+    from repro.store.metadata_store import SQLiteMetadataStore
 
     dal = DataAccessLayer(
-        InMemoryMetadataStore(), FilesystemBlobStore(tmp_path), LRUBlobCache(4)
+        SQLiteMetadataStore(":memory:"), FilesystemBlobStore(tmp_path), LRUBlobCache(4)
     )
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(3))
     server = GalleryTcpServer(GalleryService(gallery)).start()
@@ -925,10 +925,10 @@ class TestDrainRouting:
         from repro.service.server import GalleryService
         from repro.store.blob import InMemoryBlobStore
         from repro.store.dal import DataAccessLayer
-        from repro.store.metadata_store import InMemoryMetadataStore
+        from repro.store.metadata_store import SQLiteMetadataStore
 
         gallery = Gallery(
-            DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore())
+            DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore())
         )
         svc_a, svc_b = GalleryService(gallery), GalleryService(gallery)
         fleet = Fleet({"a:1": svc_a.handle_frame, "b:2": svc_b.handle_frame})

@@ -27,7 +27,7 @@ from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer
 from repro.store.blob import InMemoryBlobStore
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 from tests.service.test_endpoints import (
     Fleet,
@@ -413,7 +413,7 @@ def test_no_fd_leak_after_100_membership_cycles():
 
     def build_server():
         gallery = Gallery(
-            DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore())
+            DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore())
         )
         return GalleryTcpServer(GalleryService(gallery)).start()
 

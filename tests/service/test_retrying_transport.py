@@ -39,7 +39,7 @@ from repro.service.server import MUTATING_METHODS, GalleryService
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 def uniform(policy):
@@ -80,7 +80,7 @@ def faulty_stack():
     """Service stack whose transport AND metadata store can inject faults."""
     store_injector = FaultInjector(seed=11, rate=0.0)
     wire_injector = FaultInjector(seed=13, rate=0.0)
-    metadata = FaultyMetadataStore(InMemoryMetadataStore(), store_injector)
+    metadata = FaultyMetadataStore(SQLiteMetadataStore(":memory:"), store_injector)
     dal = DataAccessLayer(metadata, InMemoryBlobStore(), LRUBlobCache(1 << 20))
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
     engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
@@ -189,7 +189,7 @@ class TestPerMethodRetryBudgets:
     def build(self, policies):
         injector = FaultInjector(seed=21, rate=0.0)
         dal = DataAccessLayer(
-            InMemoryMetadataStore(), InMemoryBlobStore(), LRUBlobCache(1 << 20)
+            SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), LRUBlobCache(1 << 20)
         )
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(2))
         service = GalleryService(gallery, RuleEngine(gallery, clock=ManualClock()))
@@ -266,7 +266,7 @@ class TestCircuitBreaker:
     def build(self, clock):
         injector = FaultInjector(seed=3, rate=0.0)
         dal = DataAccessLayer(
-            InMemoryMetadataStore(), InMemoryBlobStore(), LRUBlobCache(1 << 20)
+            SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), LRUBlobCache(1 << 20)
         )
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
         service = GalleryService(gallery, RuleEngine(gallery, clock=ManualClock()))

@@ -14,12 +14,12 @@ from repro.service.wire import Request
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 @pytest.fixture
 def stack():
-    dal = DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore(), LRUBlobCache(1 << 20))
+    dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), LRUBlobCache(1 << 20))
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
     engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
     service = GalleryService(gallery, engine)
@@ -173,7 +173,7 @@ class TestErrorHandling:
         assert not response.ok
 
     def test_engine_required_for_rule_methods(self):
-        dal = DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore(), None)
+        dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), None)
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(2))
         client = connect_in_process(GalleryService(gallery, engine=None))
         with pytest.raises(ValidationError):

@@ -97,10 +97,10 @@ class TestEndToEnd:
         from repro.store.blob import FilesystemBlobStore
         from repro.store.cache import LRUBlobCache
         from repro.store.dal import DataAccessLayer
-        from repro.store.metadata_store import InMemoryMetadataStore
+        from repro.store.metadata_store import SQLiteMetadataStore
 
         dal = DataAccessLayer(
-            InMemoryMetadataStore(),
+            SQLiteMetadataStore(":memory:"),
             FilesystemBlobStore(tmp_path),
             LRUBlobCache(4),
         )

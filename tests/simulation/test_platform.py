@@ -55,32 +55,32 @@ class TestCoupledMode:
 
 
 class TestOfflineTraining:
-    def test_registers_instance_with_metrics(self, memory_gallery, curves):
+    def test_registers_instance_with_metrics(self, gallery, curves):
         historical, _ = curves
         instance_id = train_offline_model(
-            memory_gallery, historical, lambda: RidgeRegression(), SPEC
+            gallery, historical, lambda: RidgeRegression(), SPEC
         )
-        instance = memory_gallery.get_instance(instance_id)
+        instance = gallery.get_instance(instance_id)
         assert instance.metadata["team"] == "simulation"
-        names = {m.name for m in memory_gallery.metrics_of(instance_id)}
+        names = {m.name for m in gallery.metrics_of(instance_id)}
         assert "mape" in names
 
-    def test_repeat_training_reuses_model(self, memory_gallery, curves):
+    def test_repeat_training_reuses_model(self, gallery, curves):
         historical, _ = curves
-        first = train_offline_model(memory_gallery, historical, lambda: RidgeRegression(), SPEC)
-        second = train_offline_model(memory_gallery, historical, lambda: RidgeRegression(), SPEC)
+        first = train_offline_model(gallery, historical, lambda: RidgeRegression(), SPEC)
+        second = train_offline_model(gallery, historical, lambda: RidgeRegression(), SPEC)
         assert first != second
-        assert len(memory_gallery.models()) == 1  # one model, two instances
+        assert len(gallery.models()) == 1  # one model, two instances
 
 
 class TestDecoupledMode:
-    def test_fetches_from_gallery_and_runs(self, memory_gallery, curves):
+    def test_fetches_from_gallery_and_runs(self, gallery, curves):
         historical, live = curves
         instance_id = train_offline_model(
-            memory_gallery, historical, lambda: RidgeRegression(), SPEC
+            gallery, historical, lambda: RidgeRegression(), SPEC
         )
         run = run_decoupled(
-            memory_gallery,
+            gallery,
             instance_id,
             live,
             MarketplaceConfig(n_drivers=30),
@@ -94,7 +94,7 @@ class TestDecoupledMode:
         assert run.resources.training_cpu_s == 0.0
         assert run.marketplace.trips_completed > 0
 
-    def test_decoupling_saves_resources(self, memory_gallery, curves):
+    def test_decoupling_saves_resources(self, gallery, curves):
         """The paper's Case 2 shape: less memory, less in-run CPU."""
         historical, live = curves
         config = MarketplaceConfig(n_drivers=30)
@@ -103,10 +103,10 @@ class TestDecoupledMode:
             hours=HOURS, seed=1, retrain_every_hours=24, expansion_rows=50,
         )
         instance_id = train_offline_model(
-            memory_gallery, historical, lambda: RidgeRegression(), SPEC
+            gallery, historical, lambda: RidgeRegression(), SPEC
         )
         decoupled = run_decoupled(
-            memory_gallery, instance_id, live, config, SPEC, hours=HOURS, seed=1
+            gallery, instance_id, live, config, SPEC, hours=HOURS, seed=1
         )
         assert decoupled.resources.peak_buffer_bytes < coupled.resources.peak_buffer_bytes / 100
         assert decoupled.resources.training_cpu_s < coupled.resources.training_cpu_s

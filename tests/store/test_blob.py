@@ -1,15 +1,12 @@
-"""Tests for blob stores: memory, filesystem (S3/HDFS stand-in), faults."""
+"""Tests for blob stores: memory and filesystem (S3/HDFS stand-in).
+
+The fault-injecting wrapper is tested in ``tests/reliability/test_faults.py``.
+"""
 
 import pytest
 
 from repro.errors import BlobStoreError, NotFoundError
-from repro.store.blob import (
-    FaultInjectingBlobStore,
-    FaultPlan,
-    FilesystemBlobStore,
-    InMemoryBlobStore,
-    content_address,
-)
+from repro.store.blob import FilesystemBlobStore, InMemoryBlobStore, content_address
 
 
 @pytest.fixture(params=["memory", "fs"])
@@ -93,32 +90,3 @@ class TestFilesystemSpecifics:
         location = FilesystemBlobStore(tmp_path).put(b"durable")
         assert FilesystemBlobStore(tmp_path).get(location) == b"durable"
 
-
-class TestFaultInjection:
-    def test_scheduled_put_failure(self):
-        store = FaultInjectingBlobStore(InMemoryBlobStore(), FaultPlan(fail_puts={2}))
-        store.put(b"first")
-        with pytest.raises(BlobStoreError):
-            store.put(b"second")
-        store.put(b"third")
-        assert len(store.locations()) == 2
-
-    def test_scheduled_get_failure(self):
-        store = FaultInjectingBlobStore(InMemoryBlobStore(), FaultPlan(fail_gets={1}))
-        location = store.put(b"x")
-        with pytest.raises(BlobStoreError):
-            store.get(location)
-        assert store.get(location) == b"x"  # second read succeeds
-
-    def test_latency_accounting(self):
-        plan = FaultPlan(put_latency_s=0.01, get_latency_s=0.002)
-        store = FaultInjectingBlobStore(InMemoryBlobStore(), plan)
-        location = store.put(b"x")
-        store.get(location)
-        assert store.stats.simulated_latency_s == pytest.approx(0.012)
-
-    def test_transparent_otherwise(self):
-        store = FaultInjectingBlobStore(InMemoryBlobStore())
-        location = store.put(b"clean")
-        assert store.get(location) == b"clean"
-        assert store.exists(location)

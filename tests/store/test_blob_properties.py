@@ -7,14 +7,10 @@ from hypothesis import given, settings
 
 from repro.core.records import ModelInstance
 from repro.errors import GalleryError
-from repro.store.blob import (
-    FaultInjectingBlobStore,
-    FaultPlan,
-    InMemoryBlobStore,
-    content_address,
-)
+from repro.reliability import FaultInjector, FaultKind, FaultyBlobStore
+from repro.store.blob import InMemoryBlobStore, content_address
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 @given(st.binary(max_size=512))
@@ -47,14 +43,19 @@ def test_locations_track_live_blobs(payloads):
 
 @given(
     st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=12),
-    st.sets(st.integers(min_value=1, max_value=12)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=200)
-def test_write_blob_first_never_leaves_dangling_metadata(payloads, failing_puts):
-    """Under arbitrary blob-write failures, metadata never points at a
-    missing blob — the paper's consistency guarantee (Section 3.5)."""
-    store = FaultInjectingBlobStore(InMemoryBlobStore(), FaultPlan(fail_puts=failing_puts))
-    dal = DataAccessLayer(InMemoryMetadataStore(), store, None)
+def test_write_blob_first_never_leaves_dangling_metadata(payloads, seed, rate):
+    """Under arbitrary blob-write failures (plain errors and torn writes),
+    metadata never points at a missing blob — the paper's consistency
+    guarantee (Section 3.5)."""
+    injector = FaultInjector(
+        seed, rate, kinds=(FaultKind.ERROR, FaultKind.TORN_WRITE), ops={"put"}
+    )
+    store = FaultyBlobStore(InMemoryBlobStore(), injector)
+    dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), store, None)
     saved = 0
     for index, payload in enumerate(payloads):
         instance = ModelInstance(

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import BlobCorruptionError, NotFoundError, ValidationError
+from repro.reliability import FaultInjector, FaultyBlobStore
 from repro.store.blob import (
     BlobRegion,
-    FaultInjectingBlobStore,
     FilesystemBlobStore,
     InMemoryBlobStore,
     range_of_bytes,
@@ -199,10 +199,12 @@ class TestBackendParity:
         assert fs_range.blob_size == mem_range.blob_size
         assert fs_range.digest == mem_range.digest
 
-    def test_fault_injecting_store_falls_back_to_get(self):
-        store = FaultInjectingBlobStore(InMemoryBlobStore())
+    def test_fault_injecting_store_falls_back_to_get(self, tmp_path):
+        # faults must flow through get(), so the wrapper never exposes the
+        # file-backed inner store's zero-copy regions
+        store = FaultyBlobStore(FilesystemBlobStore(tmp_path), FaultInjector())
         location = store.put(PAYLOAD)
-        assert store.open_region(location) is None  # not file-backed
+        assert store.open_region(location) is None
         result = store.get_range(location, 8, 8)
         assert result.payload == PAYLOAD[8:16]
 

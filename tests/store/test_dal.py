@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.records import Model, ModelInstance
 from repro.errors import BlobStoreError, ConsistencyError, DuplicateError
-from repro.store.blob import FaultInjectingBlobStore, FaultPlan, InMemoryBlobStore
+from repro.reliability import FaultInjector, FaultyBlobStore
+from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 def make_instance(iid="i1"):
@@ -18,7 +19,7 @@ def make_instance(iid="i1"):
 
 @pytest.fixture
 def dal_parts():
-    metadata = InMemoryMetadataStore()
+    metadata = SQLiteMetadataStore(":memory:")
     blobs = InMemoryBlobStore()
     cache = LRUBlobCache(1024)
     return metadata, blobs, cache, DataAccessLayer(metadata, blobs, cache)
@@ -33,8 +34,10 @@ class TestWriteBlobFirst:
 
     def test_blob_failure_leaves_nothing(self, dal_parts):
         metadata, _, cache, _ = dal_parts
-        failing = FaultInjectingBlobStore(InMemoryBlobStore(), FaultPlan(fail_puts={1}))
+        injector = FaultInjector()
+        failing = FaultyBlobStore(InMemoryBlobStore(), injector)
         dal = DataAccessLayer(metadata, failing, cache)
+        injector.inject_next("put")
         with pytest.raises(BlobStoreError):
             dal.save_instance(make_instance(), b"payload")
         assert metadata.counts()["instances"] == 0
@@ -72,7 +75,7 @@ class TestReadPath:
         assert blobs.stats.gets == 1  # only one physical read
 
     def test_no_cache_configured(self):
-        dal = DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore(), None)
+        dal = DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore(), None)
         dal.save_instance(make_instance(), b"payload")
         assert dal.load_blob("i1") == b"payload"
         assert dal.load_blob("i1") == b"payload"

@@ -12,11 +12,12 @@ import time
 
 import pytest
 
+from repro import build_gallery
 from repro.errors import MetadataStoreError
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore, SQLiteMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 @pytest.fixture
@@ -39,7 +40,10 @@ class TestSupportsDurableState:
         assert SQLiteMetadataStore(":memory:").supports_durable_state is False
 
     def test_in_memory_store_is_not(self):
-        assert InMemoryMetadataStore().supports_durable_state is False
+        # build_gallery()'s default "memory" backend is SQLite :memory:
+        metadata = build_gallery().dal.metadata
+        assert type(metadata) is SQLiteMetadataStore
+        assert metadata.supports_durable_state is False
 
     def test_dal_passes_the_flag_through(self, store, tmp_path):
         dal = DataAccessLayer(
@@ -47,7 +51,7 @@ class TestSupportsDurableState:
         )
         assert dal.supports_durable_state is True
         memory_dal = DataAccessLayer(
-            InMemoryMetadataStore(),
+            SQLiteMetadataStore(":memory:"),
             FilesystemBlobStore(tmp_path / "blobs2"),
             LRUBlobCache(4),
         )

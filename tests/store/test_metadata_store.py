@@ -1,11 +1,24 @@
-"""Tests for the relational metadata stores (memory + SQLite parity)."""
+"""Tests for the relational metadata store, in both of its configurations."""
 
 import dataclasses
+import sqlite3
 
 import pytest
 
 from repro.core.records import MetricRecord, Model, ModelInstance
-from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
+from repro.errors import (
+    DuplicateError,
+    MetadataStoreError,
+    NotFoundError,
+    ValidationError,
+)
+from repro.store.metadata_store import SQLiteMetadataStore
+from repro.store.sharding import open_sharded_store, shard_file
+
+#: ``:memory:`` (one shared connection) and a WAL file (one per thread).
+both_configurations = pytest.mark.parametrize(
+    "metadata_store", ["memory", "sqlite"], indirect=True
+)
 
 
 def model(mid="m1", **overrides):
@@ -32,6 +45,7 @@ def metric(mtid="mt1", iid="i1", **overrides):
     return MetricRecord(**defaults)
 
 
+@both_configurations
 class TestModels:
     def test_insert_get_round_trip(self, metadata_store):
         record = model(metadata={"k": "v"}, upstream_model_ids=("u",))
@@ -63,6 +77,7 @@ class TestModels:
         assert {m.model_id for m in metadata_store.iter_models()} == {"m1", "m2"}
 
 
+@both_configurations
 class TestInstances:
     def test_insert_get_round_trip(self, metadata_store):
         record = instance(blob_location="mem://b/1", instance_version="1.1")
@@ -78,9 +93,7 @@ class TestInstances:
         metadata_store.insert_instance(instance("late", created_time=9.0))
         metadata_store.insert_instance(instance("early", created_time=1.0))
         ids = [i.instance_id for i in metadata_store.instances_of_model("m1")]
-        # memory store preserves insert order; sqlite sorts by created_time.
-        # Both must contain exactly these two instances.
-        assert set(ids) == {"early", "late"}
+        assert ids == ["early", "late"]
 
     def test_instances_of_base_version(self, metadata_store):
         metadata_store.insert_instance(instance("i1"))
@@ -120,6 +133,7 @@ class TestInstances:
             )
 
 
+@both_configurations
 class TestMetrics:
     def test_insert_and_query(self, metadata_store):
         metadata_store.insert_metric(metric())
@@ -141,6 +155,7 @@ class TestMetrics:
         assert len(list(metadata_store.iter_metrics())) == 2
 
 
+@both_configurations
 class TestCounts:
     def test_counts_per_table(self, metadata_store):
         metadata_store.insert_model(model())
@@ -149,6 +164,7 @@ class TestCounts:
         assert metadata_store.counts() == {"models": 1, "instances": 1, "metrics": 1}
 
 
+@both_configurations
 class TestFamilies:
     def test_family_and_enablement_round_trip(self, metadata_store):
         record = instance(family="sf:rf", enabled=False)
@@ -189,6 +205,7 @@ class TestFamilies:
             )
 
 
+@both_configurations
 class TestServingAssignments:
     def test_first_assignment_creates_row(self, metadata_store):
         created = metadata_store.assign_serving(
@@ -238,6 +255,7 @@ class TestServingAssignments:
         assert set(metadata_store.counts()) == {"models", "instances", "metrics"}
 
 
+@both_configurations
 class TestBatchedReads:
     """The batch surfaces the registry's read path is built on."""
 
@@ -292,6 +310,7 @@ class TestBatchedReads:
             }
 
 
+@both_configurations
 class TestBulkMetricInsert:
     def test_insert_metrics_batch(self, metadata_store):
         batch = [metric(f"mt{n}", value=n / 10) for n in range(5)]
@@ -317,8 +336,9 @@ class TestBulkMetricInsert:
         assert metadata_store.counts()["metrics"] == 0
 
 
+@both_configurations
 class TestOrderingParity:
-    """Both backends must return candidates in the same order (ABL-BACKEND)."""
+    """Candidates come back in creation order, whichever statement serves them."""
 
     def test_indexed_lookup_ordered_by_created_time(self, metadata_store):
         metadata_store.insert_instance(instance("late", created_time=9.0))
@@ -342,3 +362,44 @@ class TestOrderingParity:
         assert [
             i.instance_id for i in metadata_store.instances_of_model("m1")
         ] == ["early", "late"]
+
+
+class TestAssignServingRollsBack:
+    """A rejected assignment must not leave BEGIN IMMEDIATE's lock held.
+
+    ``ServingAssignment`` validates the scope after the transaction began;
+    on a shared file a leaked transaction stalls every other replica's
+    writes for the whole busy timeout.
+    """
+
+    @pytest.fixture(params=["file", "4-shards"])
+    def durable(self, request, tmp_path):
+        """A file-backed store and ``owner(scope)``: the file holding that scope."""
+        if request.param == "file":
+            path = str(tmp_path / "gallery.sqlite")
+            store = SQLiteMetadataStore(path)
+            owner = lambda scope: path  # noqa: E731
+        else:
+            directory = str(tmp_path / "shards")
+            store = open_sharded_store(directory, 4)
+            owner = lambda scope: shard_file(  # noqa: E731
+                directory, store.shard_map.shard_for(scope)
+            )
+        yield store, owner
+        store.close()
+
+    def test_invalid_scope_releases_the_database_lock(self, durable):
+        store, owner = durable
+        with pytest.raises(ValidationError):
+            store.assign_serving("", "i1")
+        other = sqlite3.connect(owner(""), timeout=0)
+        try:
+            other.execute("INSERT INTO models (model_id, record) VALUES ('x', '{}')")
+            other.commit()
+        finally:
+            other.close()
+        # the next assignment on the same connection starts a fresh transaction
+        scope = next(
+            f"city-{n}" for n in range(1000) if owner(f"city-{n}") == owner("")
+        )
+        assert store.assign_serving(scope, "i1").switch_count == 1

@@ -12,7 +12,7 @@ from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer
 from repro.store.blob import InMemoryBlobStore
 from repro.store.dal import DataAccessLayer
-from repro.store.metadata_store import InMemoryMetadataStore
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 def run(capsys, *argv):
@@ -26,7 +26,7 @@ def replicas():
     servers = []
     for _ in range(2):
         gallery = Gallery(
-            DataAccessLayer(InMemoryMetadataStore(), InMemoryBlobStore())
+            DataAccessLayer(SQLiteMetadataStore(":memory:"), InMemoryBlobStore())
         )
         servers.append(GalleryTcpServer(GalleryService(gallery)).start())
     yield servers
