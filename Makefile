@@ -8,15 +8,16 @@ test: lint
 
 # ruff when available (config in pyproject.toml); otherwise fall back to a
 # compileall syntax sweep so `make lint` still means something in
-# network-isolated environments where ruff cannot be installed.  Without
-# ruff the TID251 import bans in pyproject.toml are advisory: compileall is
-# the only check that runs.
+# network-isolated environments where ruff cannot be installed.  The TID251
+# import bans in pyproject.toml are enforced either way: tests/test_lint.py
+# reads them from pyproject.toml and checks src/ with ast, in tier-1 too.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \
 		echo "ruff not installed; falling back to 'python -m compileall' syntax check"; \
-		$(PYTHON) -m compileall -q src tests benchmarks; \
+		$(PYTHON) -m compileall -q src tests benchmarks && \
+		PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_lint.py; \
 	fi
 
 chaos:

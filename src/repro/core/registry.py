@@ -853,8 +853,11 @@ class Gallery:
     ) -> list[ModelInstance]:
         """Constraint search over instances, metadata, and metrics.
 
-        Equality constraints on indexed fields narrow the scan through the
-        metadata store's indexes before full constraint matching runs.
+        Candidates come from one store read: an equality on an indexed
+        field or routing key narrows through the index, and every other
+        equality the store can test is pushed into the same statement as a
+        necessary condition (:meth:`ConstraintSet.narrowing_hint`).  Full
+        constraint matching then runs on each candidate.
 
         **Graceful degradation**: when the metadata store is unreachable and
         *allow_stale* is set, the query is answered from the document
@@ -878,7 +881,9 @@ class Gallery:
     def _model_query_live(
         self, constraint_set: ConstraintSet, include_deprecated: bool
     ) -> list[ModelInstance]:
-        candidates = self._narrow_candidates(constraint_set)
+        candidates = self._dal.metadata.find_instances_by_field(
+            *constraint_set.narrowing_hint()
+        )
         live = [
             instance
             for instance in candidates
@@ -941,17 +946,6 @@ class Gallery:
     def stale_query_count(self) -> int:
         """How many queries were served degraded from the document cache."""
         return self._stale_query_count
-
-    def _narrow_candidates(self, constraint_set: ConstraintSet) -> list[ModelInstance]:
-        hint = constraint_set.narrowing_hint()
-        if hint is None:
-            return list(self._dal.metadata.iter_instances())
-        kind, _field, value = hint
-        if kind == "field":
-            return self._dal.metadata.find_instances_by_field(_field, value)
-        if kind == "base_version":
-            return self._dal.metadata.instances_of_base_version(value)
-        return self._dal.metadata.instances_of_model(value)
 
     def _document_for(self, instance: ModelInstance) -> dict[str, Any]:
         return self._documents_for([instance])[instance.instance_id]

@@ -20,10 +20,18 @@ Constraints fall into two families:
   are *correlated*: the whole metric-constraint group must be satisfied by a
   single metric record, so "name == bias AND value < 0.25" cannot be
   satisfied by a bias of 0.5 plus an unrelated small metric.
+
+The registry reads candidates with one narrowing call per query
+(:meth:`ConstraintSet.narrowing_hint`): one strict equality the store answers
+through an index or a routing key, with every other safe equality pushed
+into the same SQL ``WHERE`` as a necessary condition.  The matchers below
+still decide every row the store returns, so pushdown changes how many rows
+are parsed, never which instances match.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
@@ -110,6 +118,32 @@ def _compare(op: Operator, actual: Any, expected: Any) -> bool:
     raise ValidationError(f"unhandled operator: {op}")  # pragma: no cover
 
 
+#: Metadata keys the store may address as a JSON path; anything else
+#: (quotes, dots, brackets, ...) would be a path error, so it stays in Python.
+_PUSHABLE_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+_INT64 = 1 << 63
+
+
+def _pushable(key: str, value: Any) -> bool:
+    """Whether ``key == value`` can be tested in SQL exactly as in Python.
+
+    Strings qualify unless SQLite would see them differently: it cannot bind
+    lone surrogates and its JSON extraction stops at a NUL.  Integers
+    qualify inside SQLite's 64-bit range; bools, floats, None and
+    containers never do.
+    """
+    if _PUSHABLE_KEY.fullmatch(key) is None:
+        return False
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return "\x00" not in value
+    return type(value) is int and -_INT64 <= value < _INT64
+
+
 @dataclass(frozen=True, slots=True)
 class Constraint:
     """One ``field <operator> value`` condition."""
@@ -171,30 +205,47 @@ class ConstraintSet:
     def metric_constraints(self) -> Sequence[Constraint]:
         return self._metric
 
-    def narrowing_hint(self) -> tuple[str, str, Any] | None:
-        """Best single equality constraint for index-assisted narrowing.
+    def narrowing_hint(
+        self,
+    ) -> tuple[str | None, Any, tuple[tuple[str, Any], ...]]:
+        """The store's one narrowing read, as ``(field, value, also)``.
 
-        Returns ``(kind, field, value)`` where ``kind`` is ``"field"`` (an
-        indexed standard-metadata column), ``"base_version"``, or
-        ``"model"`` — or None when no equality constraint can narrow the
-        scan.  Indexed fields win over id-based lookups regardless of
-        constraint order, so a query like ``[custom == x, city == sf]``
-        still narrows through the city index.
+        ``field == value`` is the single *strict* condition: the first
+        equality on an indexed standard-metadata column wins regardless of
+        constraint order (so ``[custom == x, city == sf]`` still narrows
+        through the city index), else the first equality on
+        ``base_version_id`` or ``model_id`` (one shard).  ``field`` is None
+        when no equality constraint can narrow that way.
+
+        ``also`` carries every other equality constraint as a ``(key,
+        value)`` pair the store may test in SQL.  Each is only a *necessary*
+        condition: instance metadata is applied last when the document is
+        flattened, so a row whose own metadata lacks *key* is kept and the
+        parent model may still supply the value.  :meth:`matches_document`
+        decides every row the store returns.  A pair is pushed only when
+        *key* is a plain identifier and *value* is a string or an in-range
+        integer that SQLite compares exactly as Python does; every other
+        constraint is matched in Python only.
         """
         from repro.core.metadata import INDEXED_FIELDS
 
-        fallback: tuple[str, str, Any] | None = None
-        for constraint in self._document:
-            if constraint.operator is not Operator.EQUAL:
-                continue
+        equalities = [c for c in self._document if c.operator is Operator.EQUAL]
+        strict: Constraint | None = None
+        for constraint in equalities:
             field = constraint.resolved_field
             if field in INDEXED_FIELDS:
-                return ("field", field, constraint.value)
-            if fallback is None and field == "base_version_id":
-                fallback = ("base_version", field, constraint.value)
-            elif fallback is None and field == "model_id":
-                fallback = ("model", field, constraint.value)
-        return fallback
+                strict = constraint
+                break
+            if strict is None and field in ("base_version_id", "model_id"):
+                strict = constraint
+        also = tuple(
+            (c.resolved_field, c.value)
+            for c in equalities
+            if c is not strict and _pushable(c.resolved_field, c.value)
+        )
+        if strict is None:
+            return None, None, also
+        return strict.resolved_field, strict.value, also
 
     def metric_name_hint(self) -> str | None:
         """Metric name every satisfying record must carry, if one exists.

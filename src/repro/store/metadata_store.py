@@ -32,6 +32,14 @@ Concurrency model (see ``docs/PERFORMANCE.md``):
 Batch surfaces (``get_models`` / ``instances_for_models`` /
 ``metrics_for_instances`` / ``insert_metrics``) let the registry resolve a
 whole candidate set in O(1) queries instead of one query per record.
+
+A constraint search reads its candidates with one statement,
+:meth:`MetadataStore.find_instances_by_field`: the strict equality the
+search picked for an index or a routing key, plus every other equality
+constraint it could push, all in one ``WHERE``.  The pushed equalities are
+necessary conditions on the instance's own metadata (a row without the key
+is kept, since its parent model may supply the value), so the rows that come
+back are the instances that can still match, not the whole index range.
 """
 
 from __future__ import annotations
@@ -60,6 +68,11 @@ _MUTABLE_MODEL_FIELDS = {
     "enabled",
 }
 _MUTABLE_INSTANCE_FIELDS = {"deprecated", "enabled"}
+
+#: Instance columns a narrowing read may test with ``=``: the promoted
+#: standard fields plus the two routing identifiers.  Only these names are
+#: ever formatted into SQL text.
+_KEY_COLUMNS = frozenset(INDEXED_FIELDS) | {"base_version_id", "model_id"}
 
 #: Max ids per SQL ``IN (...)`` clause; SQLite's default host-parameter
 #: limit is 999, so batched lookups chunk below it.
@@ -136,21 +149,31 @@ class MetadataStore(ABC):
     def iter_instances(self) -> Iterator[ModelInstance]: ...
 
     @abstractmethod
-    def instances_of_model(self, model_id: str) -> list[ModelInstance]: ...
-
-    @abstractmethod
     def instances_for_models(
         self, model_ids: Iterable[str]
     ) -> dict[str, list[ModelInstance]]:
-        """Batch variant of :meth:`instances_of_model`; every requested id
-        maps to a (possibly empty) list ordered by creation time."""
+        """Every requested model id maps to its (possibly empty) list of
+        instances, ordered by creation time."""
+
+    def instances_of_base_version(self, base_version_id: str) -> list[ModelInstance]:
+        return self.find_instances_by_field("base_version_id", base_version_id)
 
     @abstractmethod
-    def instances_of_base_version(self, base_version_id: str) -> list[ModelInstance]: ...
+    def find_instances_by_field(
+        self,
+        field: str | None,
+        value: Any = None,
+        also: Sequence[tuple[str, Any]] = (),
+    ) -> list[ModelInstance]:
+        """Instances whose *field* column equals *value*, narrowed by *also*.
 
-    @abstractmethod
-    def find_instances_by_field(self, field: str, value: Any) -> list[ModelInstance]:
-        """Equality lookup on an indexed standard-metadata field."""
+        *field* is an indexed standard-metadata column, ``base_version_id``
+        or ``model_id``, or None for no strict condition.  Each ``(key,
+        expected)`` in *also* keeps only rows whose own metadata either
+        lacks *key* or holds *expected* there: a necessary condition for a
+        search document to match, never a sufficient one.  Rows come back
+        ordered by creation time.
+        """
 
     # -- metrics -------------------------------------------------------------
 
@@ -572,13 +595,6 @@ class SQLiteMetadataStore(MetadataStore):
         rows = self._read("SELECT record FROM instances")
         return (ModelInstance.from_dict(json.loads(r[0])) for r in rows)
 
-    def instances_of_model(self, model_id: str) -> list[ModelInstance]:
-        rows = self._read(
-            "SELECT record FROM instances WHERE model_id = ? ORDER BY created_time",
-            (model_id,),
-        )
-        return [ModelInstance.from_dict(json.loads(r[0])) for r in rows]
-
     def instances_for_models(
         self, model_ids: Iterable[str]
     ) -> dict[str, list[ModelInstance]]:
@@ -596,27 +612,39 @@ class SQLiteMetadataStore(MetadataStore):
                 out[instance.model_id].append(instance)
         return out
 
-    def instances_of_base_version(self, base_version_id: str) -> list[ModelInstance]:
-        rows = self._read(
-            "SELECT record FROM instances WHERE base_version_id = ?"
-            " ORDER BY created_time",
-            (base_version_id,),
+    def _select_instances(self, terms: list[str], params: list[Any]) -> list[tuple]:
+        where = f" WHERE {' AND '.join(terms)}" if terms else ""
+        return self._read(
+            f"SELECT record FROM instances{where} ORDER BY created_time",  # noqa: S608
+            tuple(params),
         )
-        return [ModelInstance.from_dict(json.loads(r[0])) for r in rows]
 
-    def find_instances_by_field(self, field: str, value: Any) -> list[ModelInstance]:
-        if field in INDEXED_FIELDS:
-            rows = self._read(
-                f"SELECT record FROM instances WHERE {field} = ?"  # noqa: S608
-                " ORDER BY created_time",
-                (value,),
-            )
-            return [ModelInstance.from_dict(json.loads(r[0])) for r in rows]
-        hits = [
-            inst for inst in self.iter_instances() if inst.metadata.get(field) == value
-        ]
-        hits.sort(key=lambda inst: inst.created_time)
-        return hits
+    def find_instances_by_field(
+        self,
+        field: str | None,
+        value: Any = None,
+        also: Sequence[tuple[str, Any]] = (),
+    ) -> list[ModelInstance]:
+        if field is not None and field not in _KEY_COLUMNS:
+            raise ValueError(f"cannot narrow on {field!r}: not an instance column")
+        terms, params = ([], []) if field is None else ([f"{field} = ?"], [value])
+        json_terms: list[str] = []
+        json_params: list[Any] = []
+        for key, expected in also:
+            # NULL when the key is absent (or JSON null): keep the row.
+            json_terms.append("IFNULL(json_extract(record, ?) = ?, 1)")
+            json_params += [f"$.metadata.{key}", expected]
+        try:
+            rows = self._select_instances(terms + json_terms, params + json_params)
+        except MetadataStoreError as exc:
+            # json.dumps writes a non-finite float as a bare NaN / Infinity,
+            # which SQLite's JSON functions reject as malformed JSON.  The
+            # JSON terms are only necessary conditions: read without them
+            # and let the caller's matcher decide.
+            if not json_terms or "malformed JSON" not in str(exc):
+                raise
+            rows = self._select_instances(terms, params)
+        return [ModelInstance.from_dict(json.loads(r[0])) for r in rows]
 
     # -- metrics ----------------------------------------------------------------
 

@@ -30,7 +30,7 @@ table            routing key            why
 ===============  =====================  =========================================
 models           ``base_version_id``    co-locates a coordinate's evolution chain
 instances        ``base_version_id``    co-locates with the owning model, makes
-                                        ``instances_of_base_version`` single-shard
+                                        a base-version search single-shard
 metrics          ``instance_id``        deterministic without consulting metadata
 dedup_entries    ``client_id``          a client's exactly-once claims stay on one
                                         file, so the atomic PRIMARY KEY claim race
@@ -43,19 +43,21 @@ assignments                             atomic re-point) lives on one file, so
                                         by one SQLite database lock
 ===============  =====================  =========================================
 
-Single-coordinate operations route to exactly one shard.  Reads that lack
-a routing key (``get_model``, ``get_instance``, ``iter_*``,
-``find_instances_by_field``) visit every shard **on the calling thread**,
-one after another, and merge ordered results: the caller already owns a
-per-thread WAL connection to each shard, a per-shard statement is tens of
-microseconds, and row parsing holds the GIL, so a thread hand-off costs
-several times the statement it would parallelise (docs/PERFORMANCE.md).
-Hot identifier→shard hits are memoised in bounded routing caches so the
-blob read path (``get_instance`` per ``load_blob``) usually costs one
-shard query.  Only fan-outs that *commit* on more than one shard (bulk
-``insert_instances``, the age/capacity trims) use a lazily started worker
-pool — fsync releases the GIL — so a replica that only reads never starts
-a ``shard-scatter`` thread.
+Single-coordinate operations route to exactly one shard, and so does a
+search's candidate read when it narrows on ``base_version_id`` or a routed
+``model_id``.  Reads that lack a routing key (``get_model``,
+``get_instance``, ``iter_*``, ``find_instances_by_field`` on an indexed
+column) visit every shard **on the calling thread**, one after another, and
+merge ordered results: the caller already owns a per-thread WAL connection
+to each shard, a per-shard statement is tens of microseconds, and row
+parsing holds the GIL, so a thread hand-off costs several times the
+statement it would parallelise (docs/PERFORMANCE.md).  Hot
+identifier→shard hits are memoised in bounded routing caches so the blob
+read path (``get_instance`` per ``load_blob``) usually costs one shard
+query.  Only fan-outs that
+*commit* on more than one shard (bulk ``insert_instances``, the
+age/capacity trims) use a lazily started worker pool — fsync releases the
+GIL — so a replica that only reads never starts a ``shard-scatter`` thread.
 
 Dead-letter ids are globalised as ``local_id * SHARD_STRIDE + shard`` so
 ``dead_letter_update`` / ``dead_letters_delete`` can decode the owning
@@ -467,16 +469,6 @@ class ShardedMetadataStore(MetadataStore):
         for shard in self._shards:
             yield from shard.iter_instances()
 
-    def instances_of_model(self, model_id: str) -> list[ModelInstance]:
-        cached = self._cached_shard(self._model_shard, model_id)
-        if cached is not None:
-            return cached.instances_of_model(model_id)
-        merged: list[ModelInstance] = []
-        for shard in self._shards:
-            merged.extend(shard.instances_of_model(model_id))
-        merged.sort(key=self._instance_sort_key)
-        return merged
-
     def instances_for_models(
         self, model_ids: Iterable[str]
     ) -> dict[str, list[ModelInstance]]:
@@ -494,20 +486,25 @@ class ShardedMetadataStore(MetadataStore):
             instances.sort(key=self._instance_sort_key)
         return out
 
-    def instances_of_base_version(
-        self, base_version_id: str
-    ) -> list[ModelInstance]:
-        # The hot model_query narrowing path: single-shard by construction.
-        return self._shard_for_key(base_version_id).instances_of_base_version(
-            base_version_id
-        )
-
     def find_instances_by_field(
-        self, field: str, value: Any
+        self,
+        field: str | None,
+        value: Any = None,
+        also: Sequence[tuple[str, Any]] = (),
     ) -> list[ModelInstance]:
+        """One shard for ``base_version_id`` (by hash) and for a routed
+        ``model_id`` (a model's instances share its coordinate); every
+        shard, merged in creation order, otherwise."""
+        shard: MetadataStore | None = None
+        if field == "base_version_id":
+            shard = self._shard_for_key(value)
+        elif field == "model_id":
+            shard = self._cached_shard(self._model_shard, value)
+        if shard is not None:
+            return shard.find_instances_by_field(field, value, also)
         merged: list[ModelInstance] = []
         for shard in self._shards:
-            merged.extend(shard.find_instances_by_field(field, value))
+            merged.extend(shard.find_instances_by_field(field, value, also))
         merged.sort(key=self._instance_sort_key)
         return merged
 

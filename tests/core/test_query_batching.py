@@ -25,18 +25,23 @@ pytestmark = pytest.mark.parametrize(
 
 
 class CountingStore(MetadataStore):
-    """Transparent proxy that counts calls per MetadataStore method."""
+    """Transparent proxy that counts calls per MetadataStore method and
+    keeps each method's latest result."""
 
     def __init__(self, inner: MetadataStore) -> None:
         self._inner = inner
         self.calls: dict[str, int] = {}
+        self.returned: dict[str, object] = {}
 
     def _forward(self, method_name, /, *args, **kwargs):
         self.calls[method_name] = self.calls.get(method_name, 0) + 1
-        return getattr(self._inner, method_name)(*args, **kwargs)
+        result = getattr(self._inner, method_name)(*args, **kwargs)
+        self.returned[method_name] = result
+        return result
 
     def reset(self) -> None:
         self.calls.clear()
+        self.returned.clear()
 
     def count(self, name: str) -> int:
         return self.calls.get(name, 0)
@@ -58,15 +63,20 @@ CountingStore.__abstractmethods__ = frozenset()
 N_CANDIDATES = 40
 
 
-@pytest.fixture
-def counted(metadata_store):
-    """A Gallery over a counting proxy, populated with many candidates."""
+def _counted_gallery(metadata_store):
     store = CountingStore(metadata_store)
     dal = DataAccessLayer(store, InMemoryBlobStore(), LRUBlobCache(1 << 20))
     gallery = Gallery(
         dal, clock=ManualClock(), id_factory=SeededIdFactory(7)
     )
     gallery.create_model("p", "demand")
+    return gallery, store
+
+
+@pytest.fixture
+def counted(metadata_store):
+    """A Gallery over a counting proxy, populated with many candidates."""
+    gallery, store = _counted_gallery(metadata_store)
     for index in range(N_CANDIDATES):
         instance = gallery.upload_model(
             "p",
@@ -118,6 +128,41 @@ class TestModelQueryIsBatched:
         assert len(hits) == N_CANDIDATES
         assert store.count("metrics_for_instances") == 0
         assert store.count("metrics_of_instance") == 0
+
+
+def _eq(field, value):
+    return {"field": field, "operator": "equal", "value": value}
+
+
+@pytest.fixture
+def zoned(metadata_store):
+    """Every instance carries an unindexed ``zone``, three per zone."""
+    gallery, store = _counted_gallery(metadata_store)
+    for index in range(12):
+        gallery.upload_model(
+            "p", "demand", blob=b"z", metadata={"city": "sf", "zone": f"z{index % 4}"}
+        )
+    store.reset()
+    return gallery, store
+
+
+class TestEqualitiesNarrowInSql:
+    """Each equality narrows the one candidate read, so rows read = results."""
+
+    def test_base_version_and_zone_read_only_matching_rows(self, zoned):
+        gallery, store = zoned
+        hits = gallery.model_query([_eq("base_version_id", "demand"), _eq("zone", "z1")])
+        assert len(hits) == 3
+        assert store.count("find_instances_by_field") == 1
+        assert len(store.returned["find_instances_by_field"]) == len(hits)
+
+    def test_unindexed_only_query_never_parses_the_table(self, zoned):
+        gallery, store = zoned
+        hits = gallery.model_query([_eq("zone", "z2")])
+        assert len(hits) == 3
+        assert store.count("iter_instances") == 0
+        assert store.count("find_instances_by_field") == 1
+        assert len(store.returned["find_instances_by_field"]) == len(hits)
 
 
 class TestDocumentCacheInvalidation:

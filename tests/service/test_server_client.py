@@ -71,6 +71,31 @@ class TestListingWorkflows:
         assert [h["instance_id"] for h in hits] == [instance["instance_id"]]
 
 
+class TestHostileQueryKeys:
+    """A key that is not an identifier never reaches SQL: it is matched in
+    Python like any other key, and the query is never served stale."""
+
+    @pytest.mark.parametrize("key", ['a"b', "$.x[0]", "x') OR 1=1 --", "x[", "x[0]"])
+    def test_hostile_key_answers_like_any_key(self, stack, key):
+        gallery, _, _, client = stack
+        client.create_gallery_model("p", "demand")
+        hit = client.upload_model("p", "demand", b"a", metadata={key: "v", "city": "sf"})
+        client.upload_model("p", "demand", b"b", metadata={key: "w", "city": "sf"})
+        client.upload_model("p", "demand", b"c", metadata={"city": "sf"})
+
+        def eq(field, value):
+            return {"field": field, "operator": "equal", "value": value}
+
+        for constraints in (
+            [eq(key, "v")],
+            [eq("city", "sf"), eq(key, "v")],
+            [eq("base_version_id", "demand"), eq(key, "v")],
+        ):
+            hits = client.model_query(constraints)
+            assert [h["instance_id"] for h in hits] == [hit["instance_id"]]
+        assert gallery.stale_query_count == 0
+
+
 class TestServiceSurface:
     def test_dependency_methods(self, stack):
         _, _, _, client = stack

@@ -92,8 +92,8 @@ class TestInstances:
     def test_instances_of_model_sorted_by_time(self, metadata_store):
         metadata_store.insert_instance(instance("late", created_time=9.0))
         metadata_store.insert_instance(instance("early", created_time=1.0))
-        ids = [i.instance_id for i in metadata_store.instances_of_model("m1")]
-        assert ids == ["early", "late"]
+        hits = metadata_store.find_instances_by_field("model_id", "m1")
+        assert [i.instance_id for i in hits] == ["early", "late"]
 
     def test_instances_of_base_version(self, metadata_store):
         metadata_store.insert_instance(instance("i1"))
@@ -114,11 +114,19 @@ class TestInstances:
         assert [i.instance_id for i in rf] == ["i1"]
 
     def test_unindexed_field_lookup_falls_back_to_scan(self, metadata_store):
+        """An unindexed key narrows in SQL over the whole table, as a
+        necessary condition: a row without the key stays a candidate."""
         metadata_store.insert_instance(
             instance("i1", metadata={"custom": "yes", "model_name": "rf"})
         )
-        hits = metadata_store.find_instances_by_field("custom", "yes")
-        assert [i.instance_id for i in hits] == ["i1"]
+        metadata_store.insert_instance(
+            instance("i2", created_time=2.0, metadata={"custom": "no"})
+        )
+        metadata_store.insert_instance(instance("i3", created_time=3.0, metadata={}))
+        hits = metadata_store.find_instances_by_field(None, also=[("custom", "yes")])
+        assert [i.instance_id for i in hits] == ["i1", "i3"]
+        with pytest.raises(ValueError):
+            metadata_store.find_instances_by_field("custom", "yes")
 
     def test_replace_instance_deprecation_only(self, metadata_store):
         record = instance()
@@ -353,15 +361,14 @@ class TestOrderingParity:
         metadata_store.insert_instance(
             instance("early", created_time=1.0, metadata={"custom": "yes"})
         )
-        hits = metadata_store.find_instances_by_field("custom", "yes")
+        hits = metadata_store.find_instances_by_field(None, also=[("custom", "yes")])
         assert [i.instance_id for i in hits] == ["early", "late"]
 
     def test_instances_of_model_ordered_by_created_time(self, metadata_store):
         metadata_store.insert_instance(instance("late", created_time=9.0))
         metadata_store.insert_instance(instance("early", created_time=1.0))
-        assert [
-            i.instance_id for i in metadata_store.instances_of_model("m1")
-        ] == ["early", "late"]
+        hits = metadata_store.find_instances_by_field("model_id", "m1")
+        assert [i.instance_id for i in hits] == ["early", "late"]
 
 
 class TestAssignServingRollsBack:

@@ -71,7 +71,7 @@ class TestRoutingAndSurface:
         assert [
             inst.instance_id for inst in store.instances_of_base_version("base-2")
         ] == ["i2-0", "i2-1", "i2-2"]
-        assert len(store.instances_of_model("m5")) == 3
+        assert len(store.find_instances_by_field("model_id", "m5")) == 3
         grouped = store.instances_for_models(["m1", "m6", "ghost"])
         assert len(grouped["m1"]) == 3 and grouped["ghost"] == []
         assert len(store.find_instances_by_field("city", "sf")) == 24
@@ -190,7 +190,7 @@ class TestReadsStayOnTheCallingThread:
             lambda: list(store.iter_models()),
             lambda: list(store.iter_instances()),
             lambda: list(store.iter_metrics()),
-            lambda: store.instances_of_model("ghost"),
+            lambda: store.find_instances_by_field("model_id", "ghost"),
             lambda: store.instances_for_models(["m1", "m6"]),
             lambda: store.find_instances_by_field("city", "sf"),
             lambda: store.metrics_for_instances(ids, name="bias"),
