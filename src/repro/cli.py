@@ -32,7 +32,7 @@ from typing import Any, Sequence
 from repro import build_gallery
 from repro.core.registry import Gallery
 from repro.errors import GalleryError
-from repro.reliability.deadletter import DurableDeadLetterQueue
+from repro.reliability.deadletter import DeadLetterQueue
 from repro.rules.actions import ActionRegistry
 from repro.store.sharding import (
     init_sharded_layout,
@@ -184,35 +184,22 @@ def _cmd_audit(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_gc(gallery: Gallery, args: argparse.Namespace) -> Any:
-    durable = bool(
-        getattr(gallery.dal, "supports_durable_state", False)
-    )
-    report: dict[str, Any] = {}
-    if durable:
-        # storage_summary now surfaces the control-table row counts, so gc
-        # can show before/after instead of only the trimmed deltas.
-        report["dedup_entries_before"] = gallery.dal.dedup_count()
-        report["dead_letters_before"] = gallery.dal.dead_letters_count()
-    report["removed_orphan_blobs"] = gallery.dal.collect_orphan_blobs()
+    # Control-table row counts before and after, not only the trimmed deltas.
+    report: dict[str, Any] = {
+        "dedup_entries_before": gallery.dal.dedup_count(),
+        "dead_letters_before": gallery.dal.dead_letters_count(),
+        "removed_orphan_blobs": gallery.dal.collect_orphan_blobs(),
+    }
     if args.dedup_max_age is not None:
-        if not durable:
-            raise SystemExit(
-                "gc: --dedup-max-age needs a durable (sqlite) metadata store"
-            )
         report["expired_dedup_entries"] = gallery.dal.dedup_trim_age(
             args.dedup_max_age
         )
     if args.dlq_max_age is not None:
-        if not durable:
-            raise SystemExit(
-                "gc: --dlq-max-age needs a durable (sqlite) metadata store"
-            )
         report["expired_dead_letters"] = gallery.dal.dead_letters_trim_age(
             args.dlq_max_age
         )
-    if durable:
-        report["dedup_entries_after"] = gallery.dal.dedup_count()
-        report["dead_letters_after"] = gallery.dal.dead_letters_count()
+    report["dedup_entries_after"] = gallery.dal.dedup_count()
+    report["dead_letters_after"] = gallery.dal.dead_letters_count()
     if args.replica:
         # Pointed at a live replica, gc also surfaces that replica's
         # batcher/QoS counters so operators can read the coalesce ratio
@@ -231,7 +218,7 @@ def _cmd_gc(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_dlq_list(gallery: Gallery, args: argparse.Namespace) -> Any:
-    queue = DurableDeadLetterQueue(gallery.dal)
+    queue = DeadLetterQueue(gallery.dal)
     letters = queue.entries(
         rule_uuid=args.rule, action=args.action, error_type=args.error_type
     )
@@ -239,7 +226,7 @@ def _cmd_dlq_list(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_dlq_redrive(gallery: Gallery, args: argparse.Namespace) -> Any:
-    queue = DurableDeadLetterQueue(gallery.dal)
+    queue = DeadLetterQueue(gallery.dal)
     letter_ids = set(args.letter_ids) or None
     results = queue.redrive(ActionRegistry(), letter_ids=letter_ids)
     return {
@@ -250,7 +237,7 @@ def _cmd_dlq_redrive(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_dlq_purge(gallery: Gallery, args: argparse.Namespace) -> Any:
-    queue = DurableDeadLetterQueue(gallery.dal)
+    queue = DeadLetterQueue(gallery.dal)
     letter_ids = set(args.letter_ids) or None
     return {"purged": queue.purge(letter_ids)}
 

@@ -13,19 +13,16 @@ instead of silently dropping work.  This package is that layer:
   harness that wraps any :class:`~repro.store.metadata_store.MetadataStore`,
   :class:`~repro.store.blob.BlobStore`, or client transport to inject
   connection drops, timeouts, torn writes, and corrupted reads.
-* :class:`DeadLetterQueue` — failed rule-engine actions park here,
-  queryable and re-drainable, instead of vanishing into the action log.
+* :class:`DeadLetterQueue` — failed rule-engine actions park in the
+  metadata store, queryable and re-drainable, instead of vanishing into
+  the action log.
 
 Every component takes injectable clocks/sleepers so tests run fast and
 deterministically; the fault injector is seeded so chaos runs reproduce.
 """
 
 from repro.reliability.breaker import BreakerState, CircuitBreaker
-from repro.reliability.deadletter import (
-    DeadLetter,
-    DeadLetterQueue,
-    DurableDeadLetterQueue,
-)
+from repro.reliability.deadletter import DeadLetter, DeadLetterQueue
 from repro.reliability.faults import (
     FaultInjector,
     FaultKind,
@@ -41,7 +38,6 @@ __all__ = [
     "CircuitBreaker",
     "DeadLetter",
     "DeadLetterQueue",
-    "DurableDeadLetterQueue",
     "FaultInjector",
     "FaultKind",
     "FaultyBlobStore",

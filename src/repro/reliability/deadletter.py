@@ -21,7 +21,6 @@ just a slower way to fall over.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -43,7 +42,7 @@ class DeadLetter:
     deliveries: int = 1  # how many times this letter has been (re)tried
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (the durable queue's storage format)."""
+        """JSON-serializable form (the queue's storage format)."""
         return {
             "letter_id": self.letter_id,
             "context": {
@@ -89,142 +88,22 @@ class DeadLetter:
 
 
 class DeadLetterQueue:
-    """Thread-safe, bounded queue of failed actions."""
+    """Bounded dead-letter queue kept in the metadata store's
+    ``dead_letters`` table.
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: list[DeadLetter] = []
-        self._next_id = 1
-        self._lock = threading.Lock()
-        self.evicted = 0
-        self.redriven_ok = 0
-
-    def append(self, result: "ActionResult") -> DeadLetter:
-        """Park a failed :class:`ActionResult`; returns the letter."""
-        if result.ok:
-            raise ValueError("only failed action results are dead-lettered")
-        with self._lock:
-            letter = DeadLetter(
-                letter_id=self._next_id,
-                context=result.context,
-                error=result.error,
-                error_type=result.error_type,
-                traceback=result.traceback,
-                attempts=result.attempts,
-                first_failed_at=result.context.timestamp,
-            )
-            self._next_id += 1
-            self._entries.append(letter)
-            while len(self._entries) > self._max_entries:
-                self._entries.pop(0)
-                self.evicted += 1
-            return letter
-
-    def entries(
-        self,
-        rule_uuid: str | None = None,
-        action: str | None = None,
-        error_type: str | None = None,
-    ) -> list[DeadLetter]:
-        """Parked letters, oldest first, optionally filtered."""
-        with self._lock:
-            return [
-                letter
-                for letter in self._entries
-                if (rule_uuid is None or letter.context.rule_uuid == rule_uuid)
-                and (action is None or letter.context.action == action)
-                and (error_type is None or letter.error_type == error_type)
-            ]
-
-    def purge(self, letter_ids: set[int] | None = None) -> int:
-        """Drop letters by id (or everything); returns the count dropped."""
-        with self._lock:
-            before = len(self._entries)
-            if letter_ids is None:
-                self._entries.clear()
-            else:
-                self._entries = [
-                    letter
-                    for letter in self._entries
-                    if letter.letter_id not in letter_ids
-                ]
-            return before - len(self._entries)
-
-    def redrive(
-        self,
-        registry: "ActionRegistry",
-        policy: Any = None,
-        letter_ids: set[int] | None = None,
-    ) -> list["ActionResult"]:
-        """Re-execute parked actions; successes leave the queue.
-
-        Letters that fail again are kept with ``deliveries`` bumped, so an
-        operator can tell a flapping action from a one-shot casualty.
-        Returns the :class:`ActionResult` of every re-execution attempted.
-        """
-        with self._lock:
-            batch = [
-                letter
-                for letter in self._entries
-                if letter_ids is None or letter.letter_id in letter_ids
-            ]
-        results: list["ActionResult"] = []
-        succeeded: set[int] = set()
-        refailed: dict[int, "ActionResult"] = {}
-        for letter in batch:
-            result = registry.execute(letter.context, policy=policy)
-            results.append(result)
-            if result.ok:
-                succeeded.add(letter.letter_id)
-            else:
-                refailed[letter.letter_id] = result
-        with self._lock:
-            kept: list[DeadLetter] = []
-            for letter in self._entries:
-                if letter.letter_id in succeeded:
-                    self.redriven_ok += 1
-                    continue
-                failure = refailed.get(letter.letter_id)
-                if failure is not None:
-                    letter = replace(
-                        letter,
-                        deliveries=letter.deliveries + 1,
-                        error=failure.error,
-                        error_type=failure.error_type,
-                        traceback=failure.traceback,
-                    )
-                kept.append(letter)
-            self._entries = kept
-        return results
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-class DurableDeadLetterQueue:
-    """Dead-letter queue persisted in the metadata store's ``dead_letters``
-    table (behind the DAL), so parked actions survive a full restart of
-    every service replica — and every replica over one shared store sees
-    the same queue.
-
-    Interface-compatible with :class:`DeadLetterQueue` (append / entries /
-    purge / redrive / len / bool plus the ``evicted`` and ``redriven_ok``
-    counters), so :class:`repro.rules.engine.RuleEngine` uses either
-    interchangeably.  Letters are stored as JSON documents alongside
-    promoted filter columns (rule_uuid, action, error_type); ids are
-    assigned by the store, monotone, and stable across restarts.
+    *store* is anything with the ``dead_letter_*`` methods: the DAL or a
+    :class:`~repro.store.metadata_store.MetadataStore`.  Every engine and
+    replica over one store sees the same queue, and on a file-backed store
+    the parked actions survive a full restart.  Letters are stored as JSON
+    documents beside promoted filter columns (rule_uuid, action,
+    error_type); ids are assigned by the store, monotone, and stable across
+    restarts.
     """
 
-    def __init__(self, dal: Any, max_entries: int = 1024) -> None:
+    def __init__(self, store: Any, max_entries: int = 1024) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        self._dal = dal
+        self._store = store
         self._max_entries = max_entries
         #: lifetime counters for this process (the letters themselves are
         #: shared; the counters describe local activity)
@@ -244,14 +123,14 @@ class DurableDeadLetterQueue:
             attempts=result.attempts,
             first_failed_at=result.context.timestamp,
         )
-        letter_id = self._dal.dead_letter_append(
+        letter_id = self._store.dead_letter_append(
             result.context.rule_uuid,
             result.context.action,
             result.error_type,
             json.dumps(letter.to_dict()),
         )
         letter = replace(letter, letter_id=letter_id)
-        self.evicted += self._dal.dead_letters_trim(self._max_entries)
+        self.evicted += self._store.dead_letters_trim(self._max_entries)
         return letter
 
     def entries(
@@ -261,7 +140,7 @@ class DurableDeadLetterQueue:
         error_type: str | None = None,
     ) -> list[DeadLetter]:
         """Parked letters, oldest first, optionally filtered."""
-        rows = self._dal.dead_letters_list(
+        rows = self._store.dead_letters_list(
             rule_uuid=rule_uuid, action=action, error_type=error_type
         )
         return [
@@ -272,8 +151,8 @@ class DurableDeadLetterQueue:
     def purge(self, letter_ids: set[int] | None = None) -> int:
         """Drop letters by id (or everything); returns the count dropped."""
         if letter_ids is None:
-            letter_ids = {letter_id for letter_id, _ in self._dal.dead_letters_list()}
-        return self._dal.dead_letters_delete(sorted(letter_ids))
+            letter_ids = {letter_id for letter_id, _ in self._store.dead_letters_list()}
+        return self._store.dead_letters_delete(sorted(letter_ids))
 
     def redrive(
         self,
@@ -284,8 +163,9 @@ class DurableDeadLetterQueue:
         """Re-execute parked actions; successes leave the table.
 
         Letters that fail again are rewritten in place with ``deliveries``
-        bumped and their error fields refreshed, mirroring the in-memory
-        queue's semantics.
+        bumped and their error fields refreshed, so an operator can tell a
+        flapping action from a one-shot casualty.  Returns the
+        :class:`ActionResult` of every re-execution attempted.
         """
         batch = [
             letter
@@ -307,17 +187,17 @@ class DurableDeadLetterQueue:
                 error_type=result.error_type,
                 traceback=result.traceback,
             )
-            self._dal.dead_letter_update(
+            self._store.dead_letter_update(
                 letter.letter_id,
                 updated.error_type,
                 json.dumps(updated.to_dict()),
             )
         if succeeded:
-            self.redriven_ok += self._dal.dead_letters_delete(succeeded)
+            self.redriven_ok += self._store.dead_letters_delete(succeeded)
         return results
 
     def __len__(self) -> int:
-        return int(self._dal.dead_letters_count())
+        return int(self._store.dead_letters_count())
 
     def __bool__(self) -> bool:
         return len(self) > 0

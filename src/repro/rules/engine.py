@@ -29,16 +29,13 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.core.clock import Clock, SYSTEM_CLOCK
 from repro.errors import RuleError, RuleEvaluationError
-from repro.reliability.deadletter import (
-    DeadLetter,
-    DeadLetterQueue,
-    DurableDeadLetterQueue,
-)
+from repro.reliability.deadletter import DeadLetter, DeadLetterQueue
 from repro.reliability.policy import RetryPolicy
 from repro.rules.actions import ActionContext, ActionRegistry, ActionResult
 from repro.rules.events import Event, EventBus, EventKind
 from repro.rules.repo import RuleRepository
 from repro.rules.rule import Rule, RuleKind
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,19 +116,15 @@ class RuleEngine:
         self._action_log: list[ActionResult] = []
         #: retry schedule applied to every callback action (None = one shot)
         self.action_policy = action_policy
-        #: failed actions park here instead of vanishing into the log; when
-        #: the candidate source is a Gallery over a file-backed store, the
-        #: queue is durable (and shared by every replica of that store)
-        if dead_letters is not None:
-            self.dead_letters: DeadLetterQueue | DurableDeadLetterQueue = (
-                dead_letters
-            )
-        else:
-            dal = getattr(source, "dal", None)
-            if dal is not None and getattr(dal, "supports_durable_state", False):
-                self.dead_letters = DurableDeadLetterQueue(dal)
-            else:
-                self.dead_letters = DeadLetterQueue()
+        #: failed actions park here instead of vanishing into the log: in
+        #: the source's store when it has one (shared by every replica of
+        #: that store), else in a private in-memory SQLite store
+        if dead_letters is None:
+            store = getattr(source, "dal", None)
+            if store is None:
+                store = SQLiteMetadataStore(":memory:")
+            dead_letters = DeadLetterQueue(store)
+        self.dead_letters = dead_letters
         self.stats = EngineStats()
         if bus is not None:
             bus.subscribe(self.on_event)

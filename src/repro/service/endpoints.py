@@ -13,9 +13,9 @@ half of that deployment:
   one :class:`~repro.reliability.breaker.CircuitBreaker` per endpoint so a
   dead replica is skipped instead of re-probed on every call, and
   mid-call failover on transport errors.  Replayed mutations stay
-  exactly-once because every replica shares the durable
+  exactly-once because every replica shares the store's
   ``(client_id, request_id)`` dedup table (see
-  :class:`repro.service.server.DurableRequestDedupCache`);
+  :class:`repro.service.server.RequestDedupCache`);
 * **membership is live**: :meth:`FailoverTransport.update_endpoints`
   swaps the replica set atomically under an epoch stamp — new endpoints
   join the rotation, departed ones have their connections closed (at once

@@ -16,7 +16,6 @@ from __future__ import annotations
 import threading
 import time
 
-from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 from repro.core.registry import Gallery
@@ -62,93 +61,23 @@ MUTATING_METHODS = frozenset(
 ADMIN_METHODS = frozenset({"fleetStatus", "fleetDrain", "fleetUndrain", "serverStats"})
 
 
-class _RequestDedupCache:
-    """Bounded LRU of encoded responses keyed by (client_id, request_id).
-
-    Only successful responses are stored: a transient error (flaky store,
-    injected fault) must stay retryable, and replaying a cached *error* at
-    a retrying client would pin the failure forever.
-
-    The cache speaks a claim/complete/release protocol rather than plain
-    get/put: :meth:`claim` atomically decides whether the caller should
-    execute the request (``owner``), replay a recorded response (``done``),
-    or back off because another worker is still executing the same frame
-    (``pending``).  Without the pending state, a client that fails over
-    while its first attempt is still running on an abandoned worker thread
-    would re-execute the mutation concurrently — a duplicate write.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._entries: OrderedDict[tuple[str, int], bytes] = OrderedDict()
-        self._pending: set[tuple[str, int]] = set()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def claim(self, key: tuple[str, int]) -> tuple[str, bytes | None]:
-        """Return ``("done", response)``, ``("owner", None)``, or
-        ``("pending", None)`` for the given request key."""
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return "done", cached
-            if key in self._pending:
-                return "pending", None
-            self._pending.add(key)
-            self.misses += 1
-            return "owner", None
-
-    def complete(self, key: tuple[str, int], response: bytes) -> None:
-        with self._lock:
-            self._pending.discard(key)
-            self._entries[key] = response
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def release(self, key: tuple[str, int]) -> None:
-        with self._lock:
-            self._pending.discard(key)
-
-    # get/put survive for callers that predate the claim protocol.
-
-    def get(self, key: tuple[str, int]) -> bytes | None:
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return cached
-
-    def put(self, key: tuple[str, int], response: bytes) -> None:
-        with self._lock:
-            self._pending.discard(key)
-            self._entries[key] = response
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class DurableRequestDedupCache:
+class RequestDedupCache:
     """Request dedup backed by the metadata store, shared across replicas.
 
-    Several :class:`GalleryService` replicas serving one file-backed SQLite
-    store coordinate through the ``dedup_entries`` table: the claim is an
-    atomic PRIMARY KEY insert, so exactly one replica executes any
-    ``(client_id, request_id)`` no matter which endpoints a failing-over
-    client hits — and the recorded responses survive a full restart of
-    every replica.
+    Only successful responses are recorded: replaying a recorded *error*
+    (flaky store, injected fault) at a retrying client would pin it forever.
+
+    :meth:`claim` atomically decides whether the caller should execute the
+    request (``owner``), replay a recorded response (``done``), or back off
+    because another worker is still executing the same frame (``pending``).
+    Without the pending state, a client that fails over while its first
+    attempt still runs on an abandoned worker would duplicate the write.
+
+    Every :class:`GalleryService` over one store coordinates through its
+    ``dedup_entries`` table: the claim is an atomic PRIMARY KEY insert, so
+    exactly one replica executes any ``(client_id, request_id)`` no matter
+    which endpoints a failing-over client hits, and on a file-backed store
+    the recorded responses survive a full restart of every replica.
 
     A ``pending`` claim whose owner died mid-request is taken over after
     ``takeover_after`` seconds (clients retry with backoff until then).
@@ -199,8 +128,6 @@ class GalleryService:
         self,
         gallery: Gallery,
         engine: RuleEngine | None = None,
-        dedup_capacity: int = 4096,
-        durable_dedup: bool | None = None,
         batching: BatchConfig | None = None,
     ) -> None:
         self._gallery = gallery
@@ -209,15 +136,9 @@ class GalleryService:
         # feeds it (via ReadBatcher.offer); handle_frame dispatches directly
         # and stays unbatched.  BatchConfig only sets per-tenant rate limits.
         self.read_batcher = ReadBatcher(self, batching or BatchConfig())
-        if durable_dedup is None:
-            durable_dedup = bool(
-                getattr(gallery.dal, "supports_durable_state", False)
-            )
-        self.dedup: _RequestDedupCache | DurableRequestDedupCache
-        if durable_dedup:
-            self.dedup = DurableRequestDedupCache(gallery.dal, dedup_capacity)
-        else:
-            self.dedup = _RequestDedupCache(dedup_capacity)
+        # Exactly-once bookkeeping lives in the store, so every service
+        # over one gallery (one process or many replicas) shares it.
+        self.dedup = RequestDedupCache(gallery.dal)
         self._methods: dict[str, Callable[..., Any]] = {
             # Listing 3
             "createGalleryModel": self._create_model,

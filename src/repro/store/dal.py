@@ -81,17 +81,11 @@ class DataAccessLayer:
     def cache(self) -> LRUBlobCache | None:
         return self._cache
 
-    @property
-    def supports_durable_state(self) -> bool:
-        """True when the metadata backend can persist serving-plane control
-        state (request-dedup entries, dead letters) across restarts."""
-        return bool(getattr(self._metadata, "supports_durable_state", False))
-
-    # -- durable control state ------------------------------------------------
+    # -- control state --------------------------------------------------------
     #
-    # Thin pass-throughs so the server's dedup cache and the engine's durable
+    # Thin pass-throughs so the server's dedup cache and the engine's
     # dead-letter queue stay behind the DAL rather than reaching into the
-    # concrete store.  Only meaningful when ``supports_durable_state`` is True.
+    # concrete store.
 
     def dedup_claim(
         self,
@@ -331,11 +325,8 @@ class DataAccessLayer:
         if self._cache is not None:
             summary["cache_entries"] = len(self._cache)
             summary["cache_hit_rate"] = self._cache.stats.hit_rate
-        if self.supports_durable_state:
-            # Surface the serving-plane control tables so gc can print
-            # before/after counts instead of only the trimmed deltas.
-            summary["dedup_entries"] = self._metadata.dedup_count()
-            summary["dead_letters"] = self._metadata.dead_letters_count()
+        summary["dedup_entries"] = self._metadata.dedup_count()
+        summary["dead_letters"] = self._metadata.dead_letters_count()
         topology = getattr(self._metadata, "shard_topology", None)
         if topology is not None:
             summary["shards"] = topology()

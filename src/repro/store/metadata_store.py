@@ -103,12 +103,13 @@ def _assert_only_mutable_changed(
 
 
 class MetadataStore(ABC):
-    """Abstract relational store for models, instances, and metrics."""
+    """Abstract relational store for models, instances, and metrics.
 
-    #: Whether this backend can persist serving-plane control state (request
-    #: dedup entries, dead letters) across a full process restart.  Only
-    #: file-backed SQLite sets this; everything else keeps the in-memory forms.
-    supports_durable_state: bool = False
+    It also owns the serving plane's control state: request-dedup entries
+    and the rule engine's dead letters, so every service and engine over
+    one store shares them (and a file-backed store keeps them across
+    restarts).
+    """
 
     # -- models -------------------------------------------------------------
 
@@ -334,7 +335,6 @@ class SQLiteMetadataStore(MetadataStore):
     def __init__(self, path: str = ":memory:", serialized: bool | None = None) -> None:
         self._path = path
         is_memory = path == ":memory:" or "mode=memory" in path
-        self._is_memory = is_memory
         self._serialized = is_memory if serialized is None else (serialized or is_memory)
         self._write_lock = threading.RLock()
         self._local = threading.local()
@@ -805,10 +805,6 @@ class SQLiteMetadataStore(MetadataStore):
     # writer wins) and by conditional UPDATEs checked via ``rowcount`` — the
     # per-instance ``_write_lock`` only serializes threads of one process;
     # SQLite's database write lock serializes the replicas themselves.
-
-    @property
-    def supports_durable_state(self) -> bool:  # type: ignore[override]
-        return not self._is_memory
 
     def dedup_claim(
         self,

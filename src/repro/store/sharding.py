@@ -640,13 +640,6 @@ class ShardedMetadataStore(MetadataStore):
     # over unchanged.  Capacity trims divide their budget across shards so
     # the configured cap stays a global ceiling.
 
-    @property
-    def supports_durable_state(self) -> bool:  # type: ignore[override]
-        return all(
-            bool(getattr(shard, "supports_durable_state", False))
-            for shard in self._shards
-        )
-
     def dedup_claim(
         self,
         client_id: str,

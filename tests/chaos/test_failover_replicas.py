@@ -39,7 +39,7 @@ from repro.errors import GalleryError, ServiceError
 from repro.reliability import RetryPolicy
 from repro.service import connect, wire
 from repro.service.client import MethodRetryPolicies
-from repro.service.server import DurableRequestDedupCache, GalleryService
+from repro.service.server import GalleryService, RequestDedupCache
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
@@ -139,9 +139,9 @@ def test_failover_smoke_replicas_share_state_and_dedup(tmp_path):
     replicas = start_replicas(tmp_path, count=3)
     client = connect(url_for(replicas), client_id="smoke", reset_timeout=0.2)
     try:
-        # file-backed store => every replica auto-selected durable dedup
+        # every replica keeps its dedup in the shared store
         for replica in replicas:
-            assert isinstance(replica.service.dedup, DurableRequestDedupCache)
+            assert isinstance(replica.service.dedup, RequestDedupCache)
 
         client.create_gallery_model("p", "demand")
         for n in range(3):

@@ -1,9 +1,15 @@
-"""Tests for the dead-letter queue: park, query, re-drive."""
+"""Tests for the dead-letter queue: park, query, re-drive.
+
+The contract runs over a bare in-memory SQLite store;
+``test_deadletter_durable.py`` runs it over a file-backed store and adds
+what a shared file brings: restart survival and one view across replicas.
+"""
 
 import pytest
 
 from repro.reliability import DeadLetterQueue, RetryPolicy
 from repro.rules.actions import ActionContext, ActionRegistry
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 def make_context(action="deploy", rule="rule-1", instance="i-1", ts=100.0):
@@ -38,7 +44,7 @@ class FlakyAction:
 
 class TestParkAndQuery:
     def test_only_failures_are_accepted(self, registry):
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         ok = registry.execute(make_context("alert"))
         assert ok.ok
         with pytest.raises(ValueError):
@@ -46,7 +52,7 @@ class TestParkAndQuery:
 
     def test_letters_preserve_error_type_and_traceback(self, registry):
         registry.register("explode", lambda ctx: 1 / 0)
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         result = registry.execute(make_context("explode"))
         letter = queue.append(result)
         assert letter.error_type == "ZeroDivisionError"
@@ -56,7 +62,7 @@ class TestParkAndQuery:
     def test_query_filters(self, registry):
         registry.register("explode", lambda ctx: 1 / 0)
         registry.register("fail2", lambda ctx: [][1])
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         queue.append(registry.execute(make_context("explode", rule="r-a")))
         queue.append(registry.execute(make_context("fail2", rule="r-b")))
         assert len(queue.entries()) == 2
@@ -66,7 +72,7 @@ class TestParkAndQuery:
 
     def test_bounded_queue_evicts_oldest(self, registry):
         registry.register("explode", lambda ctx: 1 / 0)
-        queue = DeadLetterQueue(max_entries=2)
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"), max_entries=2)
         for n in range(3):
             queue.append(registry.execute(make_context("explode", instance=f"i-{n}")))
         assert len(queue) == 2
@@ -78,7 +84,7 @@ class TestRedrive:
     def test_redrive_succeeds_after_transient_fault_clears(self, registry):
         flaky = FlakyAction()
         registry.register("deploy", flaky, replace=True)
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         failure = registry.execute(make_context("deploy"))
         assert not failure.ok
         queue.append(failure)
@@ -93,7 +99,7 @@ class TestRedrive:
     def test_refailed_letters_stay_with_bumped_delivery_count(self, registry):
         flaky = FlakyAction()
         registry.register("deploy", flaky, replace=True)
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         queue.append(registry.execute(make_context("deploy")))
 
         results = queue.redrive(registry)  # still down
@@ -104,7 +110,7 @@ class TestRedrive:
     def test_redrive_subset_by_letter_id(self, registry):
         flaky = FlakyAction()
         registry.register("deploy", flaky, replace=True)
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         first = queue.append(registry.execute(make_context("deploy", instance="i-1")))
         queue.append(registry.execute(make_context("deploy", instance="i-2")))
         flaky.healthy = True
@@ -121,7 +127,7 @@ class TestRedrive:
             return "ok"
 
         registry.register("deploy", intermittent, replace=True)
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         queue.append(registry.execute(make_context("deploy")))  # call 1 fails
         policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
         results = queue.redrive(registry, policy=policy)  # calls 2 (fail) + 3 (ok)
@@ -130,7 +136,7 @@ class TestRedrive:
 
     def test_purge(self, registry):
         registry.register("explode", lambda ctx: 1 / 0)
-        queue = DeadLetterQueue()
+        queue = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         a = queue.append(registry.execute(make_context("explode")))
         queue.append(registry.execute(make_context("explode")))
         assert queue.purge({a.letter_id}) == 1

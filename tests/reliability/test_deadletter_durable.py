@@ -1,10 +1,10 @@
-"""Tests for :class:`DurableDeadLetterQueue` — the store-backed twin of
-the in-memory queue.
+"""Tests for :class:`DeadLetterQueue` over a file-backed metadata store.
 
-The contract mirrors ``tests/reliability/test_deadletter.py`` (park,
-query, re-drive, purge, bounded) with the two properties only durability
-can add: letters survive a full restart, and every queue built over the
-same store sees the same letters.
+``test_deadletter.py`` runs the contract over a bare in-memory store.
+Here the same contract (park, query, re-drive, purge, bounded) runs over
+a file, with the two properties a shared file adds: letters survive a
+full restart, and every queue built over the same store sees the same
+letters.  The engine tests pin which queue a ``RuleEngine`` builds.
 """
 
 import pytest
@@ -12,9 +12,10 @@ import pytest
 from repro.core.clock import ManualClock
 from repro.core.ids import SeededIdFactory
 from repro.core.registry import Gallery
-from repro.reliability import DeadLetterQueue, DurableDeadLetterQueue
+from repro.reliability import DeadLetterQueue
 from repro.rules.actions import ActionContext, ActionRegistry
-from repro.rules.engine import RuleEngine
+from repro.rules.engine import CandidateDocument, RuleEngine, build_static_source
+from repro.rules.rule import action_rule
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
@@ -52,7 +53,7 @@ def dal(tmp_path):
 
 @pytest.fixture
 def queue(dal):
-    return DurableDeadLetterQueue(dal)
+    return DeadLetterQueue(dal)
 
 
 class FlakyAction:
@@ -70,6 +71,7 @@ class FlakyAction:
 class TestParkAndQuery:
     def test_only_failures_are_accepted(self, registry, queue):
         ok = registry.execute(make_context("alert"))
+        assert ok.ok
         with pytest.raises(ValueError):
             queue.append(ok)
 
@@ -104,7 +106,7 @@ class TestParkAndQuery:
 
     def test_bounded_queue_evicts_oldest(self, registry, dal):
         registry.register("explode", lambda ctx: 1 / 0)
-        queue = DurableDeadLetterQueue(dal, max_entries=2)
+        queue = DeadLetterQueue(dal, max_entries=2)
         for n in range(3):
             queue.append(registry.execute(make_context("explode", instance=f"i-{n}")))
         assert len(queue) == 2
@@ -116,10 +118,13 @@ class TestRedrive:
     def test_redrive_succeeds_after_transient_fault_clears(self, registry, queue):
         flaky = FlakyAction()
         registry.register("deploy", flaky, replace=True)
-        queue.append(registry.execute(make_context("deploy")))
-        flaky.healthy = True
+        failure = registry.execute(make_context("deploy"))
+        assert not failure.ok
+        queue.append(failure)
+        flaky.healthy = True  # the outage ends
         results = queue.redrive(registry)
         assert [r.ok for r in results] == [True]
+        assert results[0].result == "deployed:i-1"
         assert len(queue) == 0
         assert queue.redriven_ok == 1
 
@@ -155,12 +160,12 @@ class TestDurability:
     def test_letters_survive_a_full_restart(self, registry, tmp_path):
         registry.register("explode", lambda ctx: 1 / 0)
         dal = build_dal(tmp_path)
-        queue = DurableDeadLetterQueue(dal)
+        queue = DeadLetterQueue(dal)
         parked = queue.append(registry.execute(make_context("explode")))
         dal.metadata.close()
 
         # "restart": a brand-new store + DAL + queue over the same file
-        revived = DurableDeadLetterQueue(build_dal(tmp_path))
+        revived = DeadLetterQueue(build_dal(tmp_path))
         (letter,) = revived.entries()
         assert letter.letter_id == parked.letter_id
         assert letter.error_type == "ZeroDivisionError"
@@ -169,8 +174,8 @@ class TestDurability:
         self, registry, dal
     ):
         registry.register("explode", lambda ctx: 1 / 0)
-        replica_a = DurableDeadLetterQueue(dal)
-        replica_b = DurableDeadLetterQueue(dal)
+        replica_a = DeadLetterQueue(dal)
+        replica_b = DeadLetterQueue(dal)
         replica_a.append(registry.execute(make_context("explode")))
         assert len(replica_b) == 1
         replica_b.purge()
@@ -182,21 +187,43 @@ class TestEngineAutoSelection:
         dal = build_dal(tmp_path)
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(5))
         engine = RuleEngine(gallery)
-        assert isinstance(engine.dead_letters, DurableDeadLetterQueue)
-
-    def test_engine_over_memory_sqlite_keeps_the_in_memory_queue(self, tmp_path):
-        dal = DataAccessLayer(
-            SQLiteMetadataStore(":memory:"),
-            FilesystemBlobStore(tmp_path / "blobs"),
-            LRUBlobCache(4),
-        )
-        gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(5))
-        engine = RuleEngine(gallery)
         assert isinstance(engine.dead_letters, DeadLetterQueue)
+        engine.dead_letters.append(
+            engine.actions.execute(make_context("missing-action"))
+        )
+        # the letter is a row in the gallery's store, not process memory
+        assert dal.dead_letters_count() == 1
 
     def test_explicit_queue_wins(self, tmp_path):
         dal = build_dal(tmp_path)
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(5))
-        mine = DeadLetterQueue()
+        mine = DeadLetterQueue(SQLiteMetadataStore(":memory:"))
         engine = RuleEngine(gallery, dead_letters=mine)
         assert engine.dead_letters is mine
+
+    def test_engine_without_a_dal_parks_in_a_private_store(self, registry):
+        flaky = FlakyAction()
+        registry.register("deploy", flaky, replace=True)
+        docs = [CandidateDocument("i-1", {"instance_id": "i-1"})]
+        engine = RuleEngine(
+            build_static_source(docs), actions=registry, clock=ManualClock()
+        )
+        engine.register(
+            action_rule(
+                uuid="r-dl",
+                team="forecasting",
+                given="true",
+                when="true",
+                actions=["deploy"],
+            )
+        )
+        engine.trigger("r-dl")
+        assert [r.ok for r in engine.drain()] == [False]
+        (letter,) = engine.dead_letter_entries()
+        assert letter.letter_id > 0
+        assert letter.context.instance_id == "i-1"
+
+        flaky.healthy = True
+        assert [r.ok for r in engine.redrive_dead_letters()] == [True]
+        assert engine.dead_letter_entries() == []
+        assert len(engine.dead_letters) == 0

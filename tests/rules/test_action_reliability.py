@@ -12,6 +12,7 @@ from repro.reliability import DeadLetterQueue, RetryPolicy
 from repro.rules.actions import ActionContext, ActionRegistry
 from repro.rules.engine import CandidateDocument, RuleEngine, build_static_source
 from repro.rules.rule import action_rule as build_action_rule
+from repro.store.metadata_store import SQLiteMetadataStore
 
 
 def make_context(action, instance="i-1"):
@@ -126,7 +127,7 @@ def engine_with_flaky_deploy():
         actions=registry,
         clock=ManualClock(),
         action_policy=RetryPolicy(max_attempts=2, sleep=lambda _s: None),
-        dead_letters=DeadLetterQueue(),
+        dead_letters=DeadLetterQueue(SQLiteMetadataStore(":memory:")),
     )
     engine.register(deploy_rule())
     return engine, flaky

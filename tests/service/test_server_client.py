@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro import build_gallery
 from repro.core.clock import ManualClock
 from repro.core.ids import SeededIdFactory
 from repro.core.registry import Gallery
-from repro.errors import NotFoundError, ValidationError
+from repro.errors import MetadataStoreError, NotFoundError, ValidationError
+from repro.reliability import FaultInjector, FaultyMetadataStore
 from repro.rules.engine import RuleEngine
 from repro.rules.rule import action_rule, selection_rule
+from repro.service import wire
 from repro.service.client import connect_in_process
 from repro.service.server import GalleryService
 from repro.service.wire import Request
@@ -192,8 +195,6 @@ class TestErrorHandling:
 
     def test_malformed_frame_gets_error_response(self, stack):
         _, _, service, _ = stack
-        from repro.service import wire
-
         response = wire.decode_response(service.handle_frame(b"garbage"))
         assert not response.ok
 
@@ -215,6 +216,49 @@ class TestErrorHandling:
         _, _, service, _ = stack
         response = service.dispatch(Request(method="getModel", params={"model_id": "x"}, request_id=42))
         assert response.request_id == 42
+
+
+def upload_frame(request_id=7, client_id="replayer"):
+    return wire.encode_request(
+        Request(
+            method="uploadModel",
+            params={"project": "p", "base_version_id": "demand", "blob": b"w"},
+            request_id=request_id,
+            client_id=client_id,
+        )
+    )
+
+
+class TestRequestDedup:
+    def test_services_over_one_gallery_share_request_dedup(self):
+        gallery = build_gallery()
+        first, second = GalleryService(gallery), GalleryService(gallery)
+        connect_in_process(first).create_gallery_model("p", "demand")
+
+        original = first.handle_frame(upload_frame())
+        replayed = second.handle_frame(upload_frame())
+
+        assert wire.decode_response(original).ok
+        assert replayed == original
+        assert len(gallery.instances_of("demand")) == 1
+
+    def test_store_down_at_claim_stays_retryable(self):
+        injector = FaultInjector(rate=0.0)
+        metadata = FaultyMetadataStore(SQLiteMetadataStore(":memory:"), injector)
+        dal = DataAccessLayer(metadata, InMemoryBlobStore(), LRUBlobCache(1 << 20))
+        gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
+        service = GalleryService(gallery)
+        connect_in_process(service).create_gallery_model("p", "demand")
+
+        injector.inject_next("dedup_claim")
+        refused = wire.decode_response(service.handle_frame(upload_frame()))
+        assert not refused.ok
+        assert refused.error_type == MetadataStoreError.__name__
+        assert gallery.instances_of("demand") == []
+
+        retried = wire.decode_response(service.handle_frame(upload_frame()))
+        assert retried.ok
+        assert len(gallery.instances_of("demand")) == 1
 
 
 class TestExtendedSurface:

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro import build_gallery
 from repro.errors import MetadataStoreError
 from repro.store.blob import FilesystemBlobStore
 from repro.store.cache import LRUBlobCache
@@ -30,32 +29,6 @@ def store(db_path):
     store = SQLiteMetadataStore(db_path)
     yield store
     store.close()
-
-
-class TestSupportsDurableState:
-    def test_file_backed_sqlite_is_durable(self, store):
-        assert store.supports_durable_state is True
-
-    def test_memory_sqlite_is_not(self):
-        assert SQLiteMetadataStore(":memory:").supports_durable_state is False
-
-    def test_in_memory_store_is_not(self):
-        # build_gallery()'s default "memory" backend is SQLite :memory:
-        metadata = build_gallery().dal.metadata
-        assert type(metadata) is SQLiteMetadataStore
-        assert metadata.supports_durable_state is False
-
-    def test_dal_passes_the_flag_through(self, store, tmp_path):
-        dal = DataAccessLayer(
-            store, FilesystemBlobStore(tmp_path / "blobs"), LRUBlobCache(4)
-        )
-        assert dal.supports_durable_state is True
-        memory_dal = DataAccessLayer(
-            SQLiteMetadataStore(":memory:"),
-            FilesystemBlobStore(tmp_path / "blobs2"),
-            LRUBlobCache(4),
-        )
-        assert memory_dal.supports_durable_state is False
 
 
 class TestDedupClaims:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.records import MetricRecord, Model, ModelInstance
 from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
-from repro.service.server import DurableRequestDedupCache
+from repro.service.server import RequestDedupCache
 from repro.store.blob import InMemoryBlobStore
 from repro.store.dal import DataAccessLayer
 from repro.store.sharding import (
@@ -229,7 +229,7 @@ class TestDurableState:
         for index, shard in enumerate(store._shards):  # noqa: SLF001
             for name in ("dedup_complete", "dedup_trim"):
                 monkeypatch.setattr(shard, name, spy(index, getattr(shard, name)))
-        cache = DurableRequestDedupCache(
+        cache = RequestDedupCache(
             DataAccessLayer(store, InMemoryBlobStore()), capacity=SHARDS
         )
         owner = store.shard_map.shard_for("client-a")
@@ -242,7 +242,6 @@ class TestDurableState:
         assert len(cache) == 1
 
     def test_dedup_claims_stay_on_one_shard(self, store):
-        assert store.supports_durable_state
         assert store.dedup_claim("client-a", 1) == ("owner", None)
         store.dedup_complete("client-a", 1, b"resp")
         assert store.dedup_claim("client-a", 1) == ("done", b"resp")

@@ -7,7 +7,7 @@ import pytest
 
 from repro import build_gallery
 from repro.cli import main
-from repro.reliability import DurableDeadLetterQueue
+from repro.reliability import DeadLetterQueue
 from repro.rules.actions import ActionContext, ActionRegistry
 
 
@@ -180,7 +180,7 @@ def park_failed_action(data_dir, action="alert", rule="r-1", instance="i-1"):
         document={"instance_id": instance},
         timestamp=100.0,
     )
-    letter = DurableDeadLetterQueue(gallery.dal).append(broken.execute(context))
+    letter = DeadLetterQueue(gallery.dal).append(broken.execute(context))
     gallery.dal.metadata.close()
     return letter
 
