@@ -18,9 +18,10 @@ The worked examples of Figures 5–7 are reproduced exactly by
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Collection
 
 from repro.core.versioning import InstanceVersion
 from repro.errors import (
@@ -150,27 +151,7 @@ class DependencyGraph:
         transitive downstream model takes a propagated minor bump (A: 4.0 ->
         4.1, X: 7.0 -> 7.1, Y: 8.0 -> 8.1).  Production versions do not move.
         """
-        node = self._require(model_id)
-        old = node.latest
-        node.latest = old.bump_minor()
-        events = [
-            PropagationEvent(
-                model_id=model_id,
-                old_version=old,
-                new_version=node.latest,
-                cause=ChangeCause.DIRECT,
-            )
-        ]
-        self._events.extend(events)
-        events.extend(
-            self._propagate_from(
-                model_id,
-                cause=ChangeCause.UPSTREAM_UPDATE,
-                trigger=model_id,
-                include_root=False,
-            )
-        )
-        return events
+        return self._direct_change(model_id, InstanceVersion.bump_minor)
 
     def record_model_change(self, model_id: str) -> list[PropagationEvent]:
         """The *model itself* changed (architecture/features): major bump.
@@ -178,27 +159,7 @@ class DependencyGraph:
         Downstream models still only see "an upstream dependency changed",
         so they take the usual propagated minor bump.
         """
-        node = self._require(model_id)
-        old = node.latest
-        node.latest = old.bump_major()
-        events = [
-            PropagationEvent(
-                model_id=model_id,
-                old_version=old,
-                new_version=node.latest,
-                cause=ChangeCause.DIRECT,
-            )
-        ]
-        self._events.extend(events)
-        events.extend(
-            self._propagate_from(
-                model_id,
-                cause=ChangeCause.UPSTREAM_UPDATE,
-                trigger=model_id,
-                include_root=False,
-            )
-        )
-        return events
+        return self._direct_change(model_id, InstanceVersion.bump_major)
 
     def promote(self, model_id: str, version: InstanceVersion | str | None = None) -> InstanceVersion:
         """Pin a version as the production version (owner opt-in).
@@ -253,17 +214,7 @@ class DependencyGraph:
 
     def topological_order(self) -> list[str]:
         """Models ordered so that every dependency precedes its dependents."""
-        in_degree = {mid: len(node.upstream) for mid, node in self._nodes.items()}
-        ready = sorted(mid for mid, deg in in_degree.items() if deg == 0)
-        order: list[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for succ in sorted(self._nodes[current].downstream):
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    ready.append(succ)
-            ready.sort()
+        order = self._ordered(self._nodes)
         if len(order) != len(self._nodes):
             raise DependencyCycleError("dependency graph contains a cycle")
         return order
@@ -277,6 +228,29 @@ class DependencyGraph:
             raise NotFoundError(
                 f"model {model_id!r} is not in the dependency graph"
             ) from None
+
+    def _ordered(self, members: Collection[str]) -> list[str]:
+        """Kahn's algorithm over *members*, always taking the smallest ready id.
+
+        Only edges between members count, so ordering a downstream closure
+        costs that closure alone, not the whole graph.
+        """
+        in_degree = {
+            mid: sum(up in members for up in self._nodes[mid].upstream)
+            for mid in members
+        }
+        ready = [mid for mid, degree in in_degree.items() if degree == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            current = heapq.heappop(ready)
+            order.append(current)
+            for succ in self._nodes[current].downstream:
+                if succ in in_degree:
+                    in_degree[succ] -= 1
+                    if in_degree[succ] == 0:
+                        heapq.heappush(ready, succ)
+        return order
 
     def _closure(self, model_id: str, direction: str) -> set[str]:
         seen: set[str] = set()
@@ -294,6 +268,27 @@ class DependencyGraph:
         """True when *to* is reachable from *frm* following downstream edges."""
         return to in self._closure(frm, direction="downstream")
 
+    def _direct_change(
+        self, model_id: str, bump: Callable[[InstanceVersion], InstanceVersion]
+    ) -> list[PropagationEvent]:
+        """Apply an owner's *bump* to *model_id*, then propagate below it."""
+        node = self._require(model_id)
+        old = node.latest
+        node.latest = bump(old)
+        direct = PropagationEvent(
+            model_id=model_id,
+            old_version=old,
+            new_version=node.latest,
+            cause=ChangeCause.DIRECT,
+        )
+        self._events.append(direct)
+        return [direct] + self._propagate_from(
+            model_id,
+            cause=ChangeCause.UPSTREAM_UPDATE,
+            trigger=model_id,
+            include_root=False,
+        )
+
     def _propagate_from(
         self,
         root_id: str,
@@ -310,9 +305,8 @@ class DependencyGraph:
         affected = self._closure(root_id, direction="downstream")
         if include_root:
             affected.add(root_id)
-        order = [mid for mid in self.topological_order() if mid in affected]
         events: list[PropagationEvent] = []
-        for mid in order:
+        for mid in self._ordered(affected):
             node = self._nodes[mid]
             old = node.latest
             node.latest = old.bump_minor()

@@ -262,16 +262,14 @@ class Gallery:
         :meth:`_rehydrate` would have, keeping every replica able to serve
         (and mutate under) models it did not create itself.
         """
-        head: Model | None = None
-        for model in self._dal.metadata.iter_models():
-            if (model.project, model.base_version_id) != (project, base_version_id):
-                continue
-            # evolution chains share coordinates; the head (no next pointer)
-            # owns the lookup
-            if head is None or model.next_model_id is None:
-                head = model
-        if head is None:
+        chain = self._dal.metadata.models_at(project, base_version_id)
+        if not chain:
             return None
+        # evolution chains share coordinates; the head (no next pointer)
+        # owns the lookup, the newest one if a crash left two
+        head = next(
+            (m for m in reversed(chain) if m.next_model_id is None), chain[0]
+        )
         with self._write_lock:
             existing = self._model_by_base.get((project, base_version_id))
             if existing is not None:

@@ -20,6 +20,7 @@ component.  It is presentation metadata — identity always rests on the UUID.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from functools import total_ordering
@@ -172,7 +173,7 @@ class LineageTracker:
         created_time: float,
         parent_instance_id: str | None = None,
     ) -> LineageEntry:
-        """Append *instance_id* to the lineage of *base_version_id*."""
+        """Insert *instance_id* into its lineage, after any equal times."""
         if not base_version_id:
             raise ValidationError("base_version_id must be non-empty")
         if instance_id in self._base_of:
@@ -189,8 +190,7 @@ class LineageTracker:
             parent_instance_id=parent_instance_id,
         )
         chain = self._by_base.setdefault(base_version_id, [])
-        chain.append(entry)
-        chain.sort(key=lambda e: e.created_time)
+        bisect.insort(chain, entry, key=lambda e: e.created_time)
         self._base_of[instance_id] = base_version_id
         return entry
 
@@ -205,8 +205,7 @@ class LineageTracker:
 
     def latest(self, base_version_id: str) -> LineageEntry:
         """The most recently trained instance for a base version id."""
-        chain = self.lineage(base_version_id)
-        return chain[-1]
+        return self.lineage(base_version_id)[-1]
 
     def base_of(self, instance_id: str) -> str:
         """Which base version id an instance belongs to."""

@@ -130,6 +130,11 @@ class MetadataStore(ABC):
     @abstractmethod
     def iter_models(self) -> Iterator[Model]: ...
 
+    @abstractmethod
+    def models_at(self, project: str, base_version_id: str) -> list[Model]:
+        """Every model registered at one coordinate, ordered by creation
+        time: one record, or an evolution chain sharing it."""
+
     # -- instances ----------------------------------------------------------
 
     @abstractmethod
@@ -258,8 +263,10 @@ class MetadataStore(ABC):
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS models (
-    model_id TEXT PRIMARY KEY,
-    record   TEXT NOT NULL
+    model_id        TEXT PRIMARY KEY,
+    record          TEXT NOT NULL,
+    project         TEXT,
+    base_version_id TEXT
 );
 CREATE TABLE IF NOT EXISTS instances (
     instance_id     TEXT PRIMARY KEY,
@@ -391,6 +398,36 @@ class SQLiteMetadataStore(MetadataStore):
             "CREATE INDEX IF NOT EXISTS idx_instances_family"
             " ON instances(family)"
         )
+        # Model coordinates were promoted to columns after the models table
+        # shipped; same guarded ALTER, and the index after it for the same
+        # reason.  Rows without them (a pre-promotion file, or a row another
+        # writer inserted bare) are backfilled from their JSON: json.loads
+        # reads the NaN that json.dumps may have written into a record,
+        # which SQLite's JSON functions reject.
+        model_columns = {
+            row[1] for row in conn.execute("PRAGMA table_info(models)")
+        }
+        for column in ("project", "base_version_id"):
+            if column not in model_columns:
+                conn.execute(f"ALTER TABLE models ADD COLUMN {column} TEXT")
+        conn.execute(
+            "CREATE INDEX IF NOT EXISTS idx_models_coordinate"
+            " ON models(project, base_version_id)"
+        )
+        bare = conn.execute(
+            "SELECT model_id, record FROM models WHERE project IS NULL"
+        ).fetchall()
+        backfill = []
+        for model_id, record in bare:
+            fields = json.loads(record)
+            backfill.append(
+                (fields.get("project"), fields.get("base_version_id"), model_id)
+            )
+        conn.executemany(
+            "UPDATE models SET project = ?, base_version_id = ?"
+            " WHERE model_id = ?",
+            backfill,
+        )
 
     # -- connection management ----------------------------------------------
 
@@ -493,8 +530,14 @@ class SQLiteMetadataStore(MetadataStore):
 
     def insert_model(self, model: Model) -> None:
         self._write(
-            "INSERT INTO models (model_id, record) VALUES (?, ?)",
-            (model.model_id, json.dumps(model.to_dict())),
+            "INSERT INTO models (model_id, record, project, base_version_id)"
+            " VALUES (?, ?, ?, ?)",
+            (
+                model.model_id,
+                json.dumps(model.to_dict()),
+                model.project,
+                model.base_version_id,
+            ),
         )
 
     def get_model(self, model_id: str) -> Model:
@@ -534,6 +577,15 @@ class SQLiteMetadataStore(MetadataStore):
     def iter_models(self) -> Iterator[Model]:
         rows = self._read("SELECT record FROM models")
         return (Model.from_dict(json.loads(r[0])) for r in rows)
+
+    def models_at(self, project: str, base_version_id: str) -> list[Model]:
+        rows = self._read(
+            "SELECT record FROM models WHERE project = ? AND base_version_id = ?",
+            (project, base_version_id),
+        )
+        models = [Model.from_dict(json.loads(r[0])) for r in rows]
+        models.sort(key=lambda m: (m.created_time, m.model_id))
+        return models
 
     # -- instances ------------------------------------------------------------
 
@@ -745,9 +797,6 @@ class SQLiteMetadataStore(MetadataStore):
         now: float = 0.0,
         reason: str = "",
     ) -> ServingAssignment:
-        # BEGIN IMMEDIATE takes the database write lock before the read, so
-        # the read-modify-write is atomic across *replicas* sharing this
-        # file, not just across this process's threads.
         # BEGIN IMMEDIATE takes the database write lock before the read, so
         # the read-modify-write is atomic across *replicas* sharing this
         # file, not just across this process's threads.  ServingAssignment

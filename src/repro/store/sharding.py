@@ -417,6 +417,15 @@ class ShardedMetadataStore(MetadataStore):
         for shard in self._shards:
             yield from shard.iter_models()
 
+    def models_at(self, project: str, base_version_id: str) -> list[Model]:
+        # Model rows live on their base version id's shard, like
+        # insert_model put them there: one shard, one indexed statement.
+        shard = self._map.shard_for(base_version_id)
+        models = self._shards[shard].models_at(project, base_version_id)
+        for model in models:
+            self._cache_route(self._model_shard, model.model_id, shard)
+        return models
+
     # -- instances ------------------------------------------------------------
 
     def insert_instance(self, instance: ModelInstance) -> None:
@@ -930,6 +939,12 @@ def _migrate_rows(
     return moved
 
 
+def _upgrade_schema(path: str) -> None:
+    """Run the store's schema migration on a closed file, keeping its
+    journal mode (a serialized store never switches a file to WAL)."""
+    SQLiteMetadataStore(path, serialized=True).close()
+
+
 def _count_misplaced(
     conn: sqlite3.Connection, shard: int, shard_map: ShardMap
 ) -> dict[str, int]:
@@ -964,7 +979,10 @@ def split_shard(directory: str, shard: int) -> dict[str, Any]:
     def moves(key: str) -> bool:
         return coordinate_hash(key) in moving_range
 
-    # Ensure the destination file exists with the current schema.
+    # Ensure both files hold the current schema: rows are copied with
+    # ``SELECT *``, so a source that predates a promoted column would land
+    # its rows with that column NULL.
+    _upgrade_schema(shard_file(directory, shard))
     SQLiteMetadataStore(shard_file(directory, new_shard)).close()
 
     src = sqlite3.connect(shard_file(directory, shard))
@@ -1005,8 +1023,9 @@ def init_sharded_layout(
     """Create a sharded layout, optionally adopting a legacy single file.
 
     Rows from *legacy_db* are redistributed into the new shard files by
-    routing key; the legacy file itself is left untouched (the caller
-    renames or removes it once satisfied).
+    routing key.  The legacy file keeps its rows (the caller renames or
+    removes it once satisfied); only its schema is brought current first,
+    so every copied model row carries its coordinate columns.
     """
     os.makedirs(directory, exist_ok=True)
     map_path = os.path.join(directory, SHARD_MAP_FILENAME)
@@ -1019,6 +1038,7 @@ def init_sharded_layout(
     for index in range(shard_count):
         SQLiteMetadataStore(shard_file(directory, index)).close()
     if legacy_db is not None and os.path.exists(legacy_db):
+        _upgrade_schema(legacy_db)
         src = sqlite3.connect(legacy_db)
         try:
             for index in range(shard_count):

@@ -5,7 +5,9 @@ Invariants, over random DAGs and update sequences:
 * one direct update bumps exactly the transitive downstream closure (+ the
   updated model), each exactly once;
 * production versions never move without an explicit promote;
-* the graph stays acyclic (topological_order never raises).
+* the graph stays acyclic (topological_order never raises);
+* ``topological_order`` equals the sorted-ready-list loop it replaced, and
+  every propagation wave is a topological order of exactly its affected set.
 """
 
 from __future__ import annotations
@@ -116,3 +118,93 @@ def test_instance_version_ordering_total(bumps):
         history.append(version)
     assert history == sorted(history)
     assert len(set(history)) == len(history)
+
+
+# -- ordering: the heap-based Kahn pass against the loop it replaced ---------
+
+
+def reference_topological_order(graph):
+    """The pre-heap ``topological_order`` loop, kept verbatim as an oracle:
+    re-sort the ready list after every pop and take its smallest id."""
+    nodes = graph._nodes  # noqa: SLF001
+    in_degree = {mid: len(node.upstream) for mid, node in nodes.items()}
+    ready = sorted(mid for mid, deg in in_degree.items() if deg == 0)
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        for succ in sorted(nodes[current].downstream):
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                ready.append(succ)
+        ready.sort()
+    return order
+
+
+@st.composite
+def labelled_dags(draw):
+    """A DAG whose ids are shuffled against its topological order, so the
+    smallest-ready-id rule is exercised, not implied by the labels."""
+    size = draw(st.integers(1, 14))
+    names = draw(st.permutations([f"n{i:02d}" for i in range(size)]))
+    pairs = [(u, d) for u in range(size) for d in range(u + 1, size)]
+    chosen = []
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+    graph = DependencyGraph()
+    for name in names:
+        graph.add_model(name, "1.0")
+    for upstream_idx, downstream_idx in chosen:
+        graph.add_dependency(names[downstream_idx], names[upstream_idx], bump=False)
+    return graph
+
+
+def assert_wave_is_topological(graph, events, affected):
+    """*events* bump exactly *affected*, once each, every model after all of
+    its affected upstreams."""
+    order = [e.model_id for e in events]
+    assert sorted(order) == sorted(affected)
+    assert len(order) == len(set(order)), "a model was bumped twice"
+    position = {mid: index for index, mid in enumerate(order)}
+    for mid in order:
+        for upstream in graph.upstream(mid) & affected:
+            assert position[upstream] < position[mid], (
+                f"{mid} bumped before its upstream {upstream}"
+            )
+
+
+@given(labelled_dags())
+@settings(max_examples=300)
+def test_topological_order_matches_the_sorted_ready_list_loop(graph):
+    assert graph.topological_order() == reference_topological_order(graph)
+
+
+@given(labelled_dags(), st.data())
+@settings(max_examples=300)
+def test_update_waves_are_topological_orders_of_the_affected_set(graph, data):
+    for _ in range(data.draw(st.integers(1, 4))):
+        updated = data.draw(st.sampled_from(graph.models()))
+        affected = graph.downstream(updated, transitive=True) | {updated}
+        if data.draw(st.booleans()):
+            events = graph.record_instance_update(updated)
+        else:
+            events = graph.record_model_change(updated)
+        assert events[0].model_id == updated
+        assert_wave_is_topological(graph, events, affected)
+
+
+@given(labelled_dags(), st.data())
+@settings(max_examples=200)
+def test_edge_change_waves_are_topological_orders_of_the_affected_set(graph, data):
+    models = graph.models()
+    downstream = data.draw(st.sampled_from(models))
+    upstream = data.draw(st.sampled_from(models))
+    if upstream in graph.upstream(downstream):
+        events = graph.remove_dependency(downstream, upstream)
+    else:
+        try:
+            events = graph.add_dependency(downstream, upstream)
+        except DependencyCycleError:
+            return
+    affected = graph.downstream(downstream, transitive=True) | {downstream}
+    assert_wave_is_topological(graph, events, affected)

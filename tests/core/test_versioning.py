@@ -1,6 +1,8 @@
 """Tests for versioning: semver baseline, instance versions, lineage."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.versioning import (
     InstanceVersion,
@@ -82,6 +84,20 @@ class TestLineageTracker:
         tracker.record("b", "late", created_time=10.0)
         tracker.record("b", "early", created_time=1.0)
         assert [e.instance_id for e in tracker.lineage("b")] == ["early", "late"]
+
+    @given(st.lists(st.sampled_from([1.0, 2.0, 2.0, 3.0, 5.0]), max_size=40))
+    @settings(max_examples=200)
+    def test_insert_order_equals_append_then_stable_sort(self, times):
+        """Shuffled and tied times land exactly where append + a stable
+        sort by time would put them: ties keep their recording order."""
+        tracker = LineageTracker()
+        expected = []
+        for index, created in enumerate(times):
+            tracker.record("b", f"i{index}", created_time=created)
+            expected.append((f"i{index}", created))
+        expected.sort(key=lambda pair: pair[1])
+        chain = tracker.lineage("b") if times else ()
+        assert [(e.instance_id, e.created_time) for e in chain] == expected
 
     def test_duplicate_instance_rejected(self):
         tracker = LineageTracker()

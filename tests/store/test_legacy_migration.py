@@ -5,6 +5,11 @@ Builds a pre-PR9 SQLite layout by hand — instances table without the
 ``family``/``enabled`` keys — then opens it with the current code and
 checks that the guarded migration brings the schema forward while every
 legacy row keeps serving.
+
+The models table later gained promoted ``project``/``base_version_id``
+columns behind ``models_at``.  A file written before them — opened
+directly, adopted into shards, or split offline — must answer
+``models_at`` for every model it holds, NaN-bearing metadata included.
 """
 
 from __future__ import annotations
@@ -15,9 +20,18 @@ import sqlite3
 import pytest
 
 from repro import build_gallery
+from repro.core.records import Model
 from repro.errors import NotFoundError
 from repro.store.blob import FilesystemBlobStore
 from repro.store.metadata_store import SQLiteMetadataStore
+from repro.store.sharding import (
+    SHARD_MAP_FILENAME,
+    ShardMap,
+    init_sharded_layout,
+    open_sharded_store,
+    shard_file,
+    split_shard,
+)
 
 #: The metadata schema exactly as PR8 shipped it: no ``family`` column on
 #: instances, no ``idx_instances_family``, no ``serving_assignments``.
@@ -221,5 +235,140 @@ class TestLegacyUpgrade:
             assert assignment.switch_count == 1, "re-assign same instance is a no-op"
             with pytest.raises(NotFoundError):
                 store.serving_assignment("nyc")
+        finally:
+            store.close()
+
+
+def write_pre_coordinate_file(path, models) -> None:
+    """A models table as it was before the coordinate columns: id + JSON.
+
+    ``json.dumps`` is what the store itself used, so NaN metadata lands in
+    the record as the bare ``NaN`` token.
+    """
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute(
+            "CREATE TABLE models (model_id TEXT PRIMARY KEY, record TEXT NOT NULL)"
+        )
+        conn.executemany(
+            "INSERT INTO models VALUES (?, ?)",
+            [(m.model_id, json.dumps(m.to_dict())) for m in models],
+        )
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def legacy_models(count: int) -> list[Model]:
+    return [
+        Model(
+            model_id=f"m{index}",
+            project="p",
+            base_version_id=f"base-{index}",
+            created_time=float(index),
+        )
+        for index in range(count)
+    ]
+
+
+def null_coordinates(path) -> int:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute(
+            "SELECT COUNT(*) FROM models"
+            " WHERE project IS NULL OR base_version_id IS NULL"
+        ).fetchone()[0]
+    finally:
+        conn.close()
+
+
+def model_ids_at(store, models) -> list[list[str]]:
+    return [
+        [m.model_id for m in store.models_at(model.project, model.base_version_id)]
+        for model in models
+    ]
+
+
+class TestCoordinateColumns:
+    def test_pre_change_file_answers_models_at(self, tmp_path):
+        path = tmp_path / "gallery.sqlite"
+        models = legacy_models(5)
+        write_pre_coordinate_file(path, models)
+        store = SQLiteMetadataStore(str(path))
+        try:
+            assert model_ids_at(store, models) == [[m.model_id] for m in models]
+            assert store.models_at("p", "base-missing") == []
+            assert store.models_at("other", "base-0") == []
+        finally:
+            store.close()
+        assert null_coordinates(path) == 0
+        conn = sqlite3.connect(path)
+        indexes = {
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='index'"
+            )
+        }
+        conn.close()
+        assert "idx_models_coordinate" in indexes
+
+    def test_pre_family_layout_upgrades_and_serves_by_coordinate(self, tmp_path):
+        build_legacy_layout(tmp_path)
+        for _ in range(2):  # the backfill is a no-op the second time
+            store = SQLiteMetadataStore(str(tmp_path / "gallery.sqlite"))
+            try:
+                assert [m.model_id for m in store.models_at("p", "demand")] == [
+                    "m-legacy"
+                ]
+            finally:
+                store.close()
+
+    def test_nan_metadata_is_backfilled(self, tmp_path):
+        path = tmp_path / "gallery.sqlite"
+        model = Model(
+            model_id="m-nan",
+            project="p",
+            base_version_id="demand",
+            metadata={"threshold": float("nan")},
+        )
+        write_pre_coordinate_file(path, [model])
+        store = SQLiteMetadataStore(str(path))
+        try:
+            (found,) = store.models_at("p", "demand")
+            assert found.model_id == "m-nan"
+            assert found.metadata["threshold"] != found.metadata["threshold"]
+        finally:
+            store.close()
+
+    def test_adopted_legacy_file_answers_models_at(self, tmp_path):
+        build_legacy_layout(tmp_path)
+        directory = tmp_path / "shards"
+        report = init_sharded_layout(
+            str(directory), 4, legacy_db=str(tmp_path / "gallery.sqlite")
+        )
+        assert report["adopted"]["models"] == 1
+        for index in range(4):
+            assert null_coordinates(shard_file(str(directory), index)) == 0
+        store = open_sharded_store(str(directory))
+        try:
+            assert [m.model_id for m in store.models_at("p", "demand")] == [
+                "m-legacy"
+            ]
+        finally:
+            store.close()
+
+    def test_split_of_a_pre_change_shard_answers_models_at(self, tmp_path):
+        directory = str(tmp_path / "shards")
+        tmp_path.joinpath("shards").mkdir()
+        ShardMap.uniform(1).save(str(tmp_path / "shards" / SHARD_MAP_FILENAME))
+        models = legacy_models(12)
+        write_pre_coordinate_file(shard_file(directory, 0), models)
+        report = split_shard(directory, 0)
+        assert 0 < report["moved"]["models"] < len(models)
+        for index in range(2):
+            assert null_coordinates(shard_file(directory, index)) == 0
+        store = open_sharded_store(directory)
+        try:
+            assert model_ids_at(store, models) == [[m.model_id] for m in models]
         finally:
             store.close()
