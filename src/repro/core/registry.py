@@ -634,11 +634,7 @@ class Gallery:
             raise ValidationError(
                 f"instance {instance_id!r} is disabled (review gate) and cannot serve"
             )
-        try:
-            already_serving = self.serving_for(scope).instance_id == instance_id
-        except NotFoundError:
-            already_serving = False
-        assignment = self._dal.assign_serving(
+        assignment, switched = self._dal.assign_serving(
             scope,
             instance_id,
             family=instance.family,
@@ -649,8 +645,8 @@ class Gallery:
         # The stored row cannot distinguish a replayed no-op from the switch
         # that created it (previous_instance_id keeps pointing at the old
         # instance), so "did this call change anything" comes from the
-        # pre-read above — done under the registry write lock.
-        if not already_serving:
+        # store's transaction: a read before it would race other replicas.
+        if switched:
             self.bus.publish(
                 Event(
                     kind=EventKind.SERVING_SWITCHED,

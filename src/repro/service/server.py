@@ -110,9 +110,9 @@ class RequestDedupCache:
         return outcome, response
 
     def complete(self, key: tuple[str, int], response: bytes) -> None:
-        self._dal.dedup_complete(key[0], key[1], response)
-        # Only the shard that took this row can have outgrown its slice.
-        self._dal.dedup_trim(self._capacity, key[0])
+        """Record *response*; the same commit evicts completed entries more
+        than ``capacity`` claims behind the newest."""
+        self._dal.dedup_complete(key[0], key[1], response, self._capacity)
 
     def release(self, key: tuple[str, int]) -> None:
         self._dal.dedup_release(key[0], key[1])

@@ -6,11 +6,11 @@ the reproduction's wire frames over real sockets:
 
 * :class:`GalleryTcpServer` — a ``selectors``-based **event-loop server**:
   one non-blocking accept/read/write loop hands read-class frames to the
-  service's micro-batcher itself and everything else to a bounded pool of
-  daemon worker threads, so a thousand idle connections cost zero threads
-  and a read never waits for a worker.  Responses may complete out of order;
-  each one carries its request_id, which is what pipelined clients
-  correlate on.
+  service's micro-batcher itself and everything else to a pool of daemon
+  worker threads, one per CPU, so a thousand idle connections cost zero
+  threads and a read never waits for a worker.  Responses may complete
+  out of order; each one carries its request_id, which is what pipelined
+  clients correlate on.
 * :class:`PipelinedTcpTransport` — keeps many requests in flight on one
   connection, correlating responses by request_id; ``submit``/
   ``submit_many`` expose the asynchronous path and ``__call__`` keeps the
@@ -61,11 +61,27 @@ def sendfile_available() -> bool:
 # ---------------------------------------------------------------------------
 
 
+def default_workers() -> int:
+    """One worker per CPU this process may run on, and never fewer than two.
+
+    The CPUs are the process's affinity set where the platform has one
+    (a container or ``taskset`` narrows it), else ``os.cpu_count()``.  The
+    floor of two keeps one write parked in an fsync from stalling every
+    other write.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return max(2, cpus)
+
+
 class _WorkerPool:
     """Bounded pool of daemon threads draining a shared task queue.
 
     Daemon threads on purpose: a handler wedged inside the service must be
-    reportable and abandonable, never able to pin the process open.
+    reportable and abandonable, never able to pin the process open.  Each
+    worker opens its own SQLite connection per shard it writes and gets
+    its own malloc arena, so the pool is sized from the CPUs, not from the
+    expected load (see :func:`default_workers`).
     """
 
     def __init__(self, size: int) -> None:
@@ -560,8 +576,10 @@ class GalleryTcpServer:
     """Serves a :class:`GalleryService` on a TCP port via an event loop.
 
     One daemon thread runs the non-blocking accept/read/write loop and
-    offers read-class frames to ``service.read_batcher``; a bounded pool of
-    daemon workers executes ``service.handle_frame_stream`` for the rest.
+    offers read-class frames to ``service.read_batcher``; a pool of daemon
+    workers, one per CPU unless *workers* says otherwise (see
+    :func:`default_workers`), executes ``service.handle_frame_stream`` for
+    the rest.
     Idle connections cost a selector entry, not a thread, and responses
     are written back (coalesced) as workers finish — possibly out of
     request order, which pipelined clients resolve by request_id.  Large
@@ -575,11 +593,14 @@ class GalleryTcpServer:
         service: GalleryService,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 16,
+        workers: int | None = None,
         chunk_size: int = wire.DEFAULT_CHUNK_SIZE,
     ) -> None:
         self._core = _EventLoopCore(
-            (host, port), service, workers, chunk_size=chunk_size
+            (host, port),
+            service,
+            default_workers() if workers is None else workers,
+            chunk_size=chunk_size,
         )
         self._service = service
         self._thread: threading.Thread | None = None

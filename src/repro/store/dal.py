@@ -99,15 +99,16 @@ class DataAccessLayer:
         )
 
     def dedup_complete(
-        self, client_id: str, request_id: int, response: bytes
+        self,
+        client_id: str,
+        request_id: int,
+        response: bytes,
+        capacity: int | None = None,
     ) -> None:
-        self._metadata.dedup_complete(client_id, request_id, response)
+        self._metadata.dedup_complete(client_id, request_id, response, capacity)
 
     def dedup_release(self, client_id: str, request_id: int) -> None:
         self._metadata.dedup_release(client_id, request_id)
-
-    def dedup_trim(self, capacity: int, client_id: str | None = None) -> int:
-        return self._metadata.dedup_trim(capacity, client_id)
 
     def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
         return self._metadata.dedup_trim_age(max_age, now)
@@ -178,7 +179,7 @@ class DataAccessLayer:
         family: str = "",
         now: float = 0.0,
         reason: str = "",
-    ) -> ServingAssignment:
+    ) -> tuple[ServingAssignment, bool]:
         return self._metadata.assign_serving(
             scope, instance_id, family=family, now=now, reason=reason
         )

@@ -241,12 +241,14 @@ class MetadataStore(ABC):
         family: str = "",
         now: float = 0.0,
         reason: str = "",
-    ) -> ServingAssignment:
+    ) -> tuple[ServingAssignment, bool]:
         """Atomically (re-)point *scope* at *instance_id*.
 
-        Re-assigning the already-serving instance is a no-op that returns
-        the existing row unchanged (no switch-count bump), mirroring the
-        old in-memory switchboard semantics.
+        Returns the row and whether this call switched it.  Re-assigning
+        the already-serving instance is a no-op that returns the existing
+        row unchanged (no switch-count bump) and ``False``.  Both are
+        decided inside the write transaction, so a switch another replica
+        commits first is seen, not raced.
         """
 
     @abstractmethod
@@ -294,8 +296,6 @@ CREATE TABLE IF NOT EXISTS metrics (
     value       REAL NOT NULL,
     record      TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_metrics_instance ON metrics(instance_id);
-CREATE INDEX IF NOT EXISTS idx_metrics_name ON metrics(name);
 CREATE INDEX IF NOT EXISTS idx_metrics_instance_name ON metrics(instance_id, name);
 CREATE TABLE IF NOT EXISTS dedup_entries (
     client_id  TEXT    NOT NULL,
@@ -305,7 +305,6 @@ CREATE TABLE IF NOT EXISTS dedup_entries (
     updated    REAL    NOT NULL,
     PRIMARY KEY (client_id, request_id)
 );
-CREATE INDEX IF NOT EXISTS idx_dedup_updated ON dedup_entries(status, updated);
 CREATE TABLE IF NOT EXISTS dead_letters (
     letter_id  INTEGER PRIMARY KEY AUTOINCREMENT,
     rule_uuid  TEXT NOT NULL,
@@ -428,6 +427,12 @@ class SQLiteMetadataStore(MetadataStore):
             " WHERE model_id = ?",
             backfill,
         )
+        # Indexes no statement reads any more, each one more page to write
+        # per insert: every metric read filters on instance_id (the
+        # (instance_id, name) index serves both shapes), and an index on
+        # dedup status would steer the claim-order trim off its rowid range.
+        for index in ("idx_metrics_instance", "idx_metrics_name", "idx_dedup_updated"):
+            conn.execute(f"DROP INDEX IF EXISTS {index}")
 
     # -- connection management ----------------------------------------------
 
@@ -796,7 +801,7 @@ class SQLiteMetadataStore(MetadataStore):
         family: str = "",
         now: float = 0.0,
         reason: str = "",
-    ) -> ServingAssignment:
+    ) -> tuple[ServingAssignment, bool]:
         # BEGIN IMMEDIATE takes the database write lock before the read, so
         # the read-modify-write is atomic across *replicas* sharing this
         # file, not just across this process's threads.  ServingAssignment
@@ -812,7 +817,7 @@ class SQLiteMetadataStore(MetadataStore):
                 ServingAssignment.from_dict(json.loads(rows[0][0])) if rows else None
             )
             if current is not None and current.instance_id == instance_id:
-                return current
+                return current, False
             assignment = ServingAssignment(
                 scope=scope,
                 instance_id=instance_id,
@@ -833,7 +838,7 @@ class SQLiteMetadataStore(MetadataStore):
                 " record = excluded.record",
                 (scope, instance_id, family, now, json.dumps(assignment.to_dict())),
             )
-            return assignment
+            return assignment, True
 
     def serving_assignment_count(self) -> int:
         rows = self._read("SELECT COUNT(*) FROM serving_assignments")
@@ -918,14 +923,25 @@ class SQLiteMetadataStore(MetadataStore):
                 return ("owner" if cursor.rowcount == 1 else "pending"), None
 
     def dedup_complete(
-        self, client_id: str, request_id: int, response: bytes
+        self,
+        client_id: str,
+        request_id: int,
+        response: bytes,
+        capacity: int | None = None,
     ) -> None:
-        """Record the successful response for a claimed request."""
-        self._write(
-            "UPDATE dedup_entries SET status = 'done', response = ?, updated = ?"
-            " WHERE client_id = ? AND request_id = ?",
-            (response, time.time(), client_id, request_id),
-        )
+        """Record the successful response for a claimed request.
+
+        With *capacity*, the :meth:`dedup_trim` eviction runs in the same
+        transaction, so completing a request is one commit.
+        """
+        with self._transaction() as conn:
+            conn.execute(
+                "UPDATE dedup_entries SET status = 'done', response = ?,"
+                " updated = ? WHERE client_id = ? AND request_id = ?",
+                (response, time.time(), client_id, request_id),
+            )
+            if capacity is not None:
+                self._evict_done(conn, capacity, (client_id, request_id))
 
     def dedup_release(self, client_id: str, request_id: int) -> None:
         """Drop a pending claim (the request failed; a retry may re-execute)."""
@@ -935,25 +951,38 @@ class SQLiteMetadataStore(MetadataStore):
             (client_id, request_id),
         )
 
-    def dedup_trim(self, capacity: int, client_id: str | None = None) -> int:
-        """Evict the oldest completed entries beyond *capacity*; return count.
+    def dedup_trim(self, capacity: int) -> int:
+        """Evict completed entries more than *capacity* claims behind the
+        newest claim; return the count.
 
-        *client_id* names the client whose entry was just completed; one
-        file owns every client, so it selects nothing here (the sharded
-        store trims only that client's shard)."""
+        Eviction follows claim order (the row's insertion order), not the
+        last replay: it is a rowid range, so it costs the rows it deletes,
+        not a count of every entry.  Pending claims hold their place in the
+        window but are never evicted, so at most *capacity* completed
+        entries survive.
+        """
         with self._transaction() as conn:
-            (total,) = conn.execute(
-                "SELECT COUNT(*) FROM dedup_entries WHERE status = 'done'"
-            ).fetchone()
-            excess = int(total) - capacity
-            if excess <= 0:
-                return 0
-            return conn.execute(
-                "DELETE FROM dedup_entries WHERE rowid IN ("
-                " SELECT rowid FROM dedup_entries WHERE status = 'done'"
-                " ORDER BY updated ASC LIMIT ?)",
-                (excess,),
-            ).rowcount
+            return self._evict_done(conn, capacity)
+
+    @staticmethod
+    def _evict_done(
+        conn: sqlite3.Connection,
+        capacity: int,
+        completed: tuple[str | None, int | None] = (None, None),
+    ) -> int:
+        """Delete done rows more than *capacity* claims behind the newest.
+
+        The *completed* ``(client_id, request_id)`` is spared: a claim that
+        stayed pending while *capacity* newer ones landed must still replay
+        its response to a retry.  ``IS`` against ``(None, None)`` spares
+        nothing.
+        """
+        return conn.execute(
+            "DELETE FROM dedup_entries WHERE status = 'done' AND rowid <="
+            " (SELECT MAX(rowid) FROM dedup_entries) - ?"
+            " AND NOT (client_id IS ? AND request_id IS ?)",
+            (capacity, *completed),
+        ).rowcount
 
     def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
         """Evict completed entries older than *max_age* seconds.

@@ -595,7 +595,7 @@ class ShardedMetadataStore(MetadataStore):
         family: str = "",
         now: float = 0.0,
         reason: str = "",
-    ) -> ServingAssignment:
+    ) -> tuple[ServingAssignment, bool]:
         return self._shard_for_key(scope).assign_serving(
             scope, instance_id, family=family, now=now, reason=reason
         )
@@ -662,29 +662,28 @@ class ShardedMetadataStore(MetadataStore):
         )
 
     def dedup_complete(
-        self, client_id: str, request_id: int, response: bytes
+        self,
+        client_id: str,
+        request_id: int,
+        response: bytes,
+        capacity: int | None = None,
     ) -> None:
-        self._shard_for_key(client_id).dedup_complete(
-            client_id, request_id, response
-        )
+        """Only the owning shard can have outgrown its slice of *capacity*,
+        so only it is trimmed, in the completing transaction."""
+        shard = self._map.shard_for(client_id)
+        budget = None if capacity is None else self._split_budget(capacity)[shard]
+        self._shards[shard].dedup_complete(client_id, request_id, response, budget)
 
     def dedup_release(self, client_id: str, request_id: int) -> None:
         self._shard_for_key(client_id).dedup_release(client_id, request_id)
 
-    def dedup_trim(self, capacity: int, client_id: str | None = None) -> int:
+    def dedup_trim(self, capacity: int) -> int:
         """Trim toward a *global* capacity: the budget is divided across
-        shards, so the total resident count is bounded by *capacity*.
-
-        With *client_id* — the client whose entry was just completed —
-        only its owning shard can have grown past its slice, so only that
-        shard is trimmed, on the calling thread."""
-        budgets = self._split_budget(capacity)
-        if client_id is not None:
-            shard = self._map.shard_for(client_id)
-            return self._shards[shard].dedup_trim(budgets[shard])
+        shards, so the total resident count is bounded by *capacity*."""
         return sum(
             self._scatter_zip(
-                lambda shard, budget: shard.dedup_trim(budget), budgets
+                lambda shard, budget: shard.dedup_trim(budget),
+                self._split_budget(capacity),
             )
         )
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro import build_gallery
 from repro.core import LifecycleStage, ManualClock, SeededIdFactory
+from repro.rules.events import EventKind
 
 
 def open_gallery(tmp_path, seed=1, start=1_000_000.0):
@@ -104,3 +105,55 @@ class TestRehydration:
         gallery = open_gallery(tmp_path)
         assert gallery.models() == []
         assert gallery.lineage.base_version_ids() == []
+
+
+class TestServingSwitchAcrossReplicas:
+    """Whether an assignment switched is decided inside the store's write
+    transaction, so a peer replica's switch landing just before it can
+    neither swallow this replica's event nor fake one for a no-op."""
+
+    @staticmethod
+    def _replicas(tmp_path, monkeypatch, peer_switch_to):
+        """Two replicas serving ``x`` in scope ``s``; replica A's next store
+        write is preceded by replica B's switch to *peer_switch_to*."""
+        a = open_gallery(tmp_path)
+        a.create_model("p", "demand")
+        x = a.upload_model("p", "demand", blob=b"x")
+        y = a.upload_model("p", "demand", blob=b"y")
+        a.assign_serving("s", x.instance_id)
+        b = open_gallery(tmp_path, seed=2)
+        store_write = a.dal.assign_serving
+
+        def raced(*args, **kwargs):
+            b.assign_serving("s", {"x": x, "y": y}[peer_switch_to].instance_id)
+            return store_write(*args, **kwargs)
+
+        monkeypatch.setattr(a.dal, "assign_serving", raced)
+        return a, x, y
+
+    @staticmethod
+    def _switches(gallery):
+        return [
+            e.payload
+            for e in gallery.bus.history()
+            if e.kind is EventKind.SERVING_SWITCHED
+        ]
+
+    def test_switch_back_after_a_peer_switch_publishes(self, tmp_path, monkeypatch):
+        a, x, y = self._replicas(tmp_path, monkeypatch, peer_switch_to="y")
+        before = len(self._switches(a))
+        row = a.assign_serving("s", x.instance_id)
+        assert (row.previous_instance_id, row.switch_count) == (y.instance_id, 3)
+        published = self._switches(a)[before:]
+        assert [(p["previous_instance_id"], p["switch_count"]) for p in published] == [
+            (y.instance_id, 3)
+        ]
+
+    def test_switch_a_peer_already_made_publishes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        a, _, y = self._replicas(tmp_path, monkeypatch, peer_switch_to="y")
+        before = len(self._switches(a))
+        row = a.assign_serving("s", y.instance_id)
+        assert row.switch_count == 2  # the peer's switch; this call is a no-op
+        assert self._switches(a)[before:] == []

@@ -80,16 +80,26 @@ class HangUpOnceProxy:
         self._listener.close()
 
 
-@pytest.fixture
-def pipelined_stack():
+def _pipelined_stack(workers=None):
     gallery, service = build_service()
-    server = GalleryTcpServer(service).start()
+    server = GalleryTcpServer(service, workers=workers).start()
     host, port = server.address
     transport = PipelinedTcpTransport(host, port, timeout=15.0)
     client = GalleryClient(transport)
     yield gallery, service, server, client, transport
     transport.close()
     server.stop()
+
+
+@pytest.fixture
+def pipelined_stack():
+    yield from _pipelined_stack()
+
+
+@pytest.fixture
+def eight_worker_stack():
+    """For tests that park up to seven handlers and need one more free."""
+    yield from _pipelined_stack(workers=8)
 
 
 class TestBlockingContract:
@@ -216,11 +226,11 @@ class TestMultiplexing:
         assert fast_response.request_id == 7002 and fast_response.ok
         assert slow_response.request_id == 7001 and slow_response.ok
 
-    def test_crashed_dispatcher_fails_only_its_own_request(self, pipelined_stack):
+    def test_crashed_dispatcher_fails_only_its_own_request(self, eight_worker_stack):
         # One poisoned request among eight pipelined ones: the server's
         # error reply must name that request, not read as a stream-level
         # failure that takes every in-flight exchange down with it.
-        _, service, _, _, transport = pipelined_stack
+        _, service, _, _, transport = eight_worker_stack
         poisoned = 503
         crashed = threading.Event()
         dispatch = service.handle_frame_stream

@@ -110,6 +110,19 @@ class TestDedupClaims:
         assert store.dedup_trim(0) == 1
         assert store.dedup_claim("c1", 1) == ("pending", None)
 
+    def test_completion_trims_in_claim_order_but_spares_itself(self, store):
+        store.dedup_claim("c1", 1)  # stays in flight past the window
+        for request_id in range(2, 6):
+            store.dedup_claim("c1", request_id)
+            store.dedup_complete("c1", request_id, b"r%d" % request_id, capacity=2)
+        # claims 2 and 3 fell more than two claims behind the newest (5)
+        assert store.dedup_count() == 2
+        store.dedup_complete("c1", 1, b"late", capacity=2)
+        # the late completion is older than the window, yet a retry of it
+        # must still replay rather than execute twice
+        assert store.dedup_claim("c1", 1) == ("done", b"late")
+        assert store.dedup_trim(2) == 1  # the next trim takes it
+
     def test_closed_store_raises_typed_error(self, db_path):
         store = SQLiteMetadataStore(db_path)
         store.close()

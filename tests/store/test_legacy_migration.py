@@ -372,3 +372,38 @@ class TestCoordinateColumns:
             assert model_ids_at(store, models) == [[m.model_id] for m in models]
         finally:
             store.close()
+
+
+#: Indexes a file written before they were dropped still carries: two on
+#: metrics that no statement reads, one on dedup status.
+UNUSED_INDEXES = {
+    "idx_metrics_instance": "metrics(instance_id)",
+    "idx_metrics_name": "metrics(name)",
+    "idx_dedup_updated": "dedup_entries(status, updated)",
+}
+
+
+class TestUnusedIndexes:
+    def test_opening_an_older_file_drops_the_unused_indexes(self, tmp_path):
+        path = tmp_path / "gallery.sqlite"
+        SQLiteMetadataStore(str(path)).close()
+        conn = sqlite3.connect(path)
+        try:
+            for name, target in UNUSED_INDEXES.items():
+                conn.execute(f"CREATE INDEX {name} ON {target}")
+            conn.commit()
+        finally:
+            conn.close()
+        SQLiteMetadataStore(str(path)).close()
+        conn = sqlite3.connect(path)
+        try:
+            indexes = {
+                row[0]
+                for row in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type='index'"
+                )
+            }
+        finally:
+            conn.close()
+        assert indexes.isdisjoint(UNUSED_INDEXES)
+        assert "idx_metrics_instance_name" in indexes

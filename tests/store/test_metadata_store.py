@@ -216,9 +216,10 @@ class TestFamilies:
 @both_configurations
 class TestServingAssignments:
     def test_first_assignment_creates_row(self, metadata_store):
-        created = metadata_store.assign_serving(
+        created, switched = metadata_store.assign_serving(
             "sf", "i1", family="sf:rf", now=5.0, reason="launch"
         )
+        assert switched
         assert created.scope == "sf"
         assert created.instance_id == "i1"
         assert created.family == "sf:rf"
@@ -229,9 +230,10 @@ class TestServingAssignments:
 
     def test_reassignment_links_previous_and_counts(self, metadata_store):
         metadata_store.assign_serving("sf", "i1", now=1.0)
-        switched = metadata_store.assign_serving(
+        switched, changed = metadata_store.assign_serving(
             "sf", "i2", family="sf:event", now=2.0, reason="event window"
         )
+        assert changed
         assert switched.instance_id == "i2"
         assert switched.previous_instance_id == "i1"
         assert switched.switch_count == 2
@@ -239,9 +241,10 @@ class TestServingAssignments:
         assert switched.assigned_time == 2.0
 
     def test_same_instance_reassign_is_noop(self, metadata_store):
-        first = metadata_store.assign_serving("sf", "i1", now=1.0, reason="launch")
-        again = metadata_store.assign_serving("sf", "i1", now=9.0, reason="replay")
+        first, _ = metadata_store.assign_serving("sf", "i1", now=1.0, reason="launch")
+        again, switched = metadata_store.assign_serving("sf", "i1", now=9.0, reason="replay")
         assert again == first, "re-pointing at the serving instance must not churn"
+        assert not switched
         assert metadata_store.serving_assignment("sf").switch_count == 1
 
     def test_missing_scope_raises(self, metadata_store):
@@ -409,4 +412,56 @@ class TestAssignServingRollsBack:
         scope = next(
             f"city-{n}" for n in range(1000) if owner(f"city-{n}") == owner("")
         )
-        assert store.assign_serving(scope, "i1").switch_count == 1
+        assert store.assign_serving(scope, "i1")[0].switch_count == 1
+
+
+class TestQueryPlans:
+    """The statements the store actually runs, planned by SQLite itself."""
+
+    @staticmethod
+    def _plans(store, action) -> list[str]:
+        """The query plan of every statement *action* runs on this thread."""
+        conn = store._connection()  # noqa: SLF001 - the thread's connection
+        statements: list[str] = []
+        conn.set_trace_callback(statements.append)
+        try:
+            action()
+        finally:
+            conn.set_trace_callback(None)
+        return [
+            " / ".join(row[3] for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}"))
+            for sql in statements
+            if sql.lstrip().upper().startswith(("SELECT", "DELETE", "UPDATE"))
+        ]
+
+    def test_metric_reads_use_the_instance_name_index(self, tmp_path):
+        store = SQLiteMetadataStore(str(tmp_path / "gallery.sqlite"))
+        try:
+            store.insert_metrics([metric("mt1"), metric("mt2", "i2")])
+            plans = self._plans(store, lambda: store.metrics_of_instance("i1"))
+            plans += self._plans(
+                store, lambda: store.metrics_for_instances(["i1", "i2"])
+            )
+            plans += self._plans(
+                store,
+                lambda: store.metrics_for_instances(["i1", "i2"], name="mape"),
+            )
+        finally:
+            store.close()
+        assert len(plans) == 3
+        for plan in plans:
+            assert "USING INDEX idx_metrics_instance_name" in plan, plan
+
+    def test_completing_a_request_evicts_by_rowid_range(self, tmp_path):
+        store = SQLiteMetadataStore(str(tmp_path / "gallery.sqlite"))
+        try:
+            for request_id in range(1, 4):
+                store.dedup_claim("c1", request_id)
+            plans = self._plans(
+                store, lambda: store.dedup_complete("c1", 3, b"r", capacity=1)
+            )
+        finally:
+            store.close()
+        update, evict = plans
+        assert "(client_id=? AND request_id=?)" in update, update
+        assert "USING INTEGER PRIMARY KEY (rowid<?)" in evict, evict

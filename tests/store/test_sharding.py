@@ -236,7 +236,7 @@ class TestDurableState:
         for request_id in range(1, 4):
             assert cache.claim(("client-a", request_id)) == ("owner", None)
             cache.complete(("client-a", request_id), b"resp")
-        assert touched == [owner, owner] * 3  # complete + trim, one shard
+        assert touched == [owner] * 3  # complete trims in its own commit
         assert store._executor is None  # noqa: SLF001 - and no pool hop
         # capacity 4 over 4 shards: the owning shard keeps its slice of one
         assert len(cache) == 1

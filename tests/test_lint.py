@@ -68,6 +68,8 @@ def test_no_banned_api_outside_exempt_files():
         "from repro.service.tcp import PipelinedTcpTransport",
         "from .endpoints import EndpointSet",
         "from repro.service import endpoints\nendpoints.EndpointSet([])",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import concurrent.futures\nconcurrent.futures.ThreadPoolExecutor(2)",
     ],
 )
 def test_checker_sees_each_form_of_a_banned_reference(source):
