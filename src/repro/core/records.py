@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ValidationError
 
@@ -65,11 +67,22 @@ def _known_fields(cls: type) -> frozenset[str]:
     return frozenset(f.name for f in dataclasses.fields(cls))
 
 
+def _from_mapping(cls: type, data: Mapping[str, Any]) -> Any:
+    """``cls(**data)``, dropping keys that are not fields of *cls* (a record
+    written by a newer version may carry some).  The filtering copy is made
+    only when such a key is present: store rows rarely have one."""
+    known = _known_fields(cls)
+    if data.keys() <= known:
+        return cls(**data)
+    return cls(**{k: v for k, v in data.items() if k in known})
+
+
 def _frozen_metadata(metadata: Metadata | None) -> Mapping[str, Any]:
     """Return a defensively-copied, read-only view of *metadata*."""
     if metadata is None:
         return {}
-    if not isinstance(metadata, Mapping):
+    # An exact dict (every decoded row) skips the ABC instance check.
+    if type(metadata) is not dict and not isinstance(metadata, Mapping):
         raise ValidationError(
             f"metadata must be a mapping, got {type(metadata).__name__}"
         )
@@ -174,8 +187,7 @@ class Model:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Model":
-        known = _known_fields(cls)
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return _from_mapping(cls, data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,8 +254,7 @@ class ModelInstance:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ModelInstance":
-        known = _known_fields(cls)
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return _from_mapping(cls, data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,8 +295,7 @@ class ServingAssignment:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServingAssignment":
-        known = _known_fields(cls)
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return _from_mapping(cls, data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,6 +330,10 @@ class MetricRecord:
             raise ValidationError(
                 f"metric value must be numeric, got {self.value!r}"
             ) from exc
+        # NaN would not round-trip: SQLite binds it as NULL, which the
+        # store's NOT NULL value column refuses.  ±inf is a legal value.
+        if math.isnan(self.value):
+            raise ValidationError("metric value must not be NaN")
         object.__setattr__(self, "metadata", _frozen_metadata(self.metadata))
 
     def to_dict(self) -> dict[str, Any]:
@@ -335,5 +349,4 @@ class MetricRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricRecord":
-        known = _known_fields(cls)
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return _from_mapping(cls, data)

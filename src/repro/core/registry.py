@@ -891,21 +891,20 @@ class Gallery:
         ]
         if constraint_set.metric_constraints and matched:
             # One batched query resolves every surviving candidate's metrics
-            # (the old code issued one query per candidate — the N+1 the
-            # query-counter test guards against).  An EQUAL metricName
-            # constraint is pushed down so only relevant rows are fetched,
-            # and the matcher only reads name/value/scope, so full record
-            # serialization is skipped.
-            metrics_map = self._dal.metadata.metrics_for_instances(
+            # (never one query per candidate — the N+1 the query-counter test
+            # guards against).  An EQUAL metricName constraint is pushed down
+            # so only relevant rows are fetched, and since the matcher reads
+            # only name/value/scope, the store returns those as column
+            # values: no metric record is decoded or built.
+            metric_values = self._dal.metadata.metric_values_for_instances(
                 [instance.instance_id for instance in matched],
                 name=constraint_set.metric_name_hint(),
             )
             matched = [
                 instance
                 for instance in matched
-                if constraint_set.matches_metrics(
-                    {"name": m.name, "value": m.value, "scope": m.scope.value}
-                    for m in metrics_map.get(instance.instance_id, ())
+                if constraint_set.matches_metric_values(
+                    metric_values.get(instance.instance_id, ())
                 )
             ]
         matched.sort(key=lambda i: (i.created_time, i.instance_id))

@@ -52,6 +52,8 @@ FIELD_ALIASES = {
 }
 
 METRIC_FIELDS = {"metricName", "metricValue", "metricScope"}
+#: Where each metric field sits in a ``(name, value, scope)`` row.
+_METRIC_COLUMNS = {"metricName": 0, "metricValue": 1, "metricScope": 2}
 
 
 class Operator(str, Enum):
@@ -196,6 +198,9 @@ class ConstraintSet:
                 parsed.append(Constraint.from_dict(item))
         self._document = tuple(c for c in parsed if not c.is_metric_constraint)
         self._metric = tuple(c for c in parsed if c.is_metric_constraint)
+        self._metric_checks = tuple(
+            (_METRIC_COLUMNS[c.field], c.operator, c.value) for c in self._metric
+        )
 
     @property
     def document_constraints(self) -> Sequence[Constraint]:
@@ -276,20 +281,20 @@ class ConstraintSet:
 
     def matches_metrics(self, metrics: Iterable[Mapping[str, Any]]) -> bool:
         """True when one metric record satisfies every metric constraint."""
-        if not self._metric:
+        return self.matches_metric_values(
+            (m.get("name"), m.get("value"), m.get("scope")) for m in metrics
+        )
+
+    def matches_metric_values(self, metrics: Iterable[Sequence[Any]]) -> bool:
+        """:meth:`matches_metrics` over ``(name, value, scope)`` rows, the
+        shape :meth:`MetadataStore.metric_values_for_instances` returns."""
+        checks = self._metric_checks
+        if not checks:
             return True
-        metric_field_map = {
-            "metricName": "name",
-            "metricValue": "value",
-            "metricScope": "scope",
-        }
-        for metric in metrics:
-            if all(
-                _compare(c.operator, metric.get(metric_field_map[c.field]), c.value)
-                for c in self._metric
-            ):
-                return True
-        return False
+        return any(
+            all(_compare(op, metric[column], value) for column, op, value in checks)
+            for metric in metrics
+        )
 
     def matches(
         self,

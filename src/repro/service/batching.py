@@ -328,7 +328,6 @@ class ReadBatcher:
     def _execute_batch(self, batch: list[_Waiter]) -> None:
         groups = self._group(batch)
         responses: dict[int, wire.Response] = {}
-        leftovers: list[_Group] = []
         for method, runner in (
             ("getModel", self._run_get_models),
             ("metricsOf", self._run_metrics_of),
@@ -342,28 +341,20 @@ class ReadBatcher:
             except Exception:  # noqa: BLE001 - degrade to per-group dispatch
                 for group in subset:
                     responses.pop(id(group), None)
-                leftovers.extend(subset)
-        batched_methods = {"getModel", "metricsOf", "metricsForInstances"}
-        leftovers.extend(
-            g for g in groups if g.request.method not in batched_methods
-        )
-        for group in leftovers:
-            # dispatch() folds handler errors into an error Response, so a
-            # failure in one coordinate poisons only its own group.
-            responses[id(group)] = self._service.dispatch(group.request)
+        for group in groups:
+            if id(group) not in responses:
+                # Every group no executor answered: other methods, params
+                # off the canonical shape, a failed executor.  dispatch()
+                # folds handler errors into an error Response, so a failure
+                # in one coordinate poisons only its own group.
+                responses[id(group)] = self._service.dispatch(group.request)
         with self._cond:
             self._batches += 1
             self._batched_requests += len(batch)
             self._coalesced += len(batch) - len(groups)
             self._histogram[self._bucket_label(len(batch))] += 1
         for group in groups:
-            response = responses.get(id(group))
-            if response is None:  # defensive: never strand a waiter
-                response = wire.error_response(
-                    RuntimeError("batch executor produced no response"),
-                    group.request.request_id,
-                )
-            self._fan_out(group, response)
+            self._fan_out(group, responses[id(group)])
 
     def _group(self, batch: list[_Waiter]) -> list[_Group]:
         """Coalesce identical (method, params) lookups within the batch.

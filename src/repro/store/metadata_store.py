@@ -30,8 +30,11 @@ Concurrency model (see ``docs/PERFORMANCE.md``):
   the insert-only invariants and avoids SQLITE_BUSY storms.
 
 Batch surfaces (``get_models`` / ``instances_for_models`` /
-``metrics_for_instances`` / ``insert_metrics``) let the registry resolve a
-whole candidate set in O(1) queries instead of one query per record.
+``metrics_for_instances`` / ``metric_values_for_instances`` /
+``insert_metrics``) let the registry resolve a whole candidate set in O(1)
+queries instead of one query per record.  A search's metric constraints read
+``metric_values_for_instances``: ``(name, value, scope)`` as column values,
+with no metric record decoded.
 
 A constraint search reads its candidates with one statement,
 :meth:`MetadataStore.find_instances_by_field`: the strict equality the
@@ -50,10 +53,17 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
 from repro.core.metadata import INDEXED_FIELDS
-from repro.core.records import MetricRecord, Model, ModelInstance, ServingAssignment
+from repro.core.records import (
+    MetricRecord,
+    MetricScope,
+    Model,
+    ModelInstance,
+    ServingAssignment,
+)
 from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
 
 #: Fields allowed to change via replace_* (everything else must match).
@@ -74,6 +84,8 @@ _MUTABLE_INSTANCE_FIELDS = {"deprecated", "enabled"}
 #: ever formatted into SQL text.
 _KEY_COLUMNS = frozenset(INDEXED_FIELDS) | {"base_version_id", "model_id"}
 
+_R = TypeVar("_R")
+
 #: Max ids per SQL ``IN (...)`` clause; SQLite's default host-parameter
 #: limit is 999, so batched lookups chunk below it.
 _IN_CLAUSE_CHUNK = 500
@@ -87,6 +99,12 @@ def _chunked(ids: Sequence[Any], size: int = _IN_CLAUSE_CHUNK) -> Iterator[Seque
 def _unique(ids: Iterable[str]) -> list[str]:
     """Preserve order, drop duplicates (dict insertion-order trick)."""
     return list(dict.fromkeys(ids))
+
+
+def _records(cls: type[_R], rows: Iterable[tuple]) -> Iterator[_R]:
+    """Decode rows whose first column is a record's JSON document, lazily
+    and in row order: the one place a stored document becomes a record."""
+    return map(cls.from_dict, map(json.loads, map(itemgetter(0), rows)))
 
 
 def _assert_only_mutable_changed(
@@ -195,14 +213,23 @@ class MetadataStore(ABC):
 
     @abstractmethod
     def metrics_for_instances(
-        self, instance_ids: Iterable[str], name: str | None = None
+        self, instance_ids: Iterable[str]
     ) -> dict[str, list[MetricRecord]]:
         """Batch variant of :meth:`metrics_of_instance`; every requested id
-        maps to a (possibly empty) list.
+        maps to a (possibly empty) list of full records.  A search's metric
+        constraints read :meth:`metric_values_for_instances` instead."""
 
+    @abstractmethod
+    def metric_values_for_instances(
+        self, instance_ids: Iterable[str], name: str | None = None
+    ) -> dict[str, list[tuple[str, float, str]]]:
+        """What a metric constraint reads: ``(name, value, scope)`` per metric.
+
+        Every requested id maps to a (possibly empty) list.  *scope* is the
+        canonical :class:`MetricScope` value, so a row whose stored scope
+        :class:`MetricRecord` would refuse raises the same ValidationError.
         When *name* is given, only metrics with that name are returned — a
-        pushdown that lets equality constraints on ``metricName`` skip
-        fetching (and parsing) every other metric row.
+        pushdown for an equality constraint on ``metricName``.
         """
 
     @abstractmethod
@@ -551,7 +578,7 @@ class SQLiteMetadataStore(MetadataStore):
         )
         if not rows:
             raise NotFoundError(f"no model {model_id!r}")
-        return Model.from_dict(json.loads(rows[0][0]))
+        return next(_records(Model, rows))
 
     def get_models(self, model_ids: Iterable[str]) -> dict[str, Model]:
         out: dict[str, Model] = {}
@@ -561,8 +588,7 @@ class SQLiteMetadataStore(MetadataStore):
                 f"SELECT record FROM models WHERE model_id IN ({placeholders})",  # noqa: S608
                 tuple(chunk),
             )
-            for (record,) in rows:
-                model = Model.from_dict(json.loads(record))
+            for model in _records(Model, rows):
                 out[model.model_id] = model
         return out
 
@@ -580,15 +606,14 @@ class SQLiteMetadataStore(MetadataStore):
             )
 
     def iter_models(self) -> Iterator[Model]:
-        rows = self._read("SELECT record FROM models")
-        return (Model.from_dict(json.loads(r[0])) for r in rows)
+        return _records(Model, self._read("SELECT record FROM models"))
 
     def models_at(self, project: str, base_version_id: str) -> list[Model]:
         rows = self._read(
             "SELECT record FROM models WHERE project = ? AND base_version_id = ?",
             (project, base_version_id),
         )
-        models = [Model.from_dict(json.loads(r[0])) for r in rows]
+        models = list(_records(Model, rows))
         models.sort(key=lambda m: (m.created_time, m.model_id))
         return models
 
@@ -635,7 +660,7 @@ class SQLiteMetadataStore(MetadataStore):
         )
         if not rows:
             raise NotFoundError(f"no model instance {instance_id!r}")
-        return ModelInstance.from_dict(json.loads(rows[0][0]))
+        return next(_records(ModelInstance, rows))
 
     def replace_instance(self, instance: ModelInstance) -> None:
         with self._write_lock:
@@ -649,8 +674,7 @@ class SQLiteMetadataStore(MetadataStore):
             )
 
     def iter_instances(self) -> Iterator[ModelInstance]:
-        rows = self._read("SELECT record FROM instances")
-        return (ModelInstance.from_dict(json.loads(r[0])) for r in rows)
+        return _records(ModelInstance, self._read("SELECT record FROM instances"))
 
     def instances_for_models(
         self, model_ids: Iterable[str]
@@ -664,8 +688,7 @@ class SQLiteMetadataStore(MetadataStore):
                 f" ({placeholders}) ORDER BY created_time",
                 tuple(chunk),
             )
-            for (record,) in rows:
-                instance = ModelInstance.from_dict(json.loads(record))
+            for instance in _records(ModelInstance, rows):
                 out[instance.model_id].append(instance)
         return out
 
@@ -701,7 +724,7 @@ class SQLiteMetadataStore(MetadataStore):
             if not json_terms or "malformed JSON" not in str(exc):
                 raise
             rows = self._select_instances(terms, params)
-        return [ModelInstance.from_dict(json.loads(r[0])) for r in rows]
+        return list(_records(ModelInstance, rows))
 
     # -- metrics ----------------------------------------------------------------
 
@@ -733,10 +756,10 @@ class SQLiteMetadataStore(MetadataStore):
         rows = self._read(
             "SELECT record FROM metrics WHERE instance_id = ?", (instance_id,)
         )
-        return [MetricRecord.from_dict(json.loads(r[0])) for r in rows]
+        return list(_records(MetricRecord, rows))
 
     def metrics_for_instances(
-        self, instance_ids: Iterable[str], name: str | None = None
+        self, instance_ids: Iterable[str]
     ) -> dict[str, list[MetricRecord]]:
         requested = _unique(instance_ids)
         out: dict[str, list[MetricRecord]] = {
@@ -744,22 +767,61 @@ class SQLiteMetadataStore(MetadataStore):
         }
         for chunk in _chunked(requested):
             placeholders = ",".join("?" * len(chunk))
-            sql = (
+            rows = self._read(
                 "SELECT record FROM metrics WHERE instance_id IN"  # noqa: S608
-                f" ({placeholders})"
+                f" ({placeholders})",
+                tuple(chunk),
             )
-            params: tuple[Any, ...] = tuple(chunk)
-            if name is not None:
-                sql += " AND name = ?"
-                params += (name,)
-            for (record,) in self._read(sql, params):
-                metric = MetricRecord.from_dict(json.loads(record))
+            for metric in _records(MetricRecord, rows):
                 out[metric.instance_id].append(metric)
         return out
 
+    def metric_values_for_instances(
+        self, instance_ids: Iterable[str], name: str | None = None
+    ) -> dict[str, list[tuple[str, float, str]]]:
+        requested = _unique(instance_ids)
+        out: dict[str, list[tuple[str, float, str]]] = {
+            instance_id: [] for instance_id in requested
+        }
+        parse = MetricScope.parse
+        for chunk in _chunked(requested):
+            placeholders = ",".join("?" * len(chunk))
+            where = f" FROM metrics WHERE instance_id IN ({placeholders})"
+            params: tuple[Any, ...] = tuple(chunk)
+            if name is not None:
+                where += " AND name = ?"
+                params += (name,)
+            # The value column always equals the record's value (NaN is
+            # refused on insert), so only the scope comes out of the JSON.
+            try:
+                rows = self._read(
+                    "SELECT instance_id, name, value,"  # noqa: S608
+                    " json_extract(record, '$.scope')" + where,
+                    params,
+                )
+            except MetadataStoreError as exc:
+                # json.dumps writes ±inf (a legal value) and a NaN inside
+                # metric metadata as bare Infinity / NaN, which SQLite's
+                # JSON functions reject as malformed JSON.
+                if "malformed JSON" not in str(exc):
+                    raise
+                rows = None
+            if rows is None or any(row[3] is None for row in rows):
+                # A scope key that is absent or null means what
+                # MetricRecord makes of it: decode this chunk in full.
+                rows = [
+                    (m.instance_id, m.name, m.value, m.scope)
+                    for m in _records(
+                        MetricRecord,
+                        self._read("SELECT record" + where, params),  # noqa: S608
+                    )
+                ]
+            for instance_id, metric_name, value, scope in rows:
+                out[instance_id].append((metric_name, value, parse(scope).value))
+        return out
+
     def iter_metrics(self) -> Iterator[MetricRecord]:
-        rows = self._read("SELECT record FROM metrics")
-        return (MetricRecord.from_dict(json.loads(r[0])) for r in rows)
+        return _records(MetricRecord, self._read("SELECT record FROM metrics"))
 
     # -- families --------------------------------------------------------------
 
@@ -775,7 +837,7 @@ class SQLiteMetadataStore(MetadataStore):
             "SELECT record FROM instances WHERE family = ? ORDER BY created_time",
             (family,),
         )
-        return [ModelInstance.from_dict(json.loads(r[0])) for r in rows]
+        return list(_records(ModelInstance, rows))
 
     # -- serving assignments ---------------------------------------------------
 
@@ -785,13 +847,13 @@ class SQLiteMetadataStore(MetadataStore):
         )
         if not rows:
             raise NotFoundError(f"no serving assignment for scope {scope!r}")
-        return ServingAssignment.from_dict(json.loads(rows[0][0]))
+        return next(_records(ServingAssignment, rows))
 
     def serving_assignments(self) -> list[ServingAssignment]:
         rows = self._read(
             "SELECT record FROM serving_assignments ORDER BY scope"
         )
-        return [ServingAssignment.from_dict(json.loads(r[0])) for r in rows]
+        return list(_records(ServingAssignment, rows))
 
     def assign_serving(
         self,
@@ -813,9 +875,7 @@ class SQLiteMetadataStore(MetadataStore):
                 "SELECT record FROM serving_assignments WHERE scope = ?",
                 (scope,),
             ).fetchall()
-            current = (
-                ServingAssignment.from_dict(json.loads(rows[0][0])) if rows else None
-            )
+            current = next(_records(ServingAssignment, rows), None)
             if current is not None and current.instance_id == instance_id:
                 return current, False
             assignment = ServingAssignment(

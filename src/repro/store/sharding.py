@@ -535,21 +535,38 @@ class ShardedMetadataStore(MetadataStore):
     def metrics_of_instance(self, instance_id: str) -> list[MetricRecord]:
         return self._shard_for_key(instance_id).metrics_of_instance(instance_id)
 
-    def metrics_for_instances(
-        self, instance_ids: Iterable[str], name: str | None = None
-    ) -> dict[str, list[MetricRecord]]:
+    def _route_by_instance(
+        self,
+        instance_ids: Iterable[str],
+        read: Callable[[MetadataStore, list[str]], dict[str, list[Any]]],
+    ) -> dict[str, list[Any]]:
+        """One *read* per shard holding any of *instance_ids*' metrics;
+        every requested id maps to a (possibly empty) list."""
         requested = _unique(instance_ids)
-        out: dict[str, list[MetricRecord]] = {iid: [] for iid in requested}
-        if not requested:
-            return out
+        out: dict[str, list[Any]] = {iid: [] for iid in requested}
         groups: dict[int, list[str]] = {}
         for instance_id in requested:
             groups.setdefault(
                 self._map.shard_for(instance_id), []
             ).append(instance_id)
         for shard, ids in groups.items():
-            out.update(self._shards[shard].metrics_for_instances(ids, name))
+            out.update(read(self._shards[shard], ids))
         return out
+
+    def metrics_for_instances(
+        self, instance_ids: Iterable[str]
+    ) -> dict[str, list[MetricRecord]]:
+        return self._route_by_instance(
+            instance_ids, lambda shard, ids: shard.metrics_for_instances(ids)
+        )
+
+    def metric_values_for_instances(
+        self, instance_ids: Iterable[str], name: str | None = None
+    ) -> dict[str, list[tuple[str, float, str]]]:
+        return self._route_by_instance(
+            instance_ids,
+            lambda shard, ids: shard.metric_values_for_instances(ids, name),
+        )
 
     def iter_metrics(self) -> Iterator[MetricRecord]:
         for shard in self._shards:

@@ -1,10 +1,12 @@
 """Shared fixtures: deterministic clocks/ids and Gallery assemblies.
 
-There is one metadata engine, SQLite, in the two configurations
+There is one metadata engine, SQLite, in the configurations
 ``build_gallery`` builds: ``"memory"`` (``:memory:`` on one shared
-connection; the default) and ``"sqlite"`` (a database file in WAL mode with
-one connection per thread).  ``gallery`` runs on the default; a module that
-checks storage behaviour runs its tests on both with::
+connection; the default), ``"sqlite"`` (a database file in WAL mode with
+one connection per thread) and ``"sharded"`` (four such files behind a
+``ShardedMetadataStore``, the topology gallerybench serves from).
+``gallery`` runs on the default; a module that checks storage behaviour
+runs its tests on several with::
 
     pytestmark = pytest.mark.parametrize(
         "metadata_store", ["memory", "sqlite"], indirect=True
@@ -22,6 +24,7 @@ from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
 from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import SQLiteMetadataStore
+from repro.store.sharding import open_sharded_store
 
 
 @pytest.fixture
@@ -36,8 +39,11 @@ def id_factory() -> SeededIdFactory:
 
 @pytest.fixture
 def metadata_store(request, tmp_path):
-    if getattr(request, "param", "memory") == "memory":
+    kind = getattr(request, "param", "memory")
+    if kind == "memory":
         store = SQLiteMetadataStore(":memory:")
+    elif kind == "sharded":
+        store = open_sharded_store(str(tmp_path / "shards"), 4)
     else:
         store = SQLiteMetadataStore(str(tmp_path / "gallery.sqlite"))
     yield store

@@ -3,8 +3,10 @@
 ``Gallery.model_query`` historically fetched each candidate's metrics (and
 parent model) one query at a time — the classic N+1 pattern.  These tests
 wrap the metadata store in a call-counting proxy and pin the rewritten
-contract: one batched metrics query per search, one batched model fetch per
-cold document batch, and zero per-candidate lookups.
+contract: one batched metric-values query per search (and no metric record
+decoded for it), one batched model fetch per cold document batch, and zero
+per-candidate lookups — on one file and on the 4-shard store the benchmark
+serves from.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from repro.core.clock import ManualClock
 from repro.core.ids import SeededIdFactory
+from repro.core.records import MetricRecord
 from repro.core.registry import Gallery
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
@@ -20,7 +23,7 @@ from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import MetadataStore
 
 pytestmark = pytest.mark.parametrize(
-    "metadata_store", ["memory", "sqlite"], indirect=True
+    "metadata_store", ["memory", "sqlite", "sharded"], indirect=True
 )
 
 
@@ -104,7 +107,8 @@ class TestModelQueryIsBatched:
         hits = gallery.model_query(CITY_QUERY)
         assert len(hits) == 20
         assert store.count("metrics_of_instance") == 0, "N+1 metric reads are back"
-        assert store.count("metrics_for_instances") == 1
+        assert store.count("metric_values_for_instances") == 1
+        assert store.count("metrics_for_instances") == 0
         # candidate narrowing is one indexed lookup, not a full scan
         assert store.count("find_instances_by_field") == 1
         assert store.count("iter_instances") == 0
@@ -118,7 +122,8 @@ class TestModelQueryIsBatched:
         # warm document cache: the second query re-fetches no models at all
         gallery.model_query(CITY_QUERY)
         assert store.count("get_models") == 0
-        assert store.count("metrics_for_instances") == 1
+        assert store.count("metric_values_for_instances") == 1
+        assert store.count("metrics_for_instances") == 0
 
     def test_document_only_query_touches_no_metric_tables(self, counted):
         gallery, store = counted
@@ -126,8 +131,22 @@ class TestModelQueryIsBatched:
             [{"field": "city", "operator": "equal", "value": "sf"}]
         )
         assert len(hits) == N_CANDIDATES
+        assert store.count("metric_values_for_instances") == 0
         assert store.count("metrics_for_instances") == 0
         assert store.count("metrics_of_instance") == 0
+
+    def test_metric_query_builds_no_metric_records(self, counted, monkeypatch):
+        gallery, _store = counted
+        built = []
+        from_dict = MetricRecord.from_dict
+        monkeypatch.setattr(
+            MetricRecord,
+            "from_dict",
+            classmethod(lambda cls, data: built.append(data) or from_dict(data)),
+        )
+        hits = gallery.model_query(CITY_QUERY)
+        assert len(hits) == 20
+        assert built == [], "the metric matcher decoded whole records"
 
 
 def _eq(field, value):

@@ -141,6 +141,22 @@ class TestMetrics:
         batch_ids = {r.metadata["batch_id"] for r in records}
         assert len(batch_ids) == 1
 
+    def test_nan_metric_is_a_validation_error_and_writes_nothing(self, gallery):
+        # Refused before the store: there, SQLite binds NaN as NULL and the
+        # NOT NULL value column raises an IntegrityError (a DuplicateError).
+        instance = register_example(gallery)
+        with pytest.raises(ValidationError, match="NaN"):
+            gallery.insert_metrics(
+                instance.instance_id, {"bias": 0.01, "mape": float("nan")}
+            )
+        with pytest.raises(ValidationError, match="NaN"):
+            gallery.insert_metric(instance.instance_id, "mape", float("nan"))
+        assert gallery.metrics_of(instance.instance_id) == []
+        gallery.insert_metric(instance.instance_id, "mape", float("inf"))
+        assert [m.value for m in gallery.metrics_of(instance.instance_id)] == [
+            float("inf")
+        ]
+
     def test_metric_publishes_event(self, gallery):
         instance = register_example(gallery)
         gallery.insert_metric(instance.instance_id, "bias", 0.05)

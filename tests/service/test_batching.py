@@ -178,6 +178,52 @@ class TestDedupFuzz:
         assert stats["coalesced"] == n_dupes - 1
         assert stats["dal_batched_calls"]["getModel"] == 1
 
+    @pytest.mark.parametrize(
+        ("method", "params"),
+        [
+            ("getModel", {"model_id": "MODEL"}),
+            ("getModel", {"model_id": "ghost"}),
+            ("getModel", {"model_id": 7}),
+            ("getModel", {"model_id": ["MODEL"]}),
+            ("getModel", {"model_id": "MODEL", "extra": 1}),
+            ("getModel", {}),
+            ("metricsOf", {"instance_id": "INSTANCE"}),
+            ("metricsOf", {"instance_id": 7}),
+            ("metricsOf", {"instance_id": "INSTANCE", "extra": 1}),
+            ("metricsForInstances", {"instance_ids": ["INSTANCE", "ghost"]}),
+            ("metricsForInstances", {"instance_ids": "INSTANCE"}),
+            ("metricsForInstances", {"instance_ids": [7]}),
+            ("metricsForInstances", {"instance_ids": [], "extra": 1}),
+        ],
+    )
+    def test_batched_methods_answer_like_dispatch(self, method, params):
+        """Every group, canonical or not, gets the answer dispatch gives."""
+        gallery, model_ids, instance_ids = seeded_gallery()
+        service = GalleryService(gallery)
+        from repro.service.batching import _Waiter
+
+        swap = {"MODEL": model_ids[0], "INSTANCE": instance_ids[0]}
+        params = {
+            key: [swap.get(v, v) for v in value] if isinstance(value, list)
+            else swap.get(value, value) if isinstance(value, str) else value
+            for key, value in params.items()
+        }
+        request = make_request(method, params, request_id=9)
+        collector = Collector()
+        collector.expected = 1
+        service.read_batcher._execute_batch(
+            [_Waiter(request=request, deliver=collector.deliver_for(0), counted=False)]
+        )
+        (frame,) = collector.frames[0]
+        batched = wire.decode_response(frame)
+        # through the codec too, as the batcher's answer went
+        expected = wire.decode_response(
+            wire.encode_response(service.dispatch(request))
+        )
+        assert (batched.ok, batched.result, batched.error_type) == (
+            expected.ok, expected.result, expected.error_type
+        )
+
     def test_error_in_one_lookup_poisons_only_that_request(self):
         gallery, model_ids, _ = seeded_gallery()
         service = GalleryService(gallery)

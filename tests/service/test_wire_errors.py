@@ -112,6 +112,29 @@ class TestEndToEnd:
         with pytest.raises(ValidationError):
             client.create_gallery_model("p", "demand")  # duplicate
 
+    def test_nan_metric_over_a_live_socket_is_a_validation_error(self):
+        """A NaN metric value is the caller's mistake: a ValidationError,
+        not a DuplicateError from the store's NOT NULL column, and no
+        metric of the batch is written."""
+        from repro import build_gallery
+        from repro.service import connect
+        from repro.service.server import GalleryService
+        from repro.service.tcp import GalleryTcpServer
+
+        with GalleryTcpServer(GalleryService(build_gallery())) as server:
+            host, port = server.address
+            client = connect(f"gallery://{host}:{port}")
+            try:
+                client.create_gallery_model("p", "demand")
+                instance = client.upload_model("p", "demand", blob=b"w")
+                with pytest.raises(ValidationError, match="NaN"):
+                    client.insert_model_instance_metrics(
+                        instance["instance_id"], {"bias": 0.1, "mape": float("nan")}
+                    )
+                assert client.metrics_of(instance["instance_id"]) == []
+            finally:
+                client.close()
+
     def test_json_frame_over_a_live_socket_gets_a_typed_wire_error(self):
         """The removed JSON dialect is refused loudly: a typed reply in the
         one wire format, not a hang and not a dropped connection."""

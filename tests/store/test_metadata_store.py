@@ -299,15 +299,24 @@ class TestBatchedReads:
         assert grouped["ghost"] == []
 
     def test_metrics_for_instances_name_pushdown(self, metadata_store):
+        # The name pushdown serves metric constraints, which read column
+        # values rather than records.
         metadata_store.insert_metric(metric("mt1", iid="i1", name="mape"))
         metadata_store.insert_metric(metric("mt2", iid="i1", name="bias"))
-        metadata_store.insert_metric(metric("mt3", iid="i2", name="mape"))
-        grouped = metadata_store.metrics_for_instances(
+        metadata_store.insert_metric(
+            metric("mt3", iid="i2", name="mape", value=2, scope="Production")
+        )
+        grouped = metadata_store.metric_values_for_instances(
             ["i1", "i2", "ghost"], name="mape"
         )
-        assert [m.metric_id for m in grouped["i1"]] == ["mt1"]
-        assert [m.metric_id for m in grouped["i2"]] == ["mt3"]
+        assert grouped["i1"] == [("mape", 0.1, "Validation")]
+        assert grouped["i2"] == [("mape", 2.0, "Production")]
         assert grouped["ghost"] == []
+        everything = metadata_store.metric_values_for_instances(["i1"])
+        assert sorted(everything["i1"]) == [
+            ("bias", 0.1, "Validation"),
+            ("mape", 0.1, "Validation"),
+        ]
 
     def test_batch_matches_single_lookups(self, metadata_store):
         for index in range(10):
@@ -443,12 +452,15 @@ class TestQueryPlans:
                 store, lambda: store.metrics_for_instances(["i1", "i2"])
             )
             plans += self._plans(
+                store, lambda: store.metric_values_for_instances(["i1", "i2"])
+            )
+            plans += self._plans(
                 store,
-                lambda: store.metrics_for_instances(["i1", "i2"], name="mape"),
+                lambda: store.metric_values_for_instances(["i1", "i2"], name="mape"),
             )
         finally:
             store.close()
-        assert len(plans) == 3
+        assert len(plans) == 4
         for plan in plans:
             assert "USING INDEX idx_metrics_instance_name" in plan, plan
 

@@ -108,10 +108,15 @@ class TestRoutingAndSurface:
         store.insert_metrics(metrics)
         assert store.counts()["metrics"] == 8
         assert len(store.metrics_of_instance("i2-0")) == 2
-        fetched = store.metrics_for_instances(
+        fetched = store.metrics_for_instances([f"i{i}-0" for i in range(4)])
+        assert all(len(rows) == 2 for rows in fetched.values())
+        values = store.metric_values_for_instances(
             [f"i{i}-0" for i in range(4)], name="bias"
         )
-        assert all(len(rows) == 2 for rows in fetched.values())
+        assert values == {
+            f"i{i}-0": [("bias", i + k / 10, "Validation") for k in range(2)]
+            for i in range(4)
+        }
         assert len(list(store.iter_metrics())) == 8
 
     def test_replace_routes_without_cache(self, tmp_path):
@@ -193,7 +198,8 @@ class TestReadsStayOnTheCallingThread:
             lambda: store.find_instances_by_field("model_id", "ghost"),
             lambda: store.instances_for_models(["m1", "m6"]),
             lambda: store.find_instances_by_field("city", "sf"),
-            lambda: store.metrics_for_instances(ids, name="bias"),
+            lambda: store.metrics_for_instances(ids),
+            lambda: store.metric_values_for_instances(ids, name="bias"),
             lambda: store.models_in_family(""),
             lambda: store.instances_in_family(""),
             lambda: store.serving_assignments(),
