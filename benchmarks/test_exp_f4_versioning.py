@@ -39,20 +39,20 @@ def test_figure4_uuid_versioning(benchmark):
         return gallery
 
     gallery = benchmark(run)
-    chain = gallery.lineage.lineage("supply_cancellation")
+    chain = gallery.instances_of("supply_cancellation", include_deprecated=True)
     assert len(chain) == 4, "supply_cancellation evolved over four iterations"
     assert all(is_uuid(entry.instance_id) for entry in chain)
     times = [entry.created_time for entry in chain]
     assert times == sorted(times), "instances sorted by time"
     for entry in chain:
-        assert gallery.lineage.base_of(entry.instance_id) == "supply_cancellation"
+        assert gallery.get_instance(entry.instance_id).base_version_id == "supply_cancellation"
     # parent pointers walk the whole chain back to the root
-    ancestors = gallery.lineage.ancestors(chain[-1].instance_id)
+    ancestors = gallery.ancestors(chain[-1].instance_id)
     assert len(ancestors) == 3
 
     lines = ["base_version_id       iteration  instance uuid"]
-    for base in gallery.lineage.base_version_ids():
-        for index, entry in enumerate(gallery.lineage.lineage(base)):
+    for base in sorted({model.base_version_id for model in gallery.models()}):
+        for index, entry in enumerate(gallery.instances_of(base, include_deprecated=True)):
             lines.append(f"{base:<22}{index:<11}{entry.instance_id}")
     lines.append("")
     lines.append("shape vs Figure 4: 2 base ids; supply_cancellation has 4")

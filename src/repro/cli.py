@@ -31,7 +31,7 @@ from typing import Any, Sequence
 
 from repro import build_gallery
 from repro.core.registry import Gallery
-from repro.errors import GalleryError
+from repro.errors import GalleryError, NotFoundError
 from repro.reliability.deadletter import DeadLetterQueue
 from repro.rules.actions import ActionRegistry
 from repro.store.sharding import (
@@ -140,7 +140,9 @@ def _cmd_fetch(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_lineage(gallery: Gallery, args: argparse.Namespace) -> Any:
-    entries = gallery.lineage.lineage(args.base_version_id)
+    entries = gallery.instances_of(args.base_version_id, include_deprecated=True)
+    if not entries:
+        raise NotFoundError(f"unknown base version id: {args.base_version_id!r}")
     return [
         {
             "instance_id": entry.instance_id,

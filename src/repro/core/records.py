@@ -103,8 +103,8 @@ class Model:
     Evolution of the model through redesigns is tracked with
     ``previous_model_id`` / ``next_model_id`` pointers, and cross-model
     dependencies with ``upstream_model_ids`` / ``downstream_model_ids``
-    (Section 3.4.2).  The dependency graph itself is maintained by
-    :mod:`repro.core.dependencies`; the pointers here are the persisted view.
+    (Section 3.4.2).  These pointers are the persisted dependency graph that
+    the registry's version propagation reads (:mod:`repro.core.dependencies`).
     """
 
     model_id: str

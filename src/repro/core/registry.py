@@ -28,7 +28,7 @@ from repro.core.clock import Clock, SYSTEM_CLOCK
 from repro.core.dependencies import DependencyGraph, PropagationEvent
 from repro.core.health import DriftDetector, HealthReport, health_report
 from repro.core.ids import IdFactory, random_uuid
-from repro.core.lifecycle import LifecycleStage, LifecycleTracker
+from repro.core.lifecycle import LifecycleStage, StageChange, can_transition
 from repro.core.records import (
     MetricRecord,
     MetricScope,
@@ -37,10 +37,11 @@ from repro.core.records import (
     ServingAssignment,
 )
 from repro.core.search import ConstraintSet, Constraint, flatten_instance_document
-from repro.core.versioning import LineageTracker
+from repro.core.versioning import InstanceVersion
 from repro.errors import (
     DeprecatedModelError,
-    GalleryError,
+    DuplicateError,
+    LifecycleError,
     MetadataStoreError,
     NotFoundError,
     ValidationError,
@@ -57,7 +58,6 @@ _ENVIRONMENT_SCOPE = {
     "validation": MetricScope.VALIDATION,
     "training": MetricScope.TRAINING,
 }
-
 
 
 def _locked(method):
@@ -85,8 +85,8 @@ class Gallery:
         self._clock = clock or SYSTEM_CLOCK
         self._new_id = id_factory or random_uuid
         #: serializes mutating operations: the TCP service is threaded, and
-        #: upload/metric/deprecate are read-modify-write across several
-        #: in-memory indexes (lineage, dependency graph, lifecycle).
+        #: pointer mirroring and lifecycle transitions read before they write.
+        #: Every answer comes from the store, so replicas need no other state.
         self._write_lock = threading.RLock()
         #: read-through cache of flattened model+instance search documents;
         #: invalidated on the only paths that can change a document
@@ -95,88 +95,6 @@ class Gallery:
         #: queries answered from stale cache snapshots during store outages
         self._stale_query_count = 0
         self.bus = bus or EventBus()
-        self.dependencies = DependencyGraph()
-        self.lineage = LineageTracker()
-        self.lifecycle = LifecycleTracker()
-        #: (project, base_version_id) -> model_id for Listing-3 style lookups.
-        self._model_by_base: dict[tuple[str, str], str] = {}
-        self._rehydrate()
-
-    def _rehydrate(self) -> None:
-        """Rebuild in-memory indexes from a durable metadata store.
-
-        The registry object is stateless relative to storage (Section 4:
-        Gallery is "a stateless microservice"): a fresh front-end over an
-        existing SQLite/filesystem deployment reconstructs the coordinate
-        map, lineage, dependency graph, and lifecycle stages from the
-        records themselves.  Two bounded simplifications: production
-        dependency versions rehydrate to the latest recorded instance
-        version (the pinned-version audit trail lives in the event log of
-        the session that made the changes), and lifecycle history collapses
-        to the current stage.
-        """
-        from repro.core.versioning import InstanceVersion
-
-        models = list(self._dal.metadata.iter_models())
-        if not models:
-            return
-        for model in models:
-            coordinate = (model.project, model.base_version_id)
-            # evolution chains share coordinates; the head of the chain (the
-            # record without a next pointer) owns the lookup.
-            if coordinate not in self._model_by_base or model.next_model_id is None:
-                self._model_by_base[coordinate] = model.model_id
-            self.dependencies.add_model(model.model_id)
-        for model in models:
-            for upstream_id in model.upstream_model_ids:
-                try:
-                    self.dependencies.add_dependency(
-                        model.model_id, upstream_id, bump=False
-                    )
-                except GalleryError:
-                    continue  # tolerate pointers to missing/duplicated edges
-        instances = sorted(
-            self._dal.metadata.iter_instances(),
-            key=lambda record: (record.created_time, record.instance_id),
-        )
-        latest_version: dict[str, InstanceVersion] = {}
-        for record in instances:
-            parent = record.parent_instance_id
-            if parent is not None and parent not in self.lineage:
-                parent = None  # parent purged or in another deployment
-            self.lineage.record(
-                base_version_id=record.base_version_id,
-                instance_id=record.instance_id,
-                created_time=record.created_time,
-                parent_instance_id=parent,
-            )
-            self.lifecycle.register(
-                record.instance_id,
-                stage=(
-                    LifecycleStage.DEPRECATED
-                    if record.deprecated
-                    else LifecycleStage.EVALUATION
-                ),
-                timestamp=record.created_time,
-                reason="rehydrated from storage",
-            )
-            if record.instance_version:
-                try:
-                    version = InstanceVersion.parse(record.instance_version)
-                except GalleryError:
-                    continue
-                current = latest_version.get(record.model_id)
-                if current is None or version > current:
-                    latest_version[record.model_id] = version
-        for model_id, version in latest_version.items():
-            try:
-                self.dependencies.promote(model_id, version)
-            except GalleryError:
-                # the stored instance version is ahead of the graph's
-                # initial 1.0 state: fast-forward by recording updates
-                node = self.dependencies._nodes[model_id]  # noqa: SLF001
-                node.latest = version
-                node.production = version
 
     @property
     def dal(self) -> DataAccessLayer:
@@ -206,11 +124,16 @@ class Gallery:
         serving assignments can be re-pointed within the group; instances
         inherit it unless they override it at upload time.
         """
-        key = (project, base_version_id)
-        if key in self._model_by_base or self._adopt_peer_model(*key) is not None:
+        if self._dal.metadata.models_at(project, base_version_id):
             raise ValidationError(
                 f"project {project!r} already has base version {base_version_id!r}"
             )
+        upstream_model_ids = tuple(upstream_model_ids)
+        found = self._dal.metadata.get_models(upstream_model_ids) if upstream_model_ids else {}
+        if len(found) != len(set(upstream_model_ids)):
+            raise NotFoundError(f"not every upstream in {upstream_model_ids!r} is registered")
+        if len(found) != len(upstream_model_ids):
+            raise DuplicateError(f"repeated upstream model in {upstream_model_ids!r}")
         model = Model(
             model_id=model_id or self._new_id(),
             project=project,
@@ -218,16 +141,13 @@ class Gallery:
             owner=owner,
             description=description,
             created_time=self._clock.now(),
-            upstream_model_ids=tuple(upstream_model_ids),
+            upstream_model_ids=upstream_model_ids,
             family=family,
         )
         if metadata:
             model = replace(model, metadata=dict(metadata))
         self._dal.save_model(model)
-        self._model_by_base[key] = model.model_id
-        self.dependencies.add_model(model.model_id)
         for upstream_id in upstream_model_ids:
-            self.dependencies.add_dependency(model.model_id, upstream_id, bump=False)
             self._mirror_dependency_pointers(model.model_id, upstream_id)
         self.bus.publish(
             Event(
@@ -242,48 +162,18 @@ class Gallery:
         return self._dal.metadata.get_model(model_id)
 
     def find_model(self, project: str, base_version_id: str) -> Model:
-        """Resolve a model by its human-meaningful coordinates."""
-        model_id = self._model_by_base.get((project, base_version_id))
-        if model_id is None:
-            model_id = self._adopt_peer_model(project, base_version_id)
-        if model_id is None:
-            raise NotFoundError(
-                f"no model for project {project!r}, base {base_version_id!r}"
-            )
-        return self.get_model(model_id)
+        """Resolve a model by its human-meaningful coordinates.
 
-    def _adopt_peer_model(self, project: str, base_version_id: str) -> str | None:
-        """Re-resolve a coordinate from the shared store and adopt the hit.
-
-        Replicas of a shared store only rehydrate at startup, so a model a
-        *peer* replica registered afterwards is durable but absent from
-        this process's coordinate map.  A miss therefore re-checks the
-        store; a hit is folded into the in-memory indexes exactly as
-        :meth:`_rehydrate` would have, keeping every replica able to serve
-        (and mutate under) models it did not create itself.
+        Evolution chains share coordinates; the head of the chain (the
+        record without a next pointer, the newest if a crash left two)
+        owns the lookup.
         """
         chain = self._dal.metadata.models_at(project, base_version_id)
         if not chain:
-            return None
-        # evolution chains share coordinates; the head (no next pointer)
-        # owns the lookup, the newest one if a crash left two
-        head = next(
-            (m for m in reversed(chain) if m.next_model_id is None), chain[0]
-        )
-        with self._write_lock:
-            existing = self._model_by_base.get((project, base_version_id))
-            if existing is not None:
-                return existing
-            self._model_by_base[(project, base_version_id)] = head.model_id
-            self.dependencies.add_model(head.model_id)
-            for upstream_id in head.upstream_model_ids:
-                try:
-                    self.dependencies.add_dependency(
-                        head.model_id, upstream_id, bump=False
-                    )
-                except GalleryError:
-                    continue  # tolerate pointers outside this deployment
-            return head.model_id
+            raise NotFoundError(
+                f"no model for project {project!r}, base {base_version_id!r}"
+            )
+        return next((m for m in reversed(chain) if m.next_model_id is None), chain[0])
 
     def models(self, include_deprecated: bool = False) -> list[Model]:
         return [
@@ -302,10 +192,11 @@ class Gallery:
     ) -> Model:
         """Register the successor of a redesigned model (Section 3.3.1).
 
-        The successor shares the project but gets its own base version id
-        suffix is NOT invented — the caller keeps the same base version id,
-        the evolution is tracked via previous/next pointers, and the
-        dependency graph records a model-level (major) version change.
+        The successor shares the project and the base version id; the
+        evolution is tracked via previous/next pointers, and the store gives
+        the successor its predecessor's latest version with the major bumped
+        (a model-level change).  It inherits the upstream dependencies and
+        starts with no downstream models.
         """
         old = self.get_model(old_model_id)
         if old.next_model_id is not None:
@@ -319,17 +210,13 @@ class Gallery:
             created_time=self._clock.now(),
             metadata=dict(metadata) if metadata else dict(old.metadata),
             deprecated=False,
+            downstream_model_ids=(),
         )
         self._dal.save_model(successor)
         self._dal.metadata.replace_model(old.with_next(new_id))
         self._documents.invalidate_model(old_model_id)
-        # The successor inherits the coordinate lookup and the dependency
-        # wiring of its predecessor.
-        self._model_by_base[(old.project, old.base_version_id)] = new_id
-        self.dependencies.add_model(new_id)
-        for upstream_id in old.upstream_model_ids:
-            self.dependencies.add_dependency(new_id, upstream_id, bump=False)
-        self.dependencies.record_model_change(new_id)
+        for upstream_id in successor.upstream_model_ids:
+            self._mirror_dependency_pointers(new_id, upstream_id)
         self.bus.publish(
             Event(
                 kind=EventKind.MODEL_CREATED,
@@ -357,10 +244,76 @@ class Gallery:
     def add_dependency(
         self, downstream_id: str, upstream_id: str
     ) -> list[PropagationEvent]:
-        """Add a dependency to a live model; propagates version bumps."""
-        events = self.dependencies.add_dependency(downstream_id, upstream_id)
+        """Add a dependency to a live model; propagates version bumps.
+
+        Adding a dependency is itself a model change (Figure 7): the
+        downstream model and everything below it take a minor bump.
+        """
+        found = self._dal.metadata.get_models([downstream_id, upstream_id])
+        wave, members = self._wave(found.get(downstream_id), found.values())
+        # unknown model, self-dependency, duplicate and cycle all raise here
+        events = wave.add_dependency(downstream_id, upstream_id)
         self._mirror_dependency_pointers(downstream_id, upstream_id)
-        return events
+        return self._persist(events, members)
+
+    def _closure(self, model: Model, pointers: str) -> dict[str, Model]:
+        """Every model reachable from *model* along its persisted *pointers*
+        (``upstream_model_ids`` or ``downstream_model_ids``), one batched
+        read per level; pointers to missing models are skipped."""
+        closure: dict[str, Model] = {}
+        frontier = set(getattr(model, pointers))
+        while frontier:
+            found = self._dal.metadata.get_models(sorted(frontier))
+            closure.update(found)
+            frontier = {mid for m in found.values() for mid in getattr(m, pointers)}
+            frontier -= closure.keys() | {model.model_id}
+        return closure
+
+    def _wave(
+        self, root: Model | None, extra: Iterable[Model] = ()
+    ) -> tuple[DependencyGraph, dict[str, Model]]:
+        """A transient graph over *root*, its downstream closure and *extra*,
+        wired from their persisted pointers: what one propagation touches."""
+        members = {model.model_id: model for model in extra}
+        if root is not None:
+            members[root.model_id] = root
+            members.update(self._closure(root, "downstream_model_ids"))
+        wave = DependencyGraph()
+        for model_id in members:
+            wave.add_model(model_id)
+        for model in members.values():
+            for downstream_id in model.downstream_model_ids:
+                if downstream_id in members:
+                    wave.add_dependency(downstream_id, model.model_id, bump=False)
+        return wave, members
+
+    def _persist(
+        self, events: Sequence[PropagationEvent], members: Mapping[str, Model]
+    ) -> list[PropagationEvent]:
+        """Apply a wave's bumps in the store; the returned events, still in
+        topological order, carry the versions the store assigned."""
+        bumped = self._dal.metadata.bump_versions([members[e.model_id] for e in events])
+        return [
+            replace(event, old_version=InstanceVersion(v.major, v.minor - 1), new_version=v)
+            for event in events
+            if (v := bumped.get(event.model_id)) is not None
+        ]
+
+    def latest_version(self, model_id: str) -> InstanceVersion:
+        """A model's latest ``major.minor`` version (Figures 5–7)."""
+        return self._dal.metadata.latest_version(model_id)
+
+    def upstream(self, model_id: str, transitive: bool = False) -> set[str]:
+        """Models that *model_id* depends on."""
+        return self._neighbours(model_id, "upstream_model_ids", transitive)
+
+    def downstream(self, model_id: str, transitive: bool = False) -> set[str]:
+        """Models that depend on *model_id*."""
+        return self._neighbours(model_id, "downstream_model_ids", transitive)
+
+    def _neighbours(self, model_id: str, pointers: str, transitive: bool) -> set[str]:
+        model = self.get_model(model_id)
+        return set(self._closure(model, pointers) if transitive else getattr(model, pointers))
 
     def _mirror_dependency_pointers(self, downstream_id: str, upstream_id: str) -> None:
         """Persist upstream/downstream pointers onto the model records."""
@@ -403,9 +356,9 @@ class Gallery:
         """Upload a trained model instance (the paper's ``uploadModel``).
 
         The blob is written first; only after it is durably stored is the
-        instance metadata inserted (Section 3.5).  The instance enters the
-        lineage of its base version id, the dependency graph records an
-        instance update (propagating minor bumps downstream), and an
+        instance metadata inserted (Section 3.5), in the same transaction as
+        the owning model's minor bump that versions it.  Every model
+        downstream then takes a propagated minor bump, and an
         INSTANCE_CREATED event fires for the rule engine.
 
         The instance inherits the owning model's *family* unless overridden.
@@ -413,11 +366,14 @@ class Gallery:
         must flip the review gate before the instance can win a serving
         assignment (Section 4.2's training workflow).
         """
+        stage = LifecycleStage.parse(initial_stage)
         model = self.find_model(project, base_version_id)
         if model.deprecated:
             raise DeprecatedModelError(
                 f"model {model.model_id!r} is deprecated; register a new model"
             )
+        if parent_instance_id is not None:
+            self.get_instance(parent_instance_id)  # must exist
         created = self._clock.now()
         instance = ModelInstance(
             instance_id=instance_id or self._new_id(),
@@ -429,22 +385,15 @@ class Gallery:
             family=model.family if family is None else family,
             enabled=enabled,
         )
-        events = self.dependencies.record_instance_update(model.model_id)
-        instance = replace(
-            instance,
-            instance_version=str(self.dependencies.latest_version(model.model_id)),
-        )
         stored = self._dal.save_instance(instance, blob)
-        self.lineage.record(
-            base_version_id=base_version_id,
-            instance_id=stored.instance_id,
-            created_time=created,
-            parent_instance_id=parent_instance_id,
-        )
-        self.lifecycle.register(
-            stored.instance_id, stage=initial_stage, timestamp=created
-        )
-        del events  # audit trail lives on self.dependencies.events()
+        if model.downstream_model_ids:
+            wave, members = self._wave(model)
+            # the model's own (first) bump already committed with the insert
+            self._persist(wave.record_instance_update(model.model_id)[1:], members)
+        if stage is not LifecycleStage.EVALUATION:
+            self._dal.metadata.append_stage_change(
+                stored.instance_id, StageChange(created, None, stage, "registered")
+            )
         self.bus.publish(
             Event(
                 kind=EventKind.INSTANCE_CREATED,
@@ -477,9 +426,12 @@ class Gallery:
     def instances_of(
         self, base_version_id: str, include_deprecated: bool = False
     ) -> list[ModelInstance]:
-        """All instances of a base version id, oldest first (Figure 4)."""
+        """All instances of a base version id, oldest first (Figure 4).
+
+        With *include_deprecated* this is the base version's lineage.
+        """
         instances = self._dal.metadata.instances_of_base_version(base_version_id)
-        instances.sort(key=lambda i: i.created_time)
+        instances.sort(key=lambda i: (i.created_time, i.instance_id))
         if include_deprecated:
             return instances
         return [i for i in instances if not i.deprecated]
@@ -492,6 +444,46 @@ class Gallery:
             )
         return instances[-1]
 
+    def ancestors(self, instance_id: str) -> list[str]:
+        """Walk parent pointers from *instance_id* back to its lineage root.
+
+        A parent in another base version's lineage (model evolution across
+        redesigns) is the last one listed; a parent no longer stored ends
+        the walk, and so does a stored cycle.
+        """
+        instance = self.get_instance(instance_id)
+        out: list[str] = []
+        parent_id = instance.parent_instance_id
+        while parent_id is not None and parent_id not in out:
+            try:
+                parent = self.get_instance(parent_id)
+            except NotFoundError:
+                break
+            out.append(parent_id)
+            if parent.base_version_id != instance.base_version_id:
+                break
+            parent_id = parent.parent_instance_id
+        return out
+
+    def stage_history(self, instance_id: str) -> list[StageChange]:
+        """An instance's lifecycle transitions, oldest first (Figure 1).
+
+        A default upload records nothing: an instance without a recorded
+        registration entered at EVALUATION, or, with no transitions at all,
+        at DEPRECATED if its record is (data older than the table).
+        """
+        instance = self.get_instance(instance_id)
+        stored = self._dal.metadata.stage_changes_for_instances([instance_id])
+        history = stored[instance_id]
+        if not history or history[0].from_stage is not None:
+            dead = instance.deprecated and not history
+            entered = LifecycleStage.DEPRECATED if dead else LifecycleStage.EVALUATION
+            history.insert(0, StageChange(instance.created_time, None, entered, "registered"))
+        return history
+
+    def stage_of(self, instance_id: str) -> LifecycleStage:
+        return self.stage_history(instance_id)[-1].to_stage
+
     @_locked
     def mark_deployed(self, instance_id: str, reason: str = "deployed") -> None:
         """Advance an instance's lifecycle stage to DEPLOYED (Figure 1).
@@ -500,12 +492,14 @@ class Gallery:
         engine is what moves models between stages (Section 3.1's
         automation principle).
         """
-        self.lifecycle.transition(
-            instance_id,
-            LifecycleStage.DEPLOYED,
-            timestamp=self._clock.now(),
-            reason=reason,
-        )
+        current, target = self.stage_of(instance_id), LifecycleStage.DEPLOYED
+        if not can_transition(current, target):
+            raise LifecycleError(
+                f"illegal lifecycle transition for {instance_id!r}: "
+                f"{current.value} -> {target.value}"
+            )
+        change = StageChange(self._clock.now(), current, target, reason)
+        self._dal.metadata.append_stage_change(instance_id, change)
 
     @_locked
     def deprecate_instance(self, instance_id: str) -> ModelInstance:
@@ -513,17 +507,13 @@ class Gallery:
         instance = self.get_instance(instance_id)
         if instance.deprecated:
             return instance
+        current = self.stage_of(instance_id)
         self._dal.metadata.replace_instance(instance.deprecate())
         self._documents.invalidate_instance(instance_id)
-        if instance_id in self.lifecycle:
-            current = self.lifecycle.stage_of(instance_id)
-            if current is not LifecycleStage.DEPRECATED:
-                self.lifecycle.transition(
-                    instance_id,
-                    LifecycleStage.DEPRECATED,
-                    timestamp=self._clock.now(),
-                    reason="deprecated via registry",
-                )
+        target = LifecycleStage.DEPRECATED
+        if can_transition(current, target):  # unless it already is
+            change = StageChange(self._clock.now(), current, target, "deprecated via registry")
+            self._dal.metadata.append_stage_change(instance_id, change)
         self.bus.publish(
             Event(
                 kind=EventKind.INSTANCE_DEPRECATED,
@@ -940,21 +930,24 @@ class Gallery:
         """How many queries were served degraded from the document cache."""
         return self._stale_query_count
 
-    def _document_for(self, instance: ModelInstance) -> dict[str, Any]:
-        return self._documents_for([instance])[instance.instance_id]
-
     def _documents_for(
         self, instances: Sequence[ModelInstance]
     ) -> dict[str, dict[str, Any]]:
         """Flattened search documents for a batch, via the document cache.
 
-        Cache misses are resolved with a single batched ``get_models`` call
-        for the distinct parent models, then cached per instance.
+        A cached document is used only when it was built from a record
+        equal to the live candidate, so a peer replica's change to an
+        instance (enablement, deprecation) is never matched on a stale
+        copy.  The model half stays invalidation-only: the only model
+        fields a peer can change are the evolution and dependency pointers,
+        since an instance's own ``deprecated`` masks its model's.  Misses
+        are resolved with a single batched ``get_models`` call for the
+        distinct parent models, then cached per instance.
         """
         documents: dict[str, dict[str, Any]] = {}
         missing: list[ModelInstance] = []
         for instance in instances:
-            cached = self._documents.get(instance.instance_id)
+            cached = self._documents.get(instance.instance_id, instance)
             if cached is not None:
                 documents[instance.instance_id] = cached
             else:

@@ -64,7 +64,8 @@ class DeprecationSweeper:
         evaluated = 0
         losing: list[str] = []
         deprecated: list[str] = []
-        for base in self._gallery.lineage.base_version_ids():
+        bases = {m.base_version_id for m in self._gallery.models(include_deprecated=True)}
+        for base in sorted(bases):
             live = self._gallery.instances_of(base)
             if len(live) < 2:
                 continue

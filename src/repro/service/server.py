@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping
 
 from repro.core.registry import Gallery
 from repro.errors import (
+    NotFoundError,
     ReplicaDrainingError,
     ServiceError,
     UnknownMethodError,
@@ -635,10 +636,10 @@ class GalleryService:
         ]
 
     def _upstream_of(self, model_id: str, transitive: bool = False) -> list[str]:
-        return sorted(self._gallery.dependencies.upstream(model_id, transitive))
+        return sorted(self._gallery.upstream(model_id, transitive))
 
     def _downstream_of(self, model_id: str, transitive: bool = False) -> list[str]:
-        return sorted(self._gallery.dependencies.downstream(model_id, transitive))
+        return sorted(self._gallery.downstream(model_id, transitive))
 
     def _instance_health(self, instance_id: str) -> dict[str, Any]:
         report = self._gallery.instance_health(instance_id)
@@ -657,7 +658,9 @@ class GalleryService:
         return [record.to_dict() for record in records]
 
     def _lineage_of(self, base_version_id: str) -> list[dict[str, Any]]:
-        entries = self._gallery.lineage.lineage(base_version_id)
+        entries = self._gallery.instances_of(base_version_id, include_deprecated=True)
+        if not entries:
+            raise NotFoundError(f"unknown base version id: {base_version_id!r}")
         return [
             {
                 "instance_id": entry.instance_id,

@@ -18,7 +18,10 @@ write): most freshly-trained instances are never served, so caching them on
 upload would only evict blobs that serving traffic is actually hitting.
 The document cache is invalidated explicitly by the registry on the only
 mutating paths that can change a document (``replace_model`` /
-``replace_instance`` / deprecation); see ``docs/PERFORMANCE.md``.
+``replace_instance`` / deprecation), and a read that passes the live record
+only uses an entry built from an equal one, so a peer replica's change to an
+instance is never answered from this process's copy; see
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -147,10 +150,14 @@ class DocumentCache:
         self._lock = threading.RLock()
         self.stats = DocumentCacheStats()
 
-    def get(self, instance_id: str) -> dict[str, Any] | None:
+    def get(self, instance_id: str, record: Any = None) -> dict[str, Any] | None:
+        """The cached document, or None.  Given the live *record*, an entry
+        built from a different one (a peer replica changed it) is a miss."""
         with self._lock:
             document = self._entries.get(instance_id)
-            if document is None:
+            if document is None or (
+                record is not None and self._records.get(instance_id) != record
+            ):
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(instance_id)

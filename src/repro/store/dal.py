@@ -32,7 +32,7 @@ from repro.core.records import (
     ModelInstance,
     ServingAssignment,
 )
-from repro.errors import BlobStoreError, ConsistencyError, MetadataStoreError
+from repro.errors import BlobStoreError, ConsistencyError
 from repro.store.blob import BlobRange, BlobRegion, BlobStore, range_of_bytes
 from repro.store.cache import LRUBlobCache
 from repro.store.metadata_store import MetadataStore
@@ -192,19 +192,16 @@ class DataAccessLayer:
     def save_instance(self, instance: ModelInstance, blob: bytes) -> ModelInstance:
         """Persist an instance using the write-blob-first protocol.
 
-        Returns the stored record with ``blob_location`` filled in.  On blob
-        failure nothing is written; on metadata failure the blob remains as
-        an invisible orphan (collected later by :meth:`collect_orphan_blobs`).
+        Returns the stored record with ``blob_location`` filled in and the
+        ``instance_version`` the store assigned.  On blob failure nothing is
+        written; on metadata failure the blob remains as an invisible orphan
+        (collected later by :meth:`collect_orphan_blobs`): the instance is
+        simply "not available in the system".
         """
         location = self._blobs.put(blob, hint=instance.instance_id)
-        stored = replace(instance, blob_location=location)
-        try:
-            self._metadata.insert_instance(stored)
-        except MetadataStoreError:
-            # The orphaned blob stays behind; that is the designed failure
-            # mode — the instance is simply "not available in the system".
-            raise
-        return stored
+        return self._metadata.insert_instance(
+            replace(instance, blob_location=location)
+        )
 
     def save_metric(self, metric: MetricRecord) -> None:
         self._metadata.insert_metric(metric)

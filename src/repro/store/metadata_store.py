@@ -18,6 +18,12 @@ they are immutable (Section 3.1).  The only sanctioned in-place change is
 registry uses exclusively for bookkeeping fields that the paper itself
 mutates: evolution pointers, dependency pointers, and the deprecation flag.
 
+The store is also the only home of the registry's derived state, so every
+replica over one store gives the same answers: a model's latest
+``major.minor`` version lives in promoted ``models`` columns (kept out of
+the record JSON) and moves inside the write that changes it, and lifecycle
+transitions are rows of their own (Figure 1's audit trail).
+
 Concurrency model (see ``docs/PERFORMANCE.md``):
 
 * File-backed SQLite runs in WAL mode with **one connection per thread**, so
@@ -53,9 +59,11 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+from dataclasses import replace
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
+from repro.core.lifecycle import LifecycleStage, StageChange
 from repro.core.metadata import INDEXED_FIELDS
 from repro.core.records import (
     MetricRecord,
@@ -64,7 +72,13 @@ from repro.core.records import (
     ModelInstance,
     ServingAssignment,
 )
-from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
+from repro.core.versioning import InstanceVersion
+from repro.errors import (
+    DuplicateError,
+    MetadataStoreError,
+    NotFoundError,
+    ValidationError,
+)
 
 #: Fields allowed to change via replace_* (everything else must match).
 #: ``enabled`` is the PR9 review gate: flipping it is sanctioned bookkeeping
@@ -132,7 +146,10 @@ class MetadataStore(ABC):
     # -- models -------------------------------------------------------------
 
     @abstractmethod
-    def insert_model(self, model: Model) -> None: ...
+    def insert_model(self, model: Model) -> None:
+        """Insert a model at version ``1.0``, or, for the successor of an
+        evolution (``previous_model_id`` set), at its predecessor's stored
+        latest version with the major bumped (Figure 7's rule)."""
 
     @abstractmethod
     def get_model(self, model_id: str) -> Model: ...
@@ -153,15 +170,33 @@ class MetadataStore(ABC):
         """Every model registered at one coordinate, ordered by creation
         time: one record, or an evolution chain sharing it."""
 
+    @abstractmethod
+    def latest_version(self, model_id: str) -> InstanceVersion:
+        """A model's latest ``major.minor`` version; raises NotFoundError."""
+
+    @abstractmethod
+    def bump_versions(self, models: Sequence[Model]) -> dict[str, InstanceVersion]:
+        """Give each model a minor bump (Figure 6's propagated update);
+        returns the new versions of the models found.  Atomic per database
+        file: the sharded store commits each shard's group on its own."""
+
     # -- instances ----------------------------------------------------------
 
     @abstractmethod
-    def insert_instance(self, instance: ModelInstance) -> None: ...
+    def insert_instance(self, instance: ModelInstance) -> ModelInstance:
+        """Insert an instance and return the stored record.
+
+        In the same transaction the owning model takes a minor bump, and
+        the instance's ``instance_version`` is the bumped version.  An
+        instance whose model row is absent keeps the version it carries.
+        """
 
     @abstractmethod
     def insert_instances(self, instances: Sequence[ModelInstance]) -> None:
         """Bulk insert, atomic per database file: a file's rows all land or
-        none do (the sharded store's per-shard groups commit independently)."""
+        none do (the sharded store's per-shard groups commit independently).
+        A loader path: rows keep the versions they carry and no model's
+        version moves."""
 
     @abstractmethod
     def get_instance(self, instance_id: str) -> ModelInstance: ...
@@ -235,6 +270,19 @@ class MetadataStore(ABC):
     @abstractmethod
     def iter_metrics(self) -> Iterator[MetricRecord]: ...
 
+    # -- lifecycle -------------------------------------------------------------
+
+    @abstractmethod
+    def append_stage_change(self, instance_id: str, change: StageChange) -> None:
+        """Record one lifecycle transition after the instance's others."""
+
+    @abstractmethod
+    def stage_changes_for_instances(
+        self, instance_ids: Iterable[str]
+    ) -> dict[str, list[StageChange]]:
+        """Every requested id maps to its recorded transitions, oldest
+        first (possibly none: a default upload records nothing)."""
+
     # -- families -------------------------------------------------------------
 
     @abstractmethod
@@ -295,7 +343,9 @@ CREATE TABLE IF NOT EXISTS models (
     model_id        TEXT PRIMARY KEY,
     record          TEXT NOT NULL,
     project         TEXT,
-    base_version_id TEXT
+    base_version_id TEXT,
+    version_major   INTEGER,
+    version_minor   INTEGER
 );
 CREATE TABLE IF NOT EXISTS instances (
     instance_id     TEXT PRIMARY KEY,
@@ -347,7 +397,24 @@ CREATE TABLE IF NOT EXISTS serving_assignments (
     assigned_time REAL NOT NULL DEFAULT 0,
     record        TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS lifecycle_transitions (
+    instance_id TEXT    NOT NULL,
+    seq         INTEGER NOT NULL,
+    timestamp   REAL    NOT NULL,
+    from_stage  TEXT,
+    to_stage    TEXT    NOT NULL,
+    reason      TEXT    NOT NULL DEFAULT '',
+    PRIMARY KEY (instance_id, seq)
+);
 """
+
+#: A minor bump of a model's latest version, in SQL: writers serialize on
+#: the database write lock, so no two of them ever read the same version.
+_BUMP_SQL = (
+    "UPDATE models SET version_major = COALESCE(version_major, 1),"
+    " version_minor = COALESCE(version_minor, 0) + 1"
+)
+_RETURNING_VERSION = " RETURNING model_id, version_major, version_minor"
 
 
 class SQLiteMetadataStore(MetadataStore):
@@ -453,6 +520,36 @@ class SQLiteMetadataStore(MetadataStore):
             "UPDATE models SET project = ?, base_version_id = ?"
             " WHERE model_id = ?",
             backfill,
+        )
+        # Latest versions were promoted the same way.  A model without them
+        # takes the newest version its instances carry, at least 1.0.
+        for column in ("version_major", "version_minor"):
+            if column not in model_columns:
+                conn.execute(f"ALTER TABLE models ADD COLUMN {column} INTEGER")
+        latest = {
+            row[0]: InstanceVersion(1, 0)
+            for row in conn.execute(
+                "SELECT model_id FROM models WHERE version_major IS NULL"
+            )
+        }
+        for chunk in _chunked(list(latest)):
+            placeholders = ",".join("?" * len(chunk))
+            for model_id, record in conn.execute(
+                "SELECT model_id, record FROM instances"  # noqa: S608
+                f" WHERE model_id IN ({placeholders})",
+                tuple(chunk),
+            ):
+                try:
+                    version = InstanceVersion.parse(
+                        json.loads(record).get("instance_version") or ""
+                    )
+                except ValidationError:
+                    continue
+                latest[model_id] = max(latest[model_id], version)
+        conn.executemany(
+            "UPDATE models SET version_major = ?, version_minor = ?"
+            " WHERE model_id = ?",
+            [(v.major, v.minor, model_id) for model_id, v in latest.items()],
         )
         # Indexes no statement reads any more, each one more page to write
         # per insert: every metric read filters on instance_id (the
@@ -562,13 +659,15 @@ class SQLiteMetadataStore(MetadataStore):
 
     def insert_model(self, model: Model) -> None:
         self._write(
-            "INSERT INTO models (model_id, record, project, base_version_id)"
-            " VALUES (?, ?, ?, ?)",
+            "INSERT INTO models (model_id, record, project, base_version_id,"
+            " version_major, version_minor) VALUES (?, ?, ?, ?, COALESCE("
+            "(SELECT version_major + 1 FROM models WHERE model_id = ?), 1), 0)",
             (
                 model.model_id,
                 json.dumps(model.to_dict()),
                 model.project,
                 model.base_version_id,
+                model.previous_model_id,
             ),
         )
 
@@ -617,6 +716,30 @@ class SQLiteMetadataStore(MetadataStore):
         models.sort(key=lambda m: (m.created_time, m.model_id))
         return models
 
+    def latest_version(self, model_id: str) -> InstanceVersion:
+        rows = self._read(
+            "SELECT COALESCE(version_major, 1), COALESCE(version_minor, 0)"
+            " FROM models WHERE model_id = ?",
+            (model_id,),
+        )
+        if not rows:
+            raise NotFoundError(f"no model {model_id!r}")
+        return InstanceVersion(*rows[0])
+
+    def bump_versions(self, models: Sequence[Model]) -> dict[str, InstanceVersion]:
+        bumped: dict[str, InstanceVersion] = {}
+        with self._transaction() as conn:
+            for chunk in _chunked(_unique(model.model_id for model in models)):
+                placeholders = ",".join("?" * len(chunk))
+                rows = conn.execute(
+                    f"{_BUMP_SQL} WHERE model_id IN ({placeholders})"  # noqa: S608
+                    + _RETURNING_VERSION,
+                    tuple(chunk),
+                ).fetchall()
+                for model_id, major, minor in rows:
+                    bumped[model_id] = InstanceVersion(major, minor)
+        return bumped
+
     # -- instances ------------------------------------------------------------
 
     _INSERT_INSTANCE_SQL = (
@@ -644,8 +767,18 @@ class SQLiteMetadataStore(MetadataStore):
             json.dumps(instance.to_dict()),
         )
 
-    def insert_instance(self, instance: ModelInstance) -> None:
-        self._write(self._INSERT_INSTANCE_SQL, self._instance_row(instance))
+    def insert_instance(self, instance: ModelInstance) -> ModelInstance:
+        with self._transaction() as conn:
+            # fetchall: a RETURNING statement left unfinished blocks commit
+            bumped = conn.execute(
+                f"{_BUMP_SQL} WHERE model_id = ?{_RETURNING_VERSION}",
+                (instance.model_id,),
+            ).fetchall()
+            if bumped:
+                _, major, minor = bumped[0]
+                instance = replace(instance, instance_version=f"{major}.{minor}")
+            conn.execute(self._INSERT_INSTANCE_SQL, self._instance_row(instance))
+        return instance
 
     def insert_instances(self, instances: Sequence[ModelInstance]) -> None:
         """Bulk insert in one transaction: all rows land or none do."""
@@ -822,6 +955,48 @@ class SQLiteMetadataStore(MetadataStore):
 
     def iter_metrics(self) -> Iterator[MetricRecord]:
         return _records(MetricRecord, self._read("SELECT record FROM metrics"))
+
+    # -- lifecycle --------------------------------------------------------------
+
+    def append_stage_change(self, instance_id: str, change: StageChange) -> None:
+        from_stage = change.from_stage.value if change.from_stage else None
+        self._write(
+            "INSERT INTO lifecycle_transitions (instance_id, seq, timestamp,"
+            " from_stage, to_stage, reason) SELECT ?, COALESCE(MAX(seq), 0) + 1,"
+            " ?, ?, ?, ? FROM lifecycle_transitions WHERE instance_id = ?",
+            (
+                instance_id,
+                change.timestamp,
+                from_stage,
+                change.to_stage.value,
+                change.reason,
+                instance_id,
+            ),
+        )
+
+    def stage_changes_for_instances(
+        self, instance_ids: Iterable[str]
+    ) -> dict[str, list[StageChange]]:
+        requested = _unique(instance_ids)
+        out: dict[str, list[StageChange]] = {iid: [] for iid in requested}
+        for chunk in _chunked(requested):
+            placeholders = ",".join("?" * len(chunk))
+            rows = self._read(
+                "SELECT instance_id, timestamp, from_stage, to_stage, reason"  # noqa: S608
+                f" FROM lifecycle_transitions WHERE instance_id IN ({placeholders})"
+                " ORDER BY instance_id, seq",
+                tuple(chunk),
+            )
+            for instance_id, timestamp, from_stage, to_stage, reason in rows:
+                out[instance_id].append(
+                    StageChange(
+                        timestamp=timestamp,
+                        from_stage=LifecycleStage(from_stage) if from_stage else None,
+                        to_stage=LifecycleStage(to_stage),
+                        reason=reason,
+                    )
+                )
+        return out
 
     # -- families --------------------------------------------------------------
 

@@ -41,7 +41,13 @@ serving_         ``scope``              a scope's "what is serving" row (and its
 assignments                             atomic re-point) lives on one file, so
                                         replicas racing a switch are serialized
                                         by one SQLite database lock
+lifecycle_       ``instance_id``        like metrics: a history read needs no
+transitions                             lookup of the instance first
 ===============  =====================  =========================================
+
+An upload's version bump commits with the instance row, since a model and
+its instances share a shard.  A propagated bump (Figure 6) touches each
+downstream model on its own shard, one commit per shard.
 
 Single-coordinate operations route to exactly one shard, and so does a
 search's candidate read when it narrows on ``base_version_id`` or a routed
@@ -80,12 +86,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.core.lifecycle import StageChange
 from repro.core.records import (
     MetricRecord,
     Model,
     ModelInstance,
     ServingAssignment,
 )
+from repro.core.versioning import InstanceVersion
 from repro.errors import MetadataStoreError, NotFoundError
 from repro.store.metadata_store import (
     MetadataStore,
@@ -384,18 +392,25 @@ class ShardedMetadataStore(MetadataStore):
         self._shards[shard].insert_model(model)
         self._cache_route(self._model_shard, model.model_id, shard)
 
-    def get_model(self, model_id: str) -> Model:
+    def _on_model_shard(
+        self, model_id: str, read: Callable[[MetadataStore], Any]
+    ) -> Any:
+        """*read* on the shard holding *model_id*: the cached route, else
+        each shard in turn until one does not raise NotFoundError."""
         cached = self._cached_shard(self._model_shard, model_id)
         if cached is not None:
-            return cached.get_model(model_id)
+            return read(cached)
         for index, shard in enumerate(self._shards):
             try:
-                model = shard.get_model(model_id)
+                result = read(shard)
             except NotFoundError:
                 continue
             self._cache_route(self._model_shard, model_id, index)
-            return model
+            return result
         raise NotFoundError(f"no model {model_id!r}")
+
+    def get_model(self, model_id: str) -> Model:
+        return self._on_model_shard(model_id, lambda shard: shard.get_model(model_id))
 
     def get_models(self, model_ids: Iterable[str]) -> dict[str, Model]:
         requested = _unique(model_ids)
@@ -426,12 +441,28 @@ class ShardedMetadataStore(MetadataStore):
             self._cache_route(self._model_shard, model.model_id, shard)
         return models
 
+    def latest_version(self, model_id: str) -> InstanceVersion:
+        return self._on_model_shard(
+            model_id, lambda shard: shard.latest_version(model_id)
+        )
+
+    def bump_versions(self, models: Sequence[Model]) -> dict[str, InstanceVersion]:
+        groups: dict[int, list[Model]] = {}
+        for model in models:
+            shard = self._map.shard_for(model.base_version_id)
+            groups.setdefault(shard, []).append(model)
+        bumped: dict[str, InstanceVersion] = {}
+        for shard, group in groups.items():
+            bumped.update(self._shards[shard].bump_versions(group))
+        return bumped
+
     # -- instances ------------------------------------------------------------
 
-    def insert_instance(self, instance: ModelInstance) -> None:
+    def insert_instance(self, instance: ModelInstance) -> ModelInstance:
         shard = self._map.shard_for(instance.base_version_id)
-        self._shards[shard].insert_instance(instance)
+        stored = self._shards[shard].insert_instance(instance)
         self._cache_route(self._instance_shard, instance.instance_id, shard)
+        return stored
 
     def insert_instances(self, instances: Sequence[ModelInstance]) -> None:
         """Bulk insert, grouped by owning shard and loaded in parallel.
@@ -540,8 +571,8 @@ class ShardedMetadataStore(MetadataStore):
         instance_ids: Iterable[str],
         read: Callable[[MetadataStore, list[str]], dict[str, list[Any]]],
     ) -> dict[str, list[Any]]:
-        """One *read* per shard holding any of *instance_ids*' metrics;
-        every requested id maps to a (possibly empty) list."""
+        """One *read* per shard holding any of *instance_ids*' metrics or
+        lifecycle rows; every requested id maps to a (possibly empty) list."""
         requested = _unique(instance_ids)
         out: dict[str, list[Any]] = {iid: [] for iid in requested}
         groups: dict[int, list[str]] = {}
@@ -571,6 +602,18 @@ class ShardedMetadataStore(MetadataStore):
     def iter_metrics(self) -> Iterator[MetricRecord]:
         for shard in self._shards:
             yield from shard.iter_metrics()
+
+    # -- lifecycle --------------------------------------------------------------
+
+    def append_stage_change(self, instance_id: str, change: StageChange) -> None:
+        self._shard_for_key(instance_id).append_stage_change(instance_id, change)
+
+    def stage_changes_for_instances(
+        self, instance_ids: Iterable[str]
+    ) -> dict[str, list[StageChange]]:
+        return self._route_by_instance(
+            instance_ids, lambda shard, ids: shard.stage_changes_for_instances(ids)
+        )
 
     # -- families --------------------------------------------------------------
 
@@ -885,6 +928,11 @@ _TABLE_SPECS: tuple[
     ),
     ("dead_letters", ("letter_id",), lambda row: str(row["rule_uuid"])),
     ("serving_assignments", ("scope",), lambda row: str(row["scope"])),
+    (
+        "lifecycle_transitions",
+        ("instance_id", "seq"),
+        lambda row: str(row["instance_id"]),
+    ),
 )
 
 

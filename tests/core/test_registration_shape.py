@@ -5,7 +5,7 @@ update only to the updated model's downstream models.  These tests wrap the
 metadata store in a call-counting proxy and pin that shape: registering a
 new coordinate, uploading into an existing model and a peer replica's
 coordinate miss issue exactly the same store calls over 10 models as over
-500, and none of them walks every model.
+500, none of them walks every model, and opening a replica reads nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.clock import ManualClock
+from repro.core.dependencies import DependencyGraph
 from repro.core.ids import SeededIdFactory
 from repro.core.registry import Gallery
 from repro.store.blob import InMemoryBlobStore
@@ -69,6 +70,25 @@ def test_registration_store_calls_do_not_grow_with_the_registry(metadata_store):
     assert seen[SIZES[0]] == seen[SIZES[-1]]
 
 
+def test_replica_start_reads_nothing(metadata_store):
+    """A replica holds no copy of registry state, so opening one over a
+    populated store makes no store call at all."""
+    store = CountingStore(metadata_store)
+    _grow(_gallery(store, seed=7), SIZES[0])
+    assert _calls(store, lambda: _gallery(store, seed=8)) == {}
+
+
+def test_leaf_upload_is_one_coordinate_read_and_one_insert(metadata_store):
+    """The version is assigned inside the insert: an upload into a model
+    with no downstream models makes exactly two store calls."""
+    store = CountingStore(metadata_store)
+    gallery = _gallery(store, seed=7)
+    _grow(gallery, SIZES[0])
+    assert _calls(
+        store, lambda: gallery.upload_model("p", "model-0003", blob=b"m")
+    ) == {"models_at": 1, "insert_instance": 1}
+
+
 def test_peer_coordinate_miss_reads_one_coordinate(metadata_store):
     """A replica that did not register a model resolves it from the store
     on first use: one coordinate read, the same at any registry size."""
@@ -88,13 +108,13 @@ def test_peer_coordinate_miss_reads_one_coordinate(metadata_store):
     assert seen[SIZES[0]] == seen[SIZES[-1]]
 
 
-def test_upload_orders_only_its_downstream_models(metadata_store):
+def test_upload_orders_only_its_downstream_models(metadata_store, monkeypatch):
     """A leaf model's upload never runs a whole-graph topological pass."""
     gallery = _gallery(CountingStore(metadata_store), seed=7)
     _grow(gallery, SIZES[0])
 
-    def whole_graph_pass():
+    def whole_graph_pass(self):
         raise AssertionError("upload_model ordered the whole dependency graph")
 
-    gallery.dependencies.topological_order = whole_graph_pass
+    monkeypatch.setattr(DependencyGraph, "topological_order", whole_graph_pass)
     gallery.upload_model("p", "model-0003", blob=b"m")

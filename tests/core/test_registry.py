@@ -62,6 +62,15 @@ class TestModelManagement:
         # the (project, base) coordinate now resolves to the successor
         assert gallery.find_model("p", "demand").model_id == new.model_id
 
+    def test_each_evolution_bumps_the_major_version(self, gallery):
+        first = gallery.create_model("p", "demand")
+        gallery.upload_model("p", "demand", blob=b"v1")  # 1.1
+        second = gallery.evolve_model(first.model_id)
+        assert str(gallery.latest_version(second.model_id)) == "2.0"
+        third = gallery.evolve_model(second.model_id)
+        assert str(gallery.latest_version(third.model_id)) == "3.0"
+        assert gallery.upload_model("p", "demand", blob=b"v3").instance_version == "3.1"
+
     def test_evolving_twice_rejected(self, gallery):
         old = gallery.create_model("p", "demand")
         gallery.evolve_model(old.model_id)
@@ -87,12 +96,12 @@ class TestInstanceUpload:
             blob=b"v2",
             parent_instance_id=first.instance_id,
         )
-        chain = gallery.lineage.lineage("supply_rejection")
+        chain = gallery.instances_of("supply_rejection", include_deprecated=True)
         assert [e.instance_id for e in chain] == [
             first.instance_id,
             second.instance_id,
         ]
-        assert gallery.lineage.ancestors(second.instance_id) == [first.instance_id]
+        assert gallery.ancestors(second.instance_id) == [first.instance_id]
 
     def test_instance_versions_advance(self, gallery):
         first = register_example(gallery)
@@ -104,7 +113,7 @@ class TestInstanceUpload:
 
     def test_upload_enters_lifecycle(self, gallery):
         instance = register_example(gallery)
-        assert gallery.lifecycle.stage_of(instance.instance_id) is LifecycleStage.EVALUATION
+        assert gallery.stage_of(instance.instance_id) is LifecycleStage.EVALUATION
 
     def test_upload_to_deprecated_model_rejected(self, gallery):
         instance = register_example(gallery)
@@ -225,7 +234,7 @@ class TestDeprecation:
     def test_deprecation_moves_lifecycle(self, gallery):
         instance = register_example(gallery)
         gallery.deprecate_instance(instance.instance_id)
-        assert gallery.lifecycle.stage_of(instance.instance_id) is LifecycleStage.DEPRECATED
+        assert gallery.stage_of(instance.instance_id) is LifecycleStage.DEPRECATED
 
     def test_instances_of_skips_deprecated(self, gallery):
         first = register_example(gallery)
@@ -246,14 +255,24 @@ class TestDependenciesViaRegistry:
     def test_registration_time_wiring_no_bump(self, gallery):
         b = gallery.create_model("p", "b")
         a = gallery.create_model("p", "a", upstream_model_ids=[b.model_id])
-        assert str(gallery.dependencies.latest_version(a.model_id)) == "1.0"
-        assert gallery.dependencies.upstream(a.model_id) == {b.model_id}
+        assert str(gallery.latest_version(a.model_id)) == "1.0"
+        assert gallery.upstream(a.model_id) == {b.model_id}
+
+    def test_evolution_keeps_upstream_pointers_and_propagation(self, gallery):
+        b = gallery.create_model("p", "b")
+        a = gallery.create_model("p", "a", upstream_model_ids=[b.model_id])
+        successor = gallery.evolve_model(a.model_id)
+        assert successor.upstream_model_ids == (b.model_id,)
+        assert successor.model_id in gallery.get_model(b.model_id).downstream_model_ids
+        assert gallery.downstream(b.model_id) == {a.model_id, successor.model_id}
+        gallery.upload_model("p", "b", blob=b"x")
+        assert str(gallery.latest_version(successor.model_id)) == "2.1"
 
     def test_upload_propagates_to_downstream(self, gallery):
         b = gallery.create_model("p", "b")
         a = gallery.create_model("p", "a", upstream_model_ids=[b.model_id])
         gallery.upload_model("p", "b", blob=b"x")
-        assert str(gallery.dependencies.latest_version(a.model_id)) == "1.1"
+        assert str(gallery.latest_version(a.model_id)) == "1.1"
 
 
 class TestCandidateDocuments:

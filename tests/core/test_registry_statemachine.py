@@ -99,7 +99,7 @@ class GalleryMachine(RuleBasedStateMachine):
                 for iid, s in self.shadow.items()
                 if s["base"] == base
             )
-            chain = self.gallery.lineage.lineage(base) if expected else []
+            chain = self.gallery.instances_of(base, include_deprecated=True) if expected else []
             assert [e.instance_id for e in chain] == [iid for _, iid in expected]
 
     @invariant()

@@ -1,16 +1,20 @@
-"""Tests for registry rehydration: a fresh front-end over existing storage.
+"""Tests for replicas over shared storage: a fresh front-end sees it all.
 
 Section 4: Gallery is a *stateless* microservice — any number of service
 instances can be pointed at the same storage.  These tests build state
 through one Gallery object, then open a second one over the same SQLite +
-filesystem backends and check that every index reconstructed.
+filesystem backends and check that it answers exactly as the first would,
+including for writes the first makes after the second opened.
 """
 
 import pytest
 
 from repro import build_gallery
 from repro.core import LifecycleStage, ManualClock, SeededIdFactory
+from repro.monitoring.deprecation import DeprecationPolicy, DeprecationSweeper
 from repro.rules.events import EventKind
+from repro.service.client import connect_in_process
+from repro.service.server import GalleryService
 
 
 def open_gallery(tmp_path, seed=1, start=1_000_000.0):
@@ -46,9 +50,9 @@ class TestRehydration:
             "p", "demand", blob=b"b", parent_instance_id=a.instance_id
         )
         second = open_gallery(tmp_path, seed=2)
-        chain = second.lineage.lineage("demand")
+        chain = second.instances_of("demand", include_deprecated=True)
         assert [e.instance_id for e in chain] == [a.instance_id, b.instance_id]
-        assert second.lineage.ancestors(b.instance_id) == [a.instance_id]
+        assert second.ancestors(b.instance_id) == [a.instance_id]
 
     def test_instance_versions_continue(self, tmp_path):
         first = open_gallery(tmp_path)
@@ -66,18 +70,18 @@ class TestRehydration:
         dead = first.upload_model("p", "demand", blob=b"b")
         first.deprecate_instance(dead.instance_id)
         second = open_gallery(tmp_path, seed=2)
-        assert second.lifecycle.stage_of(live.instance_id) is LifecycleStage.EVALUATION
-        assert second.lifecycle.stage_of(dead.instance_id) is LifecycleStage.DEPRECATED
+        assert second.stage_of(live.instance_id) is LifecycleStage.EVALUATION
+        assert second.stage_of(dead.instance_id) is LifecycleStage.DEPRECATED
 
     def test_dependency_edges_restored(self, tmp_path):
         first = open_gallery(tmp_path)
         b = first.create_model("p", "b")
         a = first.create_model("p", "a", upstream_model_ids=[b.model_id])
         second = open_gallery(tmp_path, seed=2, start=2_000_000.0)
-        assert second.dependencies.upstream(a.model_id) == {b.model_id}
+        assert second.upstream(a.model_id) == {b.model_id}
         # propagation still works through the rebuilt graph
         second.upload_model("p", "b", blob=b"x")
-        assert second.dependencies.latest_version(a.model_id).minor >= 1
+        assert second.latest_version(a.model_id).minor >= 1
 
     def test_evolution_chain_resolves_to_successor(self, tmp_path):
         first = open_gallery(tmp_path)
@@ -104,7 +108,111 @@ class TestRehydration:
     def test_empty_store_rehydrates_to_empty(self, tmp_path):
         gallery = open_gallery(tmp_path)
         assert gallery.models() == []
-        assert gallery.lineage.base_version_ids() == []
+        assert list(gallery.dal.metadata.iter_instances()) == []
+
+
+class TestReplicasShareOneTruth:
+    """Every answer a replica gives comes from the store, so a peer's write
+    is visible on the next call and a restart changes nothing."""
+
+    def test_uploads_through_alternating_replicas_get_distinct_versions(
+        self, tmp_path
+    ):
+        a = open_gallery(tmp_path)
+        a.create_model("p", "demand")
+        b = open_gallery(tmp_path, seed=2)
+        versions = [
+            replica.upload_model("p", "demand", blob=bytes([n])).instance_version
+            for n, replica in enumerate((a, b, a))
+        ]
+        assert versions == ["1.1", "1.2", "1.3"]
+
+    def test_versions_do_not_depend_on_restarts(self, tmp_path):
+        def next_down_version(data_dir, restart):
+            gallery = open_gallery(data_dir)
+            up = gallery.create_model("p", "up")
+            gallery.create_model("p", "down", upstream_model_ids=[up.model_id])
+            gallery.upload_model("p", "down", blob=b"d1")  # down 1.1
+            gallery.upload_model("p", "up", blob=b"u1")  # propagates: down 1.2
+            if restart:
+                gallery = open_gallery(data_dir, seed=2, start=2_000_000.0)
+            return gallery.upload_model("p", "down", blob=b"d2").instance_version
+
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "restarted").mkdir()
+        assert next_down_version(tmp_path / "kept", restart=False) == "1.3"
+        assert next_down_version(tmp_path / "restarted", restart=True) == "1.3"
+
+    def test_query_result_satisfies_its_constraints_after_a_peer_disables(
+        self, tmp_path
+    ):
+        a = open_gallery(tmp_path)
+        a.create_model("p", "demand")
+        instance = a.upload_model("p", "demand", blob=b"x")
+        b = open_gallery(tmp_path, seed=2)
+        query = [
+            {"field": "baseVersionId", "operator": "equal", "value": "demand"},
+            {"field": "enabled", "operator": "equal", "value": True},
+        ]
+        assert [i.instance_id for i in b.model_query(query)] == [instance.instance_id]
+        a.disable_instance(instance.instance_id)
+        assert b.model_query(query) == []
+
+    def test_upload_after_a_peer_evolves_lands_under_the_successor(self, tmp_path):
+        a = open_gallery(tmp_path)
+        old = a.create_model("p", "demand")
+        b = open_gallery(tmp_path, seed=2)
+        assert b.upload_model("p", "demand", blob=b"v1").model_id == old.model_id
+        new = a.evolve_model(old.model_id, description="rewrite")
+        after = b.upload_model("p", "demand", blob=b"v2")
+        assert after.model_id == new.model_id
+        assert after.instance_version == "2.1"
+
+    def test_lineage_of_a_base_a_peer_populated(self, tmp_path):
+        a = open_gallery(tmp_path)
+        a.create_model("p", "demand")
+        b = open_gallery(tmp_path, seed=2)
+        first = a.upload_model("p", "demand", blob=b"v1")
+        second = a.upload_model(
+            "p", "demand", blob=b"v2", parent_instance_id=first.instance_id
+        )
+        service = GalleryService(b)
+        try:
+            chain = connect_in_process(service).lineage_of("demand")
+        finally:
+            service.read_batcher.close()
+        assert [entry["instance_id"] for entry in chain] == [
+            first.instance_id,
+            second.instance_id,
+        ]
+        assert b.ancestors(second.instance_id) == [first.instance_id]
+
+    def test_mark_deployed_survives_a_restart(self, tmp_path):
+        first = open_gallery(tmp_path)
+        first.create_model("p", "demand")
+        instance = first.upload_model("p", "demand", blob=b"a")
+        first.mark_deployed(instance.instance_id, reason="launch")
+        second = open_gallery(tmp_path, seed=2, start=2_000_000.0)
+        assert second.stage_of(instance.instance_id) is LifecycleStage.DEPLOYED
+        history = second.stage_history(instance.instance_id)
+        assert [(c.from_stage, c.to_stage, c.reason) for c in history] == [
+            (None, LifecycleStage.EVALUATION, "registered"),
+            (LifecycleStage.EVALUATION, LifecycleStage.DEPLOYED, "launch"),
+        ]
+
+    def test_deprecation_sweep_on_a_replica_that_served_no_uploads(self, tmp_path):
+        a = open_gallery(tmp_path)
+        a.create_model("p", "demand")
+        b = open_gallery(tmp_path, seed=2)
+        instances = []
+        for value in (0.5, 0.1, 0.12):
+            instance = a.upload_model("p", "demand", blob=repr(value).encode())
+            a.insert_metric(instance.instance_id, "mape", value, scope="Production")
+            instances.append(instance)
+        outcome = DeprecationSweeper(b, DeprecationPolicy(patience=1)).sweep()
+        assert outcome.deprecated == (instances[0].instance_id,)
+        assert a.get_instance(instances[0].instance_id).deprecated
+        assert a.stage_of(instances[0].instance_id) is LifecycleStage.DEPRECATED
 
 
 class TestServingSwitchAcrossReplicas:

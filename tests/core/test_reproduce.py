@@ -75,7 +75,7 @@ class TestReplay:
         replayed = gallery.get_instance(report.replayed_instance_id)
         assert replayed.metadata["replay_of"] == trained.instance.instance_id
         assert replayed.parent_instance_id == trained.instance.instance_id
-        assert gallery.lineage.ancestors(report.replayed_instance_id) == [
+        assert gallery.ancestors(report.replayed_instance_id) == [
             trained.instance.instance_id
         ]
 

@@ -5,6 +5,7 @@ mutating paths must tolerate concurrent callers.  These tests hammer shared
 state from multiple threads and assert nothing is lost or duplicated.
 """
 
+import sys
 import threading
 
 import pytest
@@ -51,7 +52,7 @@ class TestConcurrentWrites:
 
         run_threads(worker)
         total = N_THREADS * PER_THREAD
-        chain = gallery.lineage.lineage("demand")
+        chain = gallery.instances_of("demand", include_deprecated=True)
         assert len(chain) == total, "no lineage entries lost"
         assert len({e.instance_id for e in chain}) == total
         # display versions are unique and the final minor equals the count
@@ -60,6 +61,38 @@ class TestConcurrentWrites:
         ]
         assert len(set(versions)) == total
         assert gallery.dal.audit_consistency().consistent
+
+    def test_parallel_uploads_through_two_replicas_get_unique_versions(
+        self, tmp_path
+    ):
+        """Each replica serializes only its own threads; the version bump
+        in the insert's transaction is what keeps two replicas apart."""
+        replicas = [
+            build_gallery("sqlite", "fs", data_dir=tmp_path, clock=ManualClock())
+            for _ in range(2)
+        ]
+        replicas[0].create_model("p", "demand")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(
+                lambda index: [
+                    replicas[index % 2].upload_model(
+                        "p", "demand", blob=f"{index}-{i}".encode()
+                    )
+                    for i in range(PER_THREAD)
+                ]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        total = N_THREADS * PER_THREAD
+        versions = sorted(
+            int(i.instance_version.split(".")[1])
+            for i in replicas[1].instances_of("demand")
+        )
+        assert versions == list(range(1, total + 1))
+        for replica in replicas:
+            replica.dal.metadata.close()
 
     def test_parallel_metrics_same_instance(self, gallery):
         gallery.create_model("p", "demand")

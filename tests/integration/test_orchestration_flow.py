@@ -210,9 +210,9 @@ class TestLifecycleAutomation:
         )
         gallery.create_model("p", "demand")
         instance = gallery.upload_model("p", "demand", blob=b"m")
-        assert gallery.lifecycle.stage_of(instance.instance_id) is LifecycleStage.EVALUATION
+        assert gallery.stage_of(instance.instance_id) is LifecycleStage.EVALUATION
         gallery.insert_metric(instance.instance_id, "mape", 0.05)
         engine.drain()
-        assert gallery.lifecycle.stage_of(instance.instance_id) is LifecycleStage.DEPLOYED
-        history = gallery.lifecycle.history(instance.instance_id)
+        assert gallery.stage_of(instance.instance_id) is LifecycleStage.DEPLOYED
+        history = gallery.stage_history(instance.instance_id)
         assert history[-1].reason == "stage-gate"

@@ -87,7 +87,7 @@ class TestQuickstartFlow:
         )
         gallery.deprecate_instance(v1.instance_id)
         assert gallery.latest_instance("demand").instance_id == v2.instance_id
-        assert gallery.lineage.ancestors(v2.instance_id) == [v1.instance_id]
+        assert gallery.ancestors(v2.instance_id) == [v1.instance_id]
         # deprecated v1 is still fetchable for consumers mid-migration
         assert gallery.load_instance_blob(v1.instance_id) == b"v1"
 

@@ -289,6 +289,61 @@ def model_ids_at(store, models) -> list[list[str]]:
     ]
 
 
+class TestVersionColumns:
+    def test_legacy_models_take_their_newest_instance_version(self, tmp_path):
+        build_legacy_layout(tmp_path)
+        later = {
+            "instance_id": "i-later",
+            "model_id": "m-legacy",
+            "base_version_id": "demand",
+            "instance_version": "1.4",
+            "created_time": 3.0,
+        }
+        conn = sqlite3.connect(tmp_path / "gallery.sqlite")
+        try:
+            conn.execute(
+                "INSERT INTO instances (instance_id, model_id, base_version_id,"
+                " created_time, record) VALUES (?, ?, ?, ?, ?)",
+                ("i-later", "m-legacy", "demand", 3.0, json.dumps(later)),
+            )
+            conn.commit()
+        finally:
+            conn.close()
+        for _ in range(2):  # the backfill is a no-op the second time
+            store = SQLiteMetadataStore(str(tmp_path / "gallery.sqlite"))
+            try:
+                assert str(store.latest_version("m-legacy")) == "1.4"
+            finally:
+                store.close()
+        gallery = build_gallery("sqlite", "fs", data_dir=tmp_path)
+        try:
+            fresh = gallery.upload_model("p", "demand", blob=b"new-era")
+            assert fresh.instance_version == "1.5"
+        finally:
+            gallery.dal.metadata.close()
+
+    def test_legacy_models_without_instances_start_at_one(self, tmp_path):
+        path = tmp_path / "gallery.sqlite"
+        models = legacy_models(3)
+        write_pre_coordinate_file(path, models)
+        store = SQLiteMetadataStore(str(path))
+        try:
+            assert [str(store.latest_version(m.model_id)) for m in models] == [
+                "1.0"
+            ] * 3
+        finally:
+            store.close()
+        conn = sqlite3.connect(path)
+        try:
+            bare = conn.execute(
+                "SELECT COUNT(*) FROM models WHERE version_major IS NULL"
+                " OR version_minor IS NULL"
+            ).fetchone()[0]
+        finally:
+            conn.close()
+        assert bare == 0
+
+
 class TestCoordinateColumns:
     def test_pre_change_file_answers_models_at(self, tmp_path):
         path = tmp_path / "gallery.sqlite"

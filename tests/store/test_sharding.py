@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core.lifecycle import LifecycleStage, StageChange
 from repro.core.records import MetricRecord, Model, ModelInstance
 from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
 from repro.service.server import RequestDedupCache
@@ -325,6 +326,33 @@ class TestRebalanceTools:
                     assert owner == 1  # untouched shard: nothing moved
                 else:
                     assert owner in (0, 2)
+        finally:
+            after.close()
+
+    def test_split_moves_versions_and_lifecycle_rows(self, tmp_path):
+        shards_dir = str(tmp_path / "shards")
+        first = open_sharded_store(shards_dir, 1)
+        deployed = StageChange(5.0, LifecycleStage.EVALUATION, LifecycleStage.DEPLOYED, "go")
+        for i in range(16):
+            first.insert_model(model(i))
+            for k in range(i % 3):
+                first.insert_instance(instance(i, k))  # m{i} ends at 1.{i % 3}
+            first.append_stage_change(f"i{i}-0", deployed)
+        first.close()
+
+        report = split_shard(shards_dir, 0)
+        assert 0 < report["moved"]["models"] < 16
+        assert 0 < report["moved"]["lifecycle_transitions"] < 16
+        assert verify_layout(shards_dir)["ok"]
+
+        after = open_sharded_store(shards_dir)
+        try:
+            for i in range(16):
+                assert str(after.latest_version(f"m{i}")) == f"1.{i % 3}"
+            changes = after.stage_changes_for_instances(
+                [f"i{i}-0" for i in range(16)]
+            )
+            assert all(rows == [deployed] for rows in changes.values())
         finally:
             after.close()
 
