@@ -187,21 +187,20 @@ def _cmd_audit(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 def _cmd_gc(gallery: Gallery, args: argparse.Namespace) -> Any:
     # Control-table row counts before and after, not only the trimmed deltas.
+    store = gallery.dal.metadata
     report: dict[str, Any] = {
-        "dedup_entries_before": gallery.dal.dedup_count(),
-        "dead_letters_before": gallery.dal.dead_letters_count(),
+        "dedup_entries_before": store.dedup_count(),
+        "dead_letters_before": store.dead_letters_count(),
         "removed_orphan_blobs": gallery.dal.collect_orphan_blobs(),
     }
     if args.dedup_max_age is not None:
-        report["expired_dedup_entries"] = gallery.dal.dedup_trim_age(
-            args.dedup_max_age
-        )
+        report["expired_dedup_entries"] = store.dedup_trim_age(args.dedup_max_age)
     if args.dlq_max_age is not None:
-        report["expired_dead_letters"] = gallery.dal.dead_letters_trim_age(
+        report["expired_dead_letters"] = store.dead_letters_trim_age(
             args.dlq_max_age
         )
-    report["dedup_entries_after"] = gallery.dal.dedup_count()
-    report["dead_letters_after"] = gallery.dal.dead_letters_count()
+    report["dedup_entries_after"] = store.dedup_count()
+    report["dead_letters_after"] = store.dead_letters_count()
     if args.replica:
         # Pointed at a live replica, gc also surfaces that replica's
         # batcher/QoS counters so operators can read the coalesce ratio
@@ -220,7 +219,7 @@ def _cmd_gc(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_dlq_list(gallery: Gallery, args: argparse.Namespace) -> Any:
-    queue = DeadLetterQueue(gallery.dal)
+    queue = DeadLetterQueue(gallery.dal.metadata)
     letters = queue.entries(
         rule_uuid=args.rule, action=args.action, error_type=args.error_type
     )
@@ -228,7 +227,7 @@ def _cmd_dlq_list(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_dlq_redrive(gallery: Gallery, args: argparse.Namespace) -> Any:
-    queue = DeadLetterQueue(gallery.dal)
+    queue = DeadLetterQueue(gallery.dal.metadata)
     letter_ids = set(args.letter_ids) or None
     results = queue.redrive(ActionRegistry(), letter_ids=letter_ids)
     return {
@@ -239,7 +238,7 @@ def _cmd_dlq_redrive(gallery: Gallery, args: argparse.Namespace) -> Any:
 
 
 def _cmd_dlq_purge(gallery: Gallery, args: argparse.Namespace) -> Any:
-    queue = DeadLetterQueue(gallery.dal)
+    queue = DeadLetterQueue(gallery.dal.metadata)
     letter_ids = set(args.letter_ids) or None
     return {"purged": queue.purge(letter_ids)}
 

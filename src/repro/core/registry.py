@@ -71,6 +71,17 @@ def _locked(method):
     return wrapper
 
 
+def _history(
+    records: Iterable[MetricRecord], name: str, scope: MetricScope | None
+) -> list[MetricRecord]:
+    """The *name* metrics in *scope* (any when None), oldest first."""
+    history = [
+        r for r in records if r.name == name and (scope is None or r.scope is scope)
+    ]
+    history.sort(key=lambda r: (r.created_time, r.metric_id))
+    return history
+
+
 class Gallery:
     """The model lifecycle management system."""
 
@@ -146,7 +157,7 @@ class Gallery:
         )
         if metadata:
             model = replace(model, metadata=dict(metadata))
-        self._dal.save_model(model)
+        self._dal.metadata.insert_model(model)
         for upstream_id in upstream_model_ids:
             self._mirror_dependency_pointers(model.model_id, upstream_id)
         self.bus.publish(
@@ -212,7 +223,7 @@ class Gallery:
             deprecated=False,
             downstream_model_ids=(),
         )
-        self._dal.save_model(successor)
+        self._dal.metadata.insert_model(successor)
         self._dal.metadata.replace_model(old.with_next(new_id))
         self._documents.invalidate_model(old_model_id)
         for upstream_id in successor.upstream_model_ids:
@@ -430,7 +441,9 @@ class Gallery:
 
         With *include_deprecated* this is the base version's lineage.
         """
-        instances = self._dal.metadata.instances_of_base_version(base_version_id)
+        instances = self._dal.metadata.find_instances_by_field(
+            "base_version_id", base_version_id
+        )
         instances.sort(key=lambda i: (i.created_time, i.instance_id))
         if include_deprecated:
             return instances
@@ -567,7 +580,7 @@ class Gallery:
 
     def models_in_family(self, family: str, include_deprecated: bool = False) -> list[Model]:
         """All models grouped under *family*, oldest first."""
-        models = self._dal.models_in_family(family)
+        models = self._dal.metadata.models_in_family(family)
         if include_deprecated:
             return models
         return [m for m in models if not m.deprecated]
@@ -583,7 +596,7 @@ class Gallery:
         By default only the *servable* ones: enabled and not deprecated —
         the candidate pool a family switch selects from.
         """
-        instances = self._dal.instances_in_family(family)
+        instances = self._dal.metadata.find_instances_by_field("family", family)
         return [
             i
             for i in instances
@@ -602,7 +615,7 @@ class Gallery:
 
     def serving_assignments(self) -> list[ServingAssignment]:
         """Every scope's current assignment, sorted by scope."""
-        return self._dal.serving_assignments()
+        return self._dal.metadata.serving_assignments()
 
     @_locked
     def assign_serving(
@@ -624,7 +637,7 @@ class Gallery:
             raise ValidationError(
                 f"instance {instance_id!r} is disabled (review gate) and cannot serve"
             )
-        assignment, switched = self._dal.assign_serving(
+        assignment, switched = self._dal.metadata.assign_serving(
             scope,
             instance_id,
             family=instance.family,
@@ -675,11 +688,16 @@ class Gallery:
             return candidates[-1]
         if mode not in ("min", "max"):
             raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
-        scored = [
-            (instance, self.latest_metric(instance.instance_id, metric, scope=scope))
+        if scope is not None:
+            scope = MetricScope.parse(scope)
+        metrics = self._dal.metadata.metrics_for_instances(
+            [instance.instance_id for instance in candidates]
+        )
+        histories = [
+            (instance, _history(metrics[instance.instance_id], metric, scope))
             for instance in candidates
         ]
-        measured = [(i, v) for i, v in scored if v is not None]
+        measured = [(i, history[-1].value) for i, history in histories if history]
         if not measured:
             return candidates[-1]
         pick = min if mode == "min" else max
@@ -730,7 +748,7 @@ class Gallery:
             created_time=self._clock.now(),
             metadata=dict(metadata) if metadata else {},
         )
-        self._dal.save_metric(metric)
+        self._dal.metadata.insert_metric(metric)
         self.bus.publish(
             Event(
                 kind=EventKind.METRIC_UPDATED,
@@ -772,7 +790,7 @@ class Gallery:
             )
             for name, value in values.items()
         ]
-        self._dal.save_metrics(records)
+        self._dal.metadata.insert_metrics(records)
         for record in records:
             self.bus.publish(
                 Event(
@@ -807,13 +825,7 @@ class Gallery:
         """
         if scope is not None:
             scope = MetricScope.parse(scope)
-        records = [
-            record
-            for record in self.metrics_of(instance_id)
-            if record.name == name and (scope is None or record.scope is scope)
-        ]
-        records.sort(key=lambda r: (r.created_time, r.metric_id))
-        return records
+        return _history(self.metrics_of(instance_id), name, scope)
 
     def latest_metric(
         self,

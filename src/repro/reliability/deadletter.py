@@ -91,8 +91,8 @@ class DeadLetterQueue:
     """Bounded dead-letter queue kept in the metadata store's
     ``dead_letters`` table.
 
-    *store* is anything with the ``dead_letter_*`` methods: the DAL or a
-    :class:`~repro.store.metadata_store.MetadataStore`.  Every engine and
+    *store* is the :class:`~repro.store.metadata_store.MetadataStore` that
+    keeps the letters (a gallery's ``dal.metadata``).  Every engine and
     replica over one store sees the same queue, and on a file-backed store
     the parked actions survive a full restart.  Letters are stored as JSON
     documents beside promoted filter columns (rule_uuid, action,

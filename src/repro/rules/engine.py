@@ -120,9 +120,8 @@ class RuleEngine:
         #: the source's store when it has one (shared by every replica of
         #: that store), else in a private in-memory SQLite store
         if dead_letters is None:
-            store = getattr(source, "dal", None)
-            if store is None:
-                store = SQLiteMetadataStore(":memory:")
+            dal = getattr(source, "dal", None)
+            store = SQLiteMetadataStore(":memory:") if dal is None else dal.metadata
             dead_letters = DeadLetterQueue(store)
         self.dead_letters = dead_letters
         self.stats = EngineStats()

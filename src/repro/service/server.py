@@ -62,6 +62,14 @@ MUTATING_METHODS = frozenset(
 ADMIN_METHODS = frozenset({"fleetStatus", "fleetDrain", "fleetUndrain", "serverStats"})
 
 
+def _dedup_key(request: wire.Request) -> tuple[str, int] | None:
+    """``(client_id, request_id)`` when *request* is a mutation that carries
+    both, i.e. one that executes at most once; else None."""
+    if request.client_id and request.request_id and request.method in MUTATING_METHODS:
+        return (request.client_id, request.request_id)
+    return None
+
+
 class RequestDedupCache:
     """Request dedup backed by the metadata store, shared across replicas.
 
@@ -92,7 +100,7 @@ class RequestDedupCache:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._dal = dal
+        self._store = dal.metadata
         self._capacity = capacity
         self._takeover_after = takeover_after
         self._lock = threading.Lock()
@@ -100,7 +108,7 @@ class RequestDedupCache:
         self.misses = 0
 
     def claim(self, key: tuple[str, int]) -> tuple[str, bytes | None]:
-        outcome, response = self._dal.dedup_claim(
+        outcome, response = self._store.dedup_claim(
             key[0], key[1], takeover_after=self._takeover_after
         )
         with self._lock:
@@ -113,13 +121,13 @@ class RequestDedupCache:
     def complete(self, key: tuple[str, int], response: bytes) -> None:
         """Record *response*; the same commit evicts completed entries more
         than ``capacity`` claims behind the newest."""
-        self._dal.dedup_complete(key[0], key[1], response, self._capacity)
+        self._store.dedup_complete(key[0], key[1], response, self._capacity)
 
     def release(self, key: tuple[str, int]) -> None:
-        self._dal.dedup_release(key[0], key[1])
+        self._store.dedup_release(key[0], key[1])
 
     def __len__(self) -> int:
-        return int(self._dal.dedup_count())
+        return int(self._store.dedup_count())
 
 
 class GalleryService:
@@ -359,14 +367,7 @@ class GalleryService:
             request_id = wire.recover_request_id(data)
             frame = wire.encode_response(wire.error_response(exc, request_id))
             return wire.ResponseStream(single=frame, request_id=request_id)
-        if (
-            chunk_size <= 0
-            or (
-                request.client_id
-                and request.request_id
-                and request.method in MUTATING_METHODS
-            )
-        ):
+        if chunk_size <= 0 or _dedup_key(request) is not None:
             return wire.ResponseStream(
                 single=self._handle_request(request),
                 request_id=request.request_id,
@@ -396,13 +397,8 @@ class GalleryService:
                 self._end_request()
 
     def _execute_request(self, request: wire.Request) -> bytes:
-        dedup_key: tuple[str, int] | None = None
-        if (
-            request.client_id
-            and request.request_id
-            and request.method in MUTATING_METHODS
-        ):
-            dedup_key = (request.client_id, request.request_id)
+        dedup_key = _dedup_key(request)
+        if dedup_key is not None:
             try:
                 outcome, cached = self.dedup.claim(dedup_key)
             except Exception as exc:  # noqa: BLE001 - store down: stay retryable

@@ -1,14 +1,11 @@
 """Unified data access layer (Section 3.5).
 
-The DAL is the single gateway through which the registry touches storage.
-It enforces the paper's consistency discipline:
+The DAL owns the one protocol that spans both stores, and nothing else:
 
     "we always write model blobs first and only write the model metadata
     after the model blobs are successfully stored.  If the model blob of a
     model instance is saved but the metadata fails to save, then the model
     instance will not be available in the system."
-
-Consequences implemented here:
 
 * :meth:`DataAccessLayer.save_instance` writes the blob, then the metadata.
   A blob failure leaves *nothing* behind; a metadata failure leaves only an
@@ -19,20 +16,20 @@ Consequences implemented here:
   corruption.
 * The blob read path is MySQL → location → cache → blob store, populating
   the LRU cache on miss.
+
+Every other metadata operation (models, metrics, families, serving
+assignments, request dedup, dead letters) belongs to the metadata store
+itself, and callers reach it as :attr:`DataAccessLayer.metadata`.  The one
+forward left, :meth:`DataAccessLayer.serving_assignment`, says why it stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any
 
-from repro.core.records import (
-    MetricRecord,
-    Model,
-    ModelInstance,
-    ServingAssignment,
-)
-from repro.errors import BlobStoreError, ConsistencyError
+from repro.core.records import ModelInstance, ServingAssignment
+from repro.errors import ConsistencyError
 from repro.store.blob import BlobRange, BlobRegion, BlobStore, range_of_bytes
 from repro.store.cache import LRUBlobCache
 from repro.store.metadata_store import MetadataStore
@@ -81,113 +78,15 @@ class DataAccessLayer:
     def cache(self) -> LRUBlobCache | None:
         return self._cache
 
-    # -- control state --------------------------------------------------------
-    #
-    # Thin pass-throughs so the server's dedup cache and the engine's
-    # dead-letter queue stay behind the DAL rather than reaching into the
-    # concrete store.
-
-    def dedup_claim(
-        self,
-        client_id: str,
-        request_id: int,
-        *,
-        takeover_after: float = 5.0,
-    ) -> tuple[str, bytes | None]:
-        return self._metadata.dedup_claim(
-            client_id, request_id, takeover_after=takeover_after
-        )
-
-    def dedup_complete(
-        self,
-        client_id: str,
-        request_id: int,
-        response: bytes,
-        capacity: int | None = None,
-    ) -> None:
-        self._metadata.dedup_complete(client_id, request_id, response, capacity)
-
-    def dedup_release(self, client_id: str, request_id: int) -> None:
-        self._metadata.dedup_release(client_id, request_id)
-
-    def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
-        return self._metadata.dedup_trim_age(max_age, now)
-
-    def dedup_count(self) -> int:
-        return self._metadata.dedup_count()
-
-    def dead_letter_append(
-        self, rule_uuid: str, action: str, error_type: str, record: str
-    ) -> int:
-        return self._metadata.dead_letter_append(
-            rule_uuid, action, error_type, record
-        )
-
-    def dead_letters_list(
-        self,
-        *,
-        rule_uuid: str | None = None,
-        action: str | None = None,
-        error_type: str | None = None,
-    ) -> list[tuple[int, str]]:
-        return self._metadata.dead_letters_list(
-            rule_uuid=rule_uuid, action=action, error_type=error_type
-        )
-
-    def dead_letter_update(
-        self, letter_id: int, error_type: str, record: str
-    ) -> None:
-        self._metadata.dead_letter_update(letter_id, error_type, record)
-
-    def dead_letters_delete(self, letter_ids: Sequence[int]) -> int:
-        return self._metadata.dead_letters_delete(letter_ids)
-
-    def dead_letters_trim(self, max_entries: int) -> int:
-        return self._metadata.dead_letters_trim(max_entries)
-
-    def dead_letters_trim_age(
-        self, max_age: float, now: float | None = None
-    ) -> int:
-        return self._metadata.dead_letters_trim_age(max_age, now)
-
-    def dead_letters_count(self) -> int:
-        return self._metadata.dead_letters_count()
-
-    # -- families & serving assignments ----------------------------------------
-    #
-    # Serving assignments are registry state like any other record: reads and
-    # the atomic re-point go through the DAL so the registry never touches
-    # the concrete store, and the sharded backend routes by scope.
-
-    def models_in_family(self, family: str) -> list[Model]:
-        return self._metadata.models_in_family(family)
-
-    def instances_in_family(self, family: str) -> list[ModelInstance]:
-        return self._metadata.instances_in_family(family)
-
     def serving_assignment(self, scope: str) -> ServingAssignment:
+        # The one forward left, kept for measurement: ``servingFor`` is the
+        # only DAL call a ``serve_hot`` op makes, and gallerybench's traced
+        # run requires ``store.dal.self_us`` on that workload (it fails the
+        # run when the metric is not measured).  It goes when the benchmark
+        # retires that metric (ROADMAP 9(f)).
         return self._metadata.serving_assignment(scope)
 
-    def serving_assignments(self) -> list[ServingAssignment]:
-        return self._metadata.serving_assignments()
-
-    def assign_serving(
-        self,
-        scope: str,
-        instance_id: str,
-        *,
-        family: str = "",
-        now: float = 0.0,
-        reason: str = "",
-    ) -> tuple[ServingAssignment, bool]:
-        return self._metadata.assign_serving(
-            scope, instance_id, family=family, now=now, reason=reason
-        )
-
     # -- write path -----------------------------------------------------------
-
-    def save_model(self, model: Model) -> None:
-        self._metadata.insert_model(model)
 
     def save_instance(self, instance: ModelInstance, blob: bytes) -> ModelInstance:
         """Persist an instance using the write-blob-first protocol.
@@ -203,34 +102,7 @@ class DataAccessLayer:
             replace(instance, blob_location=location)
         )
 
-    def save_metric(self, metric: MetricRecord) -> None:
-        self._metadata.insert_metric(metric)
-
-    def save_metrics(self, metrics: Sequence[MetricRecord]) -> None:
-        """Persist a metric batch atomically (single transaction)."""
-        self._metadata.insert_metrics(list(metrics))
-
     # -- read path -------------------------------------------------------------
-
-    def load_blob(self, instance_id: str) -> bytes:
-        """Fetch an instance's blob: metadata → location → cache → store."""
-        instance = self._metadata.get_instance(instance_id)
-        location = instance.blob_location
-        if not location:
-            raise ConsistencyError(
-                f"instance {instance_id!r} has no blob location recorded"
-            )
-        if self._cache is not None:
-            cached = self._cache.get(location)
-            if cached is not None:
-                return cached
-        try:
-            data = self._blobs.get(location)
-        except BlobStoreError:
-            raise
-        if self._cache is not None:
-            self._cache.put(location, data)
-        return data
 
     def _blob_location(self, instance_id: str) -> str:
         instance = self._metadata.get_instance(instance_id)
@@ -240,6 +112,18 @@ class DataAccessLayer:
                 f"instance {instance_id!r} has no blob location recorded"
             )
         return location
+
+    def load_blob(self, instance_id: str) -> bytes:
+        """Fetch an instance's blob: metadata → location → cache → store."""
+        location = self._blob_location(instance_id)
+        if self._cache is not None:
+            cached = self._cache.get(location)
+            if cached is not None:
+                return cached
+        data = self._blobs.get(location)
+        if self._cache is not None:
+            self._cache.put(location, data)
+        return data
 
     def load_blob_payload(self, instance_id: str) -> "bytes | BlobRegion":
         """Fetch an instance's blob for *serving*: zero-copy when possible.
@@ -280,25 +164,27 @@ class DataAccessLayer:
 
     # -- maintenance --------------------------------------------------------
 
-    def referenced_locations(self) -> set[str]:
-        """Blob locations reachable from instance metadata."""
-        return {
-            inst.blob_location
+    def _instance_locations(self) -> list[tuple[str, str]]:
+        """``(instance_id, blob_location)`` of every instance that has a
+        location: one pass over the instance table."""
+        return [
+            (inst.instance_id, inst.blob_location)
             for inst in self._metadata.iter_instances()
             if inst.blob_location
-        }
+        ]
+
+    def referenced_locations(self) -> set[str]:
+        """Blob locations reachable from instance metadata."""
+        return {location for _, location in self._instance_locations()}
 
     def audit_consistency(self) -> ConsistencyReport:
         """Cross-check metadata against the blob store (Section 3.5)."""
-        referenced = self.referenced_locations()
+        located = self._instance_locations()
         stored = set(self._blobs.locations())
+        referenced = {location for _, location in located}
         orphans = tuple(sorted(stored - referenced))
         dangling = tuple(
-            sorted(
-                inst.instance_id
-                for inst in self._metadata.iter_instances()
-                if inst.blob_location and inst.blob_location not in stored
-            )
+            sorted(iid for iid, location in located if location not in stored)
         )
         return ConsistencyReport(orphan_blobs=orphans, dangling_instances=dangling)
 

@@ -94,9 +94,9 @@ _MUTABLE_MODEL_FIELDS = {
 _MUTABLE_INSTANCE_FIELDS = {"deprecated", "enabled"}
 
 #: Instance columns a narrowing read may test with ``=``: the promoted
-#: standard fields plus the two routing identifiers.  Only these names are
-#: ever formatted into SQL text.
-_KEY_COLUMNS = frozenset(INDEXED_FIELDS) | {"base_version_id", "model_id"}
+#: standard fields, the two routing identifiers and the family.  Only these
+#: names are ever formatted into SQL text.
+_KEY_COLUMNS = frozenset(INDEXED_FIELDS) | {"base_version_id", "model_id", "family"}
 
 _R = TypeVar("_R")
 
@@ -214,9 +214,6 @@ class MetadataStore(ABC):
         """Every requested model id maps to its (possibly empty) list of
         instances, ordered by creation time."""
 
-    def instances_of_base_version(self, base_version_id: str) -> list[ModelInstance]:
-        return self.find_instances_by_field("base_version_id", base_version_id)
-
     @abstractmethod
     def find_instances_by_field(
         self,
@@ -226,12 +223,12 @@ class MetadataStore(ABC):
     ) -> list[ModelInstance]:
         """Instances whose *field* column equals *value*, narrowed by *also*.
 
-        *field* is an indexed standard-metadata column, ``base_version_id``
-        or ``model_id``, or None for no strict condition.  Each ``(key,
-        expected)`` in *also* keeps only rows whose own metadata either
-        lacks *key* or holds *expected* there: a necessary condition for a
-        search document to match, never a sufficient one.  Rows come back
-        ordered by creation time.
+        *field* is an indexed standard-metadata column, ``base_version_id``,
+        ``model_id`` or ``family``, or None for no strict condition.  Each
+        ``(key, expected)`` in *also* keeps only rows whose own metadata
+        either lacks *key* or holds *expected* there: a necessary condition
+        for a search document to match, never a sufficient one.  Rows come
+        back ordered by creation time.
         """
 
     # -- metrics -------------------------------------------------------------
@@ -288,10 +285,6 @@ class MetadataStore(ABC):
     @abstractmethod
     def models_in_family(self, family: str) -> list[Model]:
         """Models grouped under *family*, ordered by creation time."""
-
-    @abstractmethod
-    def instances_in_family(self, family: str) -> list[ModelInstance]:
-        """Instances grouped under *family*, ordered by creation time."""
 
     # -- serving assignments ---------------------------------------------------
     #
@@ -1006,13 +999,6 @@ class SQLiteMetadataStore(MetadataStore):
         hits = [m for m in self.iter_models() if m.family == family]
         hits.sort(key=lambda m: m.created_time)
         return hits
-
-    def instances_in_family(self, family: str) -> list[ModelInstance]:
-        rows = self._read(
-            "SELECT record FROM instances WHERE family = ? ORDER BY created_time",
-            (family,),
-        )
-        return list(_records(ModelInstance, rows))
 
     # -- serving assignments ---------------------------------------------------
 

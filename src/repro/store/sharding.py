@@ -1,4 +1,4 @@
-"""Sharded metadata plane: hash-partitioned SQLite shards (ROADMAP item 1).
+"""Sharded metadata plane: hash-partitioned SQLite shards.
 
 The paper sizes Gallery against Michelangelo-scale inventories — ">1M model
 instances" — and a single SQLite file is the throughput and capacity ceiling
@@ -338,16 +338,11 @@ class ShardedMetadataStore(MetadataStore):
                 )
             return self._executor
 
-    def _scatter(self, fn: Callable[[MetadataStore], Any]) -> list[Any]:
-        """Commit *fn* on every shard in parallel; results in shard order."""
-        if len(self._shards) == 1:
-            return [fn(self._shards[0])]
-        return list(self._pool().map(fn, self._shards))
-
     def _scatter_zip(
         self, fn: Callable[[MetadataStore, Any], Any], args: Sequence[Any]
     ) -> list[Any]:
-        """Like :meth:`_scatter`, pairing each shard with its own argument."""
+        """Commit ``fn(shard, arg)`` on every shard in parallel, each shard
+        with its own argument; results in shard order."""
         if len(self._shards) == 1:
             return [fn(self._shards[0], args[0])]
         return list(self._pool().map(fn, self._shards, args))
@@ -624,13 +619,6 @@ class ShardedMetadataStore(MetadataStore):
         merged.sort(key=lambda m: (m.created_time, m.model_id))
         return merged
 
-    def instances_in_family(self, family: str) -> list[ModelInstance]:
-        merged: list[ModelInstance] = []
-        for shard in self._shards:
-            merged.extend(shard.instances_in_family(family))
-        merged.sort(key=self._instance_sort_key)
-        return merged
-
     # -- serving assignments ---------------------------------------------------
     #
     # Routed by ``scope``: the atomic read-modify-write inside the owning
@@ -749,7 +737,10 @@ class ShardedMetadataStore(MetadataStore):
 
     def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
         return sum(
-            self._scatter(lambda shard: shard.dedup_trim_age(max_age, now))
+            self._scatter_zip(
+                lambda shard, age: shard.dedup_trim_age(age, now),
+                [max_age] * len(self._shards),
+            )
         )
 
     def dedup_count(self) -> int:
@@ -834,8 +825,9 @@ class ShardedMetadataStore(MetadataStore):
         self, max_age: float, now: float | None = None
     ) -> int:
         return sum(
-            self._scatter(
-                lambda shard: shard.dead_letters_trim_age(max_age, now)
+            self._scatter_zip(
+                lambda shard, age: shard.dead_letters_trim_age(age, now),
+                [max_age] * len(self._shards),
             )
         )
 

@@ -11,6 +11,8 @@ serves from.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.clock import ManualClock
@@ -147,6 +149,65 @@ class TestModelQueryIsBatched:
         hits = gallery.model_query(CITY_QUERY)
         assert len(hits) == 20
         assert built == [], "the metric matcher decoded whole records"
+
+
+def _seed_scored_family(gallery, family, size):
+    """*size* members of *family*: most report ``mape`` more than once and
+    in two scopes, every fifth never reports it, and a few are disabled."""
+    values = random.Random(size)
+    for index in range(size):
+        instance = gallery.upload_model("p", "demand", blob=b"f", family=family)
+        iid = instance.instance_id
+        gallery.insert_metric(iid, "bias", values.random())
+        if index % 5:
+            gallery.insert_metric(iid, "mape", values.random(), scope="Production")
+            gallery.insert_metric(iid, "mape", values.random())
+        if index % 3 == 1:
+            gallery.insert_metric(iid, "mape", values.random())
+        if index % 7 == 3:
+            gallery.disable_instance(iid)
+
+
+def _reference_pick(gallery, family, mode, scope=None):
+    """``best_in_family`` as one ``latest_metric`` read per candidate."""
+    candidates = gallery.instances_in_family(family)
+    scored = [
+        (i, gallery.latest_metric(i.instance_id, "mape", scope=scope))
+        for i in candidates
+    ]
+    measured = [(i, v) for i, v in scored if v is not None]
+    if not measured:
+        return candidates[-1].instance_id
+    pick = min if mode == "min" else max
+    return pick(measured, key=lambda pair: pair[1])[0].instance_id
+
+
+class TestFamilySwitchIsBatched:
+    def test_switch_reads_metrics_once_whatever_the_family_size(
+        self, metadata_store
+    ):
+        gallery, store = _counted_gallery(metadata_store)
+        calls = {}
+        for size in (5, 40):
+            family = f"fam-{size}"
+            _seed_scored_family(gallery, family, size)
+            for mode in ("min", "max"):
+                expected = _reference_pick(gallery, family, mode)
+                store.reset()
+                assignment = gallery.switch_family(
+                    f"scope-{size}-{mode}", family, metric="mape", mode=mode
+                )
+                calls[size, mode] = dict(store.calls)
+                assert assignment.instance_id == expected
+                for scope in ("Production", "Training"):
+                    best = gallery.best_in_family(family, "mape", mode, scope=scope)
+                    assert best.instance_id == _reference_pick(
+                        gallery, family, mode, scope=scope
+                    )
+        assert calls[5, "min"] == calls[40, "min"] == calls[5, "max"]
+        assert calls[5, "max"] == calls[40, "max"]
+        assert calls[40, "min"]["metrics_for_instances"] == 1
+        assert "metrics_of_instance" not in calls[40, "min"]
 
 
 def _eq(field, value):

@@ -230,13 +230,13 @@ class TestServingSwitchAcrossReplicas:
         y = a.upload_model("p", "demand", blob=b"y")
         a.assign_serving("s", x.instance_id)
         b = open_gallery(tmp_path, seed=2)
-        store_write = a.dal.assign_serving
+        store_write = a.dal.metadata.assign_serving
 
         def raced(*args, **kwargs):
             b.assign_serving("s", {"x": x, "y": y}[peer_switch_to].instance_id)
             return store_write(*args, **kwargs)
 
-        monkeypatch.setattr(a.dal, "assign_serving", raced)
+        monkeypatch.setattr(a.dal.metadata, "assign_serving", raced)
         return a, x, y
 
     @staticmethod

@@ -53,7 +53,7 @@ def dal(tmp_path):
 
 @pytest.fixture
 def queue(dal):
-    return DeadLetterQueue(dal)
+    return DeadLetterQueue(dal.metadata)
 
 
 class FlakyAction:
@@ -106,7 +106,7 @@ class TestParkAndQuery:
 
     def test_bounded_queue_evicts_oldest(self, registry, dal):
         registry.register("explode", lambda ctx: 1 / 0)
-        queue = DeadLetterQueue(dal, max_entries=2)
+        queue = DeadLetterQueue(dal.metadata, max_entries=2)
         for n in range(3):
             queue.append(registry.execute(make_context("explode", instance=f"i-{n}")))
         assert len(queue) == 2
@@ -160,12 +160,12 @@ class TestDurability:
     def test_letters_survive_a_full_restart(self, registry, tmp_path):
         registry.register("explode", lambda ctx: 1 / 0)
         dal = build_dal(tmp_path)
-        queue = DeadLetterQueue(dal)
+        queue = DeadLetterQueue(dal.metadata)
         parked = queue.append(registry.execute(make_context("explode")))
         dal.metadata.close()
 
         # "restart": a brand-new store + DAL + queue over the same file
-        revived = DeadLetterQueue(build_dal(tmp_path))
+        revived = DeadLetterQueue(build_dal(tmp_path).metadata)
         (letter,) = revived.entries()
         assert letter.letter_id == parked.letter_id
         assert letter.error_type == "ZeroDivisionError"
@@ -174,8 +174,8 @@ class TestDurability:
         self, registry, dal
     ):
         registry.register("explode", lambda ctx: 1 / 0)
-        replica_a = DeadLetterQueue(dal)
-        replica_b = DeadLetterQueue(dal)
+        replica_a = DeadLetterQueue(dal.metadata)
+        replica_b = DeadLetterQueue(dal.metadata)
         replica_a.append(registry.execute(make_context("explode")))
         assert len(replica_b) == 1
         replica_b.purge()
@@ -192,7 +192,7 @@ class TestEngineAutoSelection:
             engine.actions.execute(make_context("missing-action"))
         )
         # the letter is a row in the gallery's store, not process memory
-        assert dal.dead_letters_count() == 1
+        assert dal.metadata.dead_letters_count() == 1
 
     def test_explicit_queue_wins(self, tmp_path):
         dal = build_dal(tmp_path)

@@ -196,19 +196,19 @@ class TestDalPassthrough:
         dal = DataAccessLayer(
             store, FilesystemBlobStore(tmp_path / "blobs"), LRUBlobCache(4)
         )
-        assert dal.dedup_claim("c1", 1) == ("owner", None)
-        dal.dedup_complete("c1", 1, b"resp")
-        assert dal.dedup_claim("c1", 1) == ("done", b"resp")
-        assert dal.dedup_claim("c1", 2) == ("owner", None)
-        dal.dedup_release("c1", 2)  # release only drops pending claims
-        assert dal.dedup_count() == 1
-        assert dal.dedup_claim("c1", 2) == ("owner", None)
-        letter_id = dal.dead_letter_append("r1", "deploy", "OSError", "{}")
-        assert dal.dead_letters_count() == 1
-        assert dal.dead_letters_list() == [(letter_id, "{}")]
-        dal.dead_letter_update(letter_id, "ValueError", '{"u": 1}')
-        assert dal.dead_letters_trim(5) == 0
-        assert dal.dead_letters_delete([letter_id]) == 1
+        assert dal.metadata.dedup_claim("c1", 1) == ("owner", None)
+        dal.metadata.dedup_complete("c1", 1, b"resp")
+        assert dal.metadata.dedup_claim("c1", 1) == ("done", b"resp")
+        assert dal.metadata.dedup_claim("c1", 2) == ("owner", None)
+        dal.metadata.dedup_release("c1", 2)  # release only drops pending claims
+        assert dal.metadata.dedup_count() == 1
+        assert dal.metadata.dedup_claim("c1", 2) == ("owner", None)
+        letter_id = dal.metadata.dead_letter_append("r1", "deploy", "OSError", "{}")
+        assert dal.metadata.dead_letters_count() == 1
+        assert dal.metadata.dead_letters_list() == [(letter_id, "{}")]
+        dal.metadata.dead_letter_update(letter_id, "ValueError", '{"u": 1}')
+        assert dal.metadata.dead_letters_trim(5) == 0
+        assert dal.metadata.dead_letters_delete([letter_id]) == 1
 
 
 class TestAgeBasedRetention:
@@ -282,9 +282,9 @@ class TestAgeBasedRetention:
         dal = DataAccessLayer(
             store, FilesystemBlobStore(tmp_path / "blobs"), LRUBlobCache(4)
         )
-        dal.dedup_claim("c1", 1)
-        dal.dedup_complete("c1", 1, b"resp")
-        dal.dead_letter_append("r1", "deploy", "OSError", "{}")
+        dal.metadata.dedup_claim("c1", 1)
+        dal.metadata.dedup_complete("c1", 1, b"resp")
+        dal.metadata.dead_letter_append("r1", "deploy", "OSError", "{}")
         later = time.time() + 3600
-        assert dal.dedup_trim_age(60, now=later) == 1
-        assert dal.dead_letters_trim_age(60, now=later) == 1
+        assert dal.metadata.dedup_trim_age(60, now=later) == 1
+        assert dal.metadata.dead_letters_trim_age(60, now=later) == 1

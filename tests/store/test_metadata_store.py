@@ -100,7 +100,7 @@ class TestInstances:
         metadata_store.insert_instance(
             instance("i2", base_version_id="supply")
         )
-        hits = metadata_store.instances_of_base_version("demand")
+        hits = metadata_store.find_instances_by_field("base_version_id", "demand")
         assert [i.instance_id for i in hits] == ["i1"]
 
     def test_indexed_field_lookup(self, metadata_store):
@@ -189,7 +189,7 @@ class TestFamilies:
             instance("early", family="sf:rf", created_time=1.0)
         )
         metadata_store.insert_instance(instance("other", family="nyc:rf"))
-        members = metadata_store.instances_in_family("sf:rf")
+        members = metadata_store.find_instances_by_field("family", "sf:rf")
         assert [i.instance_id for i in members] == ["early", "late"]
 
     def test_models_in_family(self, metadata_store):

@@ -70,7 +70,8 @@ class TestRoutingAndSurface:
         assert store.get_instance("i3-1").model_id == "m3"
         assert len(store.get_models([f"m{i}" for i in range(8)])) == 8
         assert [
-            inst.instance_id for inst in store.instances_of_base_version("base-2")
+            inst.instance_id
+            for inst in store.find_instances_by_field("base_version_id", "base-2")
         ] == ["i2-0", "i2-1", "i2-2"]
         assert len(store.find_instances_by_field("model_id", "m5")) == 3
         grouped = store.instances_for_models(["m1", "m6", "ghost"])
@@ -202,7 +203,7 @@ class TestReadsStayOnTheCallingThread:
             lambda: store.metrics_for_instances(ids),
             lambda: store.metric_values_for_instances(ids, name="bias"),
             lambda: store.models_in_family(""),
-            lambda: store.instances_in_family(""),
+            lambda: store.find_instances_by_field("family", ""),
             lambda: store.serving_assignments(),
             lambda: store.serving_assignment_count(),
             lambda: store.counts(),
@@ -320,7 +321,10 @@ class TestRebalanceTools:
             }
             for i in range(16):
                 assert after.get_model(f"m{i}").model_id == f"m{i}"
-                assert len(after.instances_of_base_version(f"base-{i}")) == 2
+                assert (
+                    len(after.find_instances_by_field("base_version_id", f"base-{i}"))
+                    == 2
+                )
                 owner = after.shard_map.shard_for(f"base-{i}")
                 if before[f"m{i}"] == 1:
                     assert owner == 1  # untouched shard: nothing moved

@@ -180,7 +180,7 @@ def park_failed_action(data_dir, action="alert", rule="r-1", instance="i-1"):
         document={"instance_id": instance},
         timestamp=100.0,
     )
-    letter = DeadLetterQueue(gallery.dal).append(broken.execute(context))
+    letter = DeadLetterQueue(gallery.dal.metadata).append(broken.execute(context))
     gallery.dal.metadata.close()
     return letter
 
@@ -256,8 +256,8 @@ class TestGcRetention:
         gallery = build_gallery(
             metadata_backend="sqlite", blob_backend="fs", data_dir=Path(data_dir)
         )
-        gallery.dal.dedup_claim("cli-client", 7)
-        gallery.dal.dedup_complete("cli-client", 7, b"resp")
+        gallery.dal.metadata.dedup_claim("cli-client", 7)
+        gallery.dal.metadata.dedup_complete("cli-client", 7, b"resp")
         # A generous horizon keeps everything.
         code, kept = run(
             capsys, "--data-dir", data_dir, "gc",
