@@ -71,6 +71,11 @@ def _locked(method):
     return wrapper
 
 
+def _recency(record: MetricRecord) -> tuple[float, str]:
+    """The one metric order: oldest first, ``metric_id`` breaking ties."""
+    return (record.created_time, record.metric_id)
+
+
 def _history(
     records: Iterable[MetricRecord], name: str, scope: MetricScope | None
 ) -> list[MetricRecord]:
@@ -78,8 +83,25 @@ def _history(
     history = [
         r for r in records if r.name == name and (scope is None or r.scope is scope)
     ]
-    history.sort(key=lambda r: (r.created_time, r.metric_id))
+    history.sort(key=_recency)
     return history
+
+
+def _latest_metrics(
+    records: Iterable[MetricRecord], preferred_scope: MetricScope | None
+) -> dict[str, float]:
+    """Each metric name's latest value, in :func:`_history`'s order.
+
+    A name measured in *preferred_scope* takes its latest value there;
+    any other name falls back to its latest value in any scope.
+    """
+    ordered = sorted(records, key=_recency)
+    latest = {record.name: record.value for record in ordered}
+    if preferred_scope is not None:
+        latest.update(
+            {r.name: r.value for r in ordered if r.scope is preferred_scope}
+        )
+    return latest
 
 
 class Gallery:
@@ -1023,7 +1045,7 @@ class Gallery:
         documents: list[CandidateDocument] = []
         for instance in live:
             document = flattened[instance.instance_id]
-            document["metrics"] = self._latest_metrics(
+            document["metrics"] = _latest_metrics(
                 metrics_map.get(instance.instance_id, []), preferred_scope
             )
             documents.append(
@@ -1031,25 +1053,6 @@ class Gallery:
             )
         documents.sort(key=lambda d: d.instance_id)
         return documents
-
-    def _latest_metrics(
-        self, records: Iterable[MetricRecord], preferred_scope: MetricScope | None
-    ) -> dict[str, float]:
-        latest_any: dict[str, tuple[float, float]] = {}
-        latest_scoped: dict[str, tuple[float, float]] = {}
-        for record in records:
-            stamp = (record.created_time, record.value)
-            if record.name not in latest_any or stamp[0] >= latest_any[record.name][0]:
-                latest_any[record.name] = stamp
-            if preferred_scope is not None and record.scope is preferred_scope:
-                if (
-                    record.name not in latest_scoped
-                    or stamp[0] >= latest_scoped[record.name][0]
-                ):
-                    latest_scoped[record.name] = stamp
-        merged = {name: value for name, (_, value) in latest_any.items()}
-        merged.update({name: value for name, (_, value) in latest_scoped.items()})
-        return merged
 
     # ------------------------------------------------------------------
     # Health (Section 3.6)

@@ -10,8 +10,6 @@ major subsystems of the paper: storage (Section 3.5), versioning (Section
 
 from __future__ import annotations
 
-import re
-
 
 class GalleryError(Exception):
     """Base class for every error raised by this library."""
@@ -139,39 +137,6 @@ class ReplicaDrainingError(ServiceError):
     failover client re-sends it to a different replica without penalizing
     the draining one's circuit breaker.
     """
-
-
-class RateLimitedError(ServiceError):
-    """The replica refused the request because a tenant is over budget.
-
-    Answered by the server's QoS layer when a ``client_id``'s token bucket
-    is empty.  Like :class:`ReplicaDrainingError` it is a *routing* signal,
-    not a failure — the request was never executed, so a failover client
-    re-sends it to a different replica (or backs off ``retry_after``
-    seconds) without penalizing this replica's circuit breaker or burning
-    the retry budget.
-
-    The wire carries only the error type and message, so the server embeds
-    the hint as ``retry_after=<seconds>s`` inside the message and this
-    class re-parses it on construction; ``retry_after`` therefore survives
-    a round-trip through :meth:`repro.service.wire.Response.raise_if_error`.
-    """
-
-    #: Back-off hint when the message carries none.
-    DEFAULT_RETRY_AFTER = 0.05
-
-    def __init__(self, message: str = "", retry_after: float | None = None):
-        if retry_after is None:
-            match = re.search(r"retry_after=([0-9.]+)", message)
-            if match is not None:
-                try:
-                    retry_after = float(match.group(1))
-                except ValueError:
-                    retry_after = None
-        if retry_after is None:
-            retry_after = self.DEFAULT_RETRY_AFTER
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class FleetRegistryError(ServiceError):

@@ -8,11 +8,7 @@ URL into a ready :class:`GalleryClient` over a breaker-aware
             -> GalleryTcpServer -> GalleryService
 """
 
-from repro.service.batching import (
-    BATCHABLE_METHODS,
-    BatchConfig,
-    ReadBatcher,
-)
+from repro.service.batching import BATCHABLE_METHODS, ReadBatcher
 from repro.service.client import (
     ClientPipeline,
     GalleryClient,
@@ -51,7 +47,6 @@ from repro.service.wire import (
 
 __all__ = [
     "BATCHABLE_METHODS",
-    "BatchConfig",
     "ClientPipeline",
     "Endpoint",
     "EndpointSet",

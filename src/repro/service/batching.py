@@ -1,4 +1,4 @@
-"""Server-side micro-batching + multi-tenant QoS for the read path.
+"""Server-side micro-batching for the read path.
 
 One replica, N concurrent readers: without batching every ``modelQuery`` /
 ``getModel`` / metric read costs its own trip into the sharded store, even
@@ -21,18 +21,11 @@ and the batched executors amortise over whatever is already queued.
 Requests that arrive while a batch executes form the next batch, so batch
 size follows load with no timer to tune.
 
-The same queue is fronted by multi-tenant QoS:
-
-* **Token buckets** per ``client_id`` (absent ids share one "anonymous"
-  bucket).  An over-budget request is refused immediately with a typed,
-  retryable :class:`~repro.errors.RateLimitedError` carrying a
-  ``retry_after`` hint — a routing signal, not a failure, which
-  :class:`~repro.service.endpoints.FailoverTransport` obeys by re-sending
-  elsewhere without penalizing this replica's breaker.
-* **Two weighted lanes** (``interactive`` vs ``bulk``, chosen by the
-  request's wire-level ``lane`` field).  The collector drains four
-  interactive waiters for every bulk one, so a bulk tenant at 10x offered
-  load cannot starve interactive reads of the batch budget.
+The batcher admits every read it is offered.  It drains two weighted
+lanes (``interactive`` vs ``bulk``, chosen by the request's wire-level
+``lane`` field): four interactive waiters for every bulk one, so a bulk
+tenant at 10x offered load cannot starve interactive reads of the batch
+budget.  The batcher has no settings.
 
 Mutations, blob streaming, and admin/drain methods never enter the queue:
 the event loop routes on :func:`~repro.service.wire.peek_method` and sends
@@ -43,25 +36,17 @@ same way, before decoding any params, when called directly.
 from __future__ import annotations
 
 import json
-import math
 import threading
-import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.errors import NotFoundError, RateLimitedError
+from repro.errors import NotFoundError
 
 from . import wire
 
-__all__ = [
-    "BATCHABLE_METHODS",
-    "ANONYMOUS_TENANT",
-    "BatchConfig",
-    "ReadBatcher",
-    "TokenBucket",
-]
+__all__ = ["BATCHABLE_METHODS", "ReadBatcher"]
 
 #: Read-class methods eligible for cross-request batching.  Everything
 #: else — mutations (dedup-cached), blob streaming (chunked responses),
@@ -81,9 +66,6 @@ BATCHABLE_METHODS = frozenset(
     }
 )
 
-#: Bucket shared by every request that carries no ``client_id``.
-ANONYMOUS_TENANT = "<anonymous>"
-
 #: Most waiters the collector takes off the lanes as one batch.
 _MAX_BATCH = 64
 
@@ -92,76 +74,6 @@ _LANE_WEIGHTS = ((wire.LANE_INTERACTIVE, 4), (wire.LANE_BULK, 1))
 
 #: Batch-size histogram bucket labels (upper bounds; last is open-ended).
 _HISTOGRAM_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-
-
-@dataclass(frozen=True, slots=True)
-class BatchConfig:
-    """Per-tenant rate limiting in front of the read-path batcher.
-
-    ``rate_limit`` is tokens (requests) per second per tenant;
-    ``burst`` is the bucket capacity (defaults to one second of refill,
-    and never less than one token).  ``None`` disables rate limiting —
-    lanes and coalescing still apply.  A limit the buckets could not
-    apply as given is refused with ``ValueError``.
-    """
-
-    rate_limit: float | None = None
-    burst: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.rate_limit is None:
-            if self.burst is not None:
-                raise ValueError("burst needs a rate_limit")
-            return
-        if not 0 < self.rate_limit < math.inf:
-            raise ValueError("rate_limit must be positive and finite (or None)")
-        if self.burst is not None and not 1 <= self.burst < math.inf:
-            raise ValueError("burst must be >= 1 and finite")
-
-    @property
-    def bucket_capacity(self) -> float | None:
-        """The capacity every tenant bucket gets; ``None`` when unlimited."""
-        if self.rate_limit is None:
-            return None
-        return self.burst if self.burst is not None else max(self.rate_limit, 1.0)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Config as stamped into ``serverStats``."""
-        return {"rate_limit": self.rate_limit, "burst": self.bucket_capacity}
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/sec, capped at ``capacity``.
-
-    Not thread-safe on its own — the batcher serializes access under its
-    queue lock.
-    """
-
-    __slots__ = ("rate", "capacity", "tokens", "updated", "refusals")
-
-    def __init__(self, rate: float, capacity: float, now: float) -> None:
-        self.rate = rate
-        self.capacity = max(capacity, 1.0)
-        self.tokens = self.capacity
-        self.updated = now
-        self.refusals = 0
-
-    def try_take(self, now: float) -> bool:
-        elapsed = now - self.updated
-        if elapsed > 0:
-            self.tokens = min(self.capacity, self.tokens + elapsed * self.rate)
-            self.updated = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def retry_after(self) -> float:
-        """Seconds until one token is available again."""
-        deficit = 1.0 - self.tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit / self.rate
 
 
 @dataclass(slots=True)
@@ -190,25 +102,17 @@ class ReadBatcher:
     undecodable, replica draining, batcher closed) — the caller then
     dispatches on its worker pool.  ``True`` means the batcher took
     ownership: the ``deliver`` callback will be invoked exactly once with
-    the encoded response frame, from the collector thread (or inline, for
-    QoS refusals).
+    the encoded response frame, from the collector thread (or inline,
+    when ``offer`` races :meth:`close`).
     """
 
-    def __init__(
-        self,
-        service: Any,
-        config: BatchConfig | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, service: Any) -> None:
         self._service = service
-        self.config = config or BatchConfig()
-        self._clock = clock
         self._cond = threading.Condition()
         self._lanes: dict[str, deque[_Waiter]] = {
             wire.LANE_INTERACTIVE: deque(),
             wire.LANE_BULK: deque(),
         }
-        self._buckets: dict[str, TokenBucket] = {}
         self._collector: threading.Thread | None = None
         self._stopped = False
         # -- counters (guarded by _cond's lock) --
@@ -220,7 +124,6 @@ class ReadBatcher:
             0,
         )
         self._admitted = {wire.LANE_INTERACTIVE: 0, wire.LANE_BULK: 0}
-        self._refusals = 0
         self._dal_batched_calls = {
             "getModel": 0,
             "metricsOf": 0,
@@ -241,10 +144,6 @@ class ReadBatcher:
             return False
         if self._service.draining:
             return False  # normal path issues the typed drain refusal
-        refusal = self._refuse_over_limit(request)
-        if refusal is not None:
-            deliver(refusal)
-            return True
         counted = self._service._begin_request(request)
         waiter = _Waiter(request=request, deliver=deliver, counted=counted)
         lane = request.lane if request.lane in self._lanes else wire.LANE_INTERACTIVE
@@ -260,31 +159,6 @@ class ReadBatcher:
         # Raced with close(): answer inline so the waiter is never dropped.
         self._execute_batch([waiter])
         return True
-
-    def _refuse_over_limit(self, request: wire.Request) -> bytes | None:
-        """The QoS rejection frame for *request*, or ``None`` when admitted."""
-        rate = self.config.rate_limit
-        if rate is None:
-            return None
-        tenant = request.client_id or ANONYMOUS_TENANT
-        now = self._clock()
-        with self._cond:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                bucket = TokenBucket(rate, self.config.bucket_capacity, now)
-                self._buckets[tenant] = bucket
-            if bucket.try_take(now):
-                return None
-            bucket.refusals += 1
-            self._refusals += 1
-            retry_after = max(bucket.retry_after(), 0.001)
-        exc = RateLimitedError(
-            f"tenant {tenant!r} is over its read rate limit"
-            f" ({rate:g}/s): request was not executed;"
-            f" retry_after={retry_after:.3f}s or send it to another replica",
-            retry_after=retry_after,
-        )
-        return wire.encode_response(wire.error_response(exc, request.request_id))
 
     # -- collector -----------------------------------------------------------
 
@@ -500,22 +374,9 @@ class ReadBatcher:
 
     def stats_snapshot(self) -> dict[str, Any]:
         """Live counters, as exposed by ``serverStats`` / ``gallery gc``."""
-        now = self._clock()
         with self._cond:
             batched = self._batched_requests
-            tenants = {}
-            for tenant, bucket in self._buckets.items():
-                # peek the refilled level without consuming a token
-                level = min(
-                    bucket.capacity,
-                    bucket.tokens + max(0.0, now - bucket.updated) * bucket.rate,
-                )
-                tenants[tenant] = {
-                    "tokens": round(level, 3),
-                    "refusals": bucket.refusals,
-                }
             return {
-                "config": self.config.to_dict(),
                 "batches": self._batches,
                 "batched_requests": batched,
                 "coalesced": self._coalesced,
@@ -528,8 +389,10 @@ class ReadBatcher:
                     lane: len(q) for lane, q in self._lanes.items()
                 },
                 "admitted": dict(self._admitted),
-                "refusals": self._refusals,
-                "tenants": tenants,
+                # The batcher refuses nothing.  The key stays, always 0,
+                # while gallerybench reports it as service.batching.refusals
+                # (ROADMAP 9(h) retires both).
+                "refusals": 0,
             }
 
     def close(self) -> None:

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import (
     CircuitOpenError,
-    RateLimitedError,
     ServiceError,
     ValidationError,
 )
@@ -96,6 +95,27 @@ class Endpoint:
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
+
+
+def add_endpoint(text: str, endpoints: list[Endpoint]) -> None:
+    """Parse one ``host:port`` and append it to *endpoints*.
+
+    A bad or repeated one raises ``ValueError`` whose message completes
+    "<text> ..."; :meth:`EndpointSet.parse` and ``membership.parse_registry``
+    re-raise it as their own error type, each with its own prefix.
+    """
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError("must be host:port (port is required)")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError("has a non-numeric port") from None
+    if not 0 < port < 65536:
+        raise ValueError("has a port out of range")
+    if (endpoint := Endpoint(host, port)) in endpoints:
+        raise ValueError("is a duplicate endpoint")
+    endpoints.append(endpoint)
 
 
 def parse_endpoint_options(query: str) -> dict[str, Any]:
@@ -184,32 +204,15 @@ class EndpointSet:
             raise ValidationError(f"no endpoints in URL {url!r}")
 
         endpoints: list[Endpoint] = []
-        seen: set[tuple[str, int]] = set()
         for part in netloc.split(","):
             part = part.strip()
             if not part:
                 raise ValidationError(f"empty endpoint in URL {url!r}")
-            host, sep, port_text = part.rpartition(":")
-            if not sep or not host:
-                raise ValidationError(
-                    f"endpoint {part!r} must be host:port (port is required)"
-                )
             try:
-                port = int(port_text)
-            except ValueError:
-                raise ValidationError(
-                    f"endpoint {part!r} has a non-numeric port"
-                ) from None
-            if not 0 < port < 65536:
-                raise ValidationError(f"endpoint {part!r} port out of range")
-            if (host, port) in seen:
-                raise ValidationError(f"duplicate endpoint {part!r} in URL")
-            seen.add((host, port))
-            endpoints.append(Endpoint(host, port))
-
-        return cls(
-            endpoints=tuple(endpoints), **parse_endpoint_options(query)
-        )
+                add_endpoint(part, endpoints)
+            except ValueError as exc:
+                raise ValidationError(f"endpoint {part!r} {exc}") from None
+        return cls(endpoints=tuple(endpoints), **parse_endpoint_options(query))
 
 
 class _ResolvedExchange:
@@ -364,14 +367,6 @@ class FailoverTransport:
       replica rejoins with no push notification needed).  Only when every
       replica reports draining does the typed error surface to the
       caller, who can retry later.
-    * **Rate-limit reroutes**: a replica answering
-      :class:`~repro.errors.RateLimitedError` likewise *never executed
-      the request* — its QoS layer refused this tenant — so the call is
-      re-sent to a different replica with no breaker penalty and no
-      retry-budget charge.  When *every* replica refuses, the transport
-      honours the smallest advertised ``retry_after`` once before one
-      more sweep; if the fleet is still refusing, the typed retryable
-      error surfaces to the caller.
     * **Transport errors** (connection refused/reset, wire breakage) count
       against that endpoint's breaker, drop its connection, and fail the
       call over to the next endpoint immediately — no backoff, because a
@@ -450,8 +445,6 @@ class FailoverTransport:
         self.failovers = 0
         #: calls transparently re-routed off a draining replica
         self.drain_reroutes = 0
-        #: calls transparently re-routed off a rate-limiting replica
-        self.rate_limit_reroutes = 0
 
     def _new_state(self, endpoint: Endpoint) -> _EndpointState:
         return _EndpointState(
@@ -644,14 +637,6 @@ class FailoverTransport:
         transient_raw: bytes | None = None
         draining_raw: bytes | None = None
         drained: set[_EndpointState] = set()
-        # Endpoints whose QoS layer refused this tenant *this call*.  Like
-        # draining, a refusal means the request was never executed, so the
-        # pick simply avoids them; unlike draining the endpoint stays in
-        # rotation for the *next* call (buckets refill in milliseconds).
-        limited: set[_EndpointState] = set()
-        limited_raw: bytes | None = None
-        limited_retry_after: float | None = None
-        limited_sweeps = 0
         # Endpoints that already failed *this call* at the transport level.
         # Without this exclusion the load-aware pick re-selects a freshly
         # dead replica every attempt — it has no EWMA measurement, so it
@@ -672,7 +657,7 @@ class FailoverTransport:
                     self._sleep(delay)
             if deadline is not None and self._clock() >= deadline and attempt:
                 break
-            state = self._admit(drained | failed | limited)
+            state = self._admit(drained | failed)
             if state is None and failed:
                 # Every non-excluded endpoint is out; give already-failed
                 # ones another chance rather than faking a full outage.
@@ -688,28 +673,6 @@ class FailoverTransport:
                 failed.clear()
                 continue
             if state is None:
-                if limited and limited_raw is not None and limited_sweeps < 1:
-                    # Every pickable replica refused on QoS this call:
-                    # honour the smallest advertised retry_after, then give
-                    # the whole fleet one more sweep — token buckets refill
-                    # on exactly that horizon.  No retry-budget charge.
-                    delay = (
-                        limited_retry_after
-                        if limited_retry_after is not None
-                        else RateLimitedError.DEFAULT_RETRY_AFTER
-                    )
-                    if deadline is not None:
-                        delay = min(delay, max(0.0, deadline - self._clock()))
-                    if delay > 0:
-                        self._sleep(delay)
-                    limited.clear()
-                    limited_retry_after = None
-                    limited_sweeps += 1
-                    continue
-                if limited_raw is not None and not drained:
-                    # Still refused after the backoff sweep: surface the
-                    # typed retryable error for the caller to pace itself.
-                    return limited_raw
                 if draining_raw is not None:
                     # Every reachable replica is draining: surface the
                     # typed retryable error instead of faking an outage.
@@ -763,19 +726,6 @@ class FailoverTransport:
                 draining_raw = raw
                 self.drain_reroutes += 1
                 continue
-            if not response.ok and response.error_type == "RateLimitedError":
-                # QoS refusal: also a routing signal — the request was
-                # never executed, so another replica (whose token buckets
-                # are independent) can serve it for free.  No breaker
-                # penalty, no retry-budget charge, and the endpoint stays
-                # in rotation for future calls.
-                limited.add(state)
-                limited_raw = raw
-                hint = RateLimitedError(response.error_message).retry_after
-                if limited_retry_after is None or hint < limited_retry_after:
-                    limited_retry_after = hint
-                self.rate_limit_reroutes += 1
-                continue
             state.observe(self._clock() - started)
             if (
                 retryable
@@ -795,8 +745,6 @@ class FailoverTransport:
             return transient_raw  # retries exhausted: surface the real error
         if draining_raw is not None and last_error is None:
             return draining_raw
-        if limited_raw is not None and last_error is None:
-            return limited_raw
         if isinstance(last_error, CircuitOpenError):
             raise last_error
         raise ServiceError(
@@ -982,10 +930,7 @@ def connect(
     ``lane`` picks the QoS lane the server's read batcher schedules this
     client in: ``"interactive"`` (the default) or ``"bulk"`` for
     backfills and sweeps — equivalently ``?lane=bulk`` on the URL.  A
-    bulk client's reads queue behind interactive ones under load, and a
-    rate-limited tenant sees a typed retryable
-    :class:`~repro.errors.RateLimitedError` that the failover transport
-    reroutes (and paces via ``retry_after``) without breaker penalty.
+    bulk client's reads queue behind interactive ones under load.
     """
     registry = None
     if isinstance(url, str) and url.partition("://")[0].startswith(

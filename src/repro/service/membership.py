@@ -42,6 +42,7 @@ from repro.errors import FleetRegistryError
 from repro.service.endpoints import (
     Endpoint,
     EndpointSet,
+    add_endpoint,
     parse_endpoint_options,
 )
 
@@ -64,32 +65,16 @@ def parse_registry(text: str, origin: str = "registry") -> tuple[Endpoint, ...]:
     file the message points at.
     """
     endpoints: list[Endpoint] = []
-    seen: set[tuple[str, int]] = set()
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        host, sep, port_text = line.rpartition(":")
-        if not sep or not host:
-            raise FleetRegistryError(
-                f"{origin} line {lineno}: {line!r} must be host:port"
-            )
         try:
-            port = int(port_text)
-        except ValueError:
+            add_endpoint(line, endpoints)
+        except ValueError as exc:
             raise FleetRegistryError(
-                f"{origin} line {lineno}: {line!r} has a non-numeric port"
+                f"{origin} line {lineno}: {line!r} {exc}"
             ) from None
-        if not 0 < port < 65536:
-            raise FleetRegistryError(
-                f"{origin} line {lineno}: {line!r} port out of range"
-            )
-        if (host, port) in seen:
-            raise FleetRegistryError(
-                f"{origin} line {lineno}: duplicate endpoint {line!r}"
-            )
-        seen.add((host, port))
-        endpoints.append(Endpoint(host, port))
     if not endpoints:
         raise FleetRegistryError(
             f"{origin} is empty: a fleet needs at least one endpoint"

@@ -29,7 +29,7 @@ from repro.errors import (
 from repro.rules.engine import RuleEngine
 from repro.rules.rule import Rule
 from repro.service import wire
-from repro.service.batching import BatchConfig, ReadBatcher
+from repro.service.batching import ReadBatcher
 from repro.service.wire import Request, Response
 
 #: Methods with side effects: their *successful* responses are cached per
@@ -133,18 +133,13 @@ class RequestDedupCache:
 class GalleryService:
     """Method-table dispatcher over a Gallery registry (+ optional engine)."""
 
-    def __init__(
-        self,
-        gallery: Gallery,
-        engine: RuleEngine | None = None,
-        batching: BatchConfig | None = None,
-    ) -> None:
+    def __init__(self, gallery: Gallery, engine: RuleEngine | None = None) -> None:
         self._gallery = gallery
         self._engine = engine
-        # The read-path micro-batcher + QoS front.  Only the TCP server
-        # feeds it (via ReadBatcher.offer); handle_frame dispatches directly
-        # and stays unbatched.  BatchConfig only sets per-tenant rate limits.
-        self.read_batcher = ReadBatcher(self, batching or BatchConfig())
+        # The read-path micro-batcher.  Only the TCP server feeds it (via
+        # ReadBatcher.offer); handle_frame dispatches directly and stays
+        # unbatched.
+        self.read_batcher = ReadBatcher(self)
         # Exactly-once bookkeeping lives in the store, so every service
         # over one gallery (one process or many replicas) shares it.
         self.dedup = RequestDedupCache(gallery.dal)
@@ -294,10 +289,10 @@ class GalleryService:
         return self._fleet_status()
 
     def _server_stats(self) -> dict[str, Any]:
-        """Live batcher/QoS/dedup counters for this replica.
+        """Live batcher/dedup counters for this replica.
 
         An admin method (answers during a drain) so operators can watch
-        coalesce ratio and per-tenant tokens while shedding load.
+        coalesce ratio and lane queue depths while shedding load.
         """
         return {
             "fleet": self._fleet_status(),

@@ -817,7 +817,8 @@ class PipelinedTcpTransport:
       contract (submit + wait) with half-open handling: a failure on a
       connection that existed before the call is replayed once on a fresh
       one; a fresh connection failing is a real outage and raises
-      :class:`ServiceError`.
+      :class:`ServiceError`.  A timeout raises :class:`ServiceError` at
+      once, with no replay, and leaves the connection open.
 
     Thread-safe: any number of threads may submit concurrently.  Two
     in-flight requests may not share a request_id — a colliding submit
@@ -996,7 +997,12 @@ class PipelinedTcpTransport:
         reused = self._sock is not None
         try:
             return self._roundtrip(data)
-        except (OSError, WireFormatError, TimeoutError) as exc:
+        except TimeoutError as exc:
+            # No answer in time is not a broken connection: only this call
+            # is abandoned, and the socket and every other exchange in
+            # flight on it stay up.  Resending would run the request twice.
+            raise ServiceError(f"transport failure: {exc}") from exc
+        except (OSError, WireFormatError) as exc:
             if not reused:
                 raise ServiceError(f"transport failure: {exc}") from exc
         # Half-open race: the pre-existing connection died under this call.
@@ -1005,7 +1011,9 @@ class PipelinedTcpTransport:
         self.reconnects += 1
         try:
             return self._roundtrip(data)
-        except (OSError, WireFormatError, TimeoutError) as exc:
+        except TimeoutError as exc:
+            raise ServiceError(f"transport failure: {exc}") from exc
+        except (OSError, WireFormatError) as exc:
             self.close()
             raise ServiceError(f"transport failure: {exc}") from exc
 

@@ -173,10 +173,6 @@ class DataAccessLayer:
             if inst.blob_location
         ]
 
-    def referenced_locations(self) -> set[str]:
-        """Blob locations reachable from instance metadata."""
-        return {location for _, location in self._instance_locations()}
-
     def audit_consistency(self) -> ConsistencyReport:
         """Cross-check metadata against the blob store (Section 3.5)."""
         located = self._instance_locations()

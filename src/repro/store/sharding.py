@@ -60,10 +60,10 @@ parsing holds the GIL, so a thread hand-off costs several times the
 statement it would parallelise (docs/PERFORMANCE.md).  Hot
 identifier→shard hits are memoised in bounded routing caches so the blob
 read path (``get_instance`` per ``load_blob``) usually costs one shard
-query.  Only fan-outs that
-*commit* on more than one shard (bulk ``insert_instances``, the
-age/capacity trims) use a lazily started worker pool — fsync releases the
-GIL — so a replica that only reads never starts a ``shard-scatter`` thread.
+query.  Fan-outs that *commit* on more than one shard (bulk
+``insert_instances``, the age/capacity trims) also run shard by shard on
+the calling thread: nothing on the serving path makes them, so the store
+starts no thread of its own.
 
 Dead-letter ids are globalised as ``local_id * SHARD_STRIDE + shard`` so
 ``dead_letter_update`` / ``dead_letters_delete`` can decode the owning
@@ -82,7 +82,6 @@ import os
 import sqlite3
 import threading
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -294,12 +293,9 @@ class ShardedMetadataStore(MetadataStore):
         self._shards = list(shards)
         self._map = shard_map
         self._directory = directory
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         self._model_shard: dict[str, int] = {}
         self._instance_shard: dict[str, int] = {}
-        self._closed = False
 
     # -- topology -------------------------------------------------------------
 
@@ -324,28 +320,6 @@ class ShardedMetadataStore(MetadataStore):
         topology = self._map.to_dict()
         topology["shard_counts"] = self.shard_counts()
         return topology
-
-    # -- scatter machinery (multi-shard commits only) --------------------------
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._closed:
-                raise MetadataStoreError("sharded metadata store is closed")
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(len(self._shards), 8),
-                    thread_name_prefix="shard-scatter",
-                )
-            return self._executor
-
-    def _scatter_zip(
-        self, fn: Callable[[MetadataStore, Any], Any], args: Sequence[Any]
-    ) -> list[Any]:
-        """Commit ``fn(shard, arg)`` on every shard in parallel, each shard
-        with its own argument; results in shard order."""
-        if len(self._shards) == 1:
-            return [fn(self._shards[0], args[0])]
-        return list(self._pool().map(fn, self._shards, args))
 
     def _split_budget(self, budget: int) -> list[int]:
         """Divide a global row budget across shards, remainder first.
@@ -460,29 +434,25 @@ class ShardedMetadataStore(MetadataStore):
         return stored
 
     def insert_instances(self, instances: Sequence[ModelInstance]) -> None:
-        """Bulk insert, grouped by owning shard and loaded in parallel.
+        """Bulk insert, grouped by owning shard and loaded shard by shard.
 
         Each shard's group is one atomic transaction; a duplicate anywhere
         aborts that shard's whole group but not the other shards' (the
-        cross-shard batch is *not* a distributed transaction).
+        cross-shard batch is *not* a distributed transaction).  The first
+        shard's error is raised once every group has been tried.
         """
         groups: dict[int, list[ModelInstance]] = {}
         for instance in instances:
             shard = self._map.shard_for(instance.base_version_id)
             groups.setdefault(shard, []).append(instance)
-        if not groups:
-            return
-        if len(groups) == 1:
-            ((shard, group),) = groups.items()
-            self._shards[shard].insert_instances(group)
-            return
-        pool = self._pool()
-        futures = [
-            pool.submit(self._shards[shard].insert_instances, group)
-            for shard, group in groups.items()
-        ]
-        for future in futures:
-            future.result()
+        error: Exception | None = None
+        for shard, group in groups.items():
+            try:
+                self._shards[shard].insert_instances(group)
+            except Exception as exc:  # noqa: BLE001 - the other groups still load
+                error = error or exc
+        if error is not None:
+            raise error
 
     def get_instance(self, instance_id: str) -> ModelInstance:
         cached = self._cached_shard(self._instance_shard, instance_id)
@@ -680,11 +650,6 @@ class ShardedMetadataStore(MetadataStore):
         }
 
     def close(self) -> None:
-        with self._executor_lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
         for shard in self._shards:
             close = getattr(shard, "close", None)
             if close is not None:
@@ -728,20 +693,11 @@ class ShardedMetadataStore(MetadataStore):
     def dedup_trim(self, capacity: int) -> int:
         """Trim toward a *global* capacity: the budget is divided across
         shards, so the total resident count is bounded by *capacity*."""
-        return sum(
-            self._scatter_zip(
-                lambda shard, budget: shard.dedup_trim(budget),
-                self._split_budget(capacity),
-            )
-        )
+        budgets = self._split_budget(capacity)
+        return sum(s.dedup_trim(b) for s, b in zip(self._shards, budgets))
 
     def dedup_trim_age(self, max_age: float, now: float | None = None) -> int:
-        return sum(
-            self._scatter_zip(
-                lambda shard, age: shard.dedup_trim_age(age, now),
-                [max_age] * len(self._shards),
-            )
-        )
+        return sum(shard.dedup_trim_age(max_age, now) for shard in self._shards)
 
     def dedup_count(self) -> int:
         return sum(shard.dedup_count() for shard in self._shards)
@@ -814,21 +770,14 @@ class ShardedMetadataStore(MetadataStore):
     def dead_letters_trim(self, max_entries: int) -> int:
         """Trim toward a *global* cap: the budget is divided across
         shards, so the total resident count is bounded by *max_entries*."""
-        return sum(
-            self._scatter_zip(
-                lambda shard, budget: shard.dead_letters_trim(budget),
-                self._split_budget(max_entries),
-            )
-        )
+        budgets = self._split_budget(max_entries)
+        return sum(s.dead_letters_trim(b) for s, b in zip(self._shards, budgets))
 
     def dead_letters_trim_age(
         self, max_age: float, now: float | None = None
     ) -> int:
         return sum(
-            self._scatter_zip(
-                lambda shard, age: shard.dead_letters_trim_age(age, now),
-                [max_age] * len(self._shards),
-            )
+            shard.dead_letters_trim_age(max_age, now) for shard in self._shards
         )
 
     def dead_letters_count(self) -> int:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.clock import ManualClock
 from repro.core.lifecycle import LifecycleStage
 from repro.core.records import MetricScope
+from repro.core.registry import Gallery
 from repro.errors import (
     DeprecatedModelError,
     NotFoundError,
@@ -298,6 +300,26 @@ class TestCandidateDocuments:
         gallery.insert_metric(instance.instance_id, "bias", 0.01, scope="Validation")
         docs = gallery.candidate_documents("production")
         assert docs[0].document["metrics"]["bias"] == 0.01
+
+    def test_same_instant_ties_follow_latest_metric(self, dal, id_factory):
+        # A frozen clock stamps every metric with one instant, so only the
+        # metric_id tie-break decides which value is "latest".  Rule
+        # documents must pick the same one latest_metric does, in the
+        # preferred scope and in the any-scope fallback alike.
+        gallery = Gallery(dal, clock=ManualClock(tick=0.0), id_factory=id_factory)
+        instances = [register_example(gallery, base=f"b{i}") for i in range(6)]
+        for instance in instances:
+            for value in (0.3, 0.1, 0.2):
+                gallery.insert_metric(instance.instance_id, "mape", value)
+        for environment, scope in (("validation", "Validation"), ("production", None)):
+            docs = {
+                d.instance_id: d.document["metrics"]["mape"]
+                for d in gallery.candidate_documents(environment)
+            }
+            assert docs == {
+                i.instance_id: gallery.latest_metric(i.instance_id, "mape", scope=scope)
+                for i in instances
+            }
 
     def test_deprecated_excluded(self, gallery):
         instance = register_example(gallery)

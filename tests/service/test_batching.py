@@ -1,4 +1,4 @@
-"""The read-path micro-batcher + multi-tenant QoS (PR 10).
+"""The read-path micro-batcher (PR 10).
 
 Properties under fuzz:
 
@@ -16,7 +16,7 @@ Properties under fuzz:
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import threading
 import time
 import types
@@ -27,15 +27,9 @@ from hypothesis import given, settings
 
 from repro import build_gallery
 from repro.core import ManualClock, SeededIdFactory
-from repro.errors import NotFoundError, RateLimitedError
+from repro.errors import NotFoundError
 from repro.service import wire
-from repro.service.batching import (
-    ANONYMOUS_TENANT,
-    BATCHABLE_METHODS,
-    BatchConfig,
-    ReadBatcher,
-    TokenBucket,
-)
+from repro.service.batching import BATCHABLE_METHODS, ReadBatcher
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
@@ -300,7 +294,7 @@ class TestLaneScheduling:
         stays inside the configured bound end-to-end over the event-loop
         server."""
         gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery, batching=BatchConfig())
+        service = GalleryService(gallery)
         server = GalleryTcpServer(service).start()
         host, port = server.address
         p95_bound_s = 0.25  # generous CI bound; unloaded p50 is ~sub-ms
@@ -348,129 +342,17 @@ class TestLaneScheduling:
 
 
 # ---------------------------------------------------------------------------
-# QoS: token buckets & typed refusals
+# settings: there are none
 # ---------------------------------------------------------------------------
 
 
-class TestRateLimiting:
-    def test_token_bucket_refill(self):
-        bucket = TokenBucket(rate=10.0, capacity=2.0, now=0.0)
-        assert bucket.try_take(0.0) and bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)
-        assert bucket.retry_after() == pytest.approx(0.1)
-        assert bucket.try_take(0.1)  # one token refilled
-
-    def build(self, rate=2.0, burst=2.0):
-        gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(
-            gallery, batching=BatchConfig(rate_limit=rate, burst=burst)
-        )
-        clock = {"now": 0.0}
-        batcher = ReadBatcher(service, service.read_batcher.config,
-                              clock=lambda: clock["now"])
-        service.read_batcher = batcher
-        return service, batcher, clock, model_ids
-
-    def frame_for(self, model_id, request_id=1, client_id="tenant-a"):
-        return wire.encode_request(
-            make_request("getModel", {"model_id": model_id},
-                         request_id=request_id, client_id=client_id),
-        )
-
-    def test_over_limit_refused_with_typed_retryable_error(self):
-        service, batcher, clock, model_ids = self.build(rate=2.0, burst=2.0)
-        lock = threading.Lock()
-        got: list[bytes] = []
-        done = threading.Event()
-
-        def deliver(frame):
-            with lock:
-                got.append(frame)
-                if len(got) == 5:
-                    done.set()
-
-        for k in range(5):
-            assert batcher.offer(
-                self.frame_for(model_ids[0], request_id=k + 1), deliver
-            )
-        # burst of 2 admitted (answered by the collector); 3 refused
-        # inline — every offer gets exactly one response either way.
-        assert done.wait(timeout=5.0)
-        responses = [wire.decode_response(f) for f in got]
-        refusals = [r for r in responses if not r.ok]
-        assert len(refusals) == 3 and sum(r.ok for r in responses) == 2
-        for response in refusals:
-            assert response.error_type == "RateLimitedError"
-            with pytest.raises(RateLimitedError) as excinfo:
-                response.raise_if_error()
-            assert excinfo.value.retry_after > 0
-        stats = batcher.stats_snapshot()
-        assert stats["refusals"] == 3
-        assert stats["tenants"]["tenant-a"]["refusals"] == 3
-        batcher.close()
-
-    def test_buckets_key_on_client_id_and_refill(self):
-        service, batcher, clock, model_ids = self.build(rate=1.0, burst=1.0)
-        sink: list[bytes] = []
-        assert batcher.offer(self.frame_for(model_ids[0], 1, "a"), sink.append)
-        assert batcher.offer(self.frame_for(model_ids[0], 2, "b"), sink.append)
-        # both tenants spent their single token; each is now refused
-        # (admitted requests 1 and 2 also answer into sink, async, ok=True)
-        batcher.offer(self.frame_for(model_ids[0], 3, "a"), sink.append)
-        batcher.offer(self.frame_for(model_ids[0], 4, "b"), sink.append)
-        refused = [
-            r
-            for r in (wire.decode_response(f) for f in list(sink))
-            if not r.ok
-        ]
-        assert [r.error_type for r in refused] == ["RateLimitedError"] * 2
-        stats = batcher.stats_snapshot()
-        assert stats["tenants"]["a"]["refusals"] == 1
-        assert stats["tenants"]["b"]["refusals"] == 1
-        clock["now"] += 1.0  # a full second refills one token each
-        assert batcher.offer(self.frame_for(model_ids[0], 5, "a"), sink.append)
-        assert batcher.stats_snapshot()["tenants"]["a"]["refusals"] == 1
-        batcher.close()
-
-    def test_anonymous_requests_share_one_bucket(self):
-        service, batcher, clock, model_ids = self.build(rate=1.0, burst=1.0)
-        sink: list[bytes] = []
-        assert batcher.offer(self.frame_for(model_ids[0], 1, ""), sink.append)
-        batcher.offer(self.frame_for(model_ids[0], 2, ""), sink.append)
-        refused = [
-            r
-            for r in (wire.decode_response(f) for f in list(sink))
-            if not r.ok
-        ]
-        assert refused and refused[-1].error_type == "RateLimitedError"
-        assert ANONYMOUS_TENANT in batcher.stats_snapshot()["tenants"]
-        batcher.close()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rate_limit": 10.0, "burst": -5.0},  # bucket would clamp to 1
-            {"rate_limit": 10.0, "burst": 0.5},
-            {"rate_limit": 10.0, "burst": float("nan")},
-            {"burst": 5.0},  # no bucket exists to size
-            {"rate_limit": float("nan")},
-            {"rate_limit": float("inf")},
-        ],
-    )
-    def test_config_refuses_limits_the_buckets_would_not_apply(self, kwargs):
-        with pytest.raises(ValueError):
-            BatchConfig(**kwargs)
-
-    @pytest.mark.parametrize("rate, burst", [(10.0, None), (10.0, 3.0), (0.5, None)])
-    def test_reported_burst_is_the_bucket_capacity(self, rate, burst):
-        config = BatchConfig(rate_limit=rate, burst=burst)
-        bucket = TokenBucket(rate, config.bucket_capacity, now=0.0)
-        assert config.to_dict() == {"rate_limit": rate, "burst": bucket.capacity}
-
-    def test_rate_limit_and_burst_are_the_only_settings(self):
-        # batch size, lane weights and the batching schedule are fixed
-        assert [f.name for f in dataclasses.fields(BatchConfig)] == [
-            "rate_limit", "burst",
+class TestNoSettings:
+    def test_batcher_and_service_have_no_settings(self):
+        # batch size, lane weights and the batching schedule are fixed, and
+        # every offered read is admitted: nothing is left to configure
+        assert list(inspect.signature(ReadBatcher).parameters) == ["service"]
+        assert list(inspect.signature(GalleryService).parameters) == [
+            "gallery", "engine",
         ]
 
 
@@ -490,9 +372,12 @@ class TestCollector:
         def no_sleep(seconds):
             raise AssertionError(f"collector held a batch open for {seconds}s")
 
+        # batching imports no clock at all; the stand-in catches one
+        # coming back with a sleep in the collector
         monkeypatch.setattr(
             batching, "time",
             types.SimpleNamespace(monotonic=time.monotonic, sleep=no_sleep),
+            raising=False,
         )
         gallery, model_ids, _ = seeded_gallery()
         service = GalleryService(gallery)
@@ -533,7 +418,7 @@ class TestCollector:
 class TestServerIntegration:
     def test_concurrent_duplicate_reads_coalesce_over_tcp(self):
         gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery, batching=BatchConfig())
+        service = GalleryService(gallery)
         server = GalleryTcpServer(service).start()
         host, port = server.address
         results, errors = [], []
@@ -569,7 +454,7 @@ class TestServerIntegration:
 
     def test_server_stats_method_and_audit_summary(self):
         gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery, batching=BatchConfig())
+        service = GalleryService(gallery)
         server = GalleryTcpServer(service).start()
         host, port = server.address
         client = GalleryClient(PipelinedTcpTransport(host, port), client_id="ops")
@@ -581,7 +466,7 @@ class TestServerIntegration:
             client.close()
             server.stop()
         assert stats["batching"]["batched_requests"] >= 1
-        assert stats["batching"]["config"] == {"rate_limit": None, "burst": None}
+        assert stats["batching"]["refusals"] == 0
         assert stats["fleet"]["status"] == "serving"
         assert "request_dedup" in stats
         assert "batching" in audit["summary"]
@@ -618,7 +503,7 @@ class TestServerIntegration:
     def test_close_flushes_queued_waiters(self):
         gallery, model_ids, _ = seeded_gallery()
         service = GalleryService(gallery)
-        batcher = ReadBatcher(service, BatchConfig())
+        batcher = ReadBatcher(service)
         from repro.service.batching import _Waiter
 
         got = []

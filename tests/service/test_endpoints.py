@@ -943,117 +943,3 @@ class TestDrainRouting:
         assert transport.drain_reroutes >= 1
         assert svc_a.draining and not svc_b.draining
         assert client.fleet_status()["status"] in ("serving", "draining")
-
-
-# ---------------------------------------------------------------------------
-# QoS rate-limit routing
-# ---------------------------------------------------------------------------
-
-
-def rate_limited_frame(retry_after=0.05, request_id=1):
-    return wire.encode_response(
-        wire.Response(
-            ok=False,
-            error_type="RateLimitedError",
-            error_message=(
-                "tenant over rate limit: request was not executed;"
-                f" retry_after={retry_after:.3f}s"
-            ),
-            request_id=request_id,
-        )
-    )
-
-
-class TestRateLimitRouting:
-    """RateLimitedError is a routing signal like ReplicaDrainingError:
-    reroute elsewhere, no breaker penalty, no retry-budget burn."""
-
-    def build(self, fleet, attempts=4, sleeps=None):
-        return FailoverTransport(
-            two_endpoints(),
-            policies=fast_policies(attempts),
-            transport_factory=fleet.factory,
-            sleep=(sleeps.append if sleeps is not None else lambda s: None),
-            clock=frozen_clock,
-        )
-
-    def test_rate_limited_replica_rerouted_without_breaker_penalty(self):
-        fleet = Fleet({
-            "a:1": lambda d: rate_limited_frame(),
-            "b:2": lambda d: ok_frame("from-b"),
-        })
-        transport = self.build(fleet)
-        raw = transport(read_frame())
-        assert wire.decode_response(raw).result == "from-b"
-        assert transport.rate_limit_reroutes == 1
-        assert transport.failovers == 0  # a refusal is not a failure
-        assert transport.breaker_states()["a:1"] == "closed"
-
-    def test_rate_limit_reroute_is_free_of_retry_budget(self):
-        fleet = Fleet({
-            "a:1": lambda d: rate_limited_frame(),
-            "b:2": lambda d: ok_frame("from-b"),
-        })
-        transport = self.build(fleet, attempts=1)
-        raw = transport(read_frame())
-        assert wire.decode_response(raw).result == "from-b"
-
-    def test_limited_replica_stays_in_rotation_for_next_call(self):
-        # Unlike a drain there is no TTL exile: buckets refill in
-        # milliseconds, so the endpoint is only skipped within the call.
-        state = {"limited": True}
-
-        def a_script(data):
-            if state["limited"]:
-                return rate_limited_frame()
-            return ok_frame("from-a")
-
-        fleet = Fleet({"a:1": a_script, "b:2": lambda d: ok_frame("from-b")})
-        transport = self.build(fleet)
-        transport(read_frame())
-        state["limited"] = False
-        before = fleet.calls("a:1")
-        for n in range(4):
-            transport(read_frame(request_id=10 + n))
-        assert fleet.calls("a:1") > before
-
-    def test_whole_fleet_limited_backs_off_then_surfaces_typed_error(self):
-        from repro.errors import RateLimitedError
-
-        sleeps = []
-        fleet = Fleet({
-            "a:1": lambda d: rate_limited_frame(retry_after=0.02),
-            "b:2": lambda d: rate_limited_frame(retry_after=0.07),
-        })
-        transport = self.build(fleet, sleeps=sleeps)
-        response = wire.decode_response(transport(read_frame()))
-        with pytest.raises(RateLimitedError) as excinfo:
-            response.raise_if_error()
-        # the typed error still carries the server's retry_after hint
-        assert excinfo.value.retry_after > 0
-        # the transport honoured the smallest advertised retry_after once
-        assert sleeps and min(sleeps) == pytest.approx(0.02)
-        # both replicas were given a second sweep after the backoff
-        assert fleet.calls("a:1") == 2
-        assert fleet.calls("b:2") == 2
-
-    def test_recovery_after_backoff_sweep(self):
-        # First sweep: both refuse.  After honouring retry_after, the
-        # second sweep finds a refilled bucket and the call succeeds.
-        counts = {"a": 0, "b": 0}
-
-        def a_script(data):
-            counts["a"] += 1
-            if counts["a"] == 1:
-                return rate_limited_frame()
-            return ok_frame("from-a")
-
-        fleet = Fleet({
-            "a:1": a_script,
-            "b:2": lambda d: rate_limited_frame(),
-        })
-        transport = self.build(fleet)
-        raw = transport(read_frame())
-        assert wire.decode_response(raw).result == "from-a"
-        assert transport.rate_limit_reroutes >= 2
-        assert transport.breaker_states()["a:1"] == "closed"

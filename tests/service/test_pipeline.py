@@ -80,6 +80,33 @@ class HangUpOnceProxy:
         self._listener.close()
 
 
+class MuteServer:
+    """Accepts one connection, reads frames until EOF, never answers.
+
+    ``request_ids`` lists every frame's request_id in arrival order, so a
+    test can count how often the client put a frame on the wire.
+    """
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self.request_ids: list[int] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rb") as stream:
+            while len(prefix := stream.read(8)) == 8:
+                body = stream.read(int.from_bytes(prefix, "big"))
+                self.request_ids.append(wire.peek_request_id(prefix + body))
+
+    def join(self):
+        """Wait until the client hung up and every frame was read."""
+        self._thread.join(10.0)
+        self._listener.close()
+
+
 def _pipelined_stack(workers=None):
     gallery, service = build_service()
     server = GalleryTcpServer(service, workers=workers).start()
@@ -176,6 +203,25 @@ class TestBlockingContract:
             client.audit_storage()
         assert transport.reconnects <= 1  # no reconnect storm against a corpse
         transport.close()
+
+    def test_timeout_abandons_only_its_own_call(self):
+        # An unanswered call on a reused connection is not a half-open
+        # connection: no replay, no reconnect, and the exchange already in
+        # flight beside it keeps waiting for its own answer.
+        server = MuteServer()
+        transport = PipelinedTcpTransport(*server.address, timeout=0.3)
+        first, second = (
+            wire.encode_request(wire.Request(method=method, request_id=request_id))
+            for request_id, method in ((1, "auditStorage"), (2, "getModel"))
+        )
+        pending = transport.submit(first)
+        with pytest.raises(ServiceError, match="timed out"):
+            transport(second)
+        assert transport.reconnects == 0
+        assert not pending.done()
+        transport.close()
+        server.join()
+        assert server.request_ids == [1, 2]
 
 
 class TestMultiplexing:

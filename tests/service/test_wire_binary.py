@@ -107,7 +107,7 @@ class TestRoundTrips:
         self, method, params, client_id, lane
     ):
         """client_id and lane survive beside params that took the embedded
-        document path — the token buckets and lane scheduler must see the
+        document path — request dedup and the lane scheduler must see the
         tenant the sender named."""
         request = Request(
             method=method, params=params, request_id=7,

@@ -146,7 +146,6 @@ def test_public_surface_is_the_blob_protocol():
         "load_blob",
         "load_blob_payload",
         "load_blob_range",
-        "referenced_locations",
         "audit_consistency",
         "collect_orphan_blobs",
         "storage_summary",

@@ -164,18 +164,20 @@ class TestRoutingAndSurface:
         # pool (which would leak threads nobody ever shuts down).
         with pytest.raises(MetadataStoreError):
             store.shard_counts()
-        assert store._executor is None  # noqa: SLF001
 
 
-def scatter_threads():
-    return {
-        t for t in threading.enumerate() if t.name.startswith("shard-scatter")
-    }
+class TestNoStoreThreads:
+    def test_no_store_call_starts_a_thread(self, store, monkeypatch):
+        caller = threading.current_thread()
+        started = []
+        real_start = threading.Thread.start
 
+        def start(thread):
+            if threading.current_thread() is caller:
+                started.append(thread.name)
+            real_start(thread)
 
-class TestReadsStayOnTheCallingThread:
-    def test_only_a_multi_shard_commit_starts_the_pool(self, store):
-        leaked = scatter_threads()  # other stores in this process, if any
+        monkeypatch.setattr(threading.Thread, "start", start)
         for i in range(8):
             store.insert_model(model(i))
             store.insert_instance(instance(i, 0))  # one shard per call
@@ -214,11 +216,16 @@ class TestReadsStayOnTheCallingThread:
         ]
         for read in reads:
             assert read() is not None
-            assert store._executor is None  # noqa: SLF001
-            assert scatter_threads() == leaked
-        store.insert_instances([instance(i, 1) for i in range(8)])
-        assert store._executor is not None  # noqa: SLF001
-        assert scatter_threads() - leaked
+        batch = [instance(i, 1) for i in range(8)]
+        assert len({store.shard_map.shard_for(i.base_version_id) for i in batch}) > 1
+        store.insert_instances(batch)  # a multi-shard commit
+        assert [store.get_instance(i.instance_id) for i in batch] == batch
+        store.dedup_trim(SHARDS)
+        store.dedup_trim_age(3600.0)
+        store.dead_letters_trim(SHARDS)
+        store.dead_letters_trim_age(3600.0)
+        assert store.dead_letters_count() == 1
+        assert started == []
 
 
 class TestDurableState:
@@ -245,7 +252,6 @@ class TestDurableState:
             assert cache.claim(("client-a", request_id)) == ("owner", None)
             cache.complete(("client-a", request_id), b"resp")
         assert touched == [owner] * 3  # complete trims in its own commit
-        assert store._executor is None  # noqa: SLF001 - and no pool hop
         # capacity 4 over 4 shards: the owning shard keeps its slice of one
         assert len(cache) == 1
 
