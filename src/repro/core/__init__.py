@@ -14,7 +14,7 @@ from repro.core.health import (
     production_skew,
 )
 from repro.core.ids import SeededIdFactory, SequentialIdFactory, is_uuid, random_uuid
-from repro.core.lifecycle import LifecycleStage, LifecycleTracker, can_transition
+from repro.core.lifecycle import LifecycleStage, can_transition
 from repro.core.metadata import (
     CompletenessReport,
     INDEXED_FIELDS,
@@ -51,7 +51,6 @@ __all__ = [
     "INDEXED_FIELDS",
     "InstanceVersion",
     "LifecycleStage",
-    "LifecycleTracker",
     "LineageTracker",
     "ManualClock",
     "MetricRecord",

@@ -7,17 +7,18 @@ promising models move to production *training*, producing instances that are
 consistently underperforming models are *deprecated* (flagged, never
 deleted — Section 3.7).
 
-The registry stamps each instance with a :class:`LifecycleStage` and uses
-:class:`LifecycleTracker` to enforce legal transitions and keep an auditable
-history, which is what the orchestration rule engine consumes to move models
-automatically between stages.
+The registry stamps each instance with a :class:`LifecycleStage`, checks
+every move against :func:`can_transition`, and records it as a
+:class:`StageChange` in the metadata store (``Gallery.stage_of`` /
+``stage_history``), which is what the orchestration rule engine consumes to
+move models automatically between stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import LifecycleError
 
@@ -94,72 +95,3 @@ class StageChange:
     to_stage: LifecycleStage
     reason: str = ""
 
-
-class LifecycleTracker:
-    """Tracks the lifecycle stage of every instance and enforces legality."""
-
-    def __init__(self) -> None:
-        self._stage: dict[str, LifecycleStage] = {}
-        self._history: dict[str, list[StageChange]] = {}
-
-    def register(
-        self,
-        instance_id: str,
-        stage: LifecycleStage | str = LifecycleStage.TRAINING,
-        timestamp: float = 0.0,
-        reason: str = "registered",
-    ) -> LifecycleStage:
-        """Enter *instance_id* into the lifecycle at an initial stage."""
-        if instance_id in self._stage:
-            raise LifecycleError(f"instance {instance_id!r} already registered")
-        stage = LifecycleStage.parse(stage)
-        self._stage[instance_id] = stage
-        self._history[instance_id] = [
-            StageChange(timestamp=timestamp, from_stage=None, to_stage=stage, reason=reason)
-        ]
-        return stage
-
-    def stage_of(self, instance_id: str) -> LifecycleStage:
-        try:
-            return self._stage[instance_id]
-        except KeyError:
-            raise LifecycleError(
-                f"instance {instance_id!r} is not lifecycle-tracked"
-            ) from None
-
-    def transition(
-        self,
-        instance_id: str,
-        target: LifecycleStage | str,
-        timestamp: float = 0.0,
-        reason: str = "",
-    ) -> StageChange:
-        """Move an instance to *target*, raising on illegal transitions."""
-        target = LifecycleStage.parse(target)
-        current = self.stage_of(instance_id)
-        if not can_transition(current, target):
-            raise LifecycleError(
-                f"illegal lifecycle transition for {instance_id!r}: "
-                f"{current.value} -> {target.value}"
-            )
-        change = StageChange(
-            timestamp=timestamp, from_stage=current, to_stage=target, reason=reason
-        )
-        self._stage[instance_id] = target
-        self._history[instance_id].append(change)
-        return change
-
-    def history(self, instance_id: str) -> Sequence[StageChange]:
-        self.stage_of(instance_id)  # raises when unknown
-        return tuple(self._history[instance_id])
-
-    def instances_in(self, stage: LifecycleStage | str) -> list[str]:
-        """All instance ids currently at *stage*, sorted for determinism."""
-        stage = LifecycleStage.parse(stage)
-        return sorted(iid for iid, s in self._stage.items() if s is stage)
-
-    def __len__(self) -> int:
-        return len(self._stage)
-
-    def __contains__(self, instance_id: str) -> bool:
-        return instance_id in self._stage

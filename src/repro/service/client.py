@@ -5,18 +5,11 @@ instance with metadata, record performance metrics, and query models by
 constraint.  The client is transport-agnostic — anything that maps a request
 frame (bytes) to a response frame (bytes) works; :class:`InProcessTransport`
 binds a client directly to a :class:`repro.service.server.GalleryService`
-for tests and single-process deployments.
-
-New in the serving-plane overhaul:
-
-* blobs cross the wire as raw bytes (see :mod:`repro.service.wire`);
-* :meth:`GalleryClient.pipeline` keeps many independent calls in flight
-  at once over a pipelined transport (and degrades to sequential calls on
-  a plain one), with batch helpers for the common fan-outs;
-* :class:`MethodRetryPolicies` gives
-  :class:`~repro.service.endpoints.FailoverTransport` one retry budget per
-  method class (cheap reads / blob transfers / mutations) instead of a
-  single global policy.
+for tests and single-process deployments.  :meth:`GalleryClient.pipeline`
+keeps many independent calls in flight at once; :func:`can_replay` and
+:class:`MethodRetryPolicies` are the replay rule and the per-method retry
+budgets :class:`~repro.service.endpoints.FailoverTransport` applies to
+every frame, single or pipelined.
 """
 
 from __future__ import annotations
@@ -70,6 +63,23 @@ IDEMPOTENT_METHODS = frozenset(
         "serverStats",
     }
 )
+
+
+def can_replay(head: tuple[str, str] | None) -> bool:
+    """Whether a request may go on the wire twice (the one replay rule).
+
+    *head* is ``wire.peek_request_head(frame)``.  Reads may; a mutation only
+    when it carries a ``client_id``, so the replicas' shared dedup table
+    answers the second copy with the first one's response.  A frame whose
+    head does not parse (``None``) may not.
+    """
+    if head is None:
+        return False
+    method, client_id = head
+    if method in IDEMPOTENT_METHODS:
+        return True
+    return bool(client_id) and method in MUTATING_METHODS
+
 
 #: Wire error types that signal a *transient* dependency failure worth
 #: retrying.  Corruption and not-found are deterministic — re-asking gives
@@ -243,7 +253,10 @@ class GalleryClient:
         after an explicit :meth:`ClientPipeline.flush`).  On a pipelined
         transport (one exposing ``submit_many``) the whole batch shares
         the wire concurrently; on any other transport the pipeline
-        degrades to sequential calls with identical semantics.
+        degrades to sequential calls with identical semantics.  Through
+        :func:`~repro.service.connect`, each pipelined call gets the same
+        failover, drain re-routing and retries as a single call, and
+        *timeout* (default: the endpoint set's) bounds each first answer.
         """
         return ClientPipeline(self, timeout=timeout)
 
@@ -571,9 +584,11 @@ class ClientPipeline:
     pipelined transport receives the whole batch via ``submit_many`` — one
     write, responses correlated by request_id as they arrive out of order —
     while a plain transport falls back to one synchronous exchange per
-    call.  Either way every handle is resolved by the time ``flush``
-    returns; a failed call parks its exception in its own handle rather
-    than aborting the rest of the batch.
+    call.  Over a :class:`~repro.service.endpoints.FailoverTransport`
+    every handle settles under the same retry, failover and drain rules
+    as a single call.  Either way every handle is resolved by the time
+    ``flush`` returns; a failed call parks its exception in its own handle
+    rather than aborting the rest of the batch.
     """
 
     def __init__(self, client: GalleryClient, timeout: float | None = None) -> None:

@@ -3,43 +3,26 @@
 Gallery at Uber runs its stateless service "horizontally scalable across
 different data centers" (Section 4) — any replica can answer any call
 because all state lives in the storage layer.  This module is the client
-half of that deployment:
+half of that deployment, and its one retry and routing layer:
 
 * :class:`EndpointSet` parses a ``gallery://host:port,host:port`` URL into
   an ordered replica list plus connection options (timeout, QoS lane);
-* :class:`FailoverTransport` spreads calls across the replicas with
-  **load-aware routing**: per-endpoint latency EWMA plus in-flight depth,
-  power-of-two-choices pick among breaker-admitted non-draining replicas,
-  one :class:`~repro.reliability.breaker.CircuitBreaker` per endpoint so a
-  dead replica is skipped instead of re-probed on every call, and
-  mid-call failover on transport errors.  Replayed mutations stay
-  exactly-once because every replica shares the store's
-  ``(client_id, request_id)`` dedup table (see
-  :class:`repro.service.server.RequestDedupCache`);
+* :class:`FailoverTransport` routes every frame — a single call or one
+  frame of a pipelined batch — through one loop with one replay rule and
+  one retry budget: load-aware picks (latency EWMA × in-flight depth,
+  power of two choices), one circuit breaker per endpoint, failover on
+  transport errors, backoff on transient store errors, and re-routing off
+  replicas that answer :class:`~repro.errors.ReplicaDrainingError`.
+  Replayed mutations stay exactly-once because every replica shares the
+  store's ``(client_id, request_id)`` dedup table;
 * **membership is live**: :meth:`FailoverTransport.update_endpoints`
-  swaps the replica set atomically under an epoch stamp — new endpoints
-  join the rotation, departed ones have their connections closed (at once
-  when idle, deferred until their in-flight calls finish otherwise), and
-  surviving endpoints keep their breakers and warm connections.  A
-  :class:`repro.service.membership.FleetRegistry` feeds these swaps from
-  a file/HTTP registry so replicas are added or drained without any
-  client restart;
-* **graceful drain**: a replica answering
-  :class:`~repro.errors.ReplicaDrainingError` is marked draining for a
-  short TTL and routed around — the rejection is a routing signal, not an
-  endpoint failure, so it neither trips the breaker nor consumes the
-  caller's retry budget (the server guarantees a drain-rejected request
-  was never executed, which makes the re-route safe even for mutations);
+  swaps the replica set atomically, fed by a
+  :class:`repro.service.membership.FleetRegistry` so replicas are added or
+  drained without any client restart;
 * :func:`connect` is the one-line factory:
   ``connect("gallery://10.0.0.1:9000,10.0.0.2:9000")`` for a static
   fleet, ``connect("gallery+file:///etc/gallery/fleet.txt")`` for a
   registry-driven one.
-
-Recovered replicas rejoin automatically: an open breaker decays to
-half-open after its reset timeout, the pick admits a single probe, and
-one success closes the circuit again.  Undrained replicas rejoin the
-same way — the drain mark expires after its TTL and the next pick either
-sticks (server still draining: re-marked) or serves.
 """
 
 from __future__ import annotations
@@ -59,13 +42,12 @@ from repro.errors import (
 from repro.reliability.breaker import BreakerState, CircuitBreaker
 from repro.service import wire
 from repro.service.client import (
-    IDEMPOTENT_METHODS,
     TRANSIENT_ERROR_TYPES,
     GalleryClient,
     MethodRetryPolicies,
     Transport,
+    can_replay,
 )
-from repro.service.server import MUTATING_METHODS
 from repro.service.tcp import PipelinedTcpTransport
 
 if TYPE_CHECKING:
@@ -215,31 +197,6 @@ class EndpointSet:
         return cls(endpoints=tuple(endpoints), **parse_endpoint_options(query))
 
 
-class _ResolvedExchange:
-    """A pre-resolved stand-in for a pipelined exchange handle.
-
-    Used when a batch shard's outcome is known at submit time (its
-    submission failed everywhere, or an injected endpoint transport has no
-    ``submit_many`` and the shard ran as sequential round-trips): the
-    handle just replays the outcome.
-    """
-
-    __slots__ = ("_error", "_frame")
-
-    def __init__(self, frame: bytes | None, error: BaseException | None) -> None:
-        self._frame = frame
-        self._error = error
-
-    def wait(self, timeout: float | None = None) -> bytes:
-        if self._error is not None:
-            raise self._error
-        assert self._frame is not None
-        return self._frame
-
-    def done(self) -> bool:
-        return True
-
-
 @dataclass(eq=False)
 class _EndpointState:
     """One replica: lazily dialed transport, breaker, and load meters.
@@ -264,6 +221,9 @@ class _EndpointState:
     #: set when the endpoint left the membership; close deferred until
     #: its in-flight calls finish
     retired: bool = False
+    #: the transport error last charged to the breaker: a dropped
+    #: connection fails every exchange on it with this one exception
+    last_failure: BaseException | None = None
 
     def transport(self) -> Transport:
         with self._lock:
@@ -283,7 +243,7 @@ class _EndpointState:
             self.in_flight -= 1
             close_now = self.retired and self.in_flight <= 0
         if close_now:
-            self.close()
+            self.reset()
 
     def observe(self, latency: float) -> None:
         """Fold one successful call's latency into the EWMA."""
@@ -319,7 +279,7 @@ class _EndpointState:
             self.retired = True
             close_now = self.in_flight <= 0
         if close_now:
-            self.close()
+            self.reset()
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -334,9 +294,6 @@ class _EndpointState:
                     close()
                 except Exception:  # noqa: BLE001 - teardown is best-effort
                     pass
-
-    def close(self) -> None:
-        self.reset()
 
 
 class FailoverTransport:
@@ -368,9 +325,10 @@ class FailoverTransport:
       replica reports draining does the typed error surface to the
       caller, who can retry later.
     * **Transport errors** (connection refused/reset, wire breakage) count
-      against that endpoint's breaker, drop its connection, and fail the
-      call over to the next endpoint immediately — no backoff, because a
-      different replica is an independent resource.  Only when every
+      against that endpoint's breaker once per broken connection, drop it
+      (a timeout leaves it open), and fail the call over to the next
+      endpoint immediately — no backoff, because a different replica is
+      an independent resource.  Only when every
       endpoint has already failed this call does the pick wrap around,
       and then it backs off per policy first.  Mutations are only
       replayed when the frame carries a ``client_id``; the replicas'
@@ -384,9 +342,14 @@ class FailoverTransport:
     * A tripped breaker decays to half-open after ``reset_timeout``; the
       pick then admits one probe call, and a single success closes the
       circuit (recovered replicas rejoin without operator action).
+    * **Pipelined batches** (:meth:`submit_many`) are spread one shard
+      per admitted replica; each frame's handle then settles through the
+      same loop as a single call, so drain reroutes, transient retries and
+      failover apply to pipelined frames too.
 
-    The retry budget is one :class:`MethodRetryPolicies` budget per call,
-    counted across *all* endpoints — a call never takes more than one
+    The retry budget is one :class:`MethodRetryPolicies` budget per frame,
+    counted across *all* endpoints and, for a pipelined frame, across its
+    batch attempt and any resend — a frame never takes more than one
     budget even when every replica is down.  A single endpoint is a fleet
     of one: the same loop then re-dials that address with the policy's
     backoff between attempts.
@@ -439,11 +402,12 @@ class FailoverTransport:
         self.membership_epoch = 0
         #: total membership swaps applied via update_endpoints()
         self.membership_swaps = 0
-        #: total frames put on a wire (includes retries)
+        #: total frames put on a wire (includes retries and pipelined frames)
         self.attempts = 0
-        #: calls that moved to a different endpoint after a transport error
+        #: transport errors that frames were failed over from (one per
+        #: broken connection, however many pipelined frames it carried)
         self.failovers = 0
-        #: calls transparently re-routed off a draining replica
+        #: frames transparently re-routed off a draining replica
         self.drain_reroutes = 0
 
     def _new_state(self, endpoint: Endpoint) -> _EndpointState:
@@ -566,8 +530,9 @@ class FailoverTransport:
 
         Open breakers are filtered out by *peeking* at their state (the
         winner's ``allow()`` is what consumes a half-open probe — peeking
-        never does).  Draining replicas go last, as a better-than-nothing
-        fallback when the whole fleet is draining.
+        never does).  Draining replicas are candidates only when no other
+        replica is, as a better-than-nothing fallback when the whole fleet
+        is draining — so a batch gives them no shard either.
         """
         now = self._clock()
         active: list[_EndpointState] = []
@@ -577,13 +542,9 @@ class FailoverTransport:
                 continue
             (draining if state.is_draining(now) else active).append(state)
         if len(active) < 2:
-            return active + draining
+            return active or draining
         winner = self._p2c_pick(active)
-        return (
-            [winner]
-            + [state for state in active if state is not winner]
-            + draining
-        )
+        return [winner] + [state for state in active if state is not winner]
 
     def _p2c_pick(self, active: list[_EndpointState]) -> _EndpointState:
         """Power of two choices over *active* (rotation-ordered, len >= 2).
@@ -598,35 +559,64 @@ class FailoverTransport:
             pair = self._rng.sample(active, 2)
         return min(pair, key=lambda state: (state.score(), active.index(state)))
 
-    def _admit(self, exclude: set[_EndpointState]) -> _EndpointState | None:
-        """Best endpoint whose breaker lets the call through, if any.
+    def _admit(
+        self, exclude: set[_EndpointState], limit: int = 1
+    ) -> list[_EndpointState]:
+        """Up to *limit* best endpoints whose breakers let traffic through.
 
-        ``allow()`` is asked one endpoint at a time so a half-open breaker
-        spends its single probe only on a call that actually goes to that
-        endpoint.
+        ``allow()`` is asked one endpoint at a time, and never past
+        *limit*, so a half-open breaker spends its single probe only on
+        traffic that actually goes to that endpoint.
         """
+        admitted: list[_EndpointState] = []
         for state in self._pick_order(exclude):
+            if len(admitted) == limit:
+                break
             try:
                 state.breaker.allow()
             except CircuitOpenError:
                 continue
-            return state
-        return None
+            admitted.append(state)
+        return admitted
 
-    @staticmethod
-    def _can_retry(head: tuple[str, str] | None) -> bool:
-        if head is None:  # opaque frame: be conservative
+    def _charge(self, state: _EndpointState, exc: BaseException) -> bool:
+        """Charge a transport error to *state*; False if already charged.
+
+        Every exchange a dropped connection carried fails with the same
+        exception, so N frames in flight on it are one breaker failure, not
+        N.  A timeout is no broken connection: the exchanges beside it on
+        the connection keep waiting, so only other errors drop it.
+        """
+        if exc is state.last_failure:
             return False
-        method, client_id = head
-        if method in IDEMPOTENT_METHODS:
-            return True
-        return bool(client_id) and method in MUTATING_METHODS
+        state.last_failure = exc
+        state.breaker.record_failure()
+        if not isinstance(exc, TimeoutError) and not isinstance(
+            exc.__cause__, TimeoutError
+        ):
+            state.reset()
+        return True
 
     # -- transport contract ---------------------------------------------------
 
     def __call__(self, data: bytes) -> bytes:
+        return self._settle(data)
+
+    def _settle(
+        self,
+        data: bytes,
+        state: _EndpointState | None = None,
+        outcome: bytes | BaseException | None = None,
+    ) -> bytes:
+        """Send *data* until it has an answer: the one loop every frame takes.
+
+        A single call enters with nothing in hand.  A pipelined frame enters
+        with its first attempt's *outcome* from *state* (a response, or the
+        transport error its exchange or its shard's send raised); that
+        attempt counts against the same retry budget as any resend.
+        """
         head = wire.peek_request_head(data)
-        retryable = self._can_retry(head)
+        retryable = can_replay(head)
         policy = self._policies.for_method(head[0] if head is not None else "")
         attempts_allowed = policy.max_attempts if retryable else 1
         deadline = (
@@ -637,109 +627,103 @@ class FailoverTransport:
         transient_raw: bytes | None = None
         draining_raw: bytes | None = None
         drained: set[_EndpointState] = set()
-        # Endpoints that already failed *this call* at the transport level.
-        # Without this exclusion the load-aware pick re-selects a freshly
-        # dead replica every attempt — it has no EWMA measurement, so it
-        # scores 0 ("most attractive") until its breaker finally opens,
-        # burning the whole retry budget on one corpse.
+        # Endpoints that already failed *this call* at the transport level:
+        # unexcluded, a freshly dead replica (no EWMA yet, so it scores 0,
+        # "most attractive") would take the whole budget until its breaker
+        # opens.
         failed: set[_EndpointState] = set()
         backoff_next = False  # sleep before the next attempt?
         retry_number = 1  # RetryPolicy.backoff is 1-based
         attempt = 0
+        started: float | None = None  # set once this loop sends the frame
         while attempt < attempts_allowed:
-            if attempt and backoff_next:
-                backoff_next = False
-                delay = policy.backoff(retry_number)
-                retry_number += 1
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - self._clock()))
-                if delay > 0:
-                    self._sleep(delay)
-            if deadline is not None and self._clock() >= deadline and attempt:
-                break
-            state = self._admit(drained | failed)
-            if state is None and failed:
-                # Every non-excluded endpoint is out; give already-failed
-                # ones another chance rather than faking a full outage.
-                # The pick is wrapping around to an endpoint that already
-                # failed this call (always, for a fleet of one), so unlike
-                # a move to a different replica it waits out the backoff —
-                # unless every one of them tripped its breaker, in which
-                # case there is nothing to re-dial and the all-open branch
-                # below takes over without a wasted sleep.
-                backoff_next = any(
-                    s.breaker.state is not BreakerState.OPEN for s in failed
-                )
-                failed.clear()
-                continue
             if state is None:
-                if draining_raw is not None:
-                    # Every reachable replica is draining: surface the
-                    # typed retryable error instead of faking an outage.
-                    return draining_raw
-                # Every breaker is open: nothing to try right now.  Back
-                # off toward the reset timeout so a half-open probe becomes
-                # possible, then go around again.
-                last_error = CircuitOpenError(
-                    "no healthy endpoint: all circuit breakers are open "
-                    f"({', '.join(ep.address for ep in self.endpoints)})"
-                )
-                transient_raw = None
-                backoff_next = True
-                attempt += 1
-                continue
-            self.attempts += 1
-            state.begin()
-            started = self._clock()
-            try:
-                raw = state.transport()(data)
-            except (ServiceError, OSError) as exc:
+                if attempt and backoff_next:
+                    backoff_next = False
+                    delay = policy.backoff(retry_number)
+                    retry_number += 1
+                    if deadline is not None:
+                        delay = min(delay, max(0.0, deadline - self._clock()))
+                    if delay > 0:
+                        self._sleep(delay)
+                if deadline is not None and self._clock() >= deadline and attempt:
+                    break
+                state = next(iter(self._admit(drained | failed)), None)
+                if state is None and failed:
+                    # Every other endpoint is out: wrap around to those that
+                    # already failed this call (always, for a fleet of one),
+                    # after the backoff — unless all of them tripped their
+                    # breakers, when the all-open branch below takes over
+                    # without a wasted sleep.
+                    backoff_next = any(
+                        s.breaker.state is not BreakerState.OPEN for s in failed
+                    )
+                    failed.clear()
+                    continue
+                if state is None:
+                    if draining_raw is not None:
+                        # Every reachable replica is draining: surface the
+                        # typed retryable error instead of faking an outage.
+                        return draining_raw
+                    # Every breaker is open: nothing to try right now.  Back
+                    # off toward the reset timeout so a half-open probe
+                    # becomes possible, then go around again.
+                    last_error = CircuitOpenError(
+                        "no healthy endpoint: all circuit breakers are open "
+                        f"({', '.join(ep.address for ep in self.endpoints)})"
+                    )
+                    transient_raw = None
+                    backoff_next = True
+                    attempt += 1
+                    continue
+                self.attempts += 1
+                state.begin()
+                started = self._clock()
+                outcome = _attempt(state.transport, data)
                 state.end()
-                # The replica (or the path to it) is broken: penalize its
-                # breaker, drop its connection, and fail over immediately.
-                state.breaker.record_failure()
-                state.reset()
-                failed.add(state)
-                if retryable and attempt + 1 < attempts_allowed:
+                if not isinstance(outcome, BaseException):
+                    state.breaker.record_success()
+            answered, state = state, None
+            if isinstance(outcome, BaseException):
+                # The replica (or the path to it) is broken: charge its
+                # breaker and fail over immediately.
+                if (
+                    self._charge(answered, outcome)
+                    and retryable
+                    and attempt + 1 < attempts_allowed
+                ):
                     self.failovers += 1
-                last_error = exc
+                failed.add(answered)
+                last_error = outcome
                 transient_raw = None
                 backoff_next = False
                 attempt += 1
                 continue
-            state.end()
-            state.breaker.record_success()
-            try:
-                response = wire.decode_response(raw)
-            except Exception:  # noqa: BLE001 - hand back verbatim
-                state.observe(self._clock() - started)
-                return raw
-            if not response.ok and response.error_type == "ReplicaDrainingError":
+            assert outcome is not None
+            error_type = wire.peek_response_error(outcome)
+            if error_type == "ReplicaDrainingError":
                 # A routing signal, not a failure: the server never
                 # executed the request (safe to re-send anywhere, even a
                 # mutation without a client_id), so route elsewhere for
                 # free — no breaker penalty, no retry-budget charge.  The
                 # drain mark keeps this endpoint out of picks until its
                 # TTL expires and the replica is re-probed.
-                state.mark_draining(self._clock() + self._drain_ttl)
-                drained.add(state)
-                draining_raw = raw
+                answered.mark_draining(self._clock() + self._drain_ttl)
+                drained.add(answered)
+                draining_raw = outcome
                 self.drain_reroutes += 1
                 continue
-            state.observe(self._clock() - started)
-            if (
-                retryable
-                and not response.ok
-                and response.error_type in self._transient_errors
-            ):
+            if started is not None:
+                answered.observe(self._clock() - started)
+            if retryable and error_type in self._transient_errors:
                 # The replica is fine; its dependency flaked.  Retry with
                 # backoff (and a fresh pick), but leave the breaker alone.
-                transient_raw = raw
+                transient_raw = outcome
                 last_error = None
                 backoff_next = True
                 attempt += 1
                 continue
-            return raw
+            return outcome
 
         if transient_raw is not None:
             return transient_raw  # retries exhausted: surface the real error
@@ -754,120 +738,49 @@ class FailoverTransport:
     def submit_many(self, frames: list[bytes]) -> list[Any]:
         """Ship a pipelined batch across the healthy endpoints.
 
-        The batch is sharded round-robin across every breaker-admitted,
-        non-draining replica — each shard goes out through its own
-        connection, responses stream back concurrently, and the returned
-        handles are re-knit into the caller's original frame order.  A
-        shard whose submission fails fails over to the next admitted
-        endpoint before giving up (safe: a batch whose send fails never
-        reaches the server, and the pipelined transport discards its
-        registrations when the connection drops).  Once submitted,
-        individual exchanges resolve or fail on their own — per-item retry
-        is the caller's decision, exactly as with a direct
-        :class:`PipelinedTcpTransport`.
+        The batch is sharded round-robin across the breaker-admitted
+        replicas, and each shard goes out through its own connection in
+        one pipelined send.  Every frame gets a handle in the caller's
+        order whose ``wait`` settles the frame through the same loop as a
+        single call (:meth:`_settle`): its shard's send is its first
+        attempt, and a drain refusal, transient store error, lost
+        connection or failed send is handled from there exactly as for
+        ``__call__``.  A wait with no timeout is bounded by the endpoint
+        set's ``timeout``.
         """
         if not frames:
             return []
         # Admit at most as many endpoints as there are frames: a half-open
         # breaker's allow() hands out its single recovery probe, so we must
         # not admit an endpoint we won't use.
-        admitted = self._admitted_states(len(frames))
+        admitted = self._admit(set(), len(frames))
         if not admitted:
             raise CircuitOpenError(
                 "no healthy endpoint: all circuit breakers are open"
             )
-        # Failover candidates beyond the admitted set; _submit_shard asks
-        # their breakers itself when it reaches them.
-        others = [
-            state
-            for state in self._states
-            if all(state is not used for used in admitted)
-        ]
-        if len(admitted) == 1:
-            return self._submit_shard(frames, admitted + others)
-        shard_count = len(admitted)
-        exchanges: list[Any] = [None] * len(frames)
-        for shard in range(shard_count):
-            indices = range(shard, len(frames), shard_count)
+        self.attempts += len(frames)
+        handles: list[Any] = [None] * len(frames)
+        for shard, state in enumerate(admitted):
+            indices = range(shard, len(frames), len(admitted))
             shard_frames = [frames[index] for index in indices]
-            # Each shard prefers its own replica; on submission failure it
-            # fails over to the other admitted ones, then the rest.
-            preference = admitted[shard:] + admitted[:shard] + others
-            try:
-                resolved = self._submit_shard(shard_frames, preference)
-            except BaseException as exc:  # noqa: BLE001 - park per shard
-                resolved = [
-                    _ResolvedExchange(None, exc) for _ in shard_frames
-                ]
-            for index, exchange in zip(indices, resolved):
-                exchanges[index] = exchange
-        return exchanges
-
-    def _admitted_states(self, limit: int) -> list[_EndpointState]:
-        """Up to *limit* endpoints whose breakers admit traffic right now.
-
-        Draining replicas are only admitted when nothing else is — a
-        batch pinned to a draining server would bounce off its drain gate
-        frame by frame.
-        """
-        now = self._clock()
-        ordered = self._rotation(self._states)
-        candidates = [s for s in ordered if not s.is_draining(now)] + [
-            s for s in ordered if s.is_draining(now)
-        ]
-        admitted: list[_EndpointState] = []
-        for state in candidates:
-            if len(admitted) >= limit:
-                break
-            try:
-                state.breaker.allow()
-            except CircuitOpenError:
-                continue
-            admitted.append(state)
-        return admitted
-
-    def _submit_shard(
-        self, frames: list[bytes], states: list[_EndpointState]
-    ) -> list[Any]:
-        """Submit one batch to the first workable endpoint in *states*."""
-        last_error: BaseException | None = None
-        for attempt, state in enumerate(states):
-            if attempt:
-                # Failover target: re-check the breaker (the preferred
-                # endpoint consumed its admission when the shard was cut).
-                try:
-                    state.breaker.allow()
-                except CircuitOpenError:
-                    continue
             transport = state.transport()
             submit = getattr(transport, "submit_many", None)
-            if submit is None:
-                # A plain bytes -> bytes transport (injected through
-                # transport_factory): sequential failover calls instead.
-                return [self._resolved(frame) for frame in frames]
             try:
-                exchanges = submit(frames)
+                if submit is None:  # a plain bytes -> bytes transport
+                    firsts = [_attempt(state.transport, f) for f in shard_frames]
+                else:
+                    firsts = submit(shard_frames)
             except (ServiceError, OSError) as exc:
-                state.breaker.record_failure()
-                state.reset()
-                self.failovers += 1
-                last_error = exc
-                continue
-            state.breaker.record_success()
-            return exchanges
-        if last_error is not None:
-            raise ServiceError(
-                f"batch submission failed on every endpoint: {last_error}"
-            ) from last_error
-        raise CircuitOpenError(
-            "no healthy endpoint: all circuit breakers are open"
-        )
-
-    def _resolved(self, frame: bytes) -> _ResolvedExchange:
-        try:
-            return _ResolvedExchange(self(frame), None)
-        except BaseException as exc:  # noqa: BLE001 - delivered via wait()
-            return _ResolvedExchange(None, exc)
+                # Nothing reached the replica; each frame settles from
+                # this one error when waited.
+                if self._charge(state, exc):
+                    self.failovers += 1
+                firsts = [exc] * len(shard_frames)
+            else:
+                state.breaker.record_success()
+            for index, frame, first in zip(indices, shard_frames, firsts):
+                handles[index] = _PipelinedFrame(self, frame, state, first)
+        return handles
 
     def close(self) -> None:
         """Close every endpoint's connection (idle, active, or retiring)
@@ -882,13 +795,58 @@ class FailoverTransport:
             retiring, self._retiring = self._retiring, []
             states = list(self._states)
         for state in states + retiring:
-            state.close()
+            state.reset()
 
     def __enter__(self) -> "FailoverTransport":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _attempt(
+    transport: Callable[[], Transport], data: bytes
+) -> bytes | BaseException:
+    """One exchange: the response, or the transport error it raised."""
+    try:
+        return transport()(data)
+    except (ServiceError, OSError) as exc:
+        return exc
+
+
+@dataclass(eq=False, slots=True)
+class _PipelinedFrame:
+    """Handle for one frame of a :meth:`FailoverTransport.submit_many` batch.
+
+    *first* is what the frame's shard produced: the endpoint transport's
+    exchange handle, or an outcome already in hand (a plain transport's
+    response or error, or the error its shard's send raised).
+    """
+
+    owner: FailoverTransport
+    data: bytes
+    state: _EndpointState
+    first: Any
+
+    def done(self) -> bool:
+        return isinstance(self.first, _IN_HAND) or self.first.done()
+
+    def wait(self, timeout: float | None = None) -> bytes:
+        outcome = self.first
+        if not isinstance(outcome, _IN_HAND):
+            if timeout is None:
+                timeout = self.owner.endpoint_set.timeout
+            try:
+                outcome = outcome.wait(timeout)
+            except (ServiceError, OSError) as exc:
+                outcome = exc
+        if isinstance(outcome, BaseException) or wire.peek_response_error(outcome):
+            return self.owner._settle(self.data, self.state, outcome)
+        return outcome  # answered ok (or unparseable): nothing to settle
+
+
+#: First outcomes a :class:`_PipelinedFrame` holds instead of an exchange.
+_IN_HAND = (bytes, bytearray, BaseException)
 
 
 def connect(

@@ -36,6 +36,7 @@ from typing import Callable
 from repro.errors import ServiceError, WireFormatError
 from repro.service import wire
 from repro.service.batching import BATCHABLE_METHODS
+from repro.service.client import can_replay
 from repro.service.server import GalleryService
 
 logger = logging.getLogger(__name__)
@@ -775,14 +776,19 @@ class _FrameReceiver:
 
 
 class _PendingExchange:
-    """One in-flight pipelined call: an event plus its outcome."""
+    """One in-flight pipelined call: an event plus its outcome.
 
-    __slots__ = ("_event", "_frame", "_error")
+    A wait that times out abandons the exchange: its request_id is free
+    again, so the same frame can be resent on this connection.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_event", "_frame", "_error", "_abandon")
+
+    def __init__(self, abandon: Callable[["_PendingExchange"], None]) -> None:
         self._event = threading.Event()
         self._frame: bytes | None = None
         self._error: BaseException | None = None
+        self._abandon = abandon
 
     def resolve(self, frame: bytes) -> None:
         self._frame = frame
@@ -794,6 +800,7 @@ class _PendingExchange:
 
     def wait(self, timeout: float | None) -> bytes:
         if not self._event.wait(timeout):
+            self._abandon(self)
             raise TimeoutError("timed out waiting for a pipelined response")
         if self._error is not None:
             raise self._error
@@ -816,7 +823,8 @@ class PipelinedTcpTransport:
     * ``__call__`` keeps the plain blocking ``bytes -> bytes`` transport
       contract (submit + wait) with half-open handling: a failure on a
       connection that existed before the call is replayed once on a fresh
-      one; a fresh connection failing is a real outage and raises
+      one when :func:`~repro.service.client.can_replay` allows it; a fresh
+      connection failing is a real outage and raises
       :class:`ServiceError`.  A timeout raises :class:`ServiceError` at
       once, with no replay, and leaves the connection open.
 
@@ -907,9 +915,12 @@ class PipelinedTcpTransport:
         if entry is not None:
             entry.resolve(frame)
             return
-        # Unsolicited frame: either a response whose waiter already timed
-        # out (drop it) or a stream-level error the server emitted before
-        # hanging up (fail everything with the decoded error).
+        # Unsolicited frame: either a late answer to an exchange whose
+        # waiter timed out (drop it, error or not) or — request_id 0 — a
+        # stream-level error the server emitted before hanging up (fail
+        # everything with the decoded error).
+        if request_id:
+            return
         response = wire.decode_response(frame)
         if not response.ok:
             self._fail_generation(
@@ -932,9 +943,12 @@ class PipelinedTcpTransport:
                         f"{self._timeout}s"
                     )
             sock = self._ensure_connected_locked()
-            entry = _PendingExchange()
+            generation = self._generation
+            entry = _PendingExchange(
+                lambda entry: self._discard(request_id, generation, entry)
+            )
             self._pending[request_id] = entry
-            return entry, request_id, self._generation, sock
+            return entry, request_id, generation, sock
 
     def _discard(self, request_id: int, generation: int, entry: _PendingExchange) -> None:
         with self._state:
@@ -978,44 +992,26 @@ class PipelinedTcpTransport:
 
     # -- blocking transport contract ----------------------------------------
 
-    def _roundtrip(self, data: bytes) -> bytes:
-        entry, request_id, generation, sock = self._register(data)
-        try:
-            with self._send_lock:
-                sock.sendall(data)
-            return entry.wait(self._timeout)
-        except BaseException as exc:
-            self._discard(request_id, generation, entry)
-            if isinstance(exc, OSError) and not isinstance(exc, TimeoutError):
-                # The socket itself broke: everything in flight on this
-                # generation is lost.  (A timeout only abandons THIS call —
-                # other multiplexed calls may still be progressing.)
-                self._fail_generation(generation, exc)
-            raise
-
     def __call__(self, data: bytes) -> bytes:
-        reused = self._sock is not None
-        try:
-            return self._roundtrip(data)
-        except TimeoutError as exc:
-            # No answer in time is not a broken connection: only this call
-            # is abandoned, and the socket and every other exchange in
-            # flight on it stay up.  Resending would run the request twice.
-            raise ServiceError(f"transport failure: {exc}") from exc
-        except (OSError, WireFormatError) as exc:
-            if not reused:
-                raise ServiceError(f"transport failure: {exc}") from exc
-        # Half-open race: the pre-existing connection died under this call.
-        # Replay once on a fresh connection (safe: reads are idempotent and
-        # mutations are covered by server-side request dedup).
-        self.reconnects += 1
-        try:
-            return self._roundtrip(data)
-        except TimeoutError as exc:
-            raise ServiceError(f"transport failure: {exc}") from exc
-        except (OSError, WireFormatError) as exc:
-            self.close()
-            raise ServiceError(f"transport failure: {exc}") from exc
+        replay = self._sock is not None
+        while True:
+            try:
+                return self.submit(data).wait(self._timeout)
+            except (OSError, WireFormatError) as exc:
+                # No answer in time is not a broken connection: only this
+                # call is abandoned, and the socket and every other exchange
+                # in flight on it stay up.  Resending would run it twice.
+                if (
+                    isinstance(exc, TimeoutError)
+                    or not replay
+                    or not can_replay(wire.peek_request_head(data))
+                ):
+                    raise ServiceError(f"transport failure: {exc}") from exc
+            # Half-open race: the pre-existing connection died under this
+            # call.  Replay once on a fresh connection, under the failover
+            # layer's rule: the frame may already have run server-side.
+            self.reconnects += 1
+            replay = False
 
     def close(self) -> None:
         with self._state:

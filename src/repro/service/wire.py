@@ -43,6 +43,11 @@ _MSG_RESPONSE_ABORT = 0x03
 #: full decode.
 _BIN_HEADER = struct.Struct(">BBQ")
 
+#: Where a response frame's version and msgtype bytes start, and where its
+#: ok flag sits (:func:`peek_response_error`).
+_RESPONSE_HEAD = bytes((BINARY_VERSION, _MSG_RESPONSE))
+_OK_AT = _LENGTH.size + _BIN_HEADER.size
+
 #: Chunk frames extend the header with the total reassembled body length
 #: and this chunk's offset into it: version u8 | msgtype u8 | request_id
 #: u64 | total_len u64 | offset u64.  The first chunk's total_len lets the
@@ -268,6 +273,29 @@ def peek_response_request_id(data: bytes) -> int:
     if msgtype not in (_MSG_RESPONSE, _MSG_RESPONSE_CHUNK, _MSG_RESPONSE_ABORT):
         raise WireFormatError("frame is not a response")
     return request_id
+
+
+def peek_response_error(data: bytes) -> str | None:
+    """The error type a response frame carries, ``""`` when it is ok.
+
+    Reads only the fixed head: an ok response is one byte compare, an error
+    one short text, and the result is never decoded.  ``None`` for a frame
+    whose head does not parse as a response.
+    """
+    if (
+        len(data) > _OK_AT
+        and data[_OK_AT] == 1
+        and data[_LENGTH.size : _LENGTH.size + 2] == _RESPONSE_HEAD
+    ):
+        return ""
+    try:
+        cur = _Cursor(_split_frame(data))
+        _, msgtype, _ = cur.unpack(_BIN_HEADER)
+        if msgtype != _MSG_RESPONSE:
+            return None
+        return "" if cur.u8() == 1 else cur.text(_U16)
+    except WireFormatError:
+        return None
 
 
 # ---------------------------------------------------------------------------

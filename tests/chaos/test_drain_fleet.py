@@ -27,7 +27,8 @@ Timeline of the chaos scenario:
    client restart.
 
 Invariants: zero lost acked writes, zero duplicates, zero client-visible
-errors through the whole churn.
+errors through the whole churn — each acked upload is also read back
+through a pipelined batch, so pipelined reads meet the drain too.
 
 The concurrent scenario is marked ``chaos`` (run via ``make drain``);
 the smoke test keeps the registry + drain harness covered in tier-1.
@@ -179,6 +180,17 @@ class TestDrainFleetChaos:
                         continue
                     with lock:
                         acked[tag] = instance["instance_id"]
+                    # Read every acked upload back through a pipeline: a
+                    # batch spans replicas, so its frames meet the drain too.
+                    try:
+                        with client.pipeline() as pipe:
+                            record = pipe.get_model_instance(instance["instance_id"])
+                            blob = pipe.load_model_blob(instance["instance_id"])
+                        assert record.result()["instance_id"] == instance["instance_id"]
+                        assert blob.result() == f"weights-{tag}".encode() * 50
+                    except Exception as exc:  # noqa: BLE001 - every error counts
+                        with lock:
+                            failures.append(f"read:{tag}:{exc!r}")
                     time.sleep(0.01)  # keep the workload alive past the churn
             finally:
                 drain_reroutes[ci] = (

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.lifecycle import (
-    LifecycleStage,
-    LifecycleTracker,
-    can_transition,
-)
+from repro.core.lifecycle import LifecycleStage, can_transition
 from repro.errors import LifecycleError
 
 
@@ -46,49 +42,3 @@ class TestTransitionTable:
         with pytest.raises(LifecycleError):
             LifecycleStage.parse("shipping")
 
-
-class TestLifecycleTracker:
-    def test_register_and_query(self):
-        tracker = LifecycleTracker()
-        tracker.register("i1", stage=LifecycleStage.TRAINING, timestamp=1.0)
-        assert tracker.stage_of("i1") is LifecycleStage.TRAINING
-        assert "i1" in tracker
-        assert len(tracker) == 1
-
-    def test_double_register_rejected(self):
-        tracker = LifecycleTracker()
-        tracker.register("i1")
-        with pytest.raises(LifecycleError):
-            tracker.register("i1")
-
-    def test_legal_transition_recorded_in_history(self):
-        tracker = LifecycleTracker()
-        tracker.register("i1", stage=LifecycleStage.EVALUATION, timestamp=1.0)
-        tracker.transition("i1", LifecycleStage.DEPLOYED, timestamp=2.0, reason="gate passed")
-        history = tracker.history("i1")
-        assert len(history) == 2
-        assert history[-1].from_stage is LifecycleStage.EVALUATION
-        assert history[-1].to_stage is LifecycleStage.DEPLOYED
-        assert history[-1].reason == "gate passed"
-
-    def test_illegal_transition_rejected_and_state_unchanged(self):
-        tracker = LifecycleTracker()
-        tracker.register("i1", stage=LifecycleStage.TRAINING)
-        with pytest.raises(LifecycleError):
-            tracker.transition("i1", LifecycleStage.DEPLOYED)
-        assert tracker.stage_of("i1") is LifecycleStage.TRAINING
-
-    def test_unknown_instance_raises(self):
-        tracker = LifecycleTracker()
-        with pytest.raises(LifecycleError):
-            tracker.stage_of("ghost")
-        with pytest.raises(LifecycleError):
-            tracker.history("ghost")
-
-    def test_instances_in_stage(self):
-        tracker = LifecycleTracker()
-        tracker.register("b", stage=LifecycleStage.TRAINING)
-        tracker.register("a", stage=LifecycleStage.TRAINING)
-        tracker.register("c", stage=LifecycleStage.EVALUATION)
-        assert tracker.instances_in(LifecycleStage.TRAINING) == ["a", "b"]
-        assert tracker.instances_in("evaluation") == ["c"]

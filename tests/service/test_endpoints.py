@@ -357,7 +357,7 @@ class TestRouting:
         )
         # The mutation must still land even when the rotation hands it the
         # dead replica first (the shared dedup table makes the replay safe,
-        # so _can_retry admits it).
+        # so can_replay admits it).
         results = [wire.decode_response(transport(mutation_frame())).result
                    for _ in range(2)]
         assert results == ["landed", "landed"]
@@ -943,3 +943,204 @@ class TestDrainRouting:
         assert transport.drain_reroutes >= 1
         assert svc_a.draining and not svc_b.draining
         assert client.fleet_status()["status"] in ("serving", "draining")
+
+
+# ---------------------------------------------------------------------------
+# one settlement loop: pipelined frames follow the single-call rules
+# ---------------------------------------------------------------------------
+
+
+class Exchange:
+    """A pipelined exchange handle that answers (or raises) *outcome*."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def wait(self, timeout=None):
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
+
+    def done(self):
+        return True
+
+
+class PipelinedScripted(ScriptedTransport):
+    """A ScriptedTransport whose batches go through ``batch(frames)``."""
+
+    def __init__(self, address, script, batch=None):
+        super().__init__(address, script)
+        self.batch = batch or (lambda frames: [Exchange(script(f)) for f in frames])
+
+    def submit_many(self, frames):
+        self.calls.extend(frames)
+        return self.batch(frames)
+
+
+def pipelined_transport(scripts, batches=None, **options):
+    """A FailoverTransport over PipelinedScripted endpoints (address ->
+    script), plus address -> every transport dialed to it."""
+    dialed = {address: [] for address in scripts}
+
+    def factory(endpoint):
+        transport = PipelinedScripted(
+            endpoint.address,
+            scripts[endpoint.address],
+            (batches or {}).get(endpoint.address),
+        )
+        dialed[endpoint.address].append(transport)
+        return transport
+
+    endpoints = tuple(
+        Endpoint(host, int(port))
+        for host, port in (address.split(":") for address in scripts)
+    )
+    options.setdefault("policies", fast_policies())
+    transport = FailoverTransport(
+        endpoints, transport_factory=factory, sleep=lambda s: None, **options
+    )
+    return transport, dialed
+
+
+class TestPipelinedSettlement:
+    def test_pipelined_batch_reroutes_off_a_drained_tcp_replica(self):
+        from repro import build_gallery
+        from repro.service.server import GalleryService
+        from repro.service.tcp import GalleryTcpServer
+
+        gallery = build_gallery()
+        servers = [GalleryTcpServer(GalleryService(gallery)).start() for _ in range(2)]
+        client = None
+        try:
+            assert servers[0].drain(wait_timeout=5.0)
+            url = "gallery://" + ",".join(
+                f"{host}:{port}" for host, port in (s.address for s in servers)
+            )
+            client = connect(url, client_id="pipe-drain")
+            errors = []
+            for _ in range(2):
+                with client.pipeline() as pipe:
+                    handles = [pipe.model_query([]) for _ in range(20)]
+                for handle in handles:
+                    try:
+                        assert handle.result() == []
+                    except Exception as exc:  # noqa: BLE001 - counted below
+                        errors.append(exc)
+            assert errors == []
+            assert client._transport.drain_reroutes >= 1  # noqa: SLF001
+        finally:
+            if client is not None:
+                client.close()
+            for server in servers:
+                server.stop()
+
+    def test_transient_error_in_a_batch_is_retried_only_when_replay_is_safe(self):
+        answered = set()
+
+        def flaky_once(data):
+            request_id = wire.peek_request_id(data)
+            if request_id in answered:
+                return ok_frame("recovered", request_id)
+            answered.add(request_id)
+            return error_frame("MetadataStoreError", request_id)
+
+        transport, _ = pipelined_transport({"a:1": flaky_once})
+        (read,) = transport.submit_many([read_frame(1)])
+        assert wire.decode_response(read.wait()).result == "recovered"
+        assert transport.attempts == 2
+        (mutation,) = transport.submit_many([mutation_frame(2, client_id="")])
+        response = wire.decode_response(mutation.wait())
+        assert response.error_type == "MetadataStoreError"
+        assert transport.attempts == 3  # no resend of an unsafe mutation
+
+    def test_pipelined_call_against_a_mute_server_raises(self):
+        import threading
+
+        from tests.service.test_pipeline import MuteServer
+
+        server = MuteServer()
+        host, port = server.address
+        client = connect(f"gallery://{host}:{port}?timeout=0.3", client_id="mute")
+        outcome = []
+
+        def fetch():
+            with client.pipeline() as pipe:
+                handle = pipe.get_model("m")
+            try:
+                handle.result()
+            except Exception as exc:  # noqa: BLE001 - the expected outcome
+                outcome.append(exc)
+
+        worker = threading.Thread(target=fetch, daemon=True)
+        worker.start()
+        worker.join(10.0)
+        blocked = worker.is_alive()
+        client.close()
+        server.join()
+        assert not blocked, "a pipelined call outlived its transport timeout"
+        assert isinstance(outcome[0], (ServiceError, CircuitOpenError))
+
+    def test_single_call_decodes_its_response_once(self, monkeypatch):
+        decoded = []
+        real = wire.decode_response
+
+        def counting(data):
+            decoded.append(data)
+            return real(data)
+
+        monkeypatch.setattr(wire, "decode_response", counting)
+        fleet = Fleet({"a:1": lambda d: ok_frame({"model_id": "m"})})
+        client = connect(
+            "gallery://a:1", policies=fast_policies(),
+            transport_factory=fleet.factory,
+        )
+        assert client.get_model("m") == {"model_id": "m"}
+        assert len(decoded) == 1
+
+    def test_one_dropped_connection_is_one_breaker_failure(self):
+        dropped = ConnectionResetError("connection dropped")
+        transport, dialed = pipelined_transport(
+            {"a:1": lambda d: ok_frame("a"), "b:2": lambda d: ok_frame("b")},
+            batches={"a:1": lambda frames: [Exchange(dropped) for _ in frames]},
+            failure_threshold=2,
+            clock=frozen_clock,
+        )
+        handles = transport.submit_many([read_frame(i) for i in range(1, 9)])
+        assert len(dialed["a:1"][0].calls) == 4  # four frames on the dropped link
+        results = [wire.decode_response(h.wait()).result for h in handles]
+        assert results.count("b") >= 4
+        # Four frames were lost with one connection: one breaker failure
+        # (the threshold is two), one failover, one reset.
+        assert transport.breaker_states()["a:1"] == "closed"
+        assert transport.failovers == 1
+        assert dialed["a:1"][0].closed == 1
+
+    def test_unwaited_handle_does_not_keep_a_retired_endpoint_open(self):
+        class Pending:
+            def wait(self, timeout=None):
+                raise TimeoutError("no answer")
+
+            def done(self):
+                return False
+
+        def never(frames):
+            return [Pending() for _ in frames]
+
+        transport, dialed = pipelined_transport(
+            {"a:1": lambda d: ok_frame("a"), "b:2": lambda d: ok_frame("b")},
+            batches={"a:1": never, "b:2": never},
+        )
+        handles = transport.submit_many([read_frame(1), read_frame(2)])
+        assert not any(handle.done() for handle in handles)
+        transport.update_endpoints((Endpoint("b", 2),))
+        assert dialed["a:1"][0].closed == 1
+
+    def test_ok_pipelined_answer_skips_the_loop(self, monkeypatch):
+        def no_settle(*args):
+            raise AssertionError("an ok answer entered the settle loop")
+
+        transport, _ = pipelined_transport({"a:1": lambda d: ok_frame("a")})
+        monkeypatch.setattr(transport, "_settle", no_settle)
+        monkeypatch.setattr(wire, "decode_response", no_settle)
+        handles = transport.submit_many([read_frame(i) for i in range(1, 4)])
+        assert [h.wait() for h in handles] == [ok_frame("a")] * 3

@@ -48,6 +48,8 @@ class HangUpOnceProxy:
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()
         self.armed = False
+        #: hang up on the next *reply* instead: the request has run
+        self.armed_on_reply = False
         threading.Thread(target=self._accept, daemon=True).start()
 
     def _accept(self):
@@ -74,6 +76,9 @@ class HangUpOnceProxy:
                     if source is downstream and self.armed:
                         self.armed = False
                         return  # drop the request, close both ends
+                    if source is upstream and self.armed_on_reply:
+                        self.armed_on_reply = False
+                        return  # drop the reply, close both ends
                     (upstream if source is downstream else downstream).sendall(data)
 
     def close(self):
@@ -191,6 +196,93 @@ class TestBlockingContract:
         finally:
             transport.close()
             proxy.close()
+
+    def test_unsafe_mutation_is_not_replayed_after_its_reply_is_lost(
+        self, pipelined_stack
+    ):
+        # No client_id: the server cannot recognise a second copy, so the
+        # half-open replay would upload the model twice.
+        gallery, _, server, _, _ = pipelined_stack
+        proxy = HangUpOnceProxy(server.address)
+        transport = PipelinedTcpTransport(*proxy.address, timeout=15.0)
+        client = GalleryClient(transport, client_id="")
+        try:
+            client.create_gallery_model("p", "demand")  # connection now in use
+            proxy.armed_on_reply = True
+            with pytest.raises(ServiceError, match="transport failure"):
+                client.upload_model("p", "demand", b"once")
+            assert transport.reconnects == 0
+            assert len(gallery.instances_of("demand")) == 1
+        finally:
+            transport.close()
+            proxy.close()
+
+    def test_late_error_answer_fails_no_neighbour(self):
+        # The answer to a timed-out exchange arrives after all, as an error:
+        # it names its request, so it is dropped, not read as a stream-level
+        # error that fails every exchange on the connection.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                for _ in range(2):
+                    stream.read(int.from_bytes(stream.read(8), "big"))
+                late.wait(10.0)
+                for request_id, ok in ((1, False), (2, True)):
+                    conn.sendall(wire.encode_response(wire.Response(
+                        ok=ok, error_type="" if ok else "NotFoundError",
+                        request_id=request_id,
+                    )))
+                stream.read(8)  # until the client hangs up
+
+        late = threading.Event()
+        threading.Thread(target=serve, daemon=True).start()
+        transport = PipelinedTcpTransport(*listener.getsockname(), timeout=0.3)
+        second = transport.submit(request_frame("getModel", 2, model_id="m"))
+        with pytest.raises(ServiceError, match="timed out"):
+            transport(request_frame("getModel", 1, model_id="m"))
+        late.set()
+        assert wire.decode_response(second.wait(5.0)).ok
+        transport.close()
+        listener.close()
+
+    def test_failover_timeout_leaves_the_connection_open(self):
+        # The failover layer retries an unanswered read, but a timeout is
+        # not a broken connection: it keeps the one connection, and the
+        # exchange submitted before it keeps waiting for its own answer.
+        from repro.reliability import RetryPolicy
+        from repro.service.client import MethodRetryPolicies
+        from repro.service.endpoints import Endpoint, FailoverTransport
+
+        server = MuteServer()
+        dialed = []
+
+        def factory(endpoint):
+            dialed.append(
+                PipelinedTcpTransport(endpoint.host, endpoint.port, timeout=0.3)
+            )
+            return dialed[-1]
+
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0)
+        transport = FailoverTransport(
+            [Endpoint(*server.address)],
+            policies=MethodRetryPolicies(read=policy, blob=policy, mutation=policy),
+            transport_factory=factory,
+            sleep=lambda s: None,
+        )
+        first, second = (
+            wire.encode_request(wire.Request(method=method, request_id=request_id))
+            for request_id, method in ((1, "auditStorage"), (2, "getModel"))
+        )
+        (pending,) = transport.submit_many([first])
+        with pytest.raises(ServiceError, match="timed out"):
+            transport(second)
+        assert not pending.done()
+        assert len(dialed) == 1
+        transport.close()
+        server.join()
+        assert server.request_ids == [1, 2, 2]
 
     def test_fresh_connection_failure_surfaces(self):
         _, service = build_service()

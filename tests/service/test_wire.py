@@ -75,3 +75,31 @@ class TestBlobPayloads:
     def test_text_blob_rejected(self):
         with pytest.raises(WireFormatError, match="must be bytes"):
             wire.decode_blob("aGVsbG8=")
+
+
+class TestPeekResponseError:
+    @pytest.mark.parametrize(
+        "response",
+        [
+            Response(ok=True, result={"model_id": "m"}, request_id=3),
+            Response(ok=True, result=b"\x00" * 5000, request_id=4),
+            Response(ok=False, error_type="ReplicaDrainingError", error_message="x"),
+            Response(ok=False, error_type="MetadataStoreError", request_id=9),
+        ],
+    )
+    def test_head_agrees_with_the_full_decode(self, response):
+        frame = wire.encode_response(response)
+        decoded = wire.decode_response(frame)
+        assert wire.peek_response_error(frame) == ("" if decoded.ok else decoded.error_type)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"",
+            b"garbage",
+            wire.encode_request(Request(method="getModel", request_id=1)),
+            wire.encode_response(Response(ok=False, error_type="X"))[:12],
+        ],
+    )
+    def test_unparseable_head_is_none(self, frame):
+        assert wire.peek_response_error(frame) is None
