@@ -18,7 +18,6 @@ so a :class:`repro.rules.engine.RuleEngine` can be pointed directly at it.
 
 from __future__ import annotations
 
-import functools
 import threading
 
 from dataclasses import replace
@@ -60,15 +59,16 @@ _ENVIRONMENT_SCOPE = {
 }
 
 
-def _locked(method):
-    """Serialize a mutating registry method on the instance write lock."""
+def _with_pointer(pointers: str, model_id: str):
+    """A store update adding *model_id* to a model's *pointers* once."""
 
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        with self._write_lock:
-            return method(self, *args, **kwargs)
+    def change(model: Model) -> Model:
+        present = getattr(model, pointers)
+        if model_id in present:
+            return model
+        return replace(model, **{pointers: present + (model_id,)})
 
-    return wrapper
+    return change
 
 
 def _recency(record: MetricRecord) -> tuple[float, str]:
@@ -117,13 +117,13 @@ class Gallery:
         self._dal = dal
         self._clock = clock or SYSTEM_CLOCK
         self._new_id = id_factory or random_uuid
-        #: serializes mutating operations: the TCP service is threaded, and
-        #: pointer mirroring and lifecycle transitions read before they write.
-        #: Every answer comes from the store, so replicas need no other state.
-        self._write_lock = threading.RLock()
+        #: The store answers every read and decides every write, so replicas
+        #: need no state and no lock but this one: an edge spans two shards,
+        #: so no store transaction can decide whether it closes a cycle.
+        self._edge_lock = threading.Lock()
         #: read-through cache of flattened model+instance search documents;
-        #: invalidated on the only paths that can change a document
-        #: (replace_model / replace_instance / deprecate*).
+        #: invalidated whenever a store update reports that it changed a
+        #: model or instance record.
         self._documents = DocumentCache()
         #: queries answered from stale cache snapshots during store outages
         self._stale_query_count = 0
@@ -133,11 +133,15 @@ class Gallery:
     def dal(self) -> DataAccessLayer:
         return self._dal
 
+    def _publish(self, kind: EventKind, at: float | None = None, **fields: Any) -> None:
+        """Announce a change the store committed, at *at* (default: now)."""
+        at = self._clock.now() if at is None else at
+        self.bus.publish(Event(kind=kind, timestamp=at, **fields))
+
     # ------------------------------------------------------------------
     # Model management
     # ------------------------------------------------------------------
 
-    @_locked
     def create_model(
         self,
         project: str,
@@ -157,10 +161,6 @@ class Gallery:
         serving assignments can be re-pointed within the group; instances
         inherit it unless they override it at upload time.
         """
-        if self._dal.metadata.models_at(project, base_version_id):
-            raise ValidationError(
-                f"project {project!r} already has base version {base_version_id!r}"
-            )
         upstream_model_ids = tuple(upstream_model_ids)
         found = self._dal.metadata.get_models(upstream_model_ids) if upstream_model_ids else {}
         if len(found) != len(set(upstream_model_ids)):
@@ -176,20 +176,13 @@ class Gallery:
             created_time=self._clock.now(),
             upstream_model_ids=upstream_model_ids,
             family=family,
+            metadata=dict(metadata) if metadata else {},
         )
-        if metadata:
-            model = replace(model, metadata=dict(metadata))
-        self._dal.metadata.insert_model(model)
-        for upstream_id in upstream_model_ids:
-            self._mirror_dependency_pointers(model.model_id, upstream_id)
-        self.bus.publish(
-            Event(
-                kind=EventKind.MODEL_CREATED,
-                timestamp=self._clock.now(),
-                model_id=model.model_id,
-            )
-        )
-        return self.get_model(model.model_id)
+        self._dal.metadata.insert_model(model)  # refuses a taken coordinate
+        for upstream in found.values():
+            self._mirror_dependency_pointers(model, upstream)
+        self._publish(EventKind.MODEL_CREATED, model_id=model.model_id)
+        return model
 
     def get_model(self, model_id: str) -> Model:
         return self._dal.metadata.get_model(model_id)
@@ -215,7 +208,6 @@ class Gallery:
             if include_deprecated or not m.deprecated
         ]
 
-    @_locked
     def evolve_model(
         self,
         old_model_id: str,
@@ -232,10 +224,6 @@ class Gallery:
         starts with no downstream models.
         """
         old = self.get_model(old_model_id)
-        if old.next_model_id is not None:
-            raise ValidationError(
-                f"model {old_model_id!r} already has a successor"
-            )
         new_id = model_id or self._new_id()
         successor = old.evolved(
             new_id,
@@ -245,35 +233,28 @@ class Gallery:
             deprecated=False,
             downstream_model_ids=(),
         )
+        # claims old's next pointer, refused if another successor has it
         self._dal.metadata.insert_model(successor)
-        self._dal.metadata.replace_model(old.with_next(new_id))
         self._documents.invalidate_model(old_model_id)
-        for upstream_id in successor.upstream_model_ids:
-            self._mirror_dependency_pointers(new_id, upstream_id)
-        self.bus.publish(
-            Event(
-                kind=EventKind.MODEL_CREATED,
-                timestamp=self._clock.now(),
-                model_id=new_id,
-            )
-        )
-        return self.get_model(new_id)
+        upstreams = self._dal.metadata.get_models(successor.upstream_model_ids)
+        for upstream in upstreams.values():
+            self._mirror_dependency_pointers(successor, upstream)
+        self._publish(EventKind.MODEL_CREATED, model_id=new_id)
+        return successor
 
-    @_locked
     def deprecate_model(self, model_id: str) -> Model:
         """Flag a model (and none of its data) as deprecated (Section 3.7)."""
-        model = self.get_model(model_id)
-        if model.deprecated:
-            return model
-        self._dal.metadata.replace_model(model.deprecate())
-        self._documents.invalidate_model(model_id)
-        return self.get_model(model_id)
+        model, changed = self._dal.metadata.update_record(
+            self.get_model(model_id), Model.deprecate
+        )
+        if changed:
+            self._documents.invalidate_model(model_id)
+        return model
 
     # ------------------------------------------------------------------
     # Dependencies (Section 3.4.2)
     # ------------------------------------------------------------------
 
-    @_locked
     def add_dependency(
         self, downstream_id: str, upstream_id: str
     ) -> list[PropagationEvent]:
@@ -282,11 +263,12 @@ class Gallery:
         Adding a dependency is itself a model change (Figure 7): the
         downstream model and everything below it take a minor bump.
         """
-        found = self._dal.metadata.get_models([downstream_id, upstream_id])
-        wave, members = self._wave(found.get(downstream_id), found.values())
-        # unknown model, self-dependency, duplicate and cycle all raise here
-        events = wave.add_dependency(downstream_id, upstream_id)
-        self._mirror_dependency_pointers(downstream_id, upstream_id)
+        with self._edge_lock:
+            found = self._dal.metadata.get_models([downstream_id, upstream_id])
+            wave, members = self._wave(found.get(downstream_id), found.values())
+            # unknown model, self-dependency, duplicate and cycle all raise here
+            events = wave.add_dependency(downstream_id, upstream_id)
+            self._mirror_dependency_pointers(found[downstream_id], found[upstream_id])
         return self._persist(events, members)
 
     def _closure(self, model: Model, pointers: str) -> dict[str, Model]:
@@ -348,32 +330,23 @@ class Gallery:
         model = self.get_model(model_id)
         return set(self._closure(model, pointers) if transitive else getattr(model, pointers))
 
-    def _mirror_dependency_pointers(self, downstream_id: str, upstream_id: str) -> None:
-        """Persist upstream/downstream pointers onto the model records."""
-        down = self.get_model(downstream_id)
-        if upstream_id not in down.upstream_model_ids:
-            self._dal.metadata.replace_model(
-                replace(
-                    down,
-                    upstream_model_ids=down.upstream_model_ids + (upstream_id,),
-                )
+    def _mirror_dependency_pointers(self, down: Model, up: Model) -> None:
+        """Persist an edge on both model records: two idempotent appends,
+        each decided in its own store transaction."""
+        for model, pointers, other in (
+            (down, "upstream_model_ids", up.model_id),
+            (up, "downstream_model_ids", down.model_id),
+        ):
+            _, changed = self._dal.metadata.update_record(
+                model, _with_pointer(pointers, other)
             )
-            self._documents.invalidate_model(downstream_id)
-        up = self.get_model(upstream_id)
-        if downstream_id not in up.downstream_model_ids:
-            self._dal.metadata.replace_model(
-                replace(
-                    up,
-                    downstream_model_ids=up.downstream_model_ids + (downstream_id,),
-                )
-            )
-            self._documents.invalidate_model(upstream_id)
+            if changed:
+                self._documents.invalidate_model(model.model_id)
 
     # ------------------------------------------------------------------
     # Model instances (Listing 3)
     # ------------------------------------------------------------------
 
-    @_locked
     def upload_model(
         self,
         project: str,
@@ -401,6 +374,8 @@ class Gallery:
         """
         stage = LifecycleStage.parse(initial_stage)
         model = self.find_model(project, base_version_id)
+        # before the blob goes out; the insert refuses a deprecation or an
+        # evolution that lands after this read
         if model.deprecated:
             raise DeprecatedModelError(
                 f"model {model.model_id!r} is deprecated; register a new model"
@@ -427,13 +402,11 @@ class Gallery:
             self._dal.metadata.append_stage_change(
                 stored.instance_id, StageChange(created, None, stage, "registered")
             )
-        self.bus.publish(
-            Event(
-                kind=EventKind.INSTANCE_CREATED,
-                timestamp=created,
-                model_id=model.model_id,
-                instance_id=stored.instance_id,
-            )
+        self._publish(
+            EventKind.INSTANCE_CREATED,
+            created,
+            model_id=model.model_id,
+            instance_id=stored.instance_id,
         )
         return stored
 
@@ -519,7 +492,6 @@ class Gallery:
     def stage_of(self, instance_id: str) -> LifecycleStage:
         return self.stage_history(instance_id)[-1].to_stage
 
-    @_locked
     def mark_deployed(self, instance_id: str, reason: str = "deployed") -> None:
         """Advance an instance's lifecycle stage to DEPLOYED (Figure 1).
 
@@ -528,42 +500,55 @@ class Gallery:
         automation principle).
         """
         current, target = self.stage_of(instance_id), LifecycleStage.DEPLOYED
-        if not can_transition(current, target):
+        stuck = self._move_stage(instance_id, current, target, reason)
+        if stuck is not None:
             raise LifecycleError(
                 f"illegal lifecycle transition for {instance_id!r}: "
-                f"{current.value} -> {target.value}"
+                f"{stuck.value} -> {target.value}"
             )
-        change = StageChange(self._clock.now(), current, target, reason)
-        self._dal.metadata.append_stage_change(instance_id, change)
 
-    @_locked
+    def _move_stage(
+        self,
+        instance_id: str,
+        current: LifecycleStage,
+        target: LifecycleStage,
+        why: str,
+    ) -> LifecycleStage | None:
+        """Record *current* -> *target*: None once recorded, else the stage
+        that cannot move there.  The store refuses an append from a stage
+        a peer already left, so that move is read and decided on again."""
+        while can_transition(current, target):
+            change = StageChange(self._clock.now(), current, target, why)
+            if self._dal.metadata.append_stage_change(instance_id, change):
+                return None
+            current = self.stage_of(instance_id)
+        return current
+
     def deprecate_instance(self, instance_id: str) -> ModelInstance:
         """Flag an instance as deprecated; it stays fetchable by id."""
-        instance = self.get_instance(instance_id)
-        if instance.deprecated:
-            return instance
+        # Read before flagging: a flagged instance without transitions reads
+        # as DEPRECATED already.
         current = self.stage_of(instance_id)
-        self._dal.metadata.replace_instance(instance.deprecate())
-        self._documents.invalidate_instance(instance_id)
-        target = LifecycleStage.DEPRECATED
-        if can_transition(current, target):  # unless it already is
-            change = StageChange(self._clock.now(), current, target, "deprecated via registry")
-            self._dal.metadata.append_stage_change(instance_id, change)
-        self.bus.publish(
-            Event(
-                kind=EventKind.INSTANCE_DEPRECATED,
-                timestamp=self._clock.now(),
-                model_id=instance.model_id,
-                instance_id=instance_id,
-            )
+        instance, changed = self._dal.metadata.update_record(
+            self.get_instance(instance_id), ModelInstance.deprecate
         )
-        return self.get_instance(instance_id)
+        if not changed:
+            return instance
+        self._documents.invalidate_instance(instance_id)
+        self._move_stage(
+            instance_id, current, LifecycleStage.DEPRECATED, "deprecated via registry"
+        )
+        self._publish(
+            EventKind.INSTANCE_DEPRECATED,
+            model_id=instance.model_id,
+            instance_id=instance_id,
+        )
+        return instance
 
     # ------------------------------------------------------------------
     # Families & serving assignments (Section 4.2)
     # ------------------------------------------------------------------
 
-    @_locked
     def enable_instance(self, instance_id: str) -> ModelInstance:
         """Pass an instance through the review gate (Section 4.2).
 
@@ -573,7 +558,6 @@ class Gallery:
         """
         return self._set_enablement(instance_id, True)
 
-    @_locked
     def disable_instance(self, instance_id: str) -> ModelInstance:
         """Pull an instance back behind the review gate.
 
@@ -584,21 +568,20 @@ class Gallery:
         return self._set_enablement(instance_id, False)
 
     def _set_enablement(self, instance_id: str, enabled: bool) -> ModelInstance:
-        instance = self.get_instance(instance_id)
-        if instance.enabled == enabled:
-            return instance
-        self._dal.metadata.replace_instance(instance.with_enablement(enabled))
-        self._documents.invalidate_instance(instance_id)
-        self.bus.publish(
-            Event(
-                kind=EventKind.INSTANCE_ENABLEMENT,
-                timestamp=self._clock.now(),
-                model_id=instance.model_id,
-                instance_id=instance_id,
-                payload={"enabled": enabled},
-            )
+        instance, changed = self._dal.metadata.update_record(
+            self.get_instance(instance_id),
+            lambda stored: stored.with_enablement(enabled),
         )
-        return self.get_instance(instance_id)
+        if not changed:
+            return instance
+        self._documents.invalidate_instance(instance_id)
+        self._publish(
+            EventKind.INSTANCE_ENABLEMENT,
+            model_id=instance.model_id,
+            instance_id=instance_id,
+            payload={"enabled": enabled},
+        )
+        return instance
 
     def models_in_family(self, family: str, include_deprecated: bool = False) -> list[Model]:
         """All models grouped under *family*, oldest first."""
@@ -639,26 +622,18 @@ class Gallery:
         """Every scope's current assignment, sorted by scope."""
         return self._dal.metadata.serving_assignments()
 
-    @_locked
     def assign_serving(
         self, scope: str, instance_id: str, reason: str = ""
     ) -> ServingAssignment:
         """Atomically re-point *scope*'s serving assignment (enablement-gated).
 
         The target must exist, be enabled, and not be deprecated — the
-        registry is the gatekeeper, so no rule action or wire client can
-        route traffic at an unreviewed instance.  Re-assigning the current
-        instance is a no-op (the switch count does not move).
+        store checks the gate in the re-point's own transaction, so no rule
+        action or wire client can route traffic at an unreviewed instance.
+        Re-assigning the current instance is a no-op (the switch count does
+        not move).
         """
         instance = self.get_instance(instance_id)
-        if instance.deprecated:
-            raise ValidationError(
-                f"instance {instance_id!r} is deprecated and cannot serve"
-            )
-        if not instance.enabled:
-            raise ValidationError(
-                f"instance {instance_id!r} is disabled (review gate) and cannot serve"
-            )
         assignment, switched = self._dal.metadata.assign_serving(
             scope,
             instance_id,
@@ -672,20 +647,18 @@ class Gallery:
         # instance), so "did this call change anything" comes from the
         # store's transaction: a read before it would race other replicas.
         if switched:
-            self.bus.publish(
-                Event(
-                    kind=EventKind.SERVING_SWITCHED,
-                    timestamp=assignment.assigned_time,
-                    model_id=instance.model_id,
-                    instance_id=instance_id,
-                    payload={
-                        "scope": scope,
-                        "family": assignment.family,
-                        "previous_instance_id": assignment.previous_instance_id,
-                        "reason": reason,
-                        "switch_count": assignment.switch_count,
-                    },
-                )
+            self._publish(
+                EventKind.SERVING_SWITCHED,
+                assignment.assigned_time,
+                model_id=instance.model_id,
+                instance_id=instance_id,
+                payload={
+                    "scope": scope,
+                    "family": assignment.family,
+                    "previous_instance_id": assignment.previous_instance_id,
+                    "reason": reason,
+                    "switch_count": assignment.switch_count,
+                },
             )
         return assignment
 
@@ -725,7 +698,6 @@ class Gallery:
         pick = min if mode == "min" else max
         return pick(measured, key=lambda pair: pair[1])[0]
 
-    @_locked
     def switch_family(
         self,
         scope: str,
@@ -736,10 +708,10 @@ class Gallery:
     ) -> ServingAssignment:
         """Re-point *scope* at the best servable instance of *family*.
 
-        One atomic read-modify-write against the store: selection and
-        assignment happen under the registry write lock, and the store-level
-        upsert is transactional, so racing switches across replicas cannot
-        interleave into a half-applied state.
+        The pick is a read; the re-point is one store transaction that
+        decides on the row it reads, so racing switches across replicas
+        cannot interleave into a half-applied state (the later one wins,
+        and a re-point to the serving instance is a no-op).
         """
         best = self.best_in_family(family, metric=metric, mode=mode)
         return self.assign_serving(
@@ -750,7 +722,6 @@ class Gallery:
     # Metrics (Listing 4)
     # ------------------------------------------------------------------
 
-    @_locked
     def insert_metric(
         self,
         instance_id: str,
@@ -771,18 +742,9 @@ class Gallery:
             metadata=dict(metadata) if metadata else {},
         )
         self._dal.metadata.insert_metric(metric)
-        self.bus.publish(
-            Event(
-                kind=EventKind.METRIC_UPDATED,
-                timestamp=metric.created_time,
-                instance_id=instance_id,
-                metric_name=name,
-                payload={"value": metric.value, "scope": metric.scope.value},
-            )
-        )
+        self._publish_metrics([metric])
         return metric
 
-    @_locked
     def insert_metrics(
         self,
         instance_id: str,
@@ -794,7 +756,7 @@ class Gallery:
 
         The whole batch is persisted in one store transaction
         (``executemany`` on the SQLite backend): either every metric lands
-        or none does, and the write lock is taken once, not per metric.
+        or none does.
         """
         self.get_instance(instance_id)  # must exist
         batch_id = self._new_id()
@@ -813,17 +775,18 @@ class Gallery:
             for name, value in values.items()
         ]
         self._dal.metadata.insert_metrics(records)
-        for record in records:
-            self.bus.publish(
-                Event(
-                    kind=EventKind.METRIC_UPDATED,
-                    timestamp=record.created_time,
-                    instance_id=instance_id,
-                    metric_name=record.name,
-                    payload={"value": record.value, "scope": record.scope.value},
-                )
-            )
+        self._publish_metrics(records)
         return records
+
+    def _publish_metrics(self, records: Sequence[MetricRecord]) -> None:
+        for record in records:
+            self._publish(
+                EventKind.METRIC_UPDATED,
+                record.created_time,
+                instance_id=record.instance_id,
+                metric_name=record.name,
+                payload={"value": record.value, "scope": record.scope.value},
+            )
 
     def metrics_of(self, instance_id: str) -> list[MetricRecord]:
         return self._dal.metadata.metrics_of_instance(instance_id)

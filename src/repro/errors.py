@@ -19,15 +19,6 @@ class ValidationError(GalleryError):
     """A record, metadata document, or rule failed validation."""
 
 
-class ImmutabilityError(GalleryError):
-    """An attempt was made to mutate an immutable model or instance.
-
-    The paper's first design principle (Section 3.1) is that models and model
-    instances are immutable: any update must create a new version.  Code paths
-    that would overwrite an existing record raise this error instead.
-    """
-
-
 class NotFoundError(GalleryError):
     """A model, instance, metric, blob, or rule does not exist."""
 

@@ -156,9 +156,9 @@ def register_switch_family_action(
       * ``metric`` / ``mode`` — optional ranking, e.g. ``mape`` / ``min``;
       * ``reason`` — audit string stamped onto the assignment row.
 
-    Selection and assignment happen inside ``Gallery.switch_family`` under
-    the registry write lock plus a transactional store upsert, so racing
-    rule firings across replicas cannot interleave.
+    Selection and assignment happen inside ``Gallery.switch_family``, whose
+    re-point is one store transaction, so racing rule firings across
+    replicas cannot interleave.
     """
 
     def _switch_family(context: ActionContext) -> str:

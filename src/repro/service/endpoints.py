@@ -32,7 +32,7 @@ import threading
 import time
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import (
     CircuitOpenError,
@@ -214,8 +214,11 @@ class _EndpointState:
     _meter: threading.Lock = field(default_factory=threading.Lock)
     #: latency EWMA over successful calls, seconds (None until measured)
     ewma: float | None = None
-    #: calls currently on the wire to this endpoint
+    #: synchronous calls currently on the wire to this endpoint
     in_flight: int = 0
+    #: pipelined exchanges sent here: load until they complete (a timed-out
+    #: wait completes its own), but they never hold a retired endpoint open
+    pipelined: set = field(default_factory=set)
     #: monotonic timestamp until which the endpoint is considered draining
     draining_until: float = 0.0
     #: set when the endpoint left the membership; close deferred until
@@ -255,14 +258,24 @@ class _EndpointState:
             else:
                 self.ewma += _LATENCY_ALPHA * (latency - self.ewma)
 
+    def track(self, exchanges: Iterable[Any]) -> int:
+        """Count *exchanges* as load until they are done, forgetting those
+        that are; the load: synchronous calls plus pipelined exchanges."""
+        with self._meter:
+            self.pipelined = {e for e in self.pipelined if not e.done()}
+            self.pipelined.update(exchanges)
+            return self.in_flight + len(self.pipelined)
+
+    def load(self) -> int:
+        return self.track(())
+
     def score(self) -> float:
         """Load score: latency estimate scaled by queue depth.
 
         Unmeasured endpoints score 0 — the most attractive — so a fresh
         replica gets probed (and measured) quickly instead of starving.
         """
-        with self._meter:
-            return (self.ewma or 0.0) * (1 + self.in_flight)
+        return (self.ewma or 0.0) * (1 + self.load())
 
     # -- drain / retirement ---------------------------------------------------
 
@@ -301,13 +314,13 @@ class FailoverTransport:
 
     * **Load-aware picks** (power of two choices): every endpoint carries
       a latency EWMA (updated on each answered call) and an in-flight
-      counter; a pick samples two distinct breaker-admitted, non-draining
-      replicas and takes the lower ``ewma × (1 + in_flight)`` score.  A
-      measurably slow or busy replica keeps serving — just much less —
-      and unmeasured replicas score 0 so new endpoints are probed
-      immediately.  Ties break toward rotation order, so a fresh
-      transport's first call over two endpoints goes to the first, and
-      over more never to the last.
+      count, pipelined frames included; a pick samples two distinct
+      breaker-admitted, non-draining replicas and takes the lower
+      ``ewma × (1 + in_flight)`` score.  A measurably slow or busy
+      replica keeps serving — just much less — and unmeasured replicas
+      score 0 so new endpoints are probed immediately.  Ties break toward
+      rotation order, so a fresh transport's first call over two
+      endpoints goes to the first, and over more never to the last.
     * **Live membership**: :meth:`update_endpoints` atomically swaps the
       replica set under an epoch stamp.  Surviving endpoints keep their
       breakers, EWMA, and warm connections; departed ones are retired —
@@ -450,7 +463,7 @@ class FailoverTransport:
         for state in self._states:
             report[state.endpoint.address] = {
                 "ewma_ms": None if state.ewma is None else state.ewma * 1000.0,
-                "in_flight": state.in_flight,
+                "in_flight": state.load(),
                 "draining": state.is_draining(now),
                 "breaker": state.breaker.state.value,
             }
@@ -778,6 +791,7 @@ class FailoverTransport:
                 firsts = [exc] * len(shard_frames)
             else:
                 state.breaker.record_success()
+            state.track(f for f in firsts if not isinstance(f, _IN_HAND))
             for index, frame, first in zip(indices, shard_frames, firsts):
                 handles[index] = _PipelinedFrame(self, frame, state, first)
         return handles

@@ -83,7 +83,7 @@ class RequestDedupCache:
     attempt still runs on an abandoned worker would duplicate the write.
 
     Every :class:`GalleryService` over one store coordinates through its
-    ``dedup_entries`` table: the claim is an atomic PRIMARY KEY insert, so
+    ``dedup_entries`` table: the claim is one store transaction, so
     exactly one replica executes any ``(client_id, request_id)`` no matter
     which endpoints a failing-over client hits, and on a file-backed store
     the recorded responses survive a full restart of every replica.

@@ -778,8 +778,9 @@ class _FrameReceiver:
 class _PendingExchange:
     """One in-flight pipelined call: an event plus its outcome.
 
-    A wait that times out abandons the exchange: its request_id is free
-    again, so the same frame can be resent on this connection.
+    A wait that times out abandons the exchange: it is done, failed with
+    the timeout, and its request_id is free again, so the same frame can
+    be resent on this connection.
     """
 
     __slots__ = ("_event", "_frame", "_error", "_abandon")
@@ -801,7 +802,7 @@ class _PendingExchange:
     def wait(self, timeout: float | None) -> bytes:
         if not self._event.wait(timeout):
             self._abandon(self)
-            raise TimeoutError("timed out waiting for a pipelined response")
+            self.fail(TimeoutError("timed out waiting for a pipelined response"))
         if self._error is not None:
             raise self._error
         assert self._frame is not None

@@ -16,12 +16,11 @@ and are therefore consistent with the entry map at all times.
 The blob cache is deliberately write-around (populated on *read*, not on
 write): most freshly-trained instances are never served, so caching them on
 upload would only evict blobs that serving traffic is actually hitting.
-The document cache is invalidated explicitly by the registry on the only
-mutating paths that can change a document (``replace_model`` /
-``replace_instance`` / deprecation), and a read that passes the live record
-only uses an entry built from an equal one, so a peer replica's change to an
-instance is never answered from this process's copy; see
-``docs/PERFORMANCE.md``.
+The document cache is invalidated explicitly by the registry whenever a
+store update (``update_record``) reports that it changed a record, and a
+read that passes the live record only uses an entry built from an equal
+one, so a peer replica's change to an instance is never answered from this
+process's copy; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ query surface:
 
 Records are **insert-only** for models, instances, and metrics —
 they are immutable (Section 3.1).  The only sanctioned in-place change is
-:meth:`MetadataStore.replace_model` / :meth:`replace_instance`, which the
-registry uses exclusively for bookkeeping fields that the paper itself
-mutates: evolution pointers, dependency pointers, and the deprecation flag.
+:meth:`MetadataStore.update_record`, which the registry uses exclusively
+for bookkeeping fields that the paper itself mutates: evolution and
+dependency pointers, the review gate, and the deprecation flag (never
+cleared, Section 3.7).  Each such write is decided on what its own
+transaction reads, so replicas never overwrite each other's changes.
 
 The store is also the only home of the registry's derived state, so every
 replica over one store gives the same answers: a model's latest
@@ -31,9 +33,9 @@ Concurrency model (see ``docs/PERFORMANCE.md``):
   the single serialized writer.
 * ``:memory:`` databases are private to one connection in SQLite, so that
   configuration keeps the original shared-connection + lock arrangement.
-* Writers — including the read-modify-write ``replace_*`` immutability
-  checks — always serialize on one store-wide lock, which both preserves
-  the insert-only invariants and avoids SQLITE_BUSY storms.
+* Writers serialize on one store-wide lock, which avoids SQLITE_BUSY
+  storms, and open with ``BEGIN IMMEDIATE``, so a write that decides on
+  what it reads does so in one step across processes too.
 
 Batch surfaces (``get_models`` / ``instances_for_models`` /
 ``metrics_for_instances`` / ``metric_values_for_instances`` /
@@ -61,7 +63,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import replace
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.core.lifecycle import LifecycleStage, StageChange
 from repro.core.metadata import INDEXED_FIELDS
@@ -74,13 +76,14 @@ from repro.core.records import (
 )
 from repro.core.versioning import InstanceVersion
 from repro.errors import (
+    DeprecatedModelError,
     DuplicateError,
     MetadataStoreError,
     NotFoundError,
     ValidationError,
 )
 
-#: Fields allowed to change via replace_* (everything else must match).
+#: Fields allowed to change via update_record (everything else must match).
 #: ``enabled`` is the PR9 review gate: flipping it is sanctioned bookkeeping
 #: (like deprecation), while ``family`` stays immutable — a record's grouping
 #: is part of its identity.
@@ -93,12 +96,21 @@ _MUTABLE_MODEL_FIELDS = {
 }
 _MUTABLE_INSTANCE_FIELDS = {"deprecated", "enabled"}
 
+#: What :meth:`MetadataStore.update_record` reads and writes, per record type.
+_UPDATES: dict[type, tuple[str, str, set[str], str]] = {
+    Model: ("models", "model_id", _MUTABLE_MODEL_FIELDS, "model"),
+    ModelInstance: (
+        "instances", "instance_id", _MUTABLE_INSTANCE_FIELDS, "model instance"
+    ),
+}
+
 #: Instance columns a narrowing read may test with ``=``: the promoted
 #: standard fields, the two routing identifiers and the family.  Only these
 #: names are ever formatted into SQL text.
 _KEY_COLUMNS = frozenset(INDEXED_FIELDS) | {"base_version_id", "model_id", "family"}
 
 _R = TypeVar("_R")
+_M = TypeVar("_M", Model, ModelInstance)
 
 #: Max ids per SQL ``IN (...)`` clause; SQLite's default host-parameter
 #: limit is 999, so batched lookups chunk below it.
@@ -132,6 +144,8 @@ def _assert_only_mutable_changed(
                 f"{kind} field {key!r} is immutable "
                 f"(attempted {old_value!r} -> {new.get(key)!r})"
             )
+    if old.get("deprecated") and not new.get("deprecated"):
+        raise MetadataStoreError(f"a deprecated {kind} cannot be undeprecated")
 
 
 class MetadataStore(ABC):
@@ -149,7 +163,9 @@ class MetadataStore(ABC):
     def insert_model(self, model: Model) -> None:
         """Insert a model at version ``1.0``, or, for the successor of an
         evolution (``previous_model_id`` set), at its predecessor's stored
-        latest version with the major bumped (Figure 7's rule)."""
+        latest version with the major bumped (Figure 7's rule).  A root
+        refuses a taken coordinate, and a successor claims its predecessor's
+        ``next_model_id`` in the same transaction (else ValidationError)."""
 
     @abstractmethod
     def get_model(self, model_id: str) -> Model: ...
@@ -159,8 +175,11 @@ class MetadataStore(ABC):
         """Batch lookup; missing ids are simply absent from the result."""
 
     @abstractmethod
-    def replace_model(self, model: Model) -> None:
-        """Replace a model record; only bookkeeping fields may differ."""
+    def update_record(self, record: _M, change: Callable[[_M], _M]) -> tuple[_M, bool]:
+        """Apply the pure *change* to the stored copy of a model or instance
+        *record* (as the caller read it; it routes the call) in one
+        transaction, refusing any non-bookkeeping change or un-deprecation
+        with MetadataStoreError: the stored record, and whether it changed."""
 
     @abstractmethod
     def iter_models(self) -> Iterator[Model]: ...
@@ -187,8 +206,10 @@ class MetadataStore(ABC):
         """Insert an instance and return the stored record.
 
         In the same transaction the owning model takes a minor bump, and
-        the instance's ``instance_version`` is the bumped version.  An
-        instance whose model row is absent keeps the version it carries.
+        the instance's ``instance_version`` is the bumped version; a model
+        that is deprecated (DeprecatedModelError) or has a successor
+        (ValidationError) refuses it.  An instance whose model row is
+        absent keeps the version it carries.
         """
 
     @abstractmethod
@@ -200,9 +221,6 @@ class MetadataStore(ABC):
 
     @abstractmethod
     def get_instance(self, instance_id: str) -> ModelInstance: ...
-
-    @abstractmethod
-    def replace_instance(self, instance: ModelInstance) -> None: ...
 
     @abstractmethod
     def iter_instances(self) -> Iterator[ModelInstance]: ...
@@ -270,8 +288,9 @@ class MetadataStore(ABC):
     # -- lifecycle -------------------------------------------------------------
 
     @abstractmethod
-    def append_stage_change(self, instance_id: str, change: StageChange) -> None:
-        """Record one lifecycle transition after the instance's others."""
+    def append_stage_change(self, instance_id: str, change: StageChange) -> bool:
+        """Record one lifecycle transition, and return True, if it starts at
+        the latest recorded ``to_stage`` (None or EVALUATION if none is)."""
 
     @abstractmethod
     def stage_changes_for_instances(
@@ -310,7 +329,8 @@ class MetadataStore(ABC):
         now: float = 0.0,
         reason: str = "",
     ) -> tuple[ServingAssignment, bool]:
-        """Atomically (re-)point *scope* at *instance_id*.
+        """Atomically (re-)point *scope* at *instance_id*, refusing with
+        ValidationError an instance the store holds deprecated or disabled.
 
         Returns the row and whether this call switched it.  Re-assigning
         the already-serving instance is a no-op that returns the existing
@@ -620,6 +640,9 @@ class SQLiteMetadataStore(MetadataStore):
     def _transaction(self) -> Iterator[sqlite3.Connection]:
         """Hold the write lock around one transaction; commit on success.
 
+        BEGIN IMMEDIATE takes SQLite's database write lock before the first
+        read, so a write decided on what it reads excludes other processes.
+
         *Any* exception rolls back, so no path leaves an open transaction
         (and, on a shared file, SQLite's database write lock) behind.  A
         constraint violation surfaces as DuplicateError, any other sqlite3
@@ -628,6 +651,7 @@ class SQLiteMetadataStore(MetadataStore):
         with self._write_lock:
             conn = self._connection()
             try:
+                conn.execute("BEGIN IMMEDIATE")
                 yield conn
                 conn.commit()
             except BaseException as exc:
@@ -651,18 +675,38 @@ class SQLiteMetadataStore(MetadataStore):
     # -- models -------------------------------------------------------------
 
     def insert_model(self, model: Model) -> None:
-        self._write(
-            "INSERT INTO models (model_id, record, project, base_version_id,"
-            " version_major, version_minor) VALUES (?, ?, ?, ?, COALESCE("
-            "(SELECT version_major + 1 FROM models WHERE model_id = ?), 1), 0)",
-            (
-                model.model_id,
-                json.dumps(model.to_dict()),
-                model.project,
-                model.base_version_id,
-                model.previous_model_id,
-            ),
-        )
+        with self._transaction() as conn:
+            conn.execute(  # first, so a repeated model_id is a DuplicateError
+                "INSERT INTO models (model_id, record, project, base_version_id,"
+                " version_major, version_minor) VALUES (?, ?, ?, ?, COALESCE("
+                "(SELECT version_major + 1 FROM models WHERE model_id = ?), 1), 0)",
+                (
+                    model.model_id,
+                    json.dumps(model.to_dict()),
+                    model.project,
+                    model.base_version_id,
+                    model.previous_model_id,
+                ),
+            )
+            if model.previous_model_id is not None:
+                _, claimed = self._change(
+                    conn,
+                    Model,
+                    model.previous_model_id,
+                    lambda old: old.with_next(old.next_model_id or model.model_id),
+                )
+                if not claimed:
+                    raise ValidationError(
+                        f"model {model.previous_model_id!r} already has a successor"
+                    )
+            elif conn.execute(
+                "SELECT COUNT(*) FROM models WHERE project = ? AND base_version_id = ?",
+                (model.project, model.base_version_id),
+            ).fetchone()[0] > 1:
+                raise ValidationError(
+                    f"project {model.project!r} already has base version"
+                    f" {model.base_version_id!r}"
+                )
 
     def get_model(self, model_id: str) -> Model:
         rows = self._read(
@@ -684,18 +728,34 @@ class SQLiteMetadataStore(MetadataStore):
                 out[model.model_id] = model
         return out
 
-    def replace_model(self, model: Model) -> None:
-        # Hold the write lock across read-check-update so the immutability
-        # check and the UPDATE are one atomic step under concurrency.
-        with self._write_lock:
-            old = self.get_model(model.model_id)
-            _assert_only_mutable_changed(
-                old.to_dict(), model.to_dict(), _MUTABLE_MODEL_FIELDS, "model"
-            )
-            self._write(
-                "UPDATE models SET record = ? WHERE model_id = ?",
-                (json.dumps(model.to_dict()), model.model_id),
-            )
+    def update_record(self, record: _M, change: Callable[[_M], _M]) -> tuple[_M, bool]:
+        key = _UPDATES[type(record)][1]
+        with self._transaction() as conn:
+            return self._change(conn, type(record), getattr(record, key), change)
+
+    @staticmethod
+    def _change(
+        conn: sqlite3.Connection, cls: type[_M], ident: str, change: Callable[[_M], _M]
+    ) -> tuple[_M, bool]:
+        """:meth:`update_record`'s read, check and write, in the caller's
+        transaction."""
+        table, key, mutable, kind = _UPDATES[cls]
+        rows = conn.execute(
+            f"SELECT record FROM {table} WHERE {key} = ?", (ident,)  # noqa: S608
+        ).fetchall()
+        stored = next(_records(cls, rows), None)
+        if stored is None:
+            raise NotFoundError(f"no {kind} {ident!r}")
+        updated = change(stored)
+        if updated == stored:
+            return stored, False
+        fields = updated.to_dict()
+        _assert_only_mutable_changed(stored.to_dict(), fields, mutable, kind)
+        conn.execute(
+            f"UPDATE {table} SET record = ? WHERE {key} = ?",  # noqa: S608
+            (json.dumps(fields), ident),
+        )
+        return updated, True
 
     def iter_models(self) -> Iterator[Model]:
         return _records(Model, self._read("SELECT record FROM models"))
@@ -764,11 +824,21 @@ class SQLiteMetadataStore(MetadataStore):
         with self._transaction() as conn:
             # fetchall: a RETURNING statement left unfinished blocks commit
             bumped = conn.execute(
-                f"{_BUMP_SQL} WHERE model_id = ?{_RETURNING_VERSION}",
+                f"{_BUMP_SQL} WHERE model_id = ?{_RETURNING_VERSION}, record",
                 (instance.model_id,),
             ).fetchall()
             if bumped:
-                _, major, minor = bumped[0]
+                model_id, major, minor, record = bumped[0]
+                model = json.loads(record)
+                if model.get("deprecated"):  # refusing rolls the bump back
+                    raise DeprecatedModelError(
+                        f"model {model_id!r} is deprecated; register a new model"
+                    )
+                if (successor := model.get("next_model_id")) is not None:
+                    raise ValidationError(
+                        f"model {model_id!r} was evolved into {successor!r},"
+                        " which takes its uploads"
+                    )
                 instance = replace(instance, instance_version=f"{major}.{minor}")
             conn.execute(self._INSERT_INSTANCE_SQL, self._instance_row(instance))
         return instance
@@ -787,17 +857,6 @@ class SQLiteMetadataStore(MetadataStore):
         if not rows:
             raise NotFoundError(f"no model instance {instance_id!r}")
         return next(_records(ModelInstance, rows))
-
-    def replace_instance(self, instance: ModelInstance) -> None:
-        with self._write_lock:
-            old = self.get_instance(instance.instance_id)
-            _assert_only_mutable_changed(
-                old.to_dict(), instance.to_dict(), _MUTABLE_INSTANCE_FIELDS, "instance"
-            )
-            self._write(
-                "UPDATE instances SET record = ? WHERE instance_id = ?",
-                (json.dumps(instance.to_dict()), instance.instance_id),
-            )
 
     def iter_instances(self) -> Iterator[ModelInstance]:
         return _records(ModelInstance, self._read("SELECT record FROM instances"))
@@ -951,21 +1010,24 @@ class SQLiteMetadataStore(MetadataStore):
 
     # -- lifecycle --------------------------------------------------------------
 
-    def append_stage_change(self, instance_id: str, change: StageChange) -> None:
-        from_stage = change.from_stage.value if change.from_stage else None
-        self._write(
-            "INSERT INTO lifecycle_transitions (instance_id, seq, timestamp,"
-            " from_stage, to_stage, reason) SELECT ?, COALESCE(MAX(seq), 0) + 1,"
-            " ?, ?, ?, ? FROM lifecycle_transitions WHERE instance_id = ?",
-            (
-                instance_id,
-                change.timestamp,
-                from_stage,
-                change.to_stage.value,
-                change.reason,
-                instance_id,
-            ),
-        )
+    def append_stage_change(self, instance_id: str, change: StageChange) -> bool:
+        with self._transaction() as conn:
+            return conn.execute(
+                "INSERT INTO lifecycle_transitions (instance_id, seq, timestamp,"
+                " from_stage, to_stage, reason) SELECT :id, COALESCE((SELECT"
+                " MAX(seq) FROM lifecycle_transitions WHERE instance_id = :id), 0)"
+                " + 1, :at, :from, :to, :why WHERE IFNULL((SELECT to_stage FROM"
+                " lifecycle_transitions WHERE instance_id = :id ORDER BY seq DESC"
+                " LIMIT 1), :unrecorded) IS :from",
+                {
+                    "id": instance_id,
+                    "at": change.timestamp,
+                    "from": change.from_stage and change.from_stage.value,
+                    "to": change.to_stage.value,
+                    "why": change.reason,
+                    "unrecorded": change.from_stage and LifecycleStage.EVALUATION.value,
+                },
+            ).rowcount == 1
 
     def stage_changes_for_instances(
         self, instance_ids: Iterable[str]
@@ -1025,41 +1087,59 @@ class SQLiteMetadataStore(MetadataStore):
         now: float = 0.0,
         reason: str = "",
     ) -> tuple[ServingAssignment, bool]:
-        # BEGIN IMMEDIATE takes the database write lock before the read, so
-        # the read-modify-write is atomic across *replicas* sharing this
-        # file, not just across this process's threads.  ServingAssignment
-        # validates after it (an empty scope raises ValidationError), which
-        # _transaction rolls back like any other error.
+        # One transaction decides the gate and the re-point, across replicas
+        # too (see _transaction).  ServingAssignment validates after the
+        # read (an empty scope raises ValidationError), which rolls back.
         with self._transaction() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            rows = conn.execute(
-                "SELECT record FROM serving_assignments WHERE scope = ?",
-                (scope,),
-            ).fetchall()
-            current = next(_records(ServingAssignment, rows), None)
-            if current is not None and current.instance_id == instance_id:
-                return current, False
-            assignment = ServingAssignment(
-                scope=scope,
-                instance_id=instance_id,
-                family=family,
-                assigned_time=now,
-                previous_instance_id=current.instance_id if current else None,
-                reason=reason,
-                switch_count=(current.switch_count + 1) if current else 1,
-            )
-            conn.execute(
-                "INSERT INTO serving_assignments"
-                " (scope, instance_id, family, assigned_time, record)"
-                " VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT(scope) DO UPDATE SET"
-                " instance_id = excluded.instance_id,"
-                " family = excluded.family,"
-                " assigned_time = excluded.assigned_time,"
-                " record = excluded.record",
-                (scope, instance_id, family, now, json.dumps(assignment.to_dict())),
-            )
-            return assignment, True
+            return self._repoint(conn, conn, scope, instance_id, family, now, reason)
+
+    @staticmethod
+    def _repoint(
+        home: sqlite3.Connection,
+        conn: sqlite3.Connection,
+        scope: str,
+        instance_id: str,
+        family: str,
+        now: float,
+        reason: str,
+    ) -> tuple[ServingAssignment, bool]:
+        """:meth:`assign_serving` in open write transactions: the gate is
+        checked on *home* (the file holding the instance, if any holds it),
+        the scope row read and upserted on *conn*."""
+        rows = home.execute(
+            "SELECT record FROM instances WHERE instance_id = ?", (instance_id,)
+        ).fetchall()
+        for instance in _records(ModelInstance, rows):
+            if instance.deprecated or not instance.enabled:
+                why = "deprecated" if instance.deprecated else "disabled (review gate)"
+                raise ValidationError(f"instance {instance_id!r} is {why} and cannot serve")
+        rows = conn.execute(
+            "SELECT record FROM serving_assignments WHERE scope = ?", (scope,)
+        ).fetchall()
+        current = next(_records(ServingAssignment, rows), None)
+        if current is not None and current.instance_id == instance_id:
+            return current, False
+        assignment = ServingAssignment(
+            scope=scope,
+            instance_id=instance_id,
+            family=family,
+            assigned_time=now,
+            previous_instance_id=current.instance_id if current else None,
+            reason=reason,
+            switch_count=(current.switch_count + 1) if current else 1,
+        )
+        conn.execute(
+            "INSERT INTO serving_assignments"
+            " (scope, instance_id, family, assigned_time, record)"
+            " VALUES (?, ?, ?, ?, ?)"
+            " ON CONFLICT(scope) DO UPDATE SET"
+            " instance_id = excluded.instance_id,"
+            " family = excluded.family,"
+            " assigned_time = excluded.assigned_time,"
+            " record = excluded.record",
+            (scope, instance_id, family, now, json.dumps(assignment.to_dict())),
+        )
+        return assignment, True
 
     def serving_assignment_count(self) -> int:
         rows = self._read("SELECT COUNT(*) FROM serving_assignments")
@@ -1076,9 +1156,7 @@ class SQLiteMetadataStore(MetadataStore):
     #
     # Several server replicas share one file-backed database, so the
     # exactly-once bookkeeping lives here rather than in per-process memory.
-    # Claims are made atomic across replicas by the PRIMARY KEY insert (first
-    # writer wins) and by conditional UPDATEs checked via ``rowcount`` — the
-    # per-instance ``_write_lock`` only serializes threads of one process;
+    # A claim reads and writes its row in one transaction, so
     # SQLite's database write lock serializes the replicas themselves.
 
     def dedup_claim(
@@ -1105,43 +1183,30 @@ class SQLiteMetadataStore(MetadataStore):
         abandoned (its replica died mid-request) and is taken over.
         """
         now = time.time() if now is None else now
-        with self._write_lock:
-            try:
-                with self._transaction() as conn:
-                    conn.execute(
-                        "INSERT INTO dedup_entries"
-                        " (client_id, request_id, status, response, updated)"
-                        " VALUES (?, ?, 'pending', NULL, ?)",
-                        (client_id, request_id, now),
-                    )
-                return "owner", None
-            except DuplicateError:
-                pass  # someone claimed it first; read what they left
-            with self._transaction() as conn:
-                rows = conn.execute(
-                    "SELECT status, response FROM dedup_entries"
-                    " WHERE client_id = ? AND request_id = ?",
-                    (client_id, request_id),
-                ).fetchall()
-                if not rows:
-                    # Row vanished between INSERT conflict and SELECT (a
-                    # concurrent release); let the client retry cleanly.
-                    return "pending", None
-                status, response = rows[0]
-                if status == "done":
-                    conn.execute(
-                        "UPDATE dedup_entries SET updated = ?"
-                        " WHERE client_id = ? AND request_id = ?",
-                        (now, client_id, request_id),
-                    )
-                    return "done", bytes(response)
-                cursor = conn.execute(
-                    "UPDATE dedup_entries SET updated = ?"
-                    " WHERE client_id = ? AND request_id = ?"
-                    " AND status = 'pending' AND updated <= ?",
-                    (now, client_id, request_id, now - takeover_after),
+        key = (client_id, request_id)
+        with self._transaction() as conn:
+            row = conn.execute(
+                "SELECT status, response, updated FROM dedup_entries"
+                " WHERE client_id = ? AND request_id = ?",
+                key,
+            ).fetchone()
+            if row is None:
+                conn.execute(
+                    "INSERT INTO dedup_entries"
+                    " (client_id, request_id, status, response, updated)"
+                    " VALUES (?, ?, 'pending', NULL, ?)",
+                    (*key, now),
                 )
-                return ("owner" if cursor.rowcount == 1 else "pending"), None
+                return "owner", None
+            status, response, updated = row
+            if status == "pending" and updated > now - takeover_after:
+                return "pending", None
+            conn.execute(
+                "UPDATE dedup_entries SET updated = ?"
+                " WHERE client_id = ? AND request_id = ?",
+                (now, *key),
+            )
+            return ("done", bytes(response)) if status == "done" else ("owner", None)
 
     def dedup_complete(
         self,

@@ -23,7 +23,8 @@ coordinate** while keeping the rest of the stack oblivious:
   upper half into a new shard file, verifies, then installs the new map.
 
 Routing discipline (every row type has a *natural key* whose hash picks the
-owning shard — no lookup table, no cross-shard transactions):
+owning shard — no lookup table, and one shard per transaction except a
+serving re-point's):
 
 ===============  =====================  =========================================
 table            routing key            why
@@ -33,20 +34,24 @@ instances        ``base_version_id``    co-locates with the owning model, makes
                                         a base-version search single-shard
 metrics          ``instance_id``        deterministic without consulting metadata
 dedup_entries    ``client_id``          a client's exactly-once claims stay on one
-                                        file, so the atomic PRIMARY KEY claim race
-                                        between replicas is still decided by one
-                                        SQLite database lock
+                                        file, so the claim race between replicas
+                                        is still decided by one SQLite database
+                                        lock
 dead_letters     ``rule_uuid``          a rule's failure history reads one shard
 serving_         ``scope``              a scope's "what is serving" row (and its
 assignments                             atomic re-point) lives on one file, so
                                         replicas racing a switch are serialized
-                                        by one SQLite database lock
+                                        by one SQLite database lock; the
+                                        re-point also holds the instance's
+                                        shard, whose row is the review gate
 lifecycle_       ``instance_id``        like metrics: a history read needs no
 transitions                             lookup of the instance first
 ===============  =====================  =========================================
 
 An upload's version bump commits with the instance row, since a model and
-its instances share a shard.  A propagated bump (Figure 6) touches each
+its instances share a shard, and an evolution's successor claims its
+predecessor's next pointer in its own insert, since an evolution chain
+shares its coordinate.  A propagated bump (Figure 6) touches each
 downstream model on its own shard, one commit per shard.
 
 Single-coordinate operations route to exactly one shard, and so does a
@@ -82,6 +87,7 @@ import os
 import sqlite3
 import threading
 from bisect import bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -97,6 +103,7 @@ from repro.errors import MetadataStoreError, NotFoundError
 from repro.store.metadata_store import (
     MetadataStore,
     SQLiteMetadataStore,
+    _M,
     _unique,
 )
 
@@ -280,7 +287,7 @@ class ShardedMetadataStore(MetadataStore):
 
     def __init__(
         self,
-        shards: Sequence[MetadataStore],
+        shards: Sequence[SQLiteMetadataStore],
         shard_map: ShardMap,
         *,
         directory: str | None = None,
@@ -334,7 +341,7 @@ class ShardedMetadataStore(MetadataStore):
             for index in range(len(self._shards))
         ]
 
-    def _shard_for_key(self, key: str) -> MetadataStore:
+    def _shard_for_key(self, key: str) -> SQLiteMetadataStore:
         return self._shards[self._map.shard_for(key)]
 
     def _cache_route(self, cache: dict[str, int], key: str, shard: int) -> None:
@@ -345,7 +352,7 @@ class ShardedMetadataStore(MetadataStore):
 
     def _cached_shard(
         self, cache: dict[str, int], key: str
-    ) -> MetadataStore | None:
+    ) -> SQLiteMetadataStore | None:
         with self._cache_lock:
             index = cache.get(key)
         return None if index is None else self._shards[index]
@@ -392,10 +399,10 @@ class ShardedMetadataStore(MetadataStore):
                 self._cache_route(self._model_shard, model_id, index)
         return {mid: found[mid] for mid in requested if mid in found}
 
-    def replace_model(self, model: Model) -> None:
-        # The record carries its own coordinate, so replacement routes
+    def update_record(self, record: _M, change: Callable[[_M], _M]) -> tuple[_M, bool]:
+        # The record carries its own coordinate, so an update routes
         # deterministically — no cache, no scatter.
-        self._shard_for_key(model.base_version_id).replace_model(model)
+        return self._shard_for_key(record.base_version_id).update_record(record, change)
 
     def iter_models(self) -> Iterator[Model]:
         for shard in self._shards:
@@ -455,20 +462,23 @@ class ShardedMetadataStore(MetadataStore):
             raise error
 
     def get_instance(self, instance_id: str) -> ModelInstance:
+        return self._instance_home(instance_id)[1]
+
+    def _instance_home(
+        self, instance_id: str
+    ) -> tuple[SQLiteMetadataStore, ModelInstance]:
+        """The shard holding *instance_id*, and the record it holds."""
         cached = self._cached_shard(self._instance_shard, instance_id)
         if cached is not None:
-            return cached.get_instance(instance_id)
+            return cached, cached.get_instance(instance_id)
         for index, shard in enumerate(self._shards):
             try:
                 instance = shard.get_instance(instance_id)
             except NotFoundError:
                 continue
             self._cache_route(self._instance_shard, instance_id, index)
-            return instance
+            return shard, instance
         raise NotFoundError(f"no model instance {instance_id!r}")
-
-    def replace_instance(self, instance: ModelInstance) -> None:
-        self._shard_for_key(instance.base_version_id).replace_instance(instance)
 
     def iter_instances(self) -> Iterator[ModelInstance]:
         for shard in self._shards:
@@ -570,8 +580,8 @@ class ShardedMetadataStore(MetadataStore):
 
     # -- lifecycle --------------------------------------------------------------
 
-    def append_stage_change(self, instance_id: str, change: StageChange) -> None:
-        self._shard_for_key(instance_id).append_stage_change(instance_id, change)
+    def append_stage_change(self, instance_id: str, change: StageChange) -> bool:
+        return self._shard_for_key(instance_id).append_stage_change(instance_id, change)
 
     def stage_changes_for_instances(
         self, instance_ids: Iterable[str]
@@ -614,9 +624,23 @@ class ShardedMetadataStore(MetadataStore):
         now: float = 0.0,
         reason: str = "",
     ) -> tuple[ServingAssignment, bool]:
-        return self._shard_for_key(scope).assign_serving(
-            scope, instance_id, family=family, now=now, reason=reason
-        )
+        owner = self._shard_for_key(scope)
+        try:
+            home = self._instance_home(instance_id)[0]
+        except NotFoundError:
+            home = owner
+        # The instance row (the review gate) and the scope row may live on
+        # two files: both write transactions are held while the gate is
+        # read and the scope re-pointed, taken in shard order so that no
+        # two such calls can each hold the lock the other waits for.
+        with ExitStack() as stack:
+            conns = {
+                shard: stack.enter_context(shard._transaction())
+                for shard in sorted({owner, home}, key=self._shards.index)
+            }
+            return owner._repoint(
+                conns[home], conns[owner], scope, instance_id, family, now, reason
+            )
 
     def serving_assignment_count(self) -> int:
         return sum(
@@ -633,12 +657,7 @@ class ShardedMetadataStore(MetadataStore):
         return total
 
     def connection_info(self) -> dict[str, Any]:
-        infos = [
-            shard.connection_info()
-            if hasattr(shard, "connection_info")
-            else {}
-            for shard in self._shards
-        ]
+        infos = [shard.connection_info() for shard in self._shards]
         return {
             "sharded": True,
             "num_shards": self.num_shards,
@@ -651,9 +670,7 @@ class ShardedMetadataStore(MetadataStore):
 
     def close(self) -> None:
         for shard in self._shards:
-            close = getattr(shard, "close", None)
-            if close is not None:
-                close()
+            shard.close()
 
     # -- durable control state ------------------------------------------------
     #

@@ -169,8 +169,9 @@ class TestConcurrentServing:
             else:
                 # illegal: blob_location is immutable — must raise every time
                 try:
-                    gallery.dal.metadata.replace_instance(
-                        dataclasses.replace(record, blob_location="mem://moved")
+                    gallery.dal.metadata.update_record(
+                        record,
+                        lambda i: dataclasses.replace(i, blob_location="mem://moved"),
                     )
                 except MetadataStoreError as exc:
                     violations.append(exc)

@@ -1135,6 +1135,46 @@ class TestPipelinedSettlement:
         transport.update_endpoints((Endpoint("b", 2),))
         assert dialed["a:1"][0].closed == 1
 
+    def test_routing_sees_outstanding_pipelined_frames(self):
+        class Pending:
+            abandoned = False
+
+            def wait(self, timeout=None):
+                self.abandoned = True  # like a real exchange: done, failed
+                raise TimeoutError("no answer")
+
+            def done(self):
+                return self.abandoned
+
+        clock = TickingClock()
+        transport, dialed = pipelined_transport(
+            {"a:1": latency_script(clock, 0.001), "b:2": latency_script(clock, 0.002)},
+            batches={"a:1": lambda frames: [Pending() for _ in frames]},
+            clock=clock,
+        )
+        transport(read_frame(1))  # both unmeasured: a, then b, get measured
+        transport(read_frame(2))
+        handles = transport.submit_many([read_frame(i) for i in range(3, 67)])
+        report = transport.load_report()
+        assert (report["a:1"]["in_flight"], report["b:2"]["in_flight"]) == (32, 0)
+        # a measures faster, but 32 unanswered frames make b the idle pick.
+        sent_to_b = len(dialed["b:2"][0].calls)
+        transport(read_frame(99))
+        assert len(dialed["b:2"][0].calls) == sent_to_b + 1
+        handles[0].wait(0)  # abandoned by its waiter: no longer outstanding
+        assert transport.load_report()["a:1"]["in_flight"] == 31
+
+    def test_answered_pipelined_frames_are_forgotten(self):
+        # A fleet of one never scores its endpoint, so the batches
+        # themselves must drop what is done, or every exchange stays held.
+        transport, _ = pipelined_transport({"a:1": lambda d: ok_frame("a")})
+        for _ in range(50):
+            for handle in transport.submit_many([read_frame(i) for i in range(16)]):
+                handle.wait()
+        (state,) = transport._states  # noqa: SLF001
+        assert len(state.pipelined) <= 16
+        assert transport.load_report()["a:1"]["in_flight"] == 0
+
     def test_ok_pipelined_answer_skips_the_loop(self, monkeypatch):
         def no_settle(*args):
             raise AssertionError("an ok answer entered the settle loop")

@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from repro.core.lifecycle import LifecycleStage, StageChange
 from repro.core.records import MetricRecord, Model, ModelInstance
 from repro.errors import (
     DuplicateError,
@@ -63,13 +64,66 @@ class TestModels:
 
     def test_replace_allows_bookkeeping_fields(self, metadata_store):
         metadata_store.insert_model(model())
-        metadata_store.replace_model(model(deprecated=True))
+        stored, changed = metadata_store.update_record(model(), Model.deprecate)
+        assert changed and stored.deprecated
         assert metadata_store.get_model("m1").deprecated
 
     def test_replace_rejects_immutable_field_change(self, metadata_store):
         metadata_store.insert_model(model(owner="alice"))
         with pytest.raises(MetadataStoreError):
-            metadata_store.replace_model(model(owner="mallory"))
+            metadata_store.update_record(
+                model(), lambda m: dataclasses.replace(m, owner="mallory")
+            )
+        assert metadata_store.get_model("m1").owner == "alice"
+
+    def test_update_applies_change_to_the_stored_record(self, metadata_store):
+        # The caller's copy is stale: the change sees what the store holds.
+        metadata_store.insert_model(model())
+        metadata_store.update_record(model(), lambda m: m.with_next("m2"))
+        stored, changed = metadata_store.update_record(model(), Model.deprecate)
+        assert changed
+        assert (stored.next_model_id, stored.deprecated) == ("m2", True)
+        assert metadata_store.get_model("m1") == stored
+
+    def test_update_that_changes_nothing_reports_no_change(self, metadata_store):
+        metadata_store.insert_model(model(deprecated=True))
+        stored, changed = metadata_store.update_record(model(), Model.deprecate)
+        assert not changed and stored == model(deprecated=True)
+
+    def test_update_cannot_clear_deprecation(self, metadata_store):
+        metadata_store.insert_instance(instance(deprecated=True))
+        metadata_store.insert_model(model(deprecated=True))
+        with pytest.raises(MetadataStoreError):
+            metadata_store.update_record(
+                model(), lambda m: dataclasses.replace(m, deprecated=False)
+            )
+        with pytest.raises(MetadataStoreError):
+            metadata_store.update_record(
+                instance(), lambda i: dataclasses.replace(i, deprecated=False)
+            )
+        assert metadata_store.get_model("m1").deprecated
+        assert metadata_store.get_instance("i1").deprecated
+
+    def test_update_of_a_missing_record_raises(self, metadata_store):
+        with pytest.raises(NotFoundError):
+            metadata_store.update_record(model("ghost"), Model.deprecate)
+
+    def test_root_insert_refuses_a_taken_coordinate(self, metadata_store):
+        metadata_store.insert_model(model())
+        with pytest.raises(ValidationError, match="already has base version"):
+            metadata_store.insert_model(model("m2"))
+        assert [m.model_id for m in metadata_store.models_at("p", "demand")] == ["m1"]
+
+    def test_successor_insert_claims_the_next_pointer_once(self, metadata_store):
+        metadata_store.insert_model(model())
+        metadata_store.insert_model(model("m2", previous_model_id="m1"))
+        assert metadata_store.get_model("m1").next_model_id == "m2"
+        assert metadata_store.latest_version("m2").major == 2
+        with pytest.raises(ValidationError, match="already has a successor"):
+            metadata_store.insert_model(model("m3", previous_model_id="m1"))
+        assert metadata_store.get_model("m1").next_model_id == "m2"
+        with pytest.raises(NotFoundError):
+            metadata_store.get_model("m3")
 
     def test_iter_models(self, metadata_store):
         metadata_store.insert_model(model("m1"))
@@ -131,13 +185,11 @@ class TestInstances:
     def test_replace_instance_deprecation_only(self, metadata_store):
         record = instance()
         metadata_store.insert_instance(record)
-        metadata_store.replace_instance(record.deprecate())
+        metadata_store.update_record(record, ModelInstance.deprecate)
         assert metadata_store.get_instance("i1").deprecated
-        import dataclasses
-
         with pytest.raises(MetadataStoreError):
-            metadata_store.replace_instance(
-                dataclasses.replace(record, blob_location="mem://moved")
+            metadata_store.update_record(
+                record, lambda i: dataclasses.replace(i, blob_location="mem://moved")
             )
 
 
@@ -161,6 +213,24 @@ class TestMetrics:
         metadata_store.insert_metric(metric("mt1"))
         metadata_store.insert_metric(metric("mt2", iid="i2"))
         assert len(list(metadata_store.iter_metrics())) == 2
+
+
+@both_configurations
+class TestLifecycleAppends:
+    def test_append_starts_where_the_stored_stages_end(self, metadata_store):
+        E, D = LifecycleStage.EVALUATION, LifecycleStage.DEPLOYED
+        X = LifecycleStage.DEPRECATED
+        append = metadata_store.append_stage_change
+        assert append("i1", StageChange(1.0, E, D, "go"))  # unrecorded: EVALUATION
+        assert not append("i1", StageChange(2.0, E, X, "stale read"))
+        assert not append("i1", StageChange(2.0, None, X, "registered"))
+        assert append("i1", StageChange(3.0, D, X, "retire"))
+        assert append("i2", StageChange(1.0, None, D, "registered"))
+        assert not append("i3", StageChange(1.0, D, X, "no such stage"))
+        history = metadata_store.stage_changes_for_instances(["i1", "i2", "i3"])
+        assert [(c.from_stage, c.to_stage) for c in history["i1"]] == [(E, D), (D, X)]
+        assert [c.to_stage for c in history["i2"]] == [D]
+        assert history["i3"] == []
 
 
 @both_configurations
@@ -205,11 +275,11 @@ class TestFamilies:
     def test_enablement_is_mutable_family_is_not(self, metadata_store):
         metadata_store.insert_instance(instance(family="sf:rf"))
         stored = metadata_store.get_instance("i1")
-        metadata_store.replace_instance(stored.with_enablement(False))
+        metadata_store.update_record(stored, lambda i: i.with_enablement(False))
         assert metadata_store.get_instance("i1").enabled is False
         with pytest.raises(MetadataStoreError):
-            metadata_store.replace_instance(
-                dataclasses.replace(stored, family="moved:family")
+            metadata_store.update_record(
+                stored, lambda i: dataclasses.replace(i, family="moved:family")
             )
 
 

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.lifecycle import LifecycleStage, StageChange
 from repro.core.records import MetricRecord, Model, ModelInstance
-from repro.errors import DuplicateError, MetadataStoreError, NotFoundError
+from repro.errors import (
+    DuplicateError,
+    MetadataStoreError,
+    NotFoundError,
+    ValidationError,
+)
 from repro.service.server import RequestDedupCache
 from repro.store.blob import InMemoryBlobStore
 from repro.store.dal import DataAccessLayer
@@ -123,19 +128,35 @@ class TestRoutingAndSurface:
 
     def test_replace_routes_without_cache(self, tmp_path):
         # A *fresh* store (cold caches, e.g. after restart) must still
-        # route replace_* correctly: the record carries its coordinate.
+        # route update_record correctly: the record carries its coordinate.
         first = open_sharded_store(str(tmp_path / "shards"), SHARDS)
         populate(first, models=3)
         first.close()
         second = open_sharded_store(str(tmp_path / "shards"))
         try:
-            deprecated = ModelInstance.from_dict(
-                {**second.get_instance("i1-1").to_dict(), "deprecated": True}
-            )
-            second.replace_instance(deprecated)
-            assert second.get_instance("i1-1").deprecated
+            read = second.get_instance("i1-1")
+            _, changed = second.update_record(read, ModelInstance.deprecate)
+            assert changed and second.get_instance("i1-1").deprecated
         finally:
             second.close()
+
+    def test_serving_gate_is_checked_on_the_instance_shard(self, store):
+        # The scope row and the instance row sit on any pair of shards,
+        # in either lock order; the gate is read on the instance's shard.
+        populate(store, models=4, per_model=1)
+        gated = [store.get_instance(f"i{i}-0") for i in range(4)]
+        for record in gated:
+            store.update_record(record, lambda i: i.with_enablement(False))
+        scopes = {store.shard_map.shard_for(f"s{n}"): f"s{n}" for n in range(64)}
+        assert len(scopes) == SHARDS
+        homes = {store.shard_map.shard_for(r.base_version_id) for r in gated}
+        assert len(homes) > 1
+        for record in gated:
+            for scope in scopes.values():
+                with pytest.raises(ValidationError, match="review gate"):
+                    store.assign_serving(scope, record.instance_id)
+        assert store.serving_assignments() == []
+        assert store.assign_serving("s0", "not-stored")[1]  # no row, no gate
 
     def test_reopen_respects_persisted_map(self, tmp_path):
         open_sharded_store(str(tmp_path / "shards"), SHARDS).close()
