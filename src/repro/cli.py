@@ -203,7 +203,7 @@ def _cmd_gc(gallery: Gallery, args: argparse.Namespace) -> Any:
     report["dead_letters_after"] = store.dead_letters_count()
     if args.replica:
         # Pointed at a live replica, gc also surfaces that replica's
-        # batcher/QoS counters so operators can read the coalesce ratio
+        # batcher counters so operators can read the coalesce ratio
         # without a bench run.
         client = _fleet_client(args.replica)
         try:
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--replica",
         default=None,
         metavar="HOST:PORT",
-        help="also fetch live batcher/QoS counters from this serving replica",
+        help="also fetch live batcher counters from this serving replica",
     )
     gc.set_defaults(handler=_cmd_gc)
 
@@ -681,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     server_stats = server_commands.add_parser(
         "stats",
-        help="live micro-batcher, QoS, and request-dedup counters",
+        help="live micro-batcher and request-dedup counters",
     )
     server_stats.add_argument("address", help="replica host:port")
     server_stats.set_defaults(handler=_cmd_server_stats, offline=True)

@@ -33,8 +33,6 @@ from repro.service.membership import (
 )
 from repro.service.server import GalleryService
 from repro.service.wire import (
-    LANE_BULK,
-    LANE_INTERACTIVE,
     Request,
     Response,
     decode_blob,
@@ -57,8 +55,6 @@ __all__ = [
     "GalleryService",
     "HttpRegistrySource",
     "InProcessTransport",
-    "LANE_BULK",
-    "LANE_INTERACTIVE",
     "MethodRetryPolicies",
     "PipelineHandle",
     "ReadBatcher",

@@ -1,31 +1,24 @@
 """Server-side micro-batching for the read path.
 
-One replica, N concurrent readers: without batching every ``modelQuery`` /
-``getModel`` / metric read costs its own trip into the sharded store, even
-when the coordinates overlap.  This module is the cross-request batcher
-layered in front of :class:`~repro.service.server.GalleryService`: the
-server's event loop offers read-class frames itself — socket to queue
-with no worker thread in between — into a per-lane queue, a collector
-thread takes whatever is queued as one batch, identical coordinate
-lookups inside a batch are answered by a single execution, and groups of
-distinct single-coordinate lookups collapse into one batched DAL call
-(``get_models`` / ``metrics_for_instances``).  Every waiter still gets its
+One replica, N concurrent readers: many of them ask for the same
+coordinate at once (a hot serving scope, a popular model).  This module
+is the cross-request batcher layered in front of
+:class:`~repro.service.server.GalleryService`: the server's event loop
+offers read-class frames itself — socket to queue with no worker thread
+in between — into one FIFO queue, a collector thread takes whatever is
+queued as one batch, and identical ``(method, params)`` lookups inside a
+batch are answered by a single ``dispatch``.  Every waiter still gets its
 own response frame carrying its own ``request_id`` — results are shared
 *computation*, never shared frames, so coalescing cannot leak one tenant's
 response envelope into another's.
 
 The collector never holds a batch open to wait for more arrivals.
 TF-Serving (Olston et al.) does, because its kernels run a batch at
-near-flat cost; here most of a batch runs one ``dispatch`` per unique key,
-and the batched executors amortise over whatever is already queued.
-Requests that arrive while a batch executes form the next batch, so batch
-size follows load with no timer to tune.
-
-The batcher admits every read it is offered.  It drains two weighted
-lanes (``interactive`` vs ``bulk``, chosen by the request's wire-level
-``lane`` field): four interactive waiters for every bulk one, so a bulk
-tenant at 10x offered load cannot starve interactive reads of the batch
-budget.  The batcher has no settings.
+near-flat cost; here a batch runs one ``dispatch`` per unique key, so a
+hold window would only add latency.  Requests that arrive while a batch
+executes form the next batch, so batch size follows load with no timer
+to tune.  The batcher admits every read it is offered and has no
+settings.
 
 Mutations, blob streaming, and admin/drain methods never enter the queue:
 the event loop routes on :func:`~repro.service.wire.peek_method` and sends
@@ -41,8 +34,6 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
-
-from repro.errors import NotFoundError
 
 from . import wire
 
@@ -66,11 +57,8 @@ BATCHABLE_METHODS = frozenset(
     }
 )
 
-#: Most waiters the collector takes off the lanes as one batch.
+#: Most waiters the collector takes off the queue as one batch.
 _MAX_BATCH = 64
-
-#: Weighted round-robin drain order: four interactive waiters per bulk one.
-_LANE_WEIGHTS = ((wire.LANE_INTERACTIVE, 4), (wire.LANE_BULK, 1))
 
 #: Batch-size histogram bucket labels (upper bounds; last is open-ended).
 _HISTOGRAM_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
@@ -109,10 +97,7 @@ class ReadBatcher:
     def __init__(self, service: Any) -> None:
         self._service = service
         self._cond = threading.Condition()
-        self._lanes: dict[str, deque[_Waiter]] = {
-            wire.LANE_INTERACTIVE: deque(),
-            wire.LANE_BULK: deque(),
-        }
+        self._queue: deque[_Waiter] = deque()
         self._collector: threading.Thread | None = None
         self._stopped = False
         # -- counters (guarded by _cond's lock) --
@@ -123,12 +108,7 @@ class ReadBatcher:
             [*(str(b) for b in _HISTOGRAM_BUCKETS), f"{_HISTOGRAM_BUCKETS[-1]}+"],
             0,
         )
-        self._admitted = {wire.LANE_INTERACTIVE: 0, wire.LANE_BULK: 0}
-        self._dal_batched_calls = {
-            "getModel": 0,
-            "metricsOf": 0,
-            "metricsForInstances": 0,
-        }
+        self._admitted = 0
 
     # -- admission -----------------------------------------------------------
 
@@ -146,13 +126,12 @@ class ReadBatcher:
             return False  # normal path issues the typed drain refusal
         counted = self._service._begin_request(request)
         waiter = _Waiter(request=request, deliver=deliver, counted=counted)
-        lane = request.lane if request.lane in self._lanes else wire.LANE_INTERACTIVE
         with self._cond:
             if self._stopped:
                 pass  # fall through: execute inline below
             else:
-                self._lanes[lane].append(waiter)
-                self._admitted[lane] += 1
+                self._queue.append(waiter)
+                self._admitted += 1
                 self._ensure_collector()
                 self._cond.notify()
                 return True
@@ -170,74 +149,48 @@ class ReadBatcher:
             )
             self._collector.start()
 
-    def _queued(self) -> int:
-        return sum(len(q) for q in self._lanes.values())
-
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._stopped and self._queued() == 0:
+                while not self._stopped and not self._queue:
                     self._cond.wait()
-                if self._stopped and self._queued() == 0:
+                if self._stopped and not self._queue:
                     return
-            batch = self._drain_weighted(_MAX_BATCH)
+            batch = self._take()
             if batch:
                 self._execute_batch(batch)
 
-    def _drain_weighted(self, budget: int) -> list[_Waiter]:
-        """Weighted round-robin drain of what is queued, up to *budget*."""
-        out: list[_Waiter] = []
+    def _take(self) -> list[_Waiter]:
+        """Pop up to ``_MAX_BATCH`` queued waiters, oldest first."""
         with self._cond:
-            while len(out) < budget and self._queued():
-                for lane, weight in _LANE_WEIGHTS:
-                    queue = self._lanes[lane]
-                    for _ in range(min(weight, budget - len(out))):
-                        if not queue:
-                            break
-                        out.append(queue.popleft())
-        return out
+            queue = self._queue
+            return [queue.popleft() for _ in range(min(len(queue), _MAX_BATCH))]
 
     # -- execution -----------------------------------------------------------
 
     def _execute_batch(self, batch: list[_Waiter]) -> None:
         groups = self._group(batch)
-        responses: dict[int, wire.Response] = {}
-        for method, runner in (
-            ("getModel", self._run_get_models),
-            ("metricsOf", self._run_metrics_of),
-            ("metricsForInstances", self._run_metrics_for_instances),
-        ):
-            subset = [g for g in groups if g.request.method == method]
-            if not subset:
-                continue
-            try:
-                runner(subset, responses)
-            except Exception:  # noqa: BLE001 - degrade to per-group dispatch
-                for group in subset:
-                    responses.pop(id(group), None)
-        for group in groups:
-            if id(group) not in responses:
-                # Every group no executor answered: other methods, params
-                # off the canonical shape, a failed executor.  dispatch()
-                # folds handler errors into an error Response, so a failure
-                # in one coordinate poisons only its own group.
-                responses[id(group)] = self._service.dispatch(group.request)
+        # dispatch() folds handler errors into an error Response, so a
+        # failure in one coordinate poisons only its own group.  Every
+        # group runs before any frame goes out: each delivery wakes the
+        # event loop, which would otherwise contend with the rest of the
+        # batch for the GIL once per group.
+        responses = [self._service.dispatch(group.request) for group in groups]
         with self._cond:
             self._batches += 1
             self._batched_requests += len(batch)
             self._coalesced += len(batch) - len(groups)
             self._histogram[self._bucket_label(len(batch))] += 1
-        for group in groups:
-            self._fan_out(group, responses[id(group)])
+        for group, response in zip(groups, responses):
+            self._fan_out(group, response)
 
     def _group(self, batch: list[_Waiter]) -> list[_Group]:
         """Coalesce identical (method, params) lookups within the batch.
 
-        The key deliberately ignores ``client_id`` and ``lane``: two
-        tenants asking for the same coordinate share one execution.  Each
-        still receives its own frame with its own ``request_id``, so result
-        *boundaries* never cross tenants.  Params that resist canonical
-        JSON stay unshared.
+        The key deliberately ignores ``client_id``: two tenants asking for
+        the same coordinate share one execution.  Each still receives its
+        own frame with its own ``request_id``, so result *boundaries* never
+        cross tenants.  Params that resist canonical JSON stay unshared.
         """
         groups: dict[Any, _Group] = {}
         for waiter in batch:
@@ -268,101 +221,6 @@ class ReadBatcher:
                 if waiter.counted:
                     self._service._end_request()
 
-    # -- batched DAL executors ------------------------------------------------
-    # Each mirrors its single-coordinate handler exactly (same result shape,
-    # same NotFoundError message) but pays one store round-trip for the
-    # whole batch.  Groups whose params don't match the canonical shape
-    # are left out of `responses`, falling back to per-group dispatch.
-
-    def _run_get_models(
-        self, groups: list[_Group], responses: dict[int, wire.Response]
-    ) -> None:
-        eligible = [
-            g
-            for g in groups
-            if set(g.request.params) == {"model_id"}
-            and isinstance(g.request.params["model_id"], str)
-        ]
-        if not eligible:
-            return
-        ids = [g.request.params["model_id"] for g in eligible]
-        found = self._service._gallery.dal.metadata.get_models(ids)
-        with self._cond:
-            self._dal_batched_calls["getModel"] += 1
-        for group in eligible:
-            model_id = group.request.params["model_id"]
-            model = found.get(model_id)
-            if model is None:
-                responses[id(group)] = wire.error_response(
-                    NotFoundError(f"no model {model_id!r}"),
-                    group.request.request_id,
-                )
-            else:
-                responses[id(group)] = wire.Response(
-                    ok=True,
-                    result=model.to_dict(),
-                    request_id=group.request.request_id,
-                )
-
-    def _run_metrics_of(
-        self, groups: list[_Group], responses: dict[int, wire.Response]
-    ) -> None:
-        eligible = [
-            g
-            for g in groups
-            if set(g.request.params) == {"instance_id"}
-            and isinstance(g.request.params["instance_id"], str)
-        ]
-        if not eligible:
-            return
-        ids = [g.request.params["instance_id"] for g in eligible]
-        metrics = self._service._gallery.metrics_for_instances(ids)
-        with self._cond:
-            self._dal_batched_calls["metricsOf"] += 1
-        for group in eligible:
-            instance_id = group.request.params["instance_id"]
-            records = metrics.get(instance_id, [])
-            responses[id(group)] = wire.Response(
-                ok=True,
-                result=[m.to_dict() for m in records],
-                request_id=group.request.request_id,
-            )
-
-    def _run_metrics_for_instances(
-        self, groups: list[_Group], responses: dict[int, wire.Response]
-    ) -> None:
-        eligible = []
-        for g in groups:
-            params = g.request.params
-            if set(params) == {"instance_ids"} and isinstance(
-                params["instance_ids"], list
-            ) and all(isinstance(i, str) for i in params["instance_ids"]):
-                eligible.append(g)
-        if not eligible:
-            return
-        union: list[str] = []
-        seen: set[str] = set()
-        for group in eligible:
-            for instance_id in group.request.params["instance_ids"]:
-                if instance_id not in seen:
-                    seen.add(instance_id)
-                    union.append(instance_id)
-        merged = self._service._gallery.metrics_for_instances(union)
-        with self._cond:
-            self._dal_batched_calls["metricsForInstances"] += 1
-        for group in eligible:
-            requested = group.request.params["instance_ids"]
-            responses[id(group)] = wire.Response(
-                ok=True,
-                result={
-                    instance_id: [
-                        m.to_dict() for m in merged.get(instance_id, [])
-                    ]
-                    for instance_id in requested
-                },
-                request_id=group.request.request_id,
-            )
-
     # -- observability & lifecycle --------------------------------------------
 
     @staticmethod
@@ -384,11 +242,8 @@ class ReadBatcher:
                     self._coalesced / batched if batched else 0.0
                 ),
                 "batch_size_histogram": dict(self._histogram),
-                "dal_batched_calls": dict(self._dal_batched_calls),
-                "queue_depth": {
-                    lane: len(q) for lane, q in self._lanes.items()
-                },
-                "admitted": dict(self._admitted),
+                "queue_depth": len(self._queue),
+                "admitted": self._admitted,
                 # The batcher refuses nothing.  The key stays, always 0,
                 # while gallerybench reports it as service.batching.refusals
                 # (ROADMAP 9(h) retires both).
@@ -404,7 +259,5 @@ class ReadBatcher:
         if collector is not None and collector.is_alive():
             collector.join(timeout=5.0)
         # Anything still parked (collector never started, or died): flush.
-        remainder = self._drain_weighted(self._queued() or 0)
-        while remainder:
+        while remainder := self._take():
             self._execute_batch(remainder)
-            remainder = self._drain_weighted(self._queued() or 0)

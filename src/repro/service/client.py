@@ -177,29 +177,15 @@ class GalleryClient:
         self,
         transport: Transport,
         client_id: str | None = None,
-        lane: str = wire.LANE_INTERACTIVE,
     ) -> None:
-        if lane not in (wire.LANE_INTERACTIVE, wire.LANE_BULK):
-            raise ValueError(f"unknown QoS lane: {lane!r}")
         self._transport = transport
         self._id_lock = threading.Lock()
         self._next_request_id = 1
         self._client_id = client_id if client_id is not None else random_uuid()
-        self._lane = lane
 
     @property
     def client_id(self) -> str:
         return self._client_id
-
-    @property
-    def lane(self) -> str:
-        """QoS lane stamped on every request this client sends.
-
-        ``interactive`` (default) gets the lion's share of the server's
-        batch budget; ``bulk`` marks backfills and sweeps that tolerate
-        queueing behind interactive reads.
-        """
-        return self._lane
 
     def _allocate_request_id(self) -> int:
         with self._id_lock:
@@ -213,7 +199,6 @@ class GalleryClient:
             params=params,
             request_id=self._allocate_request_id(),
             client_id=self._client_id,
-            lane=self._lane,
         )
         return wire.encode_request(request)
 
@@ -523,7 +508,7 @@ class GalleryClient:
         return self.call("fleetUndrain")
 
     def server_stats(self) -> dict[str, Any]:
-        """The answering replica's live batcher/QoS/dedup counters."""
+        """The answering replica's live batcher and dedup counters."""
         return self.call("serverStats")
 
     def collect_orphans(self) -> list[str]:

@@ -6,7 +6,7 @@ because all state lives in the storage layer.  This module is the client
 half of that deployment, and its one retry and routing layer:
 
 * :class:`EndpointSet` parses a ``gallery://host:port,host:port`` URL into
-  an ordered replica list plus connection options (timeout, QoS lane);
+  an ordered replica list plus its per-call timeout;
 * :class:`FailoverTransport` routes every frame — a single call or one
   frame of a pipelined batch — through one loop with one replay rule and
   one retry budget: load-aware picks (latency EWMA × in-flight depth,
@@ -55,8 +55,6 @@ if TYPE_CHECKING:
 
 #: URL scheme accepted by :meth:`EndpointSet.parse`.
 SCHEME = "gallery"
-
-_LANES = (wire.LANE_INTERACTIVE, wire.LANE_BULK)
 
 #: EWMA smoothing factor for per-endpoint latency (higher = snappier).
 _LATENCY_ALPHA = 0.2
@@ -126,12 +124,6 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
             if timeout <= 0:
                 raise ValidationError("timeout must be positive")
             options["timeout"] = timeout
-        elif key == "lane":
-            if value not in _LANES:
-                raise ValidationError(
-                    f"unknown lane {value!r} (interactive or bulk)"
-                )
-            options["lane"] = value
         else:
             raise ValidationError(f"unknown query parameter {key!r}")
     return options
@@ -143,14 +135,12 @@ class EndpointSet:
 
     Built either from a URL or by the membership layer::
 
-        gallery://10.0.0.1:9000,10.0.0.2:9000?timeout=10&lane=bulk
+        gallery://10.0.0.1:9000,10.0.0.2:9000?timeout=10
 
-    Query parameters: ``timeout`` (per-call seconds, default 10) and
-    ``lane`` (``interactive``, the default, or ``bulk`` — the QoS lane
-    stamped on every request, weighting how the server's read batcher
-    schedules this client against others).  Unknown or repeated
-    parameters, malformed ports, and duplicate hosts are rejected loudly
-    — a silently dropped replica is an outage waiting to be discovered.
+    The one query parameter is ``timeout`` (per-call seconds, default
+    10).  Unknown or repeated parameters, malformed ports, and duplicate
+    hosts are rejected loudly — a silently dropped replica is an outage
+    waiting to be discovered.
 
     Application code should not construct this directly (ruff TID251
     enforces it): go through :func:`connect` or a
@@ -160,7 +150,6 @@ class EndpointSet:
 
     endpoints: tuple[Endpoint, ...]
     timeout: float = 10.0
-    lane: str = wire.LANE_INTERACTIVE
 
     def __post_init__(self) -> None:
         if not self.endpoints:
@@ -376,7 +365,6 @@ class FailoverTransport:
         transport_factory: Callable[[Endpoint], Transport] | None = None,
         failure_threshold: int = 3,
         reset_timeout: float = 1.0,
-        transient_errors: frozenset[str] = TRANSIENT_ERROR_TYPES,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         drain_ttl: float = DEFAULT_DRAIN_TTL,
@@ -395,7 +383,6 @@ class FailoverTransport:
         self._failure_threshold = failure_threshold
         self._reset_timeout = reset_timeout
         self._policies = policies or MethodRetryPolicies.default()
-        self._transient_errors = transient_errors
         self._sleep = sleep
         self._clock = clock
         self._drain_ttl = drain_ttl
@@ -728,7 +715,7 @@ class FailoverTransport:
                 continue
             if started is not None:
                 answered.observe(self._clock() - started)
-            if retryable and error_type in self._transient_errors:
+            if retryable and error_type in TRANSIENT_ERROR_TYPES:
                 # The replica is fine; its dependency flaked.  Retry with
                 # backoff (and a fresh pick), but leave the breaker alone.
                 transient_raw = outcome
@@ -867,7 +854,6 @@ def connect(
     url: str | EndpointSet,
     *,
     client_id: str | None = None,
-    lane: str | None = None,
     policies: MethodRetryPolicies | None = None,
     transport_factory: Callable[[Endpoint], Transport] | None = None,
     failure_threshold: int = 3,
@@ -898,11 +884,6 @@ def connect(
     is swapped into the transport live — replicas are added, drained, and
     removed without the client restarting.  Closing the client stops the
     poller along with every replica connection.
-
-    ``lane`` picks the QoS lane the server's read batcher schedules this
-    client in: ``"interactive"`` (the default) or ``"bulk"`` for
-    backfills and sweeps — equivalently ``?lane=bulk`` on the URL.  A
-    bulk client's reads queue behind interactive ones under load.
     """
     registry = None
     if isinstance(url, str) and url.partition("://")[0].startswith(
@@ -924,8 +905,4 @@ def connect(
         registry.subscribe(transport.update_endpoints, replay=False)
         transport.attach_registry(registry)
         registry.start()
-    return GalleryClient(
-        transport,
-        client_id=client_id,
-        lane=lane if lane is not None else endpoint_set.lane,
-    )
+    return GalleryClient(transport, client_id=client_id)

@@ -290,11 +290,11 @@ def fleet_from_url(url: str) -> tuple[FleetRegistry, EndpointSet]:
 
     Formats::
 
-        gallery+file:///var/run/gallery/fleet.txt?poll=0.5&lane=bulk
+        gallery+file:///var/run/gallery/fleet.txt?poll=0.5&timeout=5
         gallery+http://10.0.0.5:8500/v1/gallery/fleet?poll=2
 
-    Query parameters are the usual connection options (``timeout``,
-    ``lane``) plus ``poll`` (seconds between registry polls, default 1),
+    Query parameters are the usual connection option (``timeout``) plus
+    ``poll`` (seconds between registry polls, default 1),
     each at most once.  The registry is resolved once, loudly, before this
     returns — the caller gets a non-empty fleet or a typed error, never a
     silently empty client.

@@ -292,7 +292,7 @@ class GalleryService:
         """Live batcher/dedup counters for this replica.
 
         An admin method (answers during a drain) so operators can watch
-        coalesce ratio and lane queue depths while shedding load.
+        coalesce ratio and read-queue depth while shedding load.
         """
         return {
             "fleet": self._fleet_status(),

@@ -75,7 +75,6 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
-_U8 = struct.Struct(">B")
 _TAG_I64 = struct.Struct(">Bq")
 _TAG_F64 = struct.Struct(">Bd")
 _TAG_U32 = struct.Struct(">BI")
@@ -94,17 +93,6 @@ _JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _json_encode = _JSON_ENCODER.encode
 _json_loads = json.loads
 
-#: QoS lanes a request can travel in.  ``interactive`` is the default and
-#: gets the lion's share of the batch scheduler's weight; ``bulk`` marks
-#: backfills/sweeps that tolerate extra queueing.  On the binary wire the
-#: lane is one byte (0 = interactive, 1 = bulk); unknown values decode to
-#: interactive so old frames and future lanes degrade to the safe default.
-LANE_INTERACTIVE = "interactive"
-LANE_BULK = "bulk"
-_LANE_CODES = {LANE_INTERACTIVE: 0, LANE_BULK: 1}
-_LANE_NAMES = {1: LANE_BULK}
-
-
 @dataclass(frozen=True, slots=True)
 class Request:
     """One RPC request: a method name and keyword parameters.
@@ -114,24 +102,16 @@ class Request:
     reuses both, and the server's dedup cache replays the stored response
     instead of executing the mutation twice.  An empty ``client_id`` opts
     out of deduplication (the pre-reliability wire format).
-
-    ``lane`` is the QoS lane the sender asked for (``interactive`` by
-    default, ``bulk`` for throughput work); the server's batch scheduler
-    uses it to weight queue draining so bulk tenants cannot starve
-    interactive reads.
     """
 
     method: str
     params: Mapping[str, Any] = field(default_factory=dict)
     request_id: int = 0
     client_id: str = ""
-    lane: str = LANE_INTERACTIVE
 
     def __post_init__(self) -> None:
         if not self.method:
             raise WireFormatError("request method must be non-empty")
-        if self.lane not in _LANE_CODES:
-            raise WireFormatError(f"unknown QoS lane {self.lane!r}")
         object.__setattr__(self, "params", dict(self.params))
 
 
@@ -623,7 +603,6 @@ def encode_request(request: Request, dialect: str = DIALECT_BINARY) -> bytes:
     writer.raw_small(method)
     writer.pack(_U16, len(client_id))
     writer.raw_small(client_id)
-    writer.pack(_U8, _LANE_CODES[request.lane])
     if not _encode_document(request.params, writer):
         _encode_value(request.params, writer)
     return _assemble(writer.parts())
@@ -636,7 +615,6 @@ def decode_request(data: bytes) -> Request:
         raise WireFormatError("expected a request frame")
     method = cur.text(_U16)
     client_id = cur.text(_U16)
-    (lane_code,) = cur.unpack(_U8)
     params = _decode_value(cur)
     if not isinstance(params, dict):
         raise WireFormatError("request params must decode to a map")
@@ -647,7 +625,6 @@ def decode_request(data: bytes) -> Request:
         params=params,
         request_id=request_id,
         client_id=client_id,
-        lane=_LANE_NAMES.get(lane_code, LANE_INTERACTIVE),
     )
 
 

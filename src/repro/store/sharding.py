@@ -280,9 +280,10 @@ class ShardedMetadataStore(MetadataStore):
     """N metadata stores behind the single-store interface.
 
     Single-coordinate operations route to the owning shard; keyless reads
-    visit the shards in order on the calling thread; multi-shard commits
-    fan out on a lazy worker pool.  See the module docstring for the
-    routing table and the budget-division semantics of capacity trims.
+    visit the shards in order on the calling thread, and so do
+    multi-shard commits, shard by shard.  See the module docstring for
+    the routing table and the budget-division semantics of capacity
+    trims.
     """
 
     def __init__(

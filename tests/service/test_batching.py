@@ -9,13 +9,12 @@ Properties under fuzz:
   two tenants asking for one coordinate each get their own response
   envelope;
 * **error isolation**: a failing lookup inside a window poisons only its
-  own request(s), not batch-mates;
-* **no starvation**: the weighted lane scheduler keeps serving the
-  interactive lane while a bulk tenant floods the queue at 10x load.
+  own request(s), not batch-mates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import threading
 import time
@@ -31,6 +30,7 @@ from repro.errors import NotFoundError
 from repro.service import wire
 from repro.service.batching import BATCHABLE_METHODS, ReadBatcher
 from repro.service.client import GalleryClient
+from repro.service.endpoints import FailoverTransport, connect
 from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport
 
@@ -67,10 +67,10 @@ class Collector:
         return deliver
 
 
-def make_request(method, params, request_id, client_id="c", lane="interactive"):
+def make_request(method, params, request_id, client_id="c"):
     return wire.Request(
         method=method, params=params, request_id=request_id,
-        client_id=client_id, lane=lane,
+        client_id=client_id,
     )
 
 
@@ -102,10 +102,6 @@ class TestDedupFuzz:
             data.draw(st.sampled_from(coordinates), label=f"req{k}")
             for k in range(n)
         ]
-        lanes = [
-            data.draw(st.sampled_from(["interactive", "bulk"]), label=f"lane{k}")
-            for k in range(n)
-        ]
         collector = Collector()
         collector.expected = n
         from repro.service.batching import _Waiter
@@ -114,7 +110,7 @@ class TestDedupFuzz:
         for k, (method, params) in enumerate(picks):
             request = make_request(
                 method, params, request_id=k + 1,
-                client_id=f"tenant-{k % 3}", lane=lanes[k],
+                client_id=f"tenant-{k % 3}",
             )
             requests.append(request)
             waiters.append(
@@ -148,6 +144,14 @@ class TestDedupFuzz:
         service = GalleryService(gallery)
         from repro.service.batching import _Waiter
 
+        dispatched = []
+        dispatch = service.dispatch
+
+        def counting_dispatch(request):
+            dispatched.append(request)
+            return dispatch(request)
+
+        service.dispatch = counting_dispatch
         collector = Collector()
         collector.expected = n_dupes
         waiters = []
@@ -170,7 +174,7 @@ class TestDedupFuzz:
             assert response.result["model_id"] == model_ids[0]
         stats = service.read_batcher.stats_snapshot()
         assert stats["coalesced"] == n_dupes - 1
-        assert stats["dal_batched_calls"]["getModel"] == 1
+        assert len(dispatched) == 1  # one execution for all n duplicates
 
     @pytest.mark.parametrize(
         ("method", "params"),
@@ -250,109 +254,35 @@ class TestDedupFuzz:
 
 
 # ---------------------------------------------------------------------------
-# lanes & starvation
-# ---------------------------------------------------------------------------
-
-
-class TestLaneScheduling:
-    def test_weighted_drain_prefers_interactive_4_to_1(self):
-        gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery)
-        batcher = service.read_batcher
-        from repro.service.batching import _Waiter
-
-        sink = lambda frame: None  # noqa: E731
-        for k in range(40):  # the 10x bulk flood
-            batcher._lanes["bulk"].append(
-                _Waiter(
-                    request=make_request(
-                        "getModel", {"model_id": model_ids[0]},
-                        request_id=k + 1, lane="bulk",
-                    ),
-                    deliver=sink, counted=False,
-                )
-            )
-        for k in range(4):
-            batcher._lanes["interactive"].append(
-                _Waiter(
-                    request=make_request(
-                        "getModel", {"model_id": model_ids[1]},
-                        request_id=100 + k,
-                    ),
-                    deliver=sink, counted=False,
-                )
-            )
-        drained = batcher._drain_weighted(10)
-        lanes = [w.request.lane for w in drained]
-        # every queued interactive request surfaced in the first drain,
-        # despite bulk outnumbering them 10:1
-        assert lanes.count("interactive") == 4
-        assert lanes.count("bulk") == 6
-
-    def test_bulk_flood_cannot_starve_interactive_p95(self):
-        """A bulk tenant at ~10x offered load: the interactive lane's p95
-        stays inside the configured bound end-to-end over the event-loop
-        server."""
-        gallery, model_ids, _ = seeded_gallery()
-        service = GalleryService(gallery)
-        server = GalleryTcpServer(service).start()
-        host, port = server.address
-        p95_bound_s = 0.25  # generous CI bound; unloaded p50 is ~sub-ms
-        stop = threading.Event()
-
-        def bulk_flood(worker):
-            client = GalleryClient(
-                PipelinedTcpTransport(host, port),
-                client_id=f"bulk-{worker}", lane="bulk",
-            )
-            try:
-                while not stop.is_set():
-                    client.call("getModel", model_id=model_ids[0])
-            except Exception:
-                pass
-            finally:
-                client.close()
-
-        flooders = [
-            threading.Thread(target=bulk_flood, args=(w,), daemon=True)
-            for w in range(10)
-        ]
-        for thread in flooders:
-            thread.start()
-        try:
-            interactive = GalleryClient(
-                PipelinedTcpTransport(host, port), client_id="interactive-tenant"
-            )
-            latencies = []
-            try:
-                for _ in range(60):
-                    t0 = time.perf_counter()
-                    interactive.call("getModel", model_id=model_ids[1])
-                    latencies.append(time.perf_counter() - t0)
-            finally:
-                interactive.close()
-        finally:
-            stop.set()
-            for thread in flooders:
-                thread.join(timeout=5.0)
-            server.stop()
-        latencies.sort()
-        p95 = latencies[int(len(latencies) * 0.95) - 1]
-        assert p95 < p95_bound_s, f"interactive p95 {p95 * 1e3:.1f}ms over bound"
-
-
-# ---------------------------------------------------------------------------
 # settings: there are none
 # ---------------------------------------------------------------------------
 
 
 class TestNoSettings:
     def test_batcher_and_service_have_no_settings(self):
-        # batch size, lane weights and the batching schedule are fixed, and
+        # batch size and the batching schedule are fixed, and
         # every offered read is admitted: nothing is left to configure
         assert list(inspect.signature(ReadBatcher).parameters) == ["service"]
         assert list(inspect.signature(GalleryService).parameters) == [
             "gallery", "engine",
+        ]
+
+    def test_client_stack_has_no_lane_or_error_class_knob(self):
+        # every read travels one FIFO queue, and the transient error set
+        # is the client module's: no request field or parameter picks them
+        assert list(inspect.signature(GalleryClient).parameters) == [
+            "transport", "client_id",
+        ]
+        assert list(inspect.signature(connect).parameters) == [
+            "url", "client_id", "policies", "transport_factory",
+            "failure_threshold", "reset_timeout",
+        ]
+        assert list(inspect.signature(FailoverTransport).parameters) == [
+            "endpoints", "policies", "transport_factory", "failure_threshold",
+            "reset_timeout", "sleep", "clock", "drain_ttl", "rng",
+        ]
+        assert [f.name for f in dataclasses.fields(wire.Request)] == [
+            "method", "params", "request_id", "client_id",
         ]
 
 
@@ -392,7 +322,7 @@ class TestCollector:
         first = Collector()
         first.expected = 12
         for k in range(11):  # queued before the collector thread exists
-            batcher._lanes["interactive"].append(
+            batcher._queue.append(
                 _Waiter(request=request(k + 1), deliver=first.deliver_for(k),
                         counted=False)
             )
@@ -507,7 +437,7 @@ class TestServerIntegration:
         from repro.service.batching import _Waiter
 
         got = []
-        batcher._lanes["interactive"].append(
+        batcher._queue.append(
             _Waiter(
                 request=make_request("getModel", {"model_id": model_ids[0]}, 1),
                 deliver=got.append, counted=False,

@@ -115,7 +115,6 @@ class TestEndpointParsing:
     def test_query_parameters(self):
         es = EndpointSet.parse("gallery://h:1?timeout=2.5")
         assert es.timeout == 2.5
-        assert es.lane == wire.LANE_INTERACTIVE  # the default
 
     @pytest.mark.parametrize(
         "key, value",
@@ -123,6 +122,7 @@ class TestEndpointParsing:
             ("transport", "serial"), ("transport", "pipelined"),
             ("dialect", "json"), ("dialect", "binary"),
             ("routing", "p2c"), ("routing", "roundrobin"), ("routing", "shard"),
+            ("lane", "bulk"), ("lane", "interactive"),
         ],
     )
     def test_removed_keys_are_rejected_loudly(self, key, value):
@@ -130,12 +130,6 @@ class TestEndpointParsing:
             ValidationError, match=f"unknown query parameter '{key}'"
         ):
             EndpointSet.parse(f"gallery://h:1?{key}={value}")
-
-    def test_lane_query_parameter(self):
-        es = EndpointSet.parse("gallery://h:1?lane=bulk")
-        assert es.lane == wire.LANE_BULK
-        with pytest.raises(ValidationError):
-            EndpointSet.parse("gallery://h:1?lane=express")
 
     def test_single_endpoint_is_fine(self):
         es = EndpointSet.parse("gallery://localhost:9000")
@@ -158,7 +152,7 @@ class TestEndpointParsing:
             "gallery://h:1?bogus=1",           # unknown query parameter
             "gallery://h:1?timeout=soon",      # non-numeric timeout
             "gallery://h:1?timeout=0",         # non-positive timeout
-            "gallery://h:1?lane=bulk&lane=interactive",  # repeated key
+            "gallery://h:1?timeout=1&timeout=2",  # repeated key
         ],
     )
     def test_malformed_urls_are_rejected(self, url):
@@ -642,19 +636,6 @@ class TestConnect:
         assert client.client_id == "conn-test"
         assert client.call("getModel", model_id="m") == {"model_id": "m"}
         client.close()
-
-    def test_connect_honours_url_lane(self):
-        fleet = Fleet({"a:1": lambda d: ok_frame()})
-        client = connect(
-            "gallery://a:1?lane=bulk",
-            policies=fast_policies(),
-            transport_factory=fleet.factory,
-        )
-        assert client.lane == wire.LANE_BULK
-        client.call("getModel", model_id="m")
-        # the frame actually left in the bulk lane
-        sent = fleet.dialed["a:1"][0].calls[0]
-        assert wire.decode_request(sent).lane == wire.LANE_BULK
 
     def test_connect_rejects_bad_urls(self):
         with pytest.raises(ValidationError):

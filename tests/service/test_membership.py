@@ -249,10 +249,9 @@ class TestFleetUrls:
         path = tmp_path / "fleet.txt"
         path.write_text("a:1\nb:2\n")
         registry, endpoint_set = fleet_from_url(
-            f"gallery+file://{path}?poll=0.25&lane=bulk&timeout=3"
+            f"gallery+file://{path}?poll=0.25&timeout=3"
         )
         assert [e.address for e in endpoint_set.endpoints] == ["a:1", "b:2"]
-        assert endpoint_set.lane == "bulk"
         assert endpoint_set.timeout == 3.0
         assert registry._poll_interval == 0.25  # noqa: SLF001 - test probe
         assert DEFAULT_POLL_INTERVAL != 0.25

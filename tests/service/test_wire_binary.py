@@ -67,22 +67,19 @@ class TestRoundTrips:
         wire_params,
         st.integers(0, 2**64 - 1),
         st.text(max_size=16),
-        st.sampled_from([wire.LANE_INTERACTIVE, wire.LANE_BULK]),
     )
     @settings(max_examples=200)
-    def test_request_round_trip(self, method, params, request_id, client_id, lane):
+    def test_request_round_trip(self, method, params, request_id, client_id):
         request = Request(
             method=method,
             params=params,
             request_id=request_id,
             client_id=client_id,
-            lane=lane,
         )
         frame = wire.encode_request(request)
         restored = wire.decode_request(frame)
         assert restored == request
-        assert restored.client_id == client_id  # read-path QoS keys on this
-        assert restored.lane == lane
+        assert restored.client_id == client_id  # request dedup keys on this
         assert wire.peek_method(frame) == method  # what the event loop routes on
         # what the failover transport retries on
         assert wire.peek_request_head(frame) == (method, client_id)
@@ -100,30 +97,19 @@ class TestRoundTrips:
             max_size=4,
         ),
         st.text(max_size=16),
-        st.sampled_from([wire.LANE_INTERACTIVE, wire.LANE_BULK]),
     )
     @settings(max_examples=100)
     def test_request_identity_fields_round_trip_beside_document_params(
-        self, method, params, client_id, lane
+        self, method, params, client_id
     ):
-        """client_id and lane survive beside params that took the embedded
-        document path — request dedup and the lane scheduler must see the
-        tenant the sender named."""
+        """client_id survives beside params that took the embedded document
+        path — request dedup must see the tenant the sender named."""
         request = Request(
-            method=method, params=params, request_id=7,
-            client_id=client_id, lane=lane,
+            method=method, params=params, request_id=7, client_id=client_id,
         )
         restored = wire.decode_request(wire.encode_request(request))
-        assert (restored.client_id, restored.lane) == (client_id, lane)
+        assert restored.client_id == client_id
         assert restored.params == params
-
-    def test_unknown_lane_code_degrades_to_interactive(self):
-        frame = bytearray(wire.encode_request(Request(method="getModel")))
-        # prefix | header | u16 + method | u16 + empty client_id | lane u8
-        lane_at = _PREFIX.size + wire._BIN_HEADER.size + 2 + len("getModel") + 2
-        assert frame[lane_at] == 0
-        frame[lane_at] = 9  # a future lane
-        assert wire.decode_request(bytes(frame)).lane == wire.LANE_INTERACTIVE
 
     @given(wire_values, st.integers(0, 2**64 - 1))
     @settings(max_examples=200)
@@ -236,6 +222,40 @@ class TestRequestIdRecovery:
         assert not response.ok
         assert response.error_type == "WireFormatError"
         assert response.request_id == 911
+
+    def test_request_with_a_lane_byte_is_refused_with_its_id(self):
+        """Requests once carried a one-byte QoS lane after ``client_id``.
+        That layout is refused with a typed error, never misread or left
+        unanswered."""
+        frame = wire.encode_request(
+            Request(method="getModel", params={"model_id": "m"},
+                    request_id=4243, client_id="tenant")
+        )
+        # prefix | header | u16 + method | u16 + client_id | params
+        params_at = (
+            _PREFIX.size + wire._BIN_HEADER.size
+            + 2 + len("getModel") + 2 + len("tenant")
+        )
+        assert frame[params_at] != 0x00  # params follow client_id directly
+        body = frame[_PREFIX.size : params_at] + b"\x00" + frame[params_at:]
+        old = _PREFIX.pack(len(body)) + body
+        with pytest.raises(WireFormatError):
+            wire.decode_request(old)
+        assert wire.peek_request_head(old) == ("getModel", "tenant")
+        with GalleryTcpServer(build_service()) as server:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(old)
+                raw = b""
+                while len(raw) < _PREFIX.size or len(raw) < (
+                    _PREFIX.size + _PREFIX.unpack_from(raw)[0]
+                ):
+                    chunk = sock.recv(65536)
+                    assert chunk, "server closed without answering"
+                    raw += chunk
+        response = wire.decode_response(raw)
+        assert not response.ok
+        assert response.error_type == "WireFormatError"
+        assert response.request_id == 4243
 
 
 class TestPeekMethod:

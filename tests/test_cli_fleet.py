@@ -96,7 +96,7 @@ def test_server_stats_reports_batching_counters(capsys, replicas):
     assert code == 0
     assert stats["fleet"]["status"] == "serving"
     batching = stats["batching"]
-    assert set(batching["queue_depth"]) == {"interactive", "bulk"}
+    assert isinstance(batching["queue_depth"], int)
     assert "coalesce_ratio" in batching
     assert "batch_size_histogram" in batching
     assert "request_dedup" in stats
