@@ -153,6 +153,7 @@ class TestEndpointParsing:
             "gallery://h:1?timeout=soon",      # non-numeric timeout
             "gallery://h:1?timeout=0",         # non-positive timeout
             "gallery://h:1?timeout=1&timeout=2",  # repeated key
+            "gallery://h:1?lane=bulk&lane=interactive",  # retired key, repeated
         ],
     )
     def test_malformed_urls_are_rejected(self, url):
